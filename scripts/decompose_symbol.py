@@ -1,38 +1,25 @@
 #!/usr/bin/env python3
-"""Low-rank separable expansion of a multiplier symbol.
+"""Low-rank angular separable expansion of a multiplier symbol.
 
-Samples the symbol on an annulus grid, runs the SVD-based separable
-expansion, prints the singular-value decay, and saves the expansion to
-disk so apply_separable can reuse it.
+Thin wrapper around ``mlab decompose-symbol``: samples the symbol on unit
+directions, prints the expansion's rank, residual and spectrum as JSON, and
+with ``--out PREFIX`` saves it for reuse.
 
 Usage:
   python3 scripts/decompose_symbol.py --symbol det_norm:1 --d 2 --rank 32
+  python3 scripts/decompose_symbol.py --angular 128 --out out/expansion
 """
 
-import argparse
 import sys
 
-from mlab.decomp import save_expansion, separable_expand
-from mlab.symbols import resolve_symbol
+from mlab.cli import run_cli
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--symbol", default="det_norm:1")
-    ap.add_argument("--d", type=int, default=2)
-    ap.add_argument("--rank", type=int, default=32)
-    ap.add_argument("--out", default="out/expansion.json")
-    args = ap.parse_args()
-
-    sym = resolve_symbol(args.symbol, args.d, m=2)
-    exp = separable_expand(sym, rank=args.rank)
-    s = exp.spectrum
-    print(f"symbol {sym.name}: rank {exp.rank}, residual {exp.residual:.3e}")
-    for l, val in enumerate(s[: exp.rank]):
-        print(f"  s_{l + 1:<3d} {val:.6e}  (ratio {val / s[0]:.3e})")
-    paths = save_expansion(exp, args.out)
-    print("saved:", ", ".join(str(p) for p in paths))
-    return 0
+    argv = sys.argv[1:]
+    if not any(a.startswith("--symbol") for a in argv):
+        argv = ["--symbol", "det_norm:1", *argv]
+    return run_cli(["decompose-symbol", *argv])
 
 
 if __name__ == "__main__":

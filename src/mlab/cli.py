@@ -26,6 +26,7 @@ from .harness import (
     write_records,
     write_summary_csv,
 )
+from .operators import enumeration_budget
 from .schemas import validate_config, validate_record
 from .symbols import resolve_symbol
 
@@ -72,8 +73,7 @@ def _build_parser() -> _Parser:
     dec.add_argument("--symbol", required=True)
     dec.add_argument("--d", type=int, default=2)
     dec.add_argument("--rank", type=int, default=32)
-    dec.add_argument("--radial", type=int, default=32)
-    dec.add_argument("--angular", type=int, default=None)
+    dec.add_argument("--angular", type=int, default=64)
     dec.add_argument("--out", default=None, help="file prefix for the saved expansion")
 
     rep = sub.add_parser("report", help="summarize a records.jsonl file")
@@ -186,6 +186,7 @@ _SCANS = {
 def _cmd_scan(args: argparse.Namespace, command: str) -> int:
     cfg = _load_config(args, command)
     try:
+        enumeration_budget()
         record = _SCANS[command](cfg)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -196,11 +197,9 @@ def _cmd_scan(args: argparse.Namespace, command: str) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         sym = resolve_symbol(args.symbol, args.d)
-    except ValueError as exc:
+        exp = separable_expand(sym, rank=args.rank, n_angular=args.angular)
+    except (ValueError, NotImplementedError) as exc:
         raise _UsageError(str(exc)) from exc
-    exp = separable_expand(
-        sym, annulus_points=args.radial, rank=args.rank, n_angular=args.angular
-    )
     payload = {
         "symbol": exp.symbol_name,
         "m": exp.m,

@@ -5,13 +5,13 @@ The partition profile is built from the classical smooth step
 and 1 exactly at the endpoints, so the dyadic bumps telescope to exactly one
 on the covered band and the supports are sharp.
 
-For a degree-zero poly-homogeneous symbol the rescaled localized symbol
-``phi(xi_1) ... phi(xi_m) sigma(xi_1, ..., xi_m)`` on the product annulus is
-independent of the dyadic scales, and its radial dependence enters only
-through the cutoff ``phi``, which equals one on the query region
-``1/2 <= |xi| <= 2``.  Nearest-node lookup in log radius is therefore exact
-there, and the angular dependence is evaluated by trigonometric
-interpolation of the factor tables.
+A degree-zero poly-homogeneous symbol restricted to the product annulus
+factors as ``phi(r_1) ... phi(r_m) S(theta_1, ..., theta_m)``: the radial
+part is the rank-one cutoff, so every separable structure lives in the
+angular function ``S``.  The expansion therefore samples ``sigma`` on unit
+directions only (signs for d = 1, equispaced angles for d = 2) and
+factors that table; a factor is evaluated at any nonzero frequency through
+its direction, by trigonometric interpolation in angle.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ class DyadicPartition:
     def scales(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def psi(self, r) -> np.ndarray:
-        return psi_profile(r)
-
-    def phi(self, r) -> np.ndarray:
-        return phi_profile(r)
-
     def psi_at_scale(self, r, j: int) -> np.ndarray:
         return psi_profile(np.asarray(r, dtype=np.float64) / 2.0**j)
 
@@ -139,17 +133,15 @@ def localize(f: Field, part: DyadicPartition, j: int) -> Field:
 
 @dataclass(frozen=True)
 class AnnulusGrid:
-    """Product-polar discretization of the annulus ``1/4 <= |xi| <= 4``.
+    """Uniform direction set on the unit sphere of the annulus.
 
-    Nodes are log-spaced in radius (endpoints included) times a uniform
-    direction set: signs for d = 1, angles for d = 2.  ``weights`` is the
-    ``L^2`` quadrature weight per node (trapezoidal in log radius).
+    Signs ``+1, -1`` for d = 1 (weight 1 each), ``n_angular`` equispaced
+    angles for d = 2 (weight ``2 pi / n_angular`` each).  ``weights`` is the
+    ``L^2`` quadrature weight per node on the sphere.
     """
 
     d: int
-    n_radial: int
     n_angular: int
-    log2_radii: np.ndarray
     angles: np.ndarray
     points: np.ndarray
     weights: np.ndarray
@@ -159,48 +151,32 @@ class AnnulusGrid:
         return self.points.shape[0]
 
 
-def build_annulus_grid(d: int, n_radial: int, n_angular: int) -> AnnulusGrid:
-    if n_radial < 4:
-        raise ValueError("need at least 4 radial nodes")
-    log2_radii = np.linspace(-2.0, 2.0, n_radial)
-    radii = 2.0**log2_radii
-    dlog = log2_radii[1] - log2_radii[0]
-    wr = np.full(n_radial, dlog)
-    wr[0] *= 0.5
-    wr[-1] *= 0.5
-    wr = wr * math.log(2.0) * radii  # dr = r ln 2 d(log2 r)
+def build_annulus_grid(d: int, n_angular: int = 64) -> AnnulusGrid:
     if d == 1:
         angles = np.array([0.0, math.pi])
-        dirs = np.array([[1.0], [-1.0]])
-        wa = np.ones(2)
+        points = np.array([[1.0], [-1.0]])
+        weights = np.ones(2)
     elif d == 2:
+        if n_angular < 1:
+            raise ValueError("need at least one angular node")
         angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        wa = np.full(n_angular, 2.0 * math.pi / n_angular)
+        points = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        weights = np.full(n_angular, 2.0 * math.pi / n_angular)
     else:
         raise NotImplementedError("annulus grids implemented for d <= 2")
-    points = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
-    # surface measure r^{d-1} dr dOmega
-    weights = (wr[:, None] * wa[None, :] * (radii[:, None] ** (d - 1))).reshape(-1)
     return AnnulusGrid(
-        d=d,
-        n_radial=n_radial,
-        n_angular=dirs.shape[0],
-        log2_radii=log2_radii,
-        angles=angles,
-        points=points,
-        weights=weights,
+        d=d, n_angular=points.shape[0], angles=angles, points=points, weights=weights
     )
 
 
 @dataclass(frozen=True)
 class SeparableExpansion:
-    """Rank-``R`` separable model ``sum_l c_l prod_j F_jl(xi_j)`` on the annulus.
+    """Rank-``R`` separable model ``sum_l c_l prod_j F_jl(xi_j / |xi_j|)``.
 
     ``factors[j]`` has shape ``(R, n_points)`` holding the slot-``j`` tables.
     ``spectrum`` is the full singular-value sequence (m = 2) or the extracted
     coefficient magnitudes (m > 2), nonincreasing either way.  ``residual``
-    is the relative error of the truncated model on the annulus grid.
+    is the relative error of the truncated model on the direction grid.
     """
 
     m: int
@@ -219,42 +195,26 @@ class SeparableExpansion:
     def factor_values(self, slot: int, points: np.ndarray) -> np.ndarray:
         """Evaluate every rank-factor of one slot at arbitrary nonzero points.
 
-        Nearest node in log radius, trigonometric interpolation in angle.
-        Returns an array of shape ``(rank, B)``.
+        A factor depends on the direction only: sign lookup for d = 1,
+        trigonometric interpolation in ``theta = atan2(xi_2, xi_1)`` for
+        d = 2.  Returns an array of shape ``(rank, B)``.
         """
         pts = np.asarray(points, dtype=np.float64)
-        r = np.linalg.norm(pts, axis=-1)
-        if np.any(r <= 0.0):
+        if np.any(np.linalg.norm(pts, axis=-1) <= 0.0):
             raise ValueError("factor evaluation needs nonzero frequencies")
-        logr = np.log2(r)
-        idx = np.clip(
-            np.searchsorted(self.grid.log2_radii, logr), 1, self.grid.n_radial - 1
-        )
-        lo = self.grid.log2_radii[idx - 1]
-        hi = self.grid.log2_radii[idx]
-        idx = np.where(logr - lo <= hi - logr, idx - 1, idx)
-        tables = self.factors[slot].reshape(self.rank, self.grid.n_radial, self.grid.n_angular)
+        table = self.factors[slot]
         if self.d == 1:
-            col = (pts[:, 0] < 0.0).astype(int)
-            return tables[:, idx, col]
+            return table[:, (pts[:, 0] < 0.0).astype(int)]
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         n_ang = self.grid.n_angular
         k = np.fft.fftfreq(n_ang, 1.0 / n_ang)
-        ny = n_ang // 2
-        out = np.empty((self.rank, pts.shape[0]), dtype=np.complex128)
-        for i in np.unique(idx):
-            sel = idx == i
-            hat = np.fft.fft(tables[:, i, :], axis=-1) / n_ang  # (rank, n_ang)
-            phase = np.exp(1j * np.outer(theta[sel], k))  # (B_i, n_ang)
-            vals = hat @ phase.T
-            if n_ang % 2 == 0:
-                # Real-symmetric treatment of the angular Nyquist mode.
-                corr = np.outer(
-                    hat[:, ny], np.cos(ny * theta[sel]) - np.exp(-1j * ny * theta[sel])
-                )
-                vals = vals + corr
-            out[:, sel] = vals
-        return out
+        hat = np.fft.fft(table, axis=-1) / n_ang  # (rank, n_ang)
+        vals = hat @ np.exp(1j * np.outer(k, theta))
+        if n_ang % 2 == 0:
+            # Real-symmetric treatment of the angular Nyquist mode.
+            ny = n_ang // 2
+            vals += np.outer(hat[:, ny], np.cos(ny * theta) - np.exp(-1j * ny * theta))
+        return vals
 
     def tail_residual(self, rank: int) -> float:
         """Relative tail of the recorded spectrum beyond ``rank`` terms."""
@@ -265,42 +225,35 @@ class SeparableExpansion:
         return float(np.sqrt(np.sum(s[rank:] ** 2))) / total
 
 
-def _symbol_on_product(sym: SymbolSpec, grids: list[AnnulusGrid]) -> np.ndarray:
-    """Dense tensor of ``phi(xi_1)...phi(xi_m) sigma`` on the node product."""
-    sizes = [g.n_points for g in grids]
-    total = int(np.prod(sizes))
-    idx = np.unravel_index(np.arange(total), sizes)
-    blocks = [grids[j].points[idx[j]] for j in range(len(grids))]
-    vals = evaluate(sym, blocks)
-    for j, g in enumerate(grids):
-        vals = vals * phi_profile(np.linalg.norm(blocks[j], axis=-1))
-    return vals.reshape(sizes)
+def _symbol_on_product(sym: SymbolSpec, grid: AnnulusGrid) -> np.ndarray:
+    """Dense tensor of ``sigma`` on the ``m``-fold product of unit directions."""
+    sizes = [grid.n_points] * sym.m
+    idx = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
+    return evaluate(sym, [grid.points[i] for i in idx]).reshape(sizes)
 
 
 def separable_expand(
     sym: SymbolSpec,
-    annulus_points: int = 32,
     rank: int = 32,
-    n_angular: int | None = None,
+    n_angular: int = 64,
     budget: int = 30_000_000,
 ) -> SeparableExpansion:
     """Low-rank separable expansion of a poly-homogeneous symbol.
 
-    ``annulus_points`` is the radial node count; the angular count defaults
-    to twice that.  For ``m = 2`` the expansion is the SVD of the quadrature
-    weighted node matrix; for ``m > 2`` greedy rank-one deflation with a
-    fixed 200-sweep alternating refinement per term.
+    The symbol is sampled on the ``m``-fold product of the direction set
+    (``n_angular`` angles for d = 2, signs for d = 1).  For ``m = 2`` the
+    expansion is the SVD of the quadrature weighted node matrix; for
+    ``m > 2`` greedy rank-one deflation with a fixed 200-sweep alternating
+    refinement per term.
     """
     if not sym.poly_homogeneous:
         raise ValueError("separable expansion requires a poly-homogeneous symbol")
-    n_ang = n_angular if n_angular is not None else 2 * annulus_points
-    grid = build_annulus_grid(sym.d, annulus_points, n_ang)
-    grids = [grid] * sym.m
+    grid = build_annulus_grid(sym.d, n_angular)
     if grid.n_points**sym.m > budget:
         raise BudgetExceededError(
-            f"annulus product of {grid.n_points}^{sym.m} nodes exceeds budget"
+            f"direction product of {grid.n_points}^{sym.m} nodes exceeds budget"
         )
-    tensor = _symbol_on_product(sym, grids)
+    tensor = _symbol_on_product(sym, grid)
     sqw = np.sqrt(grid.weights)
     weighted = tensor
     for j in range(sym.m):
@@ -398,7 +351,7 @@ def _rank_one_deflate(tensor: np.ndarray, sweeps: int) -> list[np.ndarray]:
     return vecs
 
 
-_EXPANSION_FORMAT = "mlab-expansion-1"
+_EXPANSION_FORMAT = "mlab-expansion-2"
 
 
 def save_expansion(exp: SeparableExpansion, prefix: str | Path) -> tuple[Path, Path]:
@@ -409,7 +362,6 @@ def save_expansion(exp: SeparableExpansion, prefix: str | Path) -> tuple[Path, P
         "symbol": exp.symbol_name,
         "m": exp.m,
         "d": exp.d,
-        "n_radial": exp.grid.n_radial,
         "n_angular": exp.grid.n_angular,
         "rank": exp.rank,
         "residual": exp.residual,
@@ -430,10 +382,11 @@ def save_expansion(exp: SeparableExpansion, prefix: str | Path) -> tuple[Path, P
 def load_expansion(prefix: str | Path) -> SeparableExpansion:
     prefix = Path(prefix)
     header = json.loads(prefix.with_suffix(".json").read_text())
-    if header.get("format") != _EXPANSION_FORMAT:
-        raise ValueError("not an expansion header")
+    fmt = header.get("format")
+    if fmt != _EXPANSION_FORMAT:
+        raise ValueError(f"expansion format {fmt!r} is not {_EXPANSION_FORMAT!r}")
     m, d = int(header["m"]), int(header["d"])
-    grid = build_annulus_grid(d, int(header["n_radial"]), int(header["n_angular"]))
+    grid = build_annulus_grid(d, int(header["n_angular"]))
     rank = int(header["rank"])
     coeffs = np.asarray(header["coeffs_real"], dtype=np.float64) + 1j * np.asarray(
         header["coeffs_imag"], dtype=np.float64

@@ -6,10 +6,11 @@ coefficient at the sum frequency.  The output lives on a grid enlarged by
 ``pad_factor`` so the result is exact as a trigonometric polynomial; with
 ``pad_factor >= m`` no sum of input frequencies can wrap.
 
-``apply_separable`` evaluates the same operator through a dyadic partition
-and a separable expansion of the symbol: the scale sums collapse into one
-single-variable multiplier per slot and term, so each term costs ``m``
-multiplier applications and one dealiased pointwise product.
+``apply_separable`` evaluates the same operator through the angular
+separable expansion of a degree-zero symbol: each term is one
+single-variable multiplier per slot, the factor evaluated at the direction
+of every nonzero mode, so each term costs ``m`` multiplier applications and
+one dealiased pointwise product.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .decomp import DyadicPartition, SeparableExpansion, partition_for_grid
+from .decomp import SeparableExpansion
 from .errors import BudgetExceededError, GridMismatchError, UncoveredSpectrumError
 from .grid import (
     _SUPPORT_RTOL,
@@ -56,14 +57,20 @@ _CHUNK = 1 << 19
 
 
 def enumeration_budget() -> int:
-    """Tuple-enumeration cap; override with the ``MLAB_BUDGET`` env var."""
+    """Tuple-enumeration cap; override with the ``MLAB_BUDGET`` env var.
+
+    A value that is not a positive integer raises ``ValueError``.
+    """
     raw = os.environ.get("MLAB_BUDGET", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"MLAB_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -73,10 +80,9 @@ class Direct:
 
 @dataclass(frozen=True)
 class Separable:
-    """Partition plus expansion fast path."""
+    """Angular separable expansion fast path."""
 
     expansion: SeparableExpansion
-    partition: DyadicPartition | None = None
 
 
 @dataclass(frozen=True)
@@ -167,32 +173,28 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     return dft_inverse(Spectrum(grid_out, coeffs))
 
 
-def _check_coverage(op: OperatorSpec, spectra: list[Spectrum], part: DyadicPartition) -> None:
-    zero_origin_ok = op.symbol.zero_rule == 0 or op.symbol.zero_rule is None
+def _check_mean_modes(op: OperatorSpec, spectra: list[Spectrum]) -> None:
+    """Every multiplier is 0 at the origin, so a symbol that is not null on
+    zero slots cannot act on an input with an active mean mode."""
+    if op.symbol.zero_rule in (0, None):
+        return
     for s in spectra:
-        radius = s.grid.freq_radius()
         peak = float(np.max(np.abs(s.coeffs)))
-        active = np.abs(s.coeffs) > _SUPPORT_RTOL * peak
-        origin = radius == 0.0
-        if not zero_origin_ok and np.any(active & origin):
+        if abs(s.coeffs.reshape(-1)[0]) > _SUPPORT_RTOL * peak:
             raise UncoveredSpectrumError(
                 "input has a mean mode but the symbol is not null on zero slots"
-            )
-        off = active & ~origin
-        if np.any(off) and not part.covers(radius[off]):
-            raise UncoveredSpectrumError(
-                "active modes outside the dyadic partition coverage"
             )
 
 
 def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     """Fast path through the separable expansion of a poly-homogeneous symbol.
 
-    For each expansion term the dyadic scale sums factor per slot:
-    ``M_jl(xi) = sum_s psi(2^-s xi) F_jl(2^-s xi)`` is applied as a
-    single-variable multiplier, and the slot outputs are multiplied on the
-    padded grid.  Agreement with ``apply_direct`` is governed by the recorded
-    expansion residual plus the measured interpolation error.
+    Degree zero in each slot makes the dyadic scale sum of a factor collapse
+    to ``sum_s psi(2^-s xi) F_jl(2^-s xi) = F_jl(xi / |xi|)``, so slot ``j`` of
+    term ``l`` is the single-variable multiplier ``F_jl`` at the direction of
+    every nonzero mode and 0 at the origin.  The slot outputs are multiplied
+    on the padded grid.  Agreement with ``apply_direct`` is governed by the
+    recorded expansion residual plus the angular interpolation error.
     """
     if not isinstance(op.strategy, Separable):
         raise ValueError("operator strategy is not separable")
@@ -202,25 +204,16 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
     grid = _common_grid(fields)
-    part = op.strategy.partition or partition_for_grid(grid.n, grid.d)
     spectra = [dft_forward(f) for f in fields]
-    _check_coverage(op, spectra, part)
+    _check_mean_modes(op, spectra)
 
-    radius = grid.freq_radius()
-    mesh = grid.freq_mesh()
-    pts_all = np.stack([m.reshape(-1) for m in mesh], axis=-1).astype(np.float64)
-    flat_radius = radius.reshape(-1)
+    pts = np.stack([m.reshape(-1) for m in grid.freq_mesh()], axis=-1).astype(np.float64)
+    nonzero = np.any(pts != 0.0, axis=-1)
 
     multipliers = []  # per slot: (rank, npoints)
     for slot in range(op.m):
         M = np.zeros((exp.rank, grid.npoints), dtype=np.complex128)
-        for j in part.scales:
-            psi_vals = part.psi_at_scale(flat_radius, j)
-            sel = psi_vals > 0.0
-            if not np.any(sel):
-                continue
-            F = exp.factor_values(slot, pts_all[sel] / 2.0**j)
-            M[:, sel] += psi_vals[sel][None, :] * F
+        M[:, nonzero] = exp.factor_values(slot, pts[nonzero])
         multipliers.append(M)
 
     n_out = padded_points(grid.n, op.pad)

@@ -124,6 +124,16 @@ class TestScanCommands:
         assert code == 0
         assert (tmp_path / "custom-scan" / "records.jsonl").exists()
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_malformed_budget_exits_one(self, capsys, monkeypatch, tmp_path, raw):
+        monkeypatch.setenv("MLAB_BUDGET", raw)
+        code = run_cli([
+            "boundedness-scan", "--grid", "2x8", "--strategy", "separable",
+            "--t-max", "0", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "MLAB_BUDGET" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         code = run_cli(["frobnicate"])
         assert code == 1
@@ -134,7 +144,7 @@ class TestDecompose:
         prefix = tmp_path / "expansion"
         code = run_cli([
             "decompose-symbol", "--symbol", "det_norm:1", "--d", "2",
-            "--rank", "8", "--radial", "16", "--out", str(prefix),
+            "--rank", "8", "--out", str(prefix),
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -147,6 +157,11 @@ class TestDecompose:
     def test_unknown_symbol(self, capsys):
         code = run_cli(["decompose-symbol", "--symbol", "nope"])
         assert code == 1
+
+    def test_radial_flag_removed(self, capsys):
+        code = run_cli(["decompose-symbol", "--symbol", "det_norm:1", "--radial", "16"])
+        assert code == 1
+        assert "--radial" in capsys.readouterr().err
 
 
 class TestReport:

@@ -27,6 +27,7 @@ from mlab import (
     pair_with_transfer,
     power_symbol,
     product_symbol,
+    resolve_symbol,
     riesz_factor,
     separable_expand,
     spectral_derivative,
@@ -150,6 +151,12 @@ class TestApplyDirect:
         with pytest.raises(BudgetExceededError):
             apply_direct(op, [f, f])
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_malformed_budget_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("MLAB_BUDGET", raw)
+        with pytest.raises(ValueError, match="MLAB_BUDGET"):
+            enumeration_budget()
+
     def test_wrong_field_count(self, grid1d):
         f, _ = random_trig(grid1d, degree=2, seed=66)
         op = OperatorSpec(one_symbol(2, 1), 2)
@@ -197,17 +204,24 @@ class TestApplySeparable:
         assert rel_l2(got.samples, want.samples) <= 1e-4
 
     def test_uncovered_spectrum_rejected(self):
+        # Every separable multiplier is 0 at the origin, so the constant
+        # symbol cannot act on inputs that carry a mean mode.
         g = GridSpec(d=2, n=16)
         sym = one_symbol(2, 2)
-        exp = separable_expand(sym, rank=2)
-        from mlab import build_partition
-
-        narrow = build_partition(0, 1)
-        op = OperatorSpec(sym, 2, strategy=Separable(exp, partition=narrow))
+        op = self._op(sym, rank=2)
         f, _ = random_trig(g, degree=6, seed=73)
-        f = Field(g, f.samples - np.mean(f.samples))
+        f = Field(g, f.samples - np.mean(f.samples) + 1.0)
         with pytest.raises(UncoveredSpectrumError):
             apply_separable(op, [f, f])
+
+    def test_trilinear_riesz_product(self):
+        g = GridSpec(d=2, n=8)
+        sym = resolve_symbol("riesz_product:1,2,1", 2)
+        op = self._op(sym, rank=2)
+        fs = [random_trig(g, degree=3, seed=s)[0] for s in (115, 116, 117)]
+        got = apply_separable(op, fs)
+        want = apply_direct(OperatorSpec(sym, 3), fs)
+        assert rel_l2(got.samples, want.samples) <= 1e-8
 
     def test_apply_operator_dispatch(self):
         g = GridSpec(d=2, n=8)
