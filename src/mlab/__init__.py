@@ -35,7 +35,6 @@ from .grid import (
     support,
 )
 from .spaces import (
-    NormParams,
     bessel_norm,
     bessel_potential,
     grad_sup_norms,
@@ -64,7 +63,6 @@ from .decomp import (
     DyadicPartition,
     SeparableExpansion,
     build_annulus_grid,
-    build_partition,
     load_expansion,
     localize,
     partition_for_grid,

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -92,11 +91,6 @@ _DEFAULTS = {
 }
 
 
-def _default_exponents(d: int, command: str) -> tuple[tuple[float, ...], float]:
-    m = d
-    return tuple(float(m) for _ in range(m)), 1.0
-
-
 def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     payload = dict(_DEFAULTS[command])
     if args.config is not None:
@@ -137,7 +131,8 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         payload["out_dir"] = args.out
 
     if "p" not in payload:
-        payload["p"], payload["r"] = _default_exponents(payload["d"], command)
+        # m = d slots at p_j = d, so 1/r = 1.
+        payload["p"], payload["r"] = (float(payload["d"]),) * payload["d"], 1.0
     if isinstance(payload.get("p"), list):
         payload["p"] = tuple(payload["p"])
     try:

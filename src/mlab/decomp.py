@@ -33,7 +33,6 @@ __all__ = [
     "psi_profile",
     "phi_profile",
     "DyadicPartition",
-    "build_partition",
     "localize",
     "AnnulusGrid",
     "SeparableExpansion",
@@ -112,10 +111,6 @@ class DyadicPartition:
         if r.size == 0:
             return True
         return bool(np.all((r >= 2.0**self.j_min) & (r <= 2.0**self.j_max)))
-
-
-def build_partition(j_min: int, j_max: int) -> DyadicPartition:
-    return DyadicPartition(j_min, j_max)
 
 
 def partition_for_grid(n: int, d: int) -> DyadicPartition:

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from .errors import BudgetExceededError, GridMismatchError
-from .grid import Field, GridSpec, padded_points, regrid_field, spectral_derivative
+from .grid import Field, common_grid, padded_points, regrid_field, spectral_derivative
 from .operators import OperatorSpec, apply_direct
 from .polyfield import PolyField, perm_sign, poly_const, poly_det, poly_var, poly_zero
 from .symbols import det_symbol, power_symbol
@@ -81,17 +79,9 @@ def _report(identity: str, d: int, degree: int, residuals: list[PolyField]) -> D
 # numeric routes
 
 
-def _common_grid(fields: list[Field]) -> GridSpec:
-    g0 = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g0:
-            raise GridMismatchError("determinant inputs live on different grids")
-    return g0
-
-
 def jacobian_det_pointwise(us: list[Field], pad_factor: int | None = None) -> Field:
     """``det`` of the matrix ``[d u_i / d x_j]`` sampled on a padded grid."""
-    grid = _common_grid(us)
+    grid = common_grid(us)
     d = grid.d
     if len(us) != d:
         raise ValueError(f"need {d} components, got {len(us)}")
@@ -124,20 +114,15 @@ def hessian_det_pointwise(u: Field, pad_factor: int | None = None) -> Field:
     return Field(u.grid.with_n(n_out), np.linalg.det(mat))
 
 
-def _halve_band(f: Field) -> Field:
-    return regrid_field(f, f.grid.n // 2)
-
-
 def jacobian_det_fourier(us: list[Field], pad_factor: int | None = None) -> Field:
     """Jacobian determinant through the alternating multiplier.
 
     ``det grad u = (i 2 pi / period)^d T_det(u_1, ..., u_d)`` where ``T_det``
     carries the symbol ``det(xi_1, ..., xi_d)``.  The constant is frozen by
     calibration on single-mode inputs and covered by the route-agreement
-    tests.  If enumeration exceeds the budget the band is halved and the
-    computation retried, which truncates the inputs.
+    tests.
     """
-    grid = _common_grid(us)
+    grid = common_grid(us)
     d = grid.d
     if d < 2:
         raise ValueError("needs dimension >= 2")
@@ -145,18 +130,7 @@ def jacobian_det_fourier(us: list[Field], pad_factor: int | None = None) -> Fiel
         raise ValueError(f"need {d} components, got {len(us)}")
     pad = pad_factor if pad_factor is not None else d
     op = OperatorSpec(det_symbol(d), d, pad_factor=pad)
-    inputs = list(us)
-    while True:
-        try:
-            T = apply_direct(op, inputs)
-            break
-        except BudgetExceededError:
-            if inputs[0].grid.n <= 4:
-                raise
-            warnings.warn(
-                "enumeration over budget: halving the frequency band", stacklevel=2
-            )
-            inputs = [_halve_band(f) for f in inputs]
+    T = apply_direct(op, us)
     c = (1j * grid.kscale) ** d
     return Field(T.grid, c * T.samples)
 
@@ -174,18 +148,7 @@ def hessian_det_fourier(u: Field, pad_factor: int | None = None) -> Field:
         raise ValueError("needs dimension >= 2")
     pad = pad_factor if pad_factor is not None else d
     op = OperatorSpec(power_symbol(det_symbol(d), 2), d, pad_factor=pad)
-    inp = u
-    while True:
-        try:
-            T = apply_direct(op, [inp] * d)
-            break
-        except BudgetExceededError:
-            if inp.grid.n <= 4:
-                raise
-            warnings.warn(
-                "enumeration over budget: halving the frequency band", stacklevel=2
-            )
-            inp = _halve_band(inp)
+    T = apply_direct(op, [u] * d)
     c = (1j * u.grid.kscale) ** (2 * d) / math.factorial(d)
     return Field(T.grid, c * T.samples)
 

@@ -35,6 +35,7 @@ __all__ = [
     "spectral_derivative",
     "regrid_spectrum",
     "regrid_field",
+    "common_grid",
     "product_on_grid",
     "dealiased_product",
     "pair",
@@ -250,18 +251,24 @@ def regrid_field(f: Field, n_new: int) -> Field:
     return dft_inverse(regrid_spectrum(dft_forward(f), n_new))
 
 
+def common_grid(fields: list[Field]) -> GridSpec:
+    """The grid every field lives on; raises when two of them differ."""
+    if not fields:
+        raise ValueError("need at least one field")
+    g0 = fields[0].grid
+    for f in fields[1:]:
+        if f.grid != g0:
+            raise GridMismatchError("fields live on different grids")
+    return g0
+
+
 def product_on_grid(fields: list[Field], n_out: int) -> Field:
     """Pointwise product evaluated on an ``n_out`` grid via zero padding.
 
     Exact (as a trigonometric polynomial) whenever the combined degree of the
     factors fits in the ``n_out`` band.
     """
-    if not fields:
-        raise ValueError("need at least one field")
-    g0 = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g0:
-            raise GridMismatchError("product factors live on different grids")
+    g0 = common_grid(fields)
     out = np.ones(g0.with_n(n_out).shape, dtype=np.complex128)
     for f in fields:
         out = out * regrid_field(f, n_out).samples
@@ -300,22 +307,13 @@ def pair(f: Field, g: Field) -> complex:
     return complex(w * np.sum(f.samples * g.samples))
 
 
-def max_active_frequency(s: Spectrum, tol: float = 0.0) -> int:
-    """Largest ``|xi_i|`` over active modes and axes; 0 for the zero spectrum."""
-    freqs, _ = support(s, tol)
-    if freqs.shape[0] == 0:
-        return 0
-    return int(np.max(np.abs(freqs)))
-
-
-def dilate_dyadic(f: Field, t: int, allow_growth: bool = True) -> Field:
+def dilate_dyadic(f: Field, t: int) -> Field:
     """Dyadic dilation ``f(x) -> f(2^t x)`` by exact coefficient remapping.
 
     The coefficient at ``xi`` moves to ``2^t xi``.  When the dilated spectrum
     no longer fits the band the grid is enlarged (same period, more points),
     which keeps the sample multiset of the output identical to the input's up
     to repetition; every quadrature ``L^p`` norm is then preserved exactly.
-    With ``allow_growth=False`` an overflow raises instead.
     """
     if t < 0:
         raise ValueError(f"dilation exponent must be >= 0, got {t}")
@@ -339,11 +337,6 @@ def dilate_dyadic(f: Field, t: int, allow_growth: bool = True) -> Field:
     n_out = n
     while scale * max_pos > n_out // 2 - 1 or scale * min_neg < -(n_out // 2):
         n_out *= 2
-    if n_out > n and not allow_growth:
-        raise FrequencyOverflowError(
-            f"dilation by 2^{t} overflows n={n} "
-            f"(active frequencies in [{min_neg}, {max_pos}])"
-        )
     grid_out = f.grid.with_n(n_out)
     old_idx, new_idx = _axis_index_map(n, n_out, scale=scale)
     if old_idx.size < n:

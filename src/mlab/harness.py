@@ -66,8 +66,9 @@ class ExperimentConfig:
     """One experiment: grid, symbol, exponents, family, sweep range.
 
     ``p`` lists the input Lebesgue exponents; the output exponent ``r`` must
-    satisfy ``1/r = sum 1/p_j`` to 1e-12.  The seed fully determines the
-    generated family.
+    satisfy ``1/r = sum 1/p_j`` to 1e-12, which with ``p_j > 1`` puts it in
+    ``(1/m, inf)``: the quasi-Banach range ``r < 1`` included.  The seed
+    fully determines the generated family.
     """
 
     experiment: str
@@ -94,8 +95,6 @@ class ExperimentConfig:
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         if not self.p or any(x <= 1.0 for x in self.p):
             raise ValueError("input exponents must satisfy p_j > 1")
-        if self.r < 0.5:
-            raise ValueError("output exponent out of range")
         if abs(1.0 / self.r - sum(1.0 / x for x in self.p)) > 1e-12:
             raise ValueError("exponents violate 1/r = sum 1/p_j")
         if self.k < 0:
@@ -354,7 +353,7 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     return _finish(cfg, "boundedness", sweep_rows, thresholds, passed, started)
 
 
-def thm3_estimate_ratio(cfg: ExperimentConfig, k: int | None = None) -> ReportRecord:
+def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
     """Transferred-pairing ratio against Bessel and Sobolev norms.
 
     Numerator ``|pair_with_transfer(sigma_m, k, f_1..f_m, phi)|``; denominator
@@ -362,11 +361,15 @@ def thm3_estimate_ratio(cfg: ExperimentConfig, k: int | None = None) -> ReportRe
     and ``r*`` the conjugate of ``r``.  Only the inputs are dilated.
     """
     started = time.perf_counter()
-    kk = cfg.k if k is None else k
+    if cfg.strategy != "direct":
+        raise ValueError("the transfer scan runs only the direct strategy")
+    k = cfg.k
     sym = resolve_symbol(cfg.symbol, cfg.d, m=cfg.m)
     grid = cfg.grid
     m = cfg.m
-    s = kk * (m - 1) / m
+    s = k * (m - 1) / m
+    if cfg.s is not None and abs(cfg.s - s) > 1e-12:
+        raise ValueError(f"smoothness must be k(m-1)/m = {s}")
     r_star = holder_conjugate(cfg.r)
     seeds = _family_seeds(cfg, m + 1)
     sweep_rows = []
@@ -379,8 +382,8 @@ def thm3_estimate_ratio(cfg: ExperimentConfig, k: int | None = None) -> ReportRe
             ]
             phi = random_field(block[m], grid, cfg.gamma + 2.0)
             fts = [dilate_dyadic(f, t) for f in fs]
-            num = abs(pair_with_transfer(sym, kk, fts, phi))
-            den = sobolev_wkp_norm(phi, kk, r_star)
+            num = abs(pair_with_transfer(sym, k, fts, phi))
+            den = sobolev_wkp_norm(phi, k, r_star)
             for ft, pj in zip(fts, cfg.p):
                 den *= bessel_norm(ft, pj, s)
             ratios.append(num / den if den > 0 else 0.0)
@@ -394,7 +397,7 @@ def thm3_estimate_ratio(cfg: ExperimentConfig, k: int | None = None) -> ReportRe
         {"sweep_max_over_base": tol},
         passed,
         started,
-        extra={"k": kk, "s": s, "r_star": r_star},
+        extra={"k": k, "s": s, "r_star": r_star},
     )
 
 
@@ -486,6 +489,14 @@ def _estimate_sweep(
     return sweep_rows, diff_rows, zero_num
 
 
+def _require_pointwise_det(cfg: ExperimentConfig) -> None:
+    """The determinant estimates always run the pointwise ``det`` route."""
+    if cfg.strategy != "direct":
+        raise ValueError(f"{cfg.experiment} runs only the direct strategy")
+    if cfg.symbol != "det":
+        raise ValueError(f"{cfg.experiment} runs only the symbol 'det'")
+
+
 def jacobian_estimate(cfg: ExperimentConfig) -> ReportRecord:
     """Distributional-Jacobian pairing ratios with ``s = 1 - 1/d``.
 
@@ -494,6 +505,7 @@ def jacobian_estimate(cfg: ExperimentConfig) -> ReportRecord:
     dilation sweep.
     """
     started = time.perf_counter()
+    _require_pointwise_det(cfg)
     if abs(sum(1.0 / x for x in cfg.p) - 1.0) > 1e-12:
         raise ValueError("Jacobian estimate needs sum 1/p_k = 1")
     if len(cfg.p) != cfg.d:
@@ -524,6 +536,7 @@ def jacobian_estimate(cfg: ExperimentConfig) -> ReportRecord:
 def hessian_estimate(cfg: ExperimentConfig) -> ReportRecord:
     """Distributional-Hessian pairing ratios with ``s = 2 - 2/d``."""
     started = time.perf_counter()
+    _require_pointwise_det(cfg)
     if abs(sum(1.0 / x for x in cfg.p) - 1.0) > 1e-12:
         raise ValueError("Hessian estimate needs sum 1/p_k = 1")
     if len(cfg.p) != cfg.d:

@@ -27,8 +27,8 @@ from .errors import BudgetExceededError, GridMismatchError, UncoveredSpectrumErr
 from .grid import (
     _SUPPORT_RTOL,
     Field,
-    GridSpec,
     Spectrum,
+    common_grid,
     dft_forward,
     dft_inverse,
     padded_points,
@@ -105,14 +105,6 @@ class OperatorSpec:
         return self.pad_factor if self.pad_factor is not None else self.m
 
 
-def _common_grid(fields: list[Field]) -> GridSpec:
-    g0 = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g0:
-            raise GridMismatchError("operator inputs live on different grids")
-    return g0
-
-
 def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     """Reference evaluation by exhaustive mode-tuple enumeration.
 
@@ -123,7 +115,7 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     """
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
-    grid = _common_grid(fields)
+    grid = common_grid(fields)
     if grid.d != op.symbol.d:
         raise GridMismatchError("symbol dimension differs from grid dimension")
     # Modes within one ulp of the largest coefficient are transform noise,
@@ -203,7 +195,7 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
         raise ValueError("expansion arity differs from operator arity")
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
-    grid = _common_grid(fields)
+    grid = common_grid(fields)
     spectra = [dft_forward(f) for f in fields]
     _check_mean_modes(op, spectra)
 
@@ -277,7 +269,7 @@ def pair_with_transfer(
     """
     if k < 0:
         raise ValueError("power must be >= 0")
-    grid = _common_grid(fields)
+    grid = common_grid(fields)
     m, d = sigma_m.m, sigma_m.d
     if phi.grid.d != grid.d or phi.grid.period != grid.period:
         raise GridMismatchError("test function incompatible with input grid")
@@ -317,8 +309,10 @@ def pair_with_transfer(
         )
         op = OperatorSpec(c_sym, m, pad_factor=pad)
         T = apply_direct(op, fields)
-        dphi = phi
+        # Differentiate on the padded grid: there the Nyquist row of phi is
+        # an interior mode, which ``spectral_derivative`` keeps.
+        dphi = regrid_field(phi, n_out)
         for l in combo:
             dphi = spectral_derivative(dphi, l)
-        total += pair(T, regrid_field(dphi, n_out))
+        total += pair(T, dphi)
     return complex(scale * total)

@@ -2,20 +2,19 @@
 
 All norms are quadrature norms of the trigonometric polynomial the samples
 represent; for ``p = 2`` they coincide with the continuum norms by Parseval.
+For ``0 < p < 1`` the same quadrature gives the ``L^p`` quasi-norm.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, Spectrum, dft_forward, dft_inverse, spectral_derivative
 
 __all__ = [
-    "NormParams",
     "holder_conjugate",
     "lp_norm",
     "bessel_potential",
@@ -36,26 +35,11 @@ def holder_conjugate(r: float) -> float:
     return r / (r - 1.0)
 
 
-@dataclass(frozen=True)
-class NormParams:
-    """Lebesgue exponent and smoothness index for a Bessel-potential norm."""
-
-    p: float
-    s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"exponent must satisfy p >= 1, got {self.p}")
-
-    @property
-    def conjugate(self) -> float:
-        return holder_conjugate(self.p)
-
-
 def lp_norm(f: Field, p: float) -> float:
-    """Quadrature ``L^p`` norm; ``p = inf`` gives the max modulus."""
-    if p < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    """Quadrature ``L^p`` norm, a quasi-norm for ``0 < p < 1``; ``p = inf``
+    gives the max modulus."""
+    if p <= 0:
+        raise ValueError(f"exponent must satisfy p > 0, got {p}")
     a = np.abs(f.samples)
     if math.isinf(p):
         return float(a.max())

@@ -17,6 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
+from .polyfield import perm_sign
+from .spaces import _multi_indices
 
 __all__ = [
     "SymbolSpec",
@@ -28,7 +30,6 @@ __all__ = [
     "power_symbol",
     "normalized_power_symbol",
     "riesz_factor",
-    "constant_factor",
     "product_symbol",
     "resolve_symbol",
     "check_poly_homogeneity",
@@ -53,9 +54,6 @@ class SymbolSpec:
     evaluator: Evaluator
     name: str = "symbol"
     poly_homogeneous: bool = False
-    alternating: bool = False
-    alternating_power: int | None = None
-    product_form: bool = False
     zero_rule: complex | None = 0.0
 
     def __post_init__(self) -> None:
@@ -95,23 +93,6 @@ def evaluate(sym: SymbolSpec, xis: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def det_symbol(d: int) -> SymbolSpec:
     """``det(xi_1, ..., xi_d)``, the matrix having the ``xi_j`` as columns.
 
@@ -120,7 +101,7 @@ def det_symbol(d: int) -> SymbolSpec:
     the symbol is exactly alternating there.
     """
     perms = list(itertools.permutations(range(d)))
-    signs = [_perm_sign(p) for p in perms]
+    signs = [perm_sign(p) for p in perms]
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
         mat = np.stack(blocks, axis=-1)  # (B, d, m=d) columns are slots
@@ -132,9 +113,7 @@ def det_symbol(d: int) -> SymbolSpec:
             out = out + sign * term
         return out.astype(np.complex128)
 
-    return SymbolSpec(
-        m=d, d=d, evaluator=ev, name="det", alternating=True, alternating_power=1
-    )
+    return SymbolSpec(m=d, d=d, evaluator=ev, name="det")
 
 
 def dot_symbol(d: int) -> SymbolSpec:
@@ -173,7 +152,6 @@ def power_symbol(base: SymbolSpec, k: int) -> SymbolSpec:
         d=base.d,
         evaluator=ev,
         name=f"{base.name}^{k}",
-        alternating_power=k if base.alternating else None,
         zero_rule=zr,
     )
 
@@ -220,16 +198,6 @@ def riesz_factor(d: int, component: int) -> SymbolSpec:
     )
 
 
-def constant_factor(d: int, value: complex = 1.0) -> SymbolSpec:
-    def ev(b: np.ndarray) -> np.ndarray:
-        return np.full(b.shape[0], complex(value), dtype=np.complex128)
-
-    return SymbolSpec(
-        m=1, d=d, evaluator=ev, name=f"const{value}",
-        poly_homogeneous=True, zero_rule=complex(value),
-    )
-
-
 def product_symbol(factors: Sequence[SymbolSpec]) -> SymbolSpec:
     """Tensor-product symbol ``a_1(xi_1) ... a_m(xi_m)`` from arity-1 factors."""
     if not factors:
@@ -257,7 +225,6 @@ def product_symbol(factors: Sequence[SymbolSpec]) -> SymbolSpec:
         evaluator=ev,
         name="*".join(f.name for f in factors),
         poly_homogeneous=all(f.poly_homogeneous for f in factors),
-        product_form=True,
         zero_rule=zr,
     )
 
@@ -516,7 +483,7 @@ def check_hormander_annulus(
         blocks = [R * pts[:, j * sym.d : (j + 1) * sym.d] for j in range(sym.m)]
         vals = evaluate(sym, blocks).reshape((ext,) * D)
         total = 0.0
-        for alpha in _annulus_multi_indices(D, s):
+        for alpha in _multi_indices(D, s):
             a = vals
             for axis_i, reps in enumerate(alpha):
                 for _ in range(reps):
@@ -542,11 +509,3 @@ def check_hormander_annulus(
         per_scale=per_r,
     )
 
-
-def _annulus_multi_indices(D: int, max_order: int):
-    for order in range(max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(D), order):
-            counts = [0] * D
-            for axis in combo:
-                counts[axis] += 1
-            yield tuple(counts)

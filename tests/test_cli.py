@@ -138,6 +138,57 @@ class TestScanCommands:
         code = run_cli(["frobnicate"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["jacobian-estimate", "--strategy", "separable"], "direct strategy"),
+            (["jacobian-estimate", "--symbol", "riesz_product:1,2"], "symbol 'det'"),
+            (["hessian-estimate", "--strategy", "separable"], "direct strategy"),
+            (["hessian-estimate", "--symbol", "det_norm:1"], "symbol 'det'"),
+            (["thm3-scan", "--strategy", "separable"], "direct strategy"),
+        ],
+        ids=["jacobian-strategy", "jacobian-symbol", "hessian-strategy",
+             "hessian-symbol", "thm3-strategy"],
+    )
+    def test_ignored_field_exits_one(self, capsys, tmp_path, argv, message):
+        code = run_cli([*argv, "--family", "1", "--t-max", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_thm3_smoothness_mismatch_exits_one(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": "thm3", "d": 2, "n": 8, "symbol": "det",
+            "p": [2.0, 2.0], "r": 1.0, "k": 1, "s": 0.25, "family": 1,
+        }))
+        code = run_cli(["thm3-scan", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert code == 1
+        assert "k(m-1)/m = 0.5" in capsys.readouterr().err
+
+    def _quasi_banach_config(self, tmp_path, experiment: str):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": experiment, "d": 2, "n": 8, "symbol": "det_norm:1",
+            "p": [1.5, 1.5], "r": 0.75, "family": 1, "t_max": 1,
+        }))
+        return str(cfgfile)
+
+    def test_quasi_banach_output_exponent_runs(self, tmp_path):
+        cfg = self._quasi_banach_config(tmp_path, "boundedness")
+        code = run_cli(["boundedness-scan", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0
+        rec = json.loads((tmp_path / "boundedness" / "records.jsonl").read_text())
+        assert rec["passed"] and rec["max_ratio"] > 0.0
+
+    def test_thm3_scan_needs_banach_output_exponent(self, capsys, tmp_path):
+        cfg = self._quasi_banach_config(tmp_path, "thm3")
+        code = run_cli([
+            "thm3-scan", "--config", cfg, "--symbol", "det", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "r >= 1" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_json_and_files(self, capsys, tmp_path):

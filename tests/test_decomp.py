@@ -9,9 +9,9 @@ import pytest
 
 from mlab import (
     BudgetExceededError,
+    DyadicPartition,
     GridSpec,
     build_annulus_grid,
-    build_partition,
     dft_forward,
     evaluate,
     load_expansion,
@@ -57,13 +57,13 @@ class TestProfiles:
 
 class TestPartition:
     def test_telescoping_dense_sweep(self):
-        part = build_partition(-4, 10)
+        part = DyadicPartition(-4, 10)
         r = np.geomspace(2.0**-4, 2.0**10, 10_000)
         dev = np.max(np.abs(part.partition_sum(r) - 1.0))
         assert dev <= 1e-12
 
     def test_covers_predicate(self):
-        part = build_partition(0, 3)
+        part = DyadicPartition(0, 3)
         assert part.covers([1.0, 8.0])
         assert not part.covers([0.5])
         assert not part.covers([9.0])
@@ -78,7 +78,7 @@ class TestPartition:
 
     def test_bad_scale_order_rejected(self):
         with pytest.raises(ValueError):
-            build_partition(3, 1)
+            DyadicPartition(3, 1)
 
 
 class TestLocalize:
@@ -108,7 +108,7 @@ class TestLocalize:
         g = GridSpec(d=1, n=32)
         # |xi| = 2 sits at the peak of scale j = 1 and outside scales j >= 3.
         f = dft_inverse(spectrum_from_modes(g, {(2,): 1.0}))
-        part = build_partition(0, 4)
+        part = DyadicPartition(0, 4)
         kept = localize(f, part, 1)
         gone = localize(f, part, 3)
         assert rel_err(kept.samples, f.samples) <= 1e-12

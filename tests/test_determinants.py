@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mlab import (
+    BudgetExceededError,
     Field,
     GridSpec,
     cofactor_matrix,
@@ -159,13 +160,19 @@ class TestFourierRoutes:
         scale = lp_norm(detJ, 2.0) * lp_norm(one, 2.0)
         assert abs(total) <= 1e-10 * scale
 
-    def test_budget_fallback_halves_band(self, monkeypatch):
+    def test_over_budget_raises(self, monkeypatch):
+        # 2x8 inputs of degree 3 have 49 active modes each, so both routes
+        # enumerate 49^2 = 2401 tuples; over budget they raise, never
+        # truncate the band.
         g = GridSpec(d=2, n=8)
         us = [random_trig(g, degree=3, seed=154 + i)[0] for i in range(2)]
         monkeypatch.setenv("MLAB_BUDGET", "1000")
-        with pytest.warns(UserWarning, match="halving"):
-            got = jacobian_det_fourier(us)
-        assert got.grid.n == padded_points(4, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match="exceeds budget 1000"):
+                jacobian_det_fourier(us)
+            with pytest.raises(BudgetExceededError, match="exceeds budget 1000"):
+                hessian_det_fourier(us[0])
 
     def test_dimension_one_rejected(self):
         g = GridSpec(d=1, n=8)

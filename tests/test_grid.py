@@ -22,7 +22,7 @@ from mlab import (
     spectrum_from_modes,
     support,
 )
-from mlab.grid import max_active_frequency, padded_points, product_on_grid, regrid_field
+from mlab.grid import padded_points, product_on_grid, regrid_field
 
 from conftest import random_trig, rel_err
 from oracles import (
@@ -121,13 +121,12 @@ class TestTransforms:
         with pytest.raises(FrequencyOverflowError):
             spectrum_from_modes(grid1d, {(4,): 1.0})
 
-    def test_support_and_max_active_frequency(self, grid2d):
+    def test_support(self, grid2d):
         s = spectrum_from_modes(grid2d, {(1, 2): 1.0, (-3, 0): 2.0})
         freqs, coeffs = support(s)
         found = {tuple(map(int, row)) for row in freqs}
         assert found == {(1, 2), (-3, 0)}
         assert coeffs.shape == (2,)
-        assert max_active_frequency(s) == 3
 
 
 class TestDerivative:

@@ -286,6 +286,37 @@ class TestDeterminantEstimates:
             hessian_estimate(cfg)
 
 
+def _bits(record) -> tuple:
+    """Ratios and sweep of a record as exact float bit patterns."""
+    ratios = [x.hex() for x in record.ratios]
+    sweep = [(row["t"], [x.hex() for x in row["ratios"]]) for row in record.sweep]
+    return ratios, sweep
+
+
+class TestDeterminism:
+    """Equal config hashes give bitwise-equal ratios and sweeps."""
+
+    @pytest.mark.parametrize(
+        "scan,fields",
+        [
+            (boundedness_scan, dict(symbol="det_norm:1")),
+            (boundedness_scan, dict(symbol="det_norm:1", strategy="separable")),
+            (jacobian_estimate, dict(symbol="det")),
+        ],
+        ids=["boundedness-direct", "boundedness-separable", "jacobian"],
+    )
+    def test_same_config_same_bits(self, scan, fields):
+        def config() -> ExperimentConfig:
+            return ExperimentConfig(
+                experiment="det", d=2, n=8, p=(2.0, 2.0), r=1.0,
+                family=1, t_min=0, t_max=2, seed=41, **fields,
+            )
+
+        a, b = scan(config()), scan(config())
+        assert a.config_hash == b.config_hash
+        assert _bits(a) == _bits(b)
+
+
 class TestRecordIO:
     def test_write_records_appends(self, tmp_path):
         rec = boundedness_scan(_cfg(n=8, cutoff=2.0, t_max=1))

@@ -32,6 +32,8 @@ from mlab import (
     separable_expand,
     spectral_derivative,
 )
+from mlab.grid import regrid_field
+from mlab.harness import random_field
 from mlab.operators import enumeration_budget
 
 from conftest import random_trig, rel_l2
@@ -56,8 +58,6 @@ class TestApplyDirect:
         op = OperatorSpec(one_symbol(2, 2), 2)
         got = apply_direct(op, [f1, f2])
         want = dealiased_product([f1, f2], pad_factor=2)
-        from mlab.grid import regrid_field
-
         assert rel_l2(regrid_field(got, grid2d.n).samples, want.samples) <= 1e-12
 
     def test_constant_symbol_is_product_m3(self, grid1d):
@@ -65,8 +65,6 @@ class TestApplyDirect:
         op = OperatorSpec(one_symbol(3, 1), 3)
         got = apply_direct(op, fs)
         want = dealiased_product(fs, pad_factor=3)
-        from mlab.grid import regrid_field
-
         assert rel_l2(regrid_field(got, grid1d.n).samples, want.samples) <= 1e-12
 
     def test_single_mode_projection_m1(self, grid1d):
@@ -233,8 +231,6 @@ class TestApplySeparable:
         direct = apply_operator(OperatorSpec(sym, 2), [f1, f2])
         sep = apply_operator(self._op(sym, rank=2), [f1, f2])
         n = min(direct.grid.n, sep.grid.n)
-        from mlab.grid import regrid_field
-
         assert rel_l2(
             regrid_field(sep, n).samples, regrid_field(direct, n).samples
         ) <= 1e-8
@@ -260,8 +256,6 @@ class TestPairWithTransfer:
         sym = det_symbol(2)
         got = pair_with_transfer(sym, 1, [f1, f2], phi)
         out = apply_direct(OperatorSpec(power_symbol(sym, 1), 2), [f1, f2])
-        from mlab.grid import regrid_field
-
         want = pair(out, regrid_field(phi, out.grid.n))
         scale = max(abs(want), 1e-30)
         assert abs(got - want) <= 1e-10 * scale
@@ -275,10 +269,22 @@ class TestPairWithTransfer:
         sym = det_symbol(2)
         got = pair_with_transfer(sym, k, [f1, f2], phi)
         out = apply_direct(OperatorSpec(power_symbol(sym, k), 2), [f1, f2])
-        from mlab.grid import regrid_field
-
         want = pair(out, regrid_field(phi, out.grid.n))
         assert abs(got - want) <= 1e-8 * max(abs(want), 1.0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_full_band_phi_matches_direct_pairing(self, k):
+        # A full-band test function has an active Nyquist row; the
+        # transferred derivatives must keep it, as the direct pairing does.
+        g = GridSpec(d=2, n=8)
+        f1 = random_field(120 + k, g, 2.0)
+        f2 = random_field(130 + k, g, 2.0)
+        phi = random_field(140 + k, g, 4.0)
+        sym = det_symbol(2)
+        got = pair_with_transfer(sym, k, [f1, f2], phi)
+        out = apply_direct(OperatorSpec(power_symbol(sym, k), 2), [f1, f2])
+        want = pair(out, regrid_field(phi, out.grid.n))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_k3_small_case(self):
         g = GridSpec(d=2, n=8)
@@ -288,8 +294,6 @@ class TestPairWithTransfer:
         sym = det_symbol(2)
         got = pair_with_transfer(sym, 3, [f1, f2], phi)
         out = apply_direct(OperatorSpec(power_symbol(sym, 3), 2), [f1, f2])
-        from mlab.grid import regrid_field
-
         want = pair(out, regrid_field(phi, out.grid.n))
         assert abs(got - want) <= 1e-8 * max(abs(want), 1.0)
 

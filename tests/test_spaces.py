@@ -19,8 +19,6 @@ from mlab import (
     sobolev_wkp_norm,
     spectral_derivative,
 )
-from mlab.spaces import NormParams
-
 from conftest import random_trig, rel_err
 from oracles import diff_modes, fd_gradient_sup, modes_on_grid, quadrature_lp
 
@@ -41,8 +39,17 @@ class TestLpNorm:
 
     def test_rejects_bad_exponent(self, grid1d):
         f = Field(grid1d, np.ones(grid1d.shape))
-        with pytest.raises(ValueError):
-            lp_norm(f, 0.5)
+        for p in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                lp_norm(f, p)
+
+    def test_quasi_norm_matches_sample_sum(self, grid2d):
+        # Parseval does not reach p < 1; the oracle is the direct sample sum
+        # (h^d sum_x |f(x)|^p)^(1/p) with h the grid spacing.
+        f, _ = random_trig(grid2d, degree=3, seed=24)
+        h = grid2d.period / grid2d.n
+        want = (h**2 * sum(abs(v) ** 0.5 for v in f.samples.ravel())) ** 2
+        assert lp_norm(f, 0.5) == pytest.approx(want, rel=1e-13)
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_triangle_inequality(self, seed):
@@ -181,9 +188,3 @@ class TestConjugates:
         assert holder_conjugate(4.0) == pytest.approx(4.0 / 3.0)
         with pytest.raises(ValueError):
             holder_conjugate(0.5)
-
-    def test_norm_params(self):
-        np_ = NormParams(p=4.0, s=0.5)
-        assert np_.conjugate == pytest.approx(4.0 / 3.0)
-        with pytest.raises(ValueError):
-            NormParams(p=0.0)

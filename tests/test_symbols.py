@@ -143,7 +143,7 @@ class TestResolveSymbol:
         assert resolve_symbol("det", 3).m == 3
         assert resolve_symbol("det_pow:2", 2).m == 2
         assert resolve_symbol("det_norm:1", 2).poly_homogeneous
-        assert resolve_symbol("riesz_product:1,2", 2).product_form
+        assert resolve_symbol("riesz_product:1,2", 2).m == 2
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
