@@ -79,14 +79,13 @@ def _report(identity: str, d: int, degree: int, residuals: list[PolyField]) -> D
 # numeric routes
 
 
-def jacobian_det_pointwise(us: list[Field], pad_factor: int | None = None) -> Field:
-    """``det`` of the matrix ``[d u_i / d x_j]`` sampled on a padded grid."""
+def jacobian_det_pointwise(us: list[Field]) -> Field:
+    """``det`` of the matrix ``[d u_i / d x_j]`` sampled on the grid padded by ``d``."""
     grid = common_grid(us)
     d = grid.d
     if len(us) != d:
         raise ValueError(f"need {d} components, got {len(us)}")
-    pad = pad_factor if pad_factor is not None else d
-    n_out = padded_points(grid.n, pad)
+    n_out = padded_points(grid.n, d)
     rows = []
     for u in us:
         rows.append(
@@ -96,11 +95,10 @@ def jacobian_det_pointwise(us: list[Field], pad_factor: int | None = None) -> Fi
     return Field(grid.with_n(n_out), np.linalg.det(mat))
 
 
-def hessian_det_pointwise(u: Field, pad_factor: int | None = None) -> Field:
-    """``det`` of the spectral Hessian of ``u`` sampled on a padded grid."""
+def hessian_det_pointwise(u: Field) -> Field:
+    """``det`` of the spectral Hessian of ``u`` sampled on the grid padded by ``d``."""
     d = u.grid.d
-    pad = pad_factor if pad_factor is not None else d
-    n_out = padded_points(u.grid.n, pad)
+    n_out = padded_points(u.grid.n, d)
     firsts = [spectral_derivative(u, i) for i in range(d)]
     rows = []
     for i in range(d):
@@ -114,7 +112,7 @@ def hessian_det_pointwise(u: Field, pad_factor: int | None = None) -> Field:
     return Field(u.grid.with_n(n_out), np.linalg.det(mat))
 
 
-def jacobian_det_fourier(us: list[Field], pad_factor: int | None = None) -> Field:
+def jacobian_det_fourier(us: list[Field]) -> Field:
     """Jacobian determinant through the alternating multiplier.
 
     ``det grad u = (i 2 pi / period)^d T_det(u_1, ..., u_d)`` where ``T_det``
@@ -128,14 +126,13 @@ def jacobian_det_fourier(us: list[Field], pad_factor: int | None = None) -> Fiel
         raise ValueError("needs dimension >= 2")
     if len(us) != d:
         raise ValueError(f"need {d} components, got {len(us)}")
-    pad = pad_factor if pad_factor is not None else d
-    op = OperatorSpec(det_symbol(d), d, pad_factor=pad)
+    op = OperatorSpec(det_symbol(d), d)
     T = apply_direct(op, us)
     c = (1j * grid.kscale) ** d
     return Field(T.grid, c * T.samples)
 
 
-def hessian_det_fourier(u: Field, pad_factor: int | None = None) -> Field:
+def hessian_det_fourier(u: Field) -> Field:
     """Hessian determinant through the squared alternating multiplier.
 
     ``det grad^2 u = (i 2 pi / period)^{2d} / d! T_{det^2}(u, ..., u)``:
@@ -146,8 +143,7 @@ def hessian_det_fourier(u: Field, pad_factor: int | None = None) -> Field:
     d = u.grid.d
     if d < 2:
         raise ValueError("needs dimension >= 2")
-    pad = pad_factor if pad_factor is not None else d
-    op = OperatorSpec(power_symbol(det_symbol(d), 2), d, pad_factor=pad)
+    op = OperatorSpec(power_symbol(det_symbol(d), 2), d)
     T = apply_direct(op, [u] * d)
     c = (1j * u.grid.kscale) ** (2 * d) / math.factorial(d)
     return Field(T.grid, c * T.samples)

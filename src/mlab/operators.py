@@ -4,7 +4,12 @@
 active input modes, evaluates the symbol there, and accumulates the output
 coefficient at the sum frequency.  The output lives on a grid enlarged by
 ``pad_factor`` so the result is exact as a trigonometric polynomial; with
-``pad_factor >= m`` no sum of input frequencies can wrap.
+``pad_factor >= m`` no sum of input frequencies can wrap.  The tuples form
+an outer sum of row tuples (the first ``m - 1`` slots) and column modes (the
+last slot), so each block's weights and output positions are broadcast
+products and sums.  Positions are linear indices of frequencies shifted by
+``n/2`` per axis, which keeps every sum inside the output band without a
+modulo; one roll per axis restores FFT order.
 
 ``apply_separable`` evaluates the same operator through the angular
 separable expansion of a degree-zero symbol: each term is one
@@ -112,6 +117,16 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     ``sum_{xi_1 + ... + xi_m = eta} a(xi_1, ..., xi_m) prod_j fhat_j(xi_j)``
     over the active modes of the inputs, returned on the ``pad``-enlarged
     grid.  Enumerations beyond the configured budget raise.
+
+    The tuples are enumerated as an outer sum: rows are the combinations of
+    the first ``m - 1`` slots, columns the modes of the last slot, taken in
+    blocks of about ``_CHUNK`` tuples.  A block's weights are the row's
+    coefficient product times the symbol times the column's coefficient.
+    Its output positions are outer sums of per-mode linear indices of the
+    shifted frequencies ``xi + n/2``: each component lies in ``[0, n)``, so
+    a sum of ``m`` of them lies in ``[0, m (n - 1)]``, inside the ``n_out``
+    band, and no tuple needs a modulo.  One roll by ``-m n/2`` per axis puts
+    the accumulated coefficients back in FFT order.
     """
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
@@ -127,9 +142,7 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
         peak = float(np.max(np.abs(s.coeffs)))
         supports.append(support(s, tol=_SUPPORT_RTOL * peak))
     sizes = [fr.shape[0] for fr, _ in supports]
-    total = int(np.prod([max(s, 1) for s in sizes]))
-    if any(s == 0 for s in sizes):
-        total = 0
+    total = math.prod(sizes)
     budget = enumeration_budget()
     if total > budget:
         raise BudgetExceededError(
@@ -139,30 +152,43 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     grid_out = grid.with_n(n_out)
     acc_re = np.zeros(grid_out.npoints, dtype=np.float64)
     acc_im = np.zeros(grid_out.npoints, dtype=np.float64)
+    half = grid.n // 2
     if total > 0:
-        strides = np.array(
-            [n_out ** (grid.d - 1 - ax) for ax in range(grid.d)], dtype=np.int64
-        )
-        for start in range(0, total, _CHUNK):
-            lin = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            xis = []
-            coeff = np.ones(lin.shape[0], dtype=np.complex128)
-            rem = lin
-            for j in range(op.m - 1, -1, -1):
+        strides = n_out ** np.arange(grid.d - 1, -1, -1, dtype=np.int64)
+        lin = [(fr + half) @ strides for fr, _ in supports]
+        xis = [fr.astype(np.float64) for fr, _ in supports]
+        coeffs = [c for _, c in supports]
+        n_cols = sizes[-1]
+        n_rows = total // n_cols
+        col_step = min(n_cols, _CHUNK)
+        row_step = max(1, _CHUNK // col_step)
+        for r0 in range(0, n_rows, row_step):
+            rem = np.arange(r0, min(r0 + row_step, n_rows), dtype=np.int64)
+            height = rem.shape[0]
+            prefix = np.ones(height, dtype=np.complex128)
+            row_lin = np.zeros(height, dtype=np.int64)
+            row_xis = []
+            for j in range(op.m - 2, -1, -1):
                 idx = rem % sizes[j]
                 rem = rem // sizes[j]
-                xis.append(supports[j][0][idx])
-                coeff = coeff * supports[j][1][idx]
-            xis.reverse()
-            weights = coeff * evaluate(op.symbol, [x.astype(np.float64) for x in xis])
-            eta = np.zeros((lin.shape[0], grid.d), dtype=np.int64)
-            for x in xis:
-                eta += x
-            flat = (eta % n_out) @ strides
-            acc_re += np.bincount(flat, weights=weights.real, minlength=grid_out.npoints)
-            acc_im += np.bincount(flat, weights=weights.imag, minlength=grid_out.npoints)
-    coeffs = (acc_re + 1j * acc_im).reshape(grid_out.shape)
-    return dft_inverse(Spectrum(grid_out, coeffs))
+                prefix = prefix * coeffs[j][idx]
+                row_lin += lin[j][idx]
+                row_xis.append(xis[j][idx])
+            row_xis.reverse()
+            for c0 in range(0, n_cols, col_step):
+                cols = slice(c0, c0 + col_step)
+                col_xis = xis[-1][cols]
+                width = col_xis.shape[0]
+                blocks = [np.repeat(x, width, axis=0) for x in row_xis]
+                blocks.append(np.tile(col_xis, (height, 1)))
+                sym = evaluate(op.symbol, blocks).reshape(height, width)
+                weights = (prefix[:, None] * sym * coeffs[-1][cols]).reshape(-1)
+                flat = (row_lin[:, None] + lin[-1][cols]).reshape(-1)
+                acc_re += np.bincount(flat, weights=weights.real, minlength=grid_out.npoints)
+                acc_im += np.bincount(flat, weights=weights.imag, minlength=grid_out.npoints)
+    shifted = (acc_re + 1j * acc_im).reshape(grid_out.shape)
+    coeffs_out = np.roll(shifted, (-op.m * half,) * grid.d, axis=tuple(range(grid.d)))
+    return dft_inverse(Spectrum(grid_out, coeffs_out))
 
 
 def _check_mean_modes(op: OperatorSpec, spectra: list[Spectrum]) -> None:
@@ -250,7 +276,6 @@ def pair_with_transfer(
     k: int,
     fields: list[Field],
     phi: Field,
-    pad_factor: int | None = None,
 ) -> complex:
     """Derivative-transferred pairing ``<T_{sigma_m^k}(f_1, ..., f_m), phi>``.
 
@@ -276,13 +301,12 @@ def pair_with_transfer(
     _probe_alternating(sigma_m)
     if sigma_m.zero_rule not in (None, 0.0):
         raise ValueError("alternating symbols must vanish on zero slots")
-    pad = pad_factor if pad_factor is not None else m
-    n_out = padded_points(grid.n, pad)
+    n_out = padded_points(grid.n, m)
 
     if k == 0:
         from .symbols import one_symbol
 
-        op = OperatorSpec(one_symbol(m, d), m, pad_factor=pad)
+        op = OperatorSpec(one_symbol(m, d), m)
         T = apply_direct(op, fields)
         return pair(T, regrid_field(phi, n_out))
 
@@ -307,7 +331,7 @@ def pair_with_transfer(
             name=f"{sigma_m.name}-reduced{combo}",
             zero_rule=None,
         )
-        op = OperatorSpec(c_sym, m, pad_factor=pad)
+        op = OperatorSpec(c_sym, m)
         T = apply_direct(op, fields)
         # Differentiate on the padded grid: there the Nyquist row of phi is
         # an interior mode, which ``spectral_derivative`` keeps.

@@ -1,10 +1,11 @@
 """Multilinear multiplier symbols and sampled hypothesis checkers.
 
 A symbol is a function of ``m`` integer frequency vectors, evaluated in
-batches: the evaluator receives ``m`` float arrays of shape ``(B, d)`` and
-returns ``(B,)`` complex values.  Frequencies are passed in lattice units;
-any physical ``2 pi / period`` scaling belongs to the operator calling the
-symbol, not to the symbol itself.
+batches: the evaluator receives ``m`` float arrays of shape ``(B, d)``, which
+may be strided views, and returns ``(B,)`` real or complex values; the
+built-in evaluators read the blocks one column at a time.  Frequencies are
+passed in lattice units; any physical ``2 pi / period`` scaling belongs to
+the operator calling the symbol, not to the symbol itself.
 """
 
 from __future__ import annotations
@@ -77,19 +78,40 @@ def _as_batches(xis: Sequence[np.ndarray], m: int, d: int) -> list[np.ndarray]:
     return out
 
 
+def _zero_rows(b: np.ndarray) -> np.ndarray:
+    """Rows of a ``(B, d)`` block that are the zero vector, one column at a time."""
+    zero = b[:, 0] == 0.0
+    for c in range(1, b.shape[1]):
+        zero &= b[:, c] == 0.0
+    return zero
+
+
+def _norm(b: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a ``(B, d)`` block, one column at a time."""
+    r2 = b[:, 0] * b[:, 0]
+    for c in range(1, b.shape[1]):
+        r2 += b[:, c] * b[:, c]
+    return np.sqrt(r2)
+
+
 def evaluate(sym: SymbolSpec, xis: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate a symbol on a batch of frequency tuples, applying zero_rule."""
+    """Evaluate a symbol on a batch of frequency tuples, applying zero_rule.
+
+    Evaluators may return real or complex values; the result is ``complex128``.
+    A batch with no zero slot goes to the evaluator as given, without a copy.
+    """
     blocks = _as_batches(xis, sym.m, sym.d)
     if sym.zero_rule is None:
         return np.asarray(sym.evaluator(*blocks), dtype=np.complex128)
-    zero_slot = np.zeros(blocks[0].shape[0], dtype=bool)
-    for b in blocks:
-        zero_slot |= np.all(b == 0.0, axis=-1)
+    zero_slot = _zero_rows(blocks[0])
+    for b in blocks[1:]:
+        zero_slot |= _zero_rows(b)
+    if not zero_slot.any():
+        return np.asarray(sym.evaluator(*blocks), dtype=np.complex128)
     out = np.full(blocks[0].shape[0], complex(sym.zero_rule), dtype=np.complex128)
     live = ~zero_slot
     if np.any(live):
-        sub = [b[live] for b in blocks]
-        out[live] = np.asarray(sym.evaluator(*sub), dtype=np.complex128)
+        out[live] = sym.evaluator(*[b.compress(live, axis=0) for b in blocks])
     return out
 
 
@@ -104,14 +126,13 @@ def det_symbol(d: int) -> SymbolSpec:
     signs = [perm_sign(p) for p in perms]
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        mat = np.stack(blocks, axis=-1)  # (B, d, m=d) columns are slots
-        out = np.zeros(mat.shape[0], dtype=np.float64)
+        out = 0.0
         for sign, p in zip(signs, perms):
-            term = mat[:, p[0], 0]
+            term = blocks[0][:, p[0]]
             for col in range(1, d):
-                term = term * mat[:, p[col], col]
-            out = out + sign * term
-        return out.astype(np.complex128)
+                term = term * blocks[col][:, p[col]]
+            out = out + term if sign > 0 else out - term
+        return out
 
     return SymbolSpec(m=d, d=d, evaluator=ev, name="det")
 
@@ -120,7 +141,10 @@ def dot_symbol(d: int) -> SymbolSpec:
     """Bilinear symbol ``xi_1 . xi_2``."""
 
     def ev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.sum(a * b, axis=-1).astype(np.complex128)
+        out = a[:, 0] * b[:, 0]
+        for c in range(1, d):
+            out += a[:, c] * b[:, c]
+        return out
 
     return SymbolSpec(m=2, d=d, evaluator=ev, name="dot")
 
@@ -129,7 +153,7 @@ def one_symbol(m: int, d: int) -> SymbolSpec:
     """The constant symbol 1, including on zero slots."""
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        return np.ones(blocks[0].shape[0], dtype=np.complex128)
+        return np.ones(blocks[0].shape[0], dtype=np.float64)
 
     return SymbolSpec(
         m=m, d=d, evaluator=ev, name="one", poly_homogeneous=True, zero_rule=1.0
@@ -144,7 +168,7 @@ def power_symbol(base: SymbolSpec, k: int) -> SymbolSpec:
         return one_symbol(base.m, base.d)
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        return np.asarray(base.evaluator(*blocks), dtype=np.complex128) ** k
+        return base.evaluator(*blocks) ** k
 
     zr = None if base.zero_rule is None else complex(base.zero_rule) ** k
     return SymbolSpec(
@@ -167,12 +191,12 @@ def normalized_power_symbol(base: SymbolSpec, beta: float) -> SymbolSpec:
     signed = float(beta).is_integer()
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        num = np.asarray(base.evaluator(*blocks), dtype=np.complex128)
+        num = base.evaluator(*blocks)
         num = num**int(beta) if signed else np.abs(num) ** beta
-        den = np.ones(blocks[0].shape[0], dtype=np.float64)
-        for b in blocks:
-            den *= np.sqrt(np.sum(b * b, axis=-1)) ** beta
-        return num / den
+        den = _norm(blocks[0])
+        for b in blocks[1:]:
+            den *= _norm(b)
+        return num / den**beta
 
     return SymbolSpec(
         m=base.m,
@@ -190,8 +214,7 @@ def riesz_factor(d: int, component: int) -> SymbolSpec:
         raise ValueError(f"component {component} out of range for d={d}")
 
     def ev(b: np.ndarray) -> np.ndarray:
-        r = np.sqrt(np.sum(b * b, axis=-1))
-        return (b[:, component] / r).astype(np.complex128)
+        return b[:, component] / _norm(b)
 
     return SymbolSpec(
         m=1, d=d, evaluator=ev, name=f"riesz{component + 1}", poly_homogeneous=True
@@ -208,9 +231,9 @@ def product_symbol(factors: Sequence[SymbolSpec]) -> SymbolSpec:
             raise ValueError("product factors must be arity-1 symbols of equal dimension")
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        out = np.ones(blocks[0].shape[0], dtype=np.complex128)
-        for fac, b in zip(factors, blocks):
-            out *= np.asarray(fac.evaluator(b), dtype=np.complex128)
+        out = factors[0].evaluator(blocks[0])
+        for fac, b in zip(factors[1:], blocks[1:]):
+            out = out * fac.evaluator(b)
         return out
 
     if any(f.zero_rule is None for f in factors):

@@ -103,23 +103,74 @@ def quadrature_lp(f: np.ndarray, p: float, period: float = TWO_PI) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hand-rolled m = 2, d = 1 multiplier application
+# Per-tuple multilinear multiplier application
 # ---------------------------------------------------------------------------
 
 
-def apply_bilinear_1d(
-    symbol: callable,
-    f_modes: dict[tuple[int, ...], complex],
-    g_modes: dict[tuple[int, ...], complex],
+def apply_multilinear_modes(
+    symbol_fn: callable, *mode_dicts: dict[tuple[int, ...], complex]
 ) -> dict[tuple[int, ...], complex]:
-    """T(f, g) coefficients by a double loop over (xi_1, xi_2)."""
+    """T(f_1, ..., f_m) coefficients by a loop over every mode tuple.
+
+    ``symbol_fn`` takes the ``m`` integer frequency tuples of one mode tuple
+    and returns its symbol value; each tuple contributes at the sum frequency.
+    """
     out: dict[tuple[int, ...], complex] = {}
-    for (x1,), c1 in f_modes.items():
-        for (x2,), c2 in g_modes.items():
-            w = complex(symbol(x1, x2))
-            key = (x1 + x2,)
-            out[key] = out.get(key, 0.0 + 0.0j) + w * c1 * c2
+    for combo in itertools.product(*(d.items() for d in mode_dicts)):
+        xis = [xi for xi, _ in combo]
+        w = complex(symbol_fn(*xis))
+        for _, c in combo:
+            w *= c
+        key = tuple(sum(parts) for parts in zip(*xis))
+        out[key] = out.get(key, 0.0 + 0.0j) + w
     return out
+
+
+def _norm(xi: tuple) -> float:
+    return math.sqrt(sum(c * c for c in xi))
+
+
+def scalar_symbol(spec_id: str) -> callable:
+    """Per-tuple value of a registry symbol, written from its definition.
+
+    Mirrors the ids of ``mlab.symbols.resolve_symbol``; every symbol but
+    ``one`` is 0 when a slot is the zero vector.
+    """
+    head, _, arg = spec_id.partition(":")
+    if head == "one":
+        return lambda *xis: 1.0
+
+    def det(*xis):
+        d = len(xis)
+        return det_cofactor([[xis[j][i] for j in range(d)] for i in range(d)])
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    if head == "det":
+        return det
+    if head == "det_pow":
+        return lambda *xis: det(*xis) ** int(arg)
+    if head == "riesz_product":
+        comps = [int(tok) - 1 for tok in arg.split(",")]
+
+        def riesz(*xis):
+            if not all(any(xi) for xi in xis):
+                return 0.0
+            return math.prod(xi[c] / _norm(xi) for c, xi in zip(comps, xis))
+
+        return riesz
+    base = {"det_norm": det, "dot_norm": dot}[head]
+    beta = float(arg)
+
+    def normalized(*xis):
+        if not all(any(xi) for xi in xis):
+            return 0.0
+        num = base(*xis)
+        num = num ** int(beta) if beta.is_integer() else abs(num) ** beta
+        return num / math.prod(_norm(xi) for xi in xis) ** beta
+
+    return normalized
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Multilinear multiplier application: direct oracle, separable path, transfer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,27 +33,76 @@ from mlab import (
     riesz_factor,
     separable_expand,
     spectral_derivative,
+    spectrum_from_modes,
 )
-from mlab.grid import regrid_field
+from mlab.grid import padded_points, regrid_field
 from mlab.harness import random_field
 from mlab.operators import enumeration_budget
 
 from conftest import random_trig, rel_l2
-from oracles import apply_bilinear_1d, modes_on_grid
+from oracles import apply_multilinear_modes, modes_on_grid, scalar_symbol
 
 
-def _random_symbol_1d() -> SymbolSpec:
-    """Smooth deterministic bilinear symbol for the double-loop comparison."""
+def _smooth(x: tuple[int, ...], y: tuple[int, ...]) -> complex:
+    return complex(math.cos(0.7 * x[0] + 0.3 * y[-1]), math.sin(0.2 * x[-1] - 0.5 * y[0]))
 
-    def ev(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-        x1 = b1[:, 0]
-        x2 = b2[:, 0]
-        return np.cos(0.7 * x1 + 0.3 * x2) + 1j * np.sin(0.2 * x1 - 0.5 * x2)
 
-    return SymbolSpec(m=2, d=1, evaluator=ev, name="random-table", zero_rule=None)
+def _smooth_symbol(d: int) -> SymbolSpec:
+    """Smooth complex bilinear symbol, total on zero slots; ``_smooth`` per tuple."""
+
+    def ev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.cos(0.7 * a[:, 0] + 0.3 * b[:, -1]) + 1j * np.sin(0.2 * a[:, -1] - 0.5 * b[:, 0])
+
+    return SymbolSpec(m=2, d=d, evaluator=ev, name="smooth", zero_rule=None)
+
+
+def _input_modes(grid: GridSpec, kind: str, seed: int) -> dict[tuple[int, ...], complex]:
+    """``full``: every mode of the band, the Nyquist row ``-n/2`` and the mean
+    included; ``sparse``: three modes, one on the Nyquist corner."""
+    rng = np.random.default_rng(seed)
+    half = grid.n // 2
+    if kind == "full":
+        keys = [tuple(int(c) - half for c in idx) for idx in np.ndindex(*grid.shape)]
+    else:
+        keys = [(-half,) * grid.d, (1,) * grid.d, (half - 1,) + (0,) * (grid.d - 1)]
+    return {k: complex(rng.standard_normal(), rng.standard_normal()) for k in keys}
+
+
+# (symbol, m, d, n, pad_factor, input kinds)
+_ORACLE_CASES = [
+    ("riesz_product:1", 1, 1, 8, None, ("full",)),
+    ("riesz_product:2", 1, 2, 8, None, ("full",)),
+    ("dot_norm:1", 2, 1, 16, None, ("full", "full")),
+    ("det_norm:1", 2, 2, 8, None, ("full", "full")),
+    ("det_pow:2", 2, 2, 8, 4, ("full", "full")),
+    ("det_norm:1", 2, 2, 8, None, ("sparse", "full")),
+    ("smooth", 2, 2, 8, None, ("full", "sparse")),
+    ("one", 2, 2, 8, None, ("full", "full")),
+    ("one", 3, 1, 8, None, ("full", "full", "full")),
+    ("riesz_product:1,2,1", 3, 2, 4, None, ("full", "full", "full")),
+]
 
 
 class TestApplyDirect:
+    @pytest.mark.parametrize(
+        "sym_id, m, d, n, pad_factor, kinds",
+        _ORACLE_CASES,
+        ids=[f"{c[0]}-m{c[1]}-d{c[2]}-n{c[3]}-pad{c[4]}-{'+'.join(c[5])}" for c in _ORACLE_CASES],
+    )
+    def test_matches_per_tuple_oracle(self, sym_id, m, d, n, pad_factor, kinds):
+        grid = GridSpec(d=d, n=n)
+        sym = _smooth_symbol(d) if sym_id == "smooth" else resolve_symbol(sym_id, d, m)
+        modes = [_input_modes(grid, kind, seed=200 + j) for j, kind in enumerate(kinds)]
+        fields = [field_from_modes(grid, md) for md in modes]
+        got = apply_direct(OperatorSpec(sym, m, pad_factor=pad_factor), fields)
+        scalar = _smooth if sym_id == "smooth" else scalar_symbol(sym_id)
+        want = apply_multilinear_modes(scalar, *modes)
+        assert got.grid.n == padded_points(n, pad_factor or m)
+        want_coeffs = spectrum_from_modes(got.grid, want).coeffs
+        got_coeffs = dft_forward(got).coeffs
+        scale = float(np.max(np.abs(want_coeffs)))
+        assert float(np.max(np.abs(got_coeffs - want_coeffs))) <= 1e-12 * scale
+
     def test_constant_symbol_is_product_m2(self, grid2d):
         f1, _ = random_trig(grid2d, degree=2, seed=50)
         f2, _ = random_trig(grid2d, degree=2, seed=51)
@@ -80,23 +131,19 @@ class TestApplyDirect:
         assert rel_l2(got.samples, want) <= 1e-12
 
     def test_matches_double_loop_oracle(self, grid1d):
-        sym = _random_symbol_1d()
+        sym = _smooth_symbol(1)
         f1, m1 = random_trig(grid1d, degree=3, seed=56, real=False)
         f2, m2 = random_trig(grid1d, degree=3, seed=57, real=False)
         op = OperatorSpec(sym, 2)
         got = apply_direct(op, [f1, f2])
-        want_modes = apply_bilinear_1d(
-            lambda x1, x2: complex(np.cos(0.7 * x1 + 0.3 * x2) + 1j * np.sin(0.2 * x1 - 0.5 * x2)),
-            m1,
-            m2,
-        )
+        want_modes = apply_multilinear_modes(_smooth, m1, m2)
         got_spec = dft_forward(got)
         worst = max(abs(coeff_at(got_spec, xi) - c) for xi, c in want_modes.items())
         scale = max(abs(c) for c in want_modes.values())
         assert worst <= 1e-12 * scale
 
     def test_multilinear_in_each_slot(self, grid1d):
-        opspec = OperatorSpec(_random_symbol_1d(), 2)
+        opspec = OperatorSpec(_smooth_symbol(1), 2)
         f, _ = random_trig(grid1d, degree=2, seed=58)
         g, _ = random_trig(grid1d, degree=2, seed=59)
         h, _ = random_trig(grid1d, degree=2, seed=60)

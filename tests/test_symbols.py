@@ -21,7 +21,7 @@ from mlab import (
     riesz_factor,
 )
 
-from oracles import det_cofactor
+from oracles import det_cofactor, scalar_symbol
 
 
 def _ev(sym, *tuples):
@@ -84,6 +84,44 @@ class TestDetSymbol:
     def test_swap_antisymmetry(self, x1, x2):
         sym = det_symbol(2)
         assert _ev(sym, x1, x2) == -_ev(sym, x2, x1)
+
+
+_REGISTRY_IDS = ["det", "det_pow:2", "det_norm:1", "det_norm:0.5", "dot_norm:1", "riesz_product:1,2"]
+
+
+class TestEvaluate:
+    def _tuples(self, mixed: bool) -> np.ndarray:
+        """(B, 2, 2) integer tuples, each slot nonzero unless ``mixed``."""
+        rng = np.random.default_rng(35)
+        tuples = rng.integers(-9, 10, size=(64, 2, 2)).astype(np.float64)
+        tuples[np.all(tuples == 0.0, axis=-1)] = 1.0
+        if mixed:
+            tuples[::5, 0] = 0.0
+            tuples[2::7, 1] = 0.0
+        return tuples
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["live", "mixed"])
+    @pytest.mark.parametrize("sym_id", _REGISTRY_IDS)
+    def test_matches_per_tuple_definition(self, sym_id, mixed, layout):
+        sym = resolve_symbol(sym_id, 2)
+        tuples = self._tuples(mixed)
+        blocks = [tuples[:, j, :] for j in range(2)]
+        if layout == "contiguous":
+            blocks = [np.ascontiguousarray(b) for b in blocks]
+        got = evaluate(sym, blocks)
+        scalar = scalar_symbol(sym_id)
+        want = np.array([scalar(tuple(x), tuple(y)) for x, y in tuples])
+        assert got.dtype == np.complex128
+        assert got.shape == (tuples.shape[0],)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("sym_id", ["det", "det_pow:2", "det_norm:1"])
+    def test_repeated_slot_exactly_zero(self, sym_id):
+        tuples = self._tuples(mixed=False)
+        tuples[:, 1] = tuples[:, 0]
+        got = evaluate(resolve_symbol(sym_id, 2), [tuples[:, 0, :], tuples[:, 1, :]])
+        assert np.all(got == 0.0)
 
 
 class TestNormalizedSymbol:
