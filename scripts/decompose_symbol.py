@@ -2,11 +2,12 @@
 """Low-rank angular separable expansion of a multiplier symbol.
 
 Thin wrapper around ``mlab decompose-symbol``: samples the symbol on unit
-directions, prints the expansion's rank, residual and spectrum as JSON, and
-with ``--out PREFIX`` saves it for reuse.
+directions, prints the expansion's rank (its numerical rank, derived from
+the spectrum), residual and spectrum as JSON, and with ``--out PREFIX``
+saves it for reuse.
 
 Usage:
-  python3 scripts/decompose_symbol.py --symbol det_norm:1 --d 2 --rank 32
+  python3 scripts/decompose_symbol.py --symbol det_norm:1 --d 2
   python3 scripts/decompose_symbol.py --angular 128 --out out/expansion
 """
 

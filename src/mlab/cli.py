@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
     dec = sub.add_parser("decompose-symbol", help="build and save a separable expansion")
     dec.add_argument("--symbol", required=True)
     dec.add_argument("--d", type=int, default=2)
-    dec.add_argument("--rank", type=int, default=32)
     dec.add_argument("--angular", type=int, default=64)
     dec.add_argument("--out", default=None, help="file prefix for the saved expansion")
 
@@ -192,7 +191,7 @@ def _cmd_scan(args: argparse.Namespace, command: str) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         sym = resolve_symbol(args.symbol, args.d)
-        exp = separable_expand(sym, rank=args.rank, n_angular=args.angular)
+        exp = separable_expand(sym, n_angular=args.angular)
     except (ValueError, NotImplementedError) as exc:
         raise _UsageError(str(exc)) from exc
     payload = {

@@ -168,10 +168,11 @@ def build_annulus_grid(d: int, n_angular: int = 64) -> AnnulusGrid:
 class SeparableExpansion:
     """Rank-``R`` separable model ``sum_l c_l prod_j F_jl(xi_j / |xi_j|)``.
 
-    ``factors[j]`` has shape ``(R, n_points)`` holding the slot-``j`` tables.
-    ``spectrum`` is the full singular-value sequence (m = 2) or the extracted
-    coefficient magnitudes (m > 2), nonincreasing either way.  ``residual``
-    is the relative error of the truncated model on the direction grid.
+    ``factors[j]`` has shape ``(R, n_points)`` holding the slot-``j`` tables;
+    ``R`` is the numerical rank of the sampled symbol.  ``spectrum`` is the
+    full singular-value sequence (m = 2) or the extracted coefficient
+    magnitudes (m != 2), nonincreasing either way.  ``residual`` is the
+    relative error of the model on the direction grid.
     """
 
     m: int
@@ -213,11 +214,12 @@ class SeparableExpansion:
 
     def tail_residual(self, rank: int) -> float:
         """Relative tail of the recorded spectrum beyond ``rank`` terms."""
-        s = self.spectrum
-        total = float(np.sqrt(np.sum(s**2)))
-        if total == 0.0:
-            return 0.0
-        return float(np.sqrt(np.sum(s[rank:] ** 2))) / total
+        return _tail_residual(self.spectrum, rank)
+
+
+def _tail_residual(s: np.ndarray, rank: int) -> float:
+    total = float(np.linalg.norm(s))
+    return float(np.linalg.norm(s[rank:])) / total if total else 0.0
 
 
 def _symbol_on_product(sym: SymbolSpec, grid: AnnulusGrid) -> np.ndarray:
@@ -229,17 +231,18 @@ def _symbol_on_product(sym: SymbolSpec, grid: AnnulusGrid) -> np.ndarray:
 
 def separable_expand(
     sym: SymbolSpec,
-    rank: int = 32,
     n_angular: int = 64,
     budget: int = 30_000_000,
 ) -> SeparableExpansion:
-    """Low-rank separable expansion of a poly-homogeneous symbol.
+    """Separable expansion of a poly-homogeneous symbol at its numerical rank.
 
     The symbol is sampled on the ``m``-fold product of the direction set
     (``n_angular`` angles for d = 2, signs for d = 1).  For ``m = 2`` the
-    expansion is the SVD of the quadrature weighted node matrix; for
-    ``m > 2`` greedy rank-one deflation with a fixed 200-sweep alternating
-    refinement per term.
+    expansion is the SVD of the quadrature weighted node matrix, keeping the
+    singular values above ``s_0 * n_points * eps`` (numpy's ``matrix_rank``
+    rule); otherwise greedy rank-one deflation (200 alternating sweeps per
+    term) runs until the residual is at most ``n_points * eps`` of the
+    tensor, and raises ``ValueError`` if a step fails to lower it.
     """
     if not sym.poly_homogeneous:
         raise ValueError("separable expansion requires a poly-homogeneous symbol")
@@ -248,46 +251,39 @@ def separable_expand(
         raise BudgetExceededError(
             f"direction product of {grid.n_points}^{sym.m} nodes exceeds budget"
         )
-    tensor = _symbol_on_product(sym, grid)
     sqw = np.sqrt(grid.weights)
-    weighted = tensor
-    for j in range(sym.m):
-        shape = [1] * sym.m
-        shape[j] = grid.n_points
-        weighted = weighted * sqw.reshape(shape)
+    weighted = _symbol_on_product(sym, grid) * _outer([sqw] * sym.m)
+    floor = grid.n_points * np.finfo(np.float64).eps
 
     if sym.m == 2:
         u, s, vh = np.linalg.svd(weighted, full_matrices=False)
-        r = min(rank, s.shape[0])
-        total = float(np.sqrt(np.sum(s**2)))
-        resid = 0.0 if total == 0.0 else float(np.sqrt(np.sum(s[r:] ** 2))) / total
-        f1 = (u[:, :r].T / sqw[None, :]).copy()
-        f2 = (vh[:r, :].conj() / sqw[None, :]).copy()
+        r = int(np.count_nonzero(s > s[0] * floor))
+        resid = _tail_residual(s, r)
+        factors = (u[:, :r].T / sqw, vh[:r].conj() / sqw)
         coeffs = s[:r].astype(np.complex128)
-        spectrum = s.copy()
-        factors = (f1, f2)
+        spectrum = s
     else:
         coeffs_list: list[complex] = []
         factor_lists: list[list[np.ndarray]] = [[] for _ in range(sym.m)]
-        resid_tensor = weighted.copy()
-        norm0 = float(np.linalg.norm(weighted.reshape(-1)))
-        r = rank
-        for _ in range(r):
+        resid_tensor = weighted
+        norm0 = norm = float(np.linalg.norm(weighted))
+        while norm > floor * norm0:
             vecs = _rank_one_deflate(resid_tensor, sweeps=200)
             coef = _contract_all(resid_tensor, vecs)
-            if abs(coef) == 0.0:
-                break
+            resid_tensor = resid_tensor - coef * _outer(vecs)
+            last, norm = norm, float(np.linalg.norm(resid_tensor))
+            if not norm < last:
+                raise ValueError(f"expansion of {sym.name!r} stalls at residual {last / norm0:.3e}")
             coeffs_list.append(coef)
             for j in range(sym.m):
                 factor_lists[j].append(vecs[j] / sqw)
-            resid_tensor = resid_tensor - coef * _outer(vecs)
         coeffs = np.asarray(coeffs_list, dtype=np.complex128)
         order = np.argsort(-np.abs(coeffs), kind="stable")
         coeffs = coeffs[order]
         factors = tuple(
             np.stack([factor_lists[j][i] for i in order], axis=0) for j in range(sym.m)
         )
-        resid = 0.0 if norm0 == 0.0 else float(np.linalg.norm(resid_tensor.reshape(-1))) / norm0
+        resid = 0.0 if norm0 == 0.0 else norm / norm0
         spectrum = np.abs(coeffs)
 
     return SeparableExpansion(

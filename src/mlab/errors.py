@@ -18,7 +18,7 @@ class GridMismatchError(MlabError):
 
 
 class FrequencyOverflowError(MlabError):
-    """A frequency remap would leave the representable band and growth is disabled."""
+    """A frequency remap would leave the representable band."""
 
 
 class BudgetExceededError(MlabError):
@@ -26,4 +26,5 @@ class BudgetExceededError(MlabError):
 
 
 class UncoveredSpectrumError(MlabError):
-    """Input spectrum has energy outside the dyadic partition coverage."""
+    """An input has a mean mode, where every separable multiplier is 0,
+    under a symbol that is not null on zero slots."""

@@ -68,7 +68,8 @@ class ExperimentConfig:
     ``p`` lists the input Lebesgue exponents; the output exponent ``r`` must
     satisfy ``1/r = sum 1/p_j`` to 1e-12, which with ``p_j > 1`` puts it in
     ``(1/m, inf)``: the quasi-Banach range ``r < 1`` included.  The seed
-    fully determines the generated family.
+    fully determines the generated family.  A scan rejects a set ``s`` or
+    ``k`` that it would not read.
     """
 
     experiment: str
@@ -79,7 +80,7 @@ class ExperimentConfig:
     r: float
     period: float = 2.0 * math.pi
     s: float | None = None
-    k: int = 0
+    k: int | None = None
     gamma: float = 2.0
     cutoff: float | None = None
     seed: int = 0
@@ -87,7 +88,6 @@ class ExperimentConfig:
     t_min: int = 0
     t_max: int = 3
     strategy: str = "direct"
-    rank: int = 32
     sweep_tolerance: float | None = None
     out_dir: str | None = None
 
@@ -97,7 +97,7 @@ class ExperimentConfig:
             raise ValueError("input exponents must satisfy p_j > 1")
         if abs(1.0 / self.r - sum(1.0 / x for x in self.p)) > 1e-12:
             raise ValueError("exponents violate 1/r = sum 1/p_j")
-        if self.k < 0:
+        if self.k is not None and self.k < 0:
             raise ValueError("derivative order must be >= 0")
         if self.family < 1:
             raise ValueError("family size must be >= 1")
@@ -308,18 +308,17 @@ def _finish(
     )
 
 
-def _build_operator(cfg: ExperimentConfig) -> OperatorSpec:
-    sym = resolve_symbol(cfg.symbol, cfg.d, m=cfg.m)
-    if cfg.strategy == "separable":
-        exp = separable_expand(sym, rank=cfg.rank)
-        return OperatorSpec(sym, cfg.m, strategy=Separable(exp))
-    return OperatorSpec(sym, cfg.m)
-
-
 def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     """Ratio ``||T(f_1..f_m)||_r / prod ||f_j||_{p_j}`` over family and sweep."""
     started = time.perf_counter()
-    op = _build_operator(cfg)
+    if cfg.k is not None or cfg.s is not None:
+        raise ValueError("the boundedness scan takes neither k nor s")
+    sym = resolve_symbol(cfg.symbol, cfg.d, m=cfg.m)
+    op, extra = OperatorSpec(sym, cfg.m), {}
+    if cfg.strategy == "separable":
+        exp = separable_expand(sym)
+        op = OperatorSpec(sym, cfg.m, strategy=Separable(exp))
+        extra = {"rank": exp.rank, "residual": exp.residual}
     grid = cfg.grid
     seeds = _family_seeds(cfg, cfg.m)
     families = [
@@ -350,7 +349,7 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     else:
         passed = _oscillation_ok(sweep_rows, tol)
         thresholds = {"sweep_max_over_base": tol}
-    return _finish(cfg, "boundedness", sweep_rows, thresholds, passed, started)
+    return _finish(cfg, "boundedness", sweep_rows, thresholds, passed, started, extra)
 
 
 def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
@@ -364,6 +363,8 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
     if cfg.strategy != "direct":
         raise ValueError("the transfer scan runs only the direct strategy")
     k = cfg.k
+    if k is None:
+        raise ValueError("the transfer scan needs a derivative order k")
     sym = resolve_symbol(cfg.symbol, cfg.d, m=cfg.m)
     grid = cfg.grid
     m = cfg.m
@@ -495,6 +496,8 @@ def _require_pointwise_det(cfg: ExperimentConfig) -> None:
         raise ValueError(f"{cfg.experiment} runs only the direct strategy")
     if cfg.symbol != "det":
         raise ValueError(f"{cfg.experiment} runs only the symbol 'det'")
+    if cfg.k is not None:
+        raise ValueError(f"{cfg.experiment} takes no derivative order k")
 
 
 def jacobian_estimate(cfg: ExperimentConfig) -> ReportRecord:

@@ -37,7 +37,7 @@ CONFIG_SCHEMA = {
         },
         "r": {"type": "number", "exclusiveMinimum": 0},
         "s": {"type": ["number", "null"]},
-        "k": {"type": "integer", "minimum": 0},
+        "k": {"type": ["integer", "null"], "minimum": 0},
         "gamma": {"type": "number", "minimum": 0},
         "cutoff": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "seed": {"type": "integer"},
@@ -45,7 +45,6 @@ CONFIG_SCHEMA = {
         "t_min": {"type": "integer", "minimum": 0},
         "t_max": {"type": "integer", "minimum": 0},
         "strategy": {"enum": ["direct", "separable"]},
-        "rank": {"type": "integer", "minimum": 1},
         "sweep_tolerance": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "out_dir": {"type": ["string", "null"]},
     },

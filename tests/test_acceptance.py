@@ -77,13 +77,13 @@ def test_c02_separable_vs_direct():
     f2, _ = random_trig(g, degree=3, seed=1011)
 
     sym = resolve_symbol("det_norm:1", 2, m=2)
-    exp = separable_expand(sym, rank=32)
+    exp = separable_expand(sym)
     sep = apply_separable(OperatorSpec(sym, 2, strategy=Separable(exp)), [f1, f2])
     direct = apply_direct(OperatorSpec(sym, 2), [f1, f2])
     err_det = rel_l2(sep.samples, direct.samples)
 
     rsym = resolve_symbol("riesz_product:1,2", 2, m=2)
-    rexp = separable_expand(rsym, rank=8)
+    rexp = separable_expand(rsym)
     rsep = apply_separable(OperatorSpec(rsym, 2, strategy=Separable(rexp)), [f1, f2])
     rdirect = apply_direct(OperatorSpec(rsym, 2), [f1, f2])
     err_rank1 = rel_l2(rsep.samples, rdirect.samples)
@@ -208,7 +208,7 @@ def test_c07_homogeneous_sweep_invariance():
 
 def test_c08_singular_value_decay():
     sym = resolve_symbol("det_norm:1", 2, m=2)
-    exp = separable_expand(sym, rank=32)
+    exp = separable_expand(sym)
     ratio = float(exp.spectrum[31] / exp.spectrum[0])
     ok = ratio <= 1e-6
     _verdict(

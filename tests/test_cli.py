@@ -146,9 +146,13 @@ class TestScanCommands:
             (["hessian-estimate", "--strategy", "separable"], "direct strategy"),
             (["hessian-estimate", "--symbol", "det_norm:1"], "symbol 'det'"),
             (["thm3-scan", "--strategy", "separable"], "direct strategy"),
+            (["boundedness-scan", "--k", "3"], "neither k nor s"),
+            (["jacobian-estimate", "--k", "3"], "no derivative order k"),
+            (["hessian-estimate", "--k", "3"], "no derivative order k"),
         ],
         ids=["jacobian-strategy", "jacobian-symbol", "hessian-strategy",
-             "hessian-symbol", "thm3-strategy"],
+             "hessian-symbol", "thm3-strategy", "boundedness-k", "jacobian-k",
+             "hessian-k"],
     )
     def test_ignored_field_exits_one(self, capsys, tmp_path, argv, message):
         code = run_cli([*argv, "--family", "1", "--t-max", "0", "--out", str(tmp_path)])
@@ -195,13 +199,13 @@ class TestDecompose:
         prefix = tmp_path / "expansion"
         code = run_cli([
             "decompose-symbol", "--symbol", "det_norm:1", "--d", "2",
-            "--rank", "8", "--out", str(prefix),
+            "--out", str(prefix),
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["symbol"] == "norm[det,1.0]"
-        assert payload["rank"] == 8
-        assert len(payload["coefficient_moduli"]) == 8
+        assert payload["rank"] == 2
+        assert len(payload["coefficient_moduli"]) == 2
         assert prefix.with_suffix(".json").exists()
         assert prefix.with_suffix(".bin").exists()
 
@@ -209,10 +213,11 @@ class TestDecompose:
         code = run_cli(["decompose-symbol", "--symbol", "nope"])
         assert code == 1
 
-    def test_radial_flag_removed(self, capsys):
-        code = run_cli(["decompose-symbol", "--symbol", "det_norm:1", "--radial", "16"])
+    @pytest.mark.parametrize("flag", ["--radial", "--rank"])
+    def test_radial_flag_removed(self, capsys, flag):
+        code = run_cli(["decompose-symbol", "--symbol", "det_norm:1", flag, "16"])
         assert code == 1
-        assert "--radial" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 class TestReport:

@@ -29,6 +29,7 @@ from mlab import (
     separable_expand,
     spectrum_from_modes,
 )
+from mlab import decomp
 from mlab.grid import dft_inverse
 
 from conftest import random_trig, rel_err
@@ -131,7 +132,7 @@ class TestAnnulusGrid:
 
 class TestSeparableExpansion:
     def test_constant_symbol_rank_one(self):
-        exp = separable_expand(one_symbol(2, 2), n_angular=16, rank=1)
+        exp = separable_expand(one_symbol(2, 2), n_angular=16)
         # The weighted node matrix is sqrt(w) sqrt(w)^T, so the single
         # coefficient is the measure of the circle, sum(w) = 2 pi.
         assert exp.rank == 1
@@ -140,9 +141,41 @@ class TestSeparableExpansion:
         assert abs(exp.coeffs[0]) == pytest.approx(want, rel=1e-12)
         assert exp.residual <= 1e-12
 
+    @pytest.mark.parametrize(
+        "spec, d, rank",
+        [
+            # sin^b(theta_2 - theta_1) has angular modes |k| <= b of b's parity
+            ("det_norm:1", 2, 2),
+            ("det_norm:2", 2, 3),
+            ("det_norm:3", 2, 4),
+            ("dot_norm:1", 2, 2),
+            # products of one-slot factors are rank one for any arity
+            ("riesz_product:1,2", 2, 1),
+            ("one", 2, 1),
+            ("riesz_product:1,2,1", 2, 1),
+            ("det_norm:1", 1, 1),
+        ],
+    )
+    def test_rank_is_numerical_rank(self, spec, d, rank):
+        exp = separable_expand(resolve_symbol(spec, d))
+        assert exp.rank == rank
+        assert exp.residual <= 1e-14
+
+    def test_slow_spectrum_is_not_truncated(self):
+        # |sin|^(1/2) has a mode at every even frequency, so no fixed rank
+        # is exact; the expansion keeps everything above rounding.
+        exp = separable_expand(resolve_symbol("det_norm:0.5", 2))
+        assert exp.residual <= 1e-14
+
+    def test_stalled_deflation_raises(self, monkeypatch):
+        # A step that removes nothing must raise, not cut the sum short.
+        monkeypatch.setattr(decomp, "_contract_all", lambda tensor, vecs: 0j)
+        with pytest.raises(ValueError, match="stalls at residual 1.000e"):
+            separable_expand(resolve_symbol("det_norm:1", 1))
+
     def test_det_norm_spectrum_decay(self):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        exp = separable_expand(sym, rank=32, n_angular=64)
+        exp = separable_expand(sym, n_angular=64)
         s = exp.spectrum
         assert s[31] <= 1e-6 * s[0]
         assert exp.tail_residual(16) <= 1e-6 * exp.tail_residual(1)
@@ -154,7 +187,7 @@ class TestSeparableExpansion:
         # moduli of the DFT of one row, with no SVD involved.
         sym = normalized_power_symbol(det_symbol(2), beta)
         n = 64
-        exp = separable_expand(sym, rank=n, n_angular=n)
+        exp = separable_expand(sym, n_angular=n)
         theta = 2.0 * math.pi * np.arange(n) / n
         e1 = np.tile([1.0, 0.0], (n, 1))
         c = evaluate(sym, [e1, np.stack([np.cos(theta), np.sin(theta)], axis=-1)])
@@ -166,7 +199,7 @@ class TestSeparableExpansion:
         # weighted singular value pi.
         sym = normalized_power_symbol(det_symbol(2), 1.0)
         started = time.perf_counter()
-        exp = separable_expand(sym, rank=32)
+        exp = separable_expand(sym)
         elapsed = time.perf_counter() - started
         assert exp.spectrum[0] == pytest.approx(math.pi, rel=1e-12)
         assert exp.spectrum[1] == pytest.approx(math.pi, rel=1e-12)
@@ -175,24 +208,24 @@ class TestSeparableExpansion:
 
     def test_trilinear_riesz_product_builds(self):
         sym = resolve_symbol("riesz_product:1,2,1", 2)
-        exp = separable_expand(sym, rank=2)
+        exp = separable_expand(sym)
         assert exp.m == 3 and exp.grid.n_points == 64
         assert exp.residual <= 1e-12
 
     def test_arity_beyond_budget_rejected(self):
         sym = resolve_symbol("riesz_product:1,2,1,2,1", 2)
         with pytest.raises(BudgetExceededError):
-            separable_expand(sym, rank=2)
+            separable_expand(sym)
 
     def test_residual_nonincreasing_in_rank(self):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        exp = separable_expand(sym, n_angular=32, rank=16)
+        exp = separable_expand(sym, n_angular=32)
         tails = [exp.tail_residual(r) for r in range(1, 17)]
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
     def test_rank_one_product_expands_exactly(self):
         sym = product_symbol([riesz_factor(2, 0), riesz_factor(2, 1)])
-        exp = separable_expand(sym, n_angular=32, rank=4)
+        exp = separable_expand(sym, n_angular=32)
         assert exp.residual <= 1e-12
         assert exp.spectrum[1] <= 1e-12 * exp.spectrum[0]
 
@@ -204,7 +237,7 @@ class TestSeparableExpansion:
 
     def test_save_load_round_trip(self, tmp_path):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        exp = separable_expand(sym, n_angular=16, rank=4)
+        exp = separable_expand(sym, n_angular=16)
         save_expansion(exp, tmp_path / "exp")
         back = load_expansion(tmp_path / "exp")
         assert back.m == exp.m and back.d == exp.d and back.rank == exp.rank
@@ -216,7 +249,7 @@ class TestSeparableExpansion:
 
     def test_load_rejects_old_format(self, tmp_path):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        save_expansion(separable_expand(sym, n_angular=16, rank=4), tmp_path / "exp")
+        save_expansion(separable_expand(sym, n_angular=16), tmp_path / "exp")
         header_path = tmp_path / "exp.json"
         header = json.loads(header_path.read_text())
         header["format"] = "mlab-expansion-1"

@@ -193,9 +193,15 @@ class TestBoundednessScan:
 
     def test_separable_strategy_smoke(self):
         rec = boundedness_scan(
-            _cfg(n=8, cutoff=2.0, t_max=1, strategy="separable", rank=8)
+            _cfg(n=8, cutoff=2.0, t_max=1, strategy="separable")
         )
         assert rec.passed
+        assert rec.extra["rank"] == 2
+        assert rec.extra["residual"] <= 1e-14
+
+    def test_rejects_smoothness(self):
+        with pytest.raises(ValueError, match="neither k nor s"):
+            boundedness_scan(_cfg(n=8, s=0.5))
 
     def test_record_passes_schema(self):
         rec = boundedness_scan(_cfg(cutoff=2.0, t_max=1))
@@ -230,6 +236,11 @@ class TestTransferScan:
         got = rec.sweep[0]["ratios"][0]
         assert rel_err(np.array(got), np.array(want)) <= 1e-12
         assert rec.extra["s"] == 0.0
+
+    def test_needs_derivative_order(self):
+        cfg = _cfg(experiment="thm3", symbol="det", n=8, t_max=0)
+        with pytest.raises(ValueError, match="derivative order k"):
+            thm3_estimate_ratio(cfg)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_transfer_sweeps_pass(self, k):

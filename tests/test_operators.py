@@ -210,14 +210,14 @@ class TestApplyDirect:
 
 
 class TestApplySeparable:
-    def _op(self, sym, rank: int) -> OperatorSpec:
-        exp = separable_expand(sym, rank=rank)
+    def _op(self, sym) -> OperatorSpec:
+        exp = separable_expand(sym)
         return OperatorSpec(sym, sym.m, strategy=Separable(exp))
 
     def test_rank_one_product_symbol(self):
         g = GridSpec(d=2, n=16)
         sym = product_symbol([riesz_factor(2, 0), riesz_factor(2, 1)])
-        op = self._op(sym, rank=4)
+        op = self._op(sym)
         f1, _ = random_trig(g, degree=3, seed=67)
         f2, _ = random_trig(g, degree=3, seed=68)
         got = apply_separable(op, [f1, f2])
@@ -227,11 +227,11 @@ class TestApplySeparable:
     def test_constant_symbol_on_covered_annuli(self):
         g = GridSpec(d=2, n=16)
         sym = one_symbol(2, 2)
-        op = self._op(sym, rank=2)
+        op = self._op(sym)
         f1, _ = random_trig(g, degree=3, seed=69)
         f2, _ = random_trig(g, degree=3, seed=70)
-        # The partition covers dyadic annuli only, so the inputs must carry
-        # no mean mode for the constant symbol to be representable.
+        # Every separable multiplier is 0 at the origin, so the inputs must
+        # carry no mean mode for the constant symbol to be representable.
         f1 = Field(g, f1.samples - np.mean(f1.samples))
         f2 = Field(g, f2.samples - np.mean(f2.samples))
         got = apply_separable(op, [f1, f2])
@@ -241,7 +241,7 @@ class TestApplySeparable:
     def test_det_norm_small_grid(self):
         g = GridSpec(d=2, n=8)
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        op = self._op(sym, rank=24)
+        op = self._op(sym)
         f1, _ = random_trig(g, degree=3, seed=71)
         f2, _ = random_trig(g, degree=3, seed=72)
         got = apply_separable(op, [f1, f2])
@@ -253,7 +253,7 @@ class TestApplySeparable:
         # symbol cannot act on inputs that carry a mean mode.
         g = GridSpec(d=2, n=16)
         sym = one_symbol(2, 2)
-        op = self._op(sym, rank=2)
+        op = self._op(sym)
         f, _ = random_trig(g, degree=6, seed=73)
         f = Field(g, f.samples - np.mean(f.samples) + 1.0)
         with pytest.raises(UncoveredSpectrumError):
@@ -262,7 +262,7 @@ class TestApplySeparable:
     def test_trilinear_riesz_product(self):
         g = GridSpec(d=2, n=8)
         sym = resolve_symbol("riesz_product:1,2,1", 2)
-        op = self._op(sym, rank=2)
+        op = self._op(sym)
         fs = [random_trig(g, degree=3, seed=s)[0] for s in (115, 116, 117)]
         got = apply_separable(op, fs)
         want = apply_direct(OperatorSpec(sym, 3), fs)
@@ -276,7 +276,7 @@ class TestApplySeparable:
         f1 = Field(g, f1.samples - np.mean(f1.samples))
         f2 = Field(g, f2.samples - np.mean(f2.samples))
         direct = apply_operator(OperatorSpec(sym, 2), [f1, f2])
-        sep = apply_operator(self._op(sym, rank=2), [f1, f2])
+        sep = apply_operator(self._op(sym), [f1, f2])
         n = min(direct.grid.n, sep.grid.n)
         assert rel_l2(
             regrid_field(sep, n).samples, regrid_field(direct, n).samples

@@ -1,5 +1,6 @@
 """Config and record schemas, and the pinned files generated from them."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -60,7 +61,7 @@ class TestValidateConfig:
         validate_config(
             self._payload(
                 period=6.28, s=None, k=1, gamma=2.0, cutoff=2.0, seed=3,
-                family=4, t_min=0, t_max=3, strategy="separable", rank=16,
+                family=4, t_min=0, t_max=3, strategy="separable",
                 sweep_tolerance=4.0, out_dir="out",
             )
         )
@@ -71,9 +72,16 @@ class TestValidateConfig:
         with pytest.raises(jsonschema.ValidationError):
             validate_config(bad)
 
-    def test_rejects_unknown_key(self):
+    @pytest.mark.parametrize(
+        "extra", [dict(tolerance=1.0), dict(rank=16)], ids=["tolerance", "rank"]
+    )
+    def test_rejects_unknown_key(self, extra):
         with pytest.raises(jsonschema.ValidationError):
-            validate_config(self._payload(tolerance=1.0))
+            validate_config(self._payload(**extra))
+
+    def test_properties_match_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(CONFIG_SCHEMA["properties"]) == fields
 
     def test_rejects_exponent_at_one(self):
         with pytest.raises(jsonschema.ValidationError):
