@@ -3,12 +3,12 @@
 
 Thin wrapper around ``mlab decompose-symbol``: samples the symbol on unit
 directions, prints the expansion's rank (its numerical rank, derived from
-the spectrum), residual and spectrum as JSON, and with ``--out PREFIX``
-saves it for reuse.
+the spectrum), node count (derived from the interpolation error), residual
+and spectrum as JSON, and with ``--out PREFIX`` saves it for reuse.
 
 Usage:
   python3 scripts/decompose_symbol.py --symbol det_norm:1 --d 2
-  python3 scripts/decompose_symbol.py --angular 128 --out out/expansion
+  python3 scripts/decompose_symbol.py --out out/expansion
 """
 
 import sys

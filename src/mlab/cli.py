@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
     dec = sub.add_parser("decompose-symbol", help="build and save a separable expansion")
     dec.add_argument("--symbol", required=True)
     dec.add_argument("--d", type=int, default=2)
-    dec.add_argument("--angular", type=int, default=64)
     dec.add_argument("--out", default=None, help="file prefix for the saved expansion")
 
     rep = sub.add_parser("report", help="summarize a records.jsonl file")
@@ -191,7 +190,7 @@ def _cmd_scan(args: argparse.Namespace, command: str) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         sym = resolve_symbol(args.symbol, args.d)
-        exp = separable_expand(sym, n_angular=args.angular)
+        exp = separable_expand(sym)
     except (ValueError, NotImplementedError) as exc:
         raise _UsageError(str(exc)) from exc
     payload = {
@@ -199,6 +198,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "m": exp.m,
         "d": exp.d,
         "rank": exp.rank,
+        "n_angular": exp.grid.n_points,
         "residual": exp.residual,
         "coefficient_moduli": [abs(c) for c in exp.coeffs],
         "spectrum": list(exp.spectrum),

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, enumeration_budget
 from .grid import Field, Spectrum, dft_forward, dft_inverse
 from .symbols import SymbolSpec, evaluate
 from . import snapshot
@@ -40,6 +40,10 @@ __all__ = [
     "save_expansion",
     "load_expansion",
 ]
+
+
+_START_NODES = 32
+_MAX_NODES = 1024
 
 
 def smooth_step(u: np.ndarray) -> np.ndarray:
@@ -130,14 +134,12 @@ def localize(f: Field, part: DyadicPartition, j: int) -> Field:
 class AnnulusGrid:
     """Uniform direction set on the unit sphere of the annulus.
 
-    Signs ``+1, -1`` for d = 1 (weight 1 each), ``n_angular`` equispaced
-    angles for d = 2 (weight ``2 pi / n_angular`` each).  ``weights`` is the
-    ``L^2`` quadrature weight per node on the sphere.
+    Signs ``+1, -1`` for d = 1 (weight 1 each), ``n`` equispaced angles for
+    d = 2 (weight ``2 pi / n`` each).  ``weights`` is the ``L^2`` quadrature
+    weight per node on the sphere.
     """
 
     d: int
-    n_angular: int
-    angles: np.ndarray
     points: np.ndarray
     weights: np.ndarray
 
@@ -146,22 +148,24 @@ class AnnulusGrid:
         return self.points.shape[0]
 
 
-def build_annulus_grid(d: int, n_angular: int = 64) -> AnnulusGrid:
+def build_annulus_grid(d: int) -> AnnulusGrid:
+    """Starting direction set of the expansion: the signs for d = 1,
+    ``_START_NODES`` angles for d = 2."""
     if d == 1:
-        angles = np.array([0.0, math.pi])
-        points = np.array([[1.0], [-1.0]])
-        weights = np.ones(2)
-    elif d == 2:
-        if n_angular < 1:
-            raise ValueError("need at least one angular node")
-        angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
-        points = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        weights = np.full(n_angular, 2.0 * math.pi / n_angular)
-    else:
-        raise NotImplementedError("annulus grids implemented for d <= 2")
-    return AnnulusGrid(
-        d=d, n_angular=points.shape[0], angles=angles, points=points, weights=weights
-    )
+        return AnnulusGrid(d=1, points=np.array([[1.0], [-1.0]]), weights=np.ones(2))
+    if d == 2:
+        return _circle_grid(_START_NODES)
+    raise NotImplementedError("annulus grids implemented for d <= 2")
+
+
+def _circle_grid(n: int) -> AnnulusGrid:
+    return AnnulusGrid(d=2, points=_circle_points(n), weights=np.full(n, 2.0 * math.pi / n))
+
+
+def _circle_points(n: int, shift: float = 0.0) -> np.ndarray:
+    """Unit vectors at the angles ``2 pi (i + shift) / n``."""
+    theta = 2.0 * math.pi * (np.arange(n) + shift) / n
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,8 @@ class SeparableExpansion:
     ``R`` is the numerical rank of the sampled symbol.  ``spectrum`` is the
     full singular-value sequence (m = 2) or the extracted coefficient
     magnitudes (m != 2), nonincreasing either way.  ``residual`` is the
-    relative error of the model on the direction grid.
+    larger of the model's relative error on the direction grid and the
+    interpolation error at the midpoints between nodes.
     """
 
     m: int
@@ -202,7 +207,7 @@ class SeparableExpansion:
         if self.d == 1:
             return table[:, (pts[:, 0] < 0.0).astype(int)]
         theta = np.arctan2(pts[:, 1], pts[:, 0])
-        n_ang = self.grid.n_angular
+        n_ang = self.grid.n_points
         k = np.fft.fftfreq(n_ang, 1.0 / n_ang)
         hat = np.fft.fft(table, axis=-1) / n_ang  # (rank, n_ang)
         vals = hat @ np.exp(1j * np.outer(k, theta))
@@ -222,38 +227,75 @@ def _tail_residual(s: np.ndarray, rank: int) -> float:
     return float(np.linalg.norm(s[rank:])) / total if total else 0.0
 
 
-def _symbol_on_product(sym: SymbolSpec, grid: AnnulusGrid) -> np.ndarray:
+def _symbol_on_product(sym: SymbolSpec, points: np.ndarray) -> np.ndarray:
     """Dense tensor of ``sigma`` on the ``m``-fold product of unit directions."""
-    sizes = [grid.n_points] * sym.m
-    idx = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
-    return evaluate(sym, [grid.points[i] for i in idx]).reshape(sizes)
+    n, m = points.shape[0], sym.m
+    blocks = [
+        np.repeat(np.tile(points, (n**j, 1)), n ** (m - 1 - j), axis=0) for j in range(m)
+    ]
+    return evaluate(sym, blocks).reshape((n,) * m)
 
 
-def separable_expand(
-    sym: SymbolSpec,
-    n_angular: int = 64,
-    budget: int = 30_000_000,
-) -> SeparableExpansion:
+def _midpoint_error(sym: SymbolSpec, samples: np.ndarray) -> float:
+    """Relative error of the trigonometric interpolant of ``samples`` half a
+    node off the angle grid in every slot, the points farthest from the nodes.
+
+    The interpolant is the one ``factor_values`` evaluates; its Nyquist
+    term ``cos(n theta / 2)`` vanishes there.  The error is the tail of the
+    symbol's angular Fourier coefficients beyond ``n / 2``.
+    """
+    n = samples.shape[0]
+    shift = np.exp(1j * math.pi * np.fft.fftfreq(n))
+    shift[n // 2] = 0.0
+    interp = np.fft.ifftn(np.fft.fftn(samples) * _outer([shift] * sym.m))
+    exact = _symbol_on_product(sym, _circle_points(n, shift=0.5))
+    total = float(np.linalg.norm(samples))
+    return float(np.linalg.norm(interp - exact)) / total if total else 0.0
+
+
+def separable_expand(sym: SymbolSpec) -> SeparableExpansion:
     """Separable expansion of a poly-homogeneous symbol at its numerical rank.
 
-    The symbol is sampled on the ``m``-fold product of the direction set
-    (``n_angular`` angles for d = 2, signs for d = 1).  For ``m = 2`` the
-    expansion is the SVD of the quadrature weighted node matrix, keeping the
-    singular values above ``s_0 * n_points * eps`` (numpy's ``matrix_rank``
-    rule); otherwise greedy rank-one deflation (200 alternating sweeps per
-    term) runs until the residual is at most ``n_points * eps`` of the
-    tensor, and raises ``ValueError`` if a step fails to lower it.
+    The symbol is sampled on the ``m``-fold product of the direction set:
+    the signs for d = 1; for d = 2, ``_START_NODES`` angles, doubled while
+    the interpolation error at the midpoints between nodes exceeds
+    ``n_points * eps``.  A symbol that is not resolved at ``_MAX_NODES``
+    angles (one not smooth on the circle, such as ``det_norm`` with a
+    non-integer power) raises ``ValueError`` with the measured error, and a
+    direction product above ``enumeration_budget()`` raises
+    ``BudgetExceededError``.
+
+    For ``m = 2`` the expansion is the SVD of the quadrature weighted node
+    matrix, keeping the singular values above ``s_0 * n_points * eps``
+    (numpy's ``matrix_rank`` rule); otherwise greedy rank-one deflation (200
+    alternating sweeps per term) runs until the residual is at most
+    ``n_points * eps`` of the tensor, and raises ``ValueError`` if a step
+    fails to lower it.  The recorded ``residual`` is the larger of the
+    model's error on the nodes and the midpoint error.
     """
     if not sym.poly_homogeneous:
         raise ValueError("separable expansion requires a poly-homogeneous symbol")
-    grid = build_annulus_grid(sym.d, n_angular)
-    if grid.n_points**sym.m > budget:
-        raise BudgetExceededError(
-            f"direction product of {grid.n_points}^{sym.m} nodes exceeds budget"
-        )
+    grid = build_annulus_grid(sym.d)
+    budget = enumeration_budget()
+    while True:
+        if grid.n_points**sym.m > budget:
+            raise BudgetExceededError(
+                f"direction product of {grid.n_points}^{sym.m} nodes exceeds "
+                f"budget {budget}"
+            )
+        samples = _symbol_on_product(sym, grid.points)
+        floor = grid.n_points * np.finfo(np.float64).eps
+        alias = _midpoint_error(sym, samples) if sym.d == 2 else 0.0
+        if alias <= floor:
+            break
+        if grid.n_points >= _MAX_NODES:
+            raise ValueError(
+                f"{sym.name!r} is not resolved by {grid.n_points} angles: midpoint "
+                f"error {alias:.3e} > {floor:.3e}"
+            )
+        grid = _circle_grid(2 * grid.n_points)
     sqw = np.sqrt(grid.weights)
-    weighted = _symbol_on_product(sym, grid) * _outer([sqw] * sym.m)
-    floor = grid.n_points * np.finfo(np.float64).eps
+    weighted = samples * _outer([sqw] * sym.m)
 
     if sym.m == 2:
         u, s, vh = np.linalg.svd(weighted, full_matrices=False)
@@ -292,7 +334,7 @@ def separable_expand(
         grid=grid,
         coeffs=coeffs,
         factors=factors,
-        residual=resid,
+        residual=max(resid, alias),
         spectrum=spectrum,
         symbol_name=sym.name,
     )
@@ -353,7 +395,7 @@ def save_expansion(exp: SeparableExpansion, prefix: str | Path) -> tuple[Path, P
         "symbol": exp.symbol_name,
         "m": exp.m,
         "d": exp.d,
-        "n_angular": exp.grid.n_angular,
+        "n_angular": exp.grid.n_points,
         "rank": exp.rank,
         "residual": exp.residual,
         "spectrum": [float(s) for s in exp.spectrum],
@@ -377,7 +419,7 @@ def load_expansion(prefix: str | Path) -> SeparableExpansion:
     if fmt != _EXPANSION_FORMAT:
         raise ValueError(f"expansion format {fmt!r} is not {_EXPANSION_FORMAT!r}")
     m, d = int(header["m"]), int(header["d"])
-    grid = build_annulus_grid(d, int(header["n_angular"]))
+    grid = _circle_grid(int(header["n_angular"])) if d == 2 else build_annulus_grid(d)
     rank = int(header["rank"])
     coeffs = np.asarray(header["coeffs_real"], dtype=np.float64) + 1j * np.asarray(
         header["coeffs_imag"], dtype=np.float64

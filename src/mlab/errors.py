@@ -1,6 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the enumeration budget
+that ``BudgetExceededError`` enforces."""
+
+import os
 
 __all__ = [
+    "DEFAULT_BUDGET",
+    "enumeration_budget",
     "MlabError",
     "GridMismatchError",
     "FrequencyOverflowError",
@@ -28,3 +33,23 @@ class BudgetExceededError(MlabError):
 class UncoveredSpectrumError(MlabError):
     """An input has a mean mode, where every separable multiplier is 0,
     under a symbol that is not null on zero slots."""
+
+
+DEFAULT_BUDGET = 20_000_000
+
+
+def enumeration_budget() -> int:
+    """Tuple-enumeration cap; override with the ``MLAB_BUDGET`` env var.
+
+    A value that is not a positive integer raises ``ValueError``.
+    """
+    raw = os.environ.get("MLAB_BUDGET", "")
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"MLAB_BUDGET must be a positive integer, got {raw!r}")
+    return budget

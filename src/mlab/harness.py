@@ -318,7 +318,11 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     if cfg.strategy == "separable":
         exp = separable_expand(sym)
         op = OperatorSpec(sym, cfg.m, strategy=Separable(exp))
-        extra = {"rank": exp.rank, "residual": exp.residual}
+        extra = {
+            "rank": exp.rank,
+            "n_angular": exp.grid.n_points,
+            "residual": exp.residual,
+        }
     grid = cfg.grid
     seeds = _family_seeds(cfg, cfg.m)
     families = [

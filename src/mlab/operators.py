@@ -14,21 +14,25 @@ modulo; one roll per axis restores FFT order.
 ``apply_separable`` evaluates the same operator through the angular
 separable expansion of a degree-zero symbol: each term is one
 single-variable multiplier per slot, the factor evaluated at the direction
-of every nonzero mode, so each term costs ``m`` multiplier applications and
-one dealiased pointwise product.
+of every active nonzero mode, so each term costs ``m`` multiplier
+applications and one dealiased pointwise product.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
 
 from .decomp import SeparableExpansion
-from .errors import BudgetExceededError, GridMismatchError, UncoveredSpectrumError
+from .errors import (
+    BudgetExceededError,
+    GridMismatchError,
+    UncoveredSpectrumError,
+    enumeration_budget,
+)
 from .grid import (
     _SUPPORT_RTOL,
     Field,
@@ -46,7 +50,6 @@ from .grid import (
 from .symbols import SymbolSpec, evaluate
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "enumeration_budget",
     "Direct",
     "Separable",
@@ -57,25 +60,7 @@ __all__ = [
     "pair_with_transfer",
 ]
 
-DEFAULT_BUDGET = 20_000_000
 _CHUNK = 1 << 19
-
-
-def enumeration_budget() -> int:
-    """Tuple-enumeration cap; override with the ``MLAB_BUDGET`` env var.
-
-    A value that is not a positive integer raises ``ValueError``.
-    """
-    raw = os.environ.get("MLAB_BUDGET", "")
-    if not raw:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"MLAB_BUDGET must be a positive integer, got {raw!r}")
-    return budget
 
 
 @dataclass(frozen=True)
@@ -133,14 +118,7 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     grid = common_grid(fields)
     if grid.d != op.symbol.d:
         raise GridMismatchError("symbol dimension differs from grid dimension")
-    # Modes within one ulp of the largest coefficient are transform noise,
-    # not content; keeping them would inflate sparse supports to the full
-    # lattice after any FFT round trip.
-    supports = []
-    for f in fields:
-        s = dft_forward(f)
-        peak = float(np.max(np.abs(s.coeffs)))
-        supports.append(support(s, tol=_SUPPORT_RTOL * peak))
+    supports = [_active_modes(dft_forward(f)) for f in fields]
     sizes = [fr.shape[0] for fr, _ in supports]
     total = math.prod(sizes)
     budget = enumeration_budget()
@@ -191,17 +169,14 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     return dft_inverse(Spectrum(grid_out, coeffs_out))
 
 
-def _check_mean_modes(op: OperatorSpec, spectra: list[Spectrum]) -> None:
-    """Every multiplier is 0 at the origin, so a symbol that is not null on
-    zero slots cannot act on an input with an active mean mode."""
-    if op.symbol.zero_rule in (0, None):
-        return
-    for s in spectra:
-        peak = float(np.max(np.abs(s.coeffs)))
-        if abs(s.coeffs.reshape(-1)[0]) > _SUPPORT_RTOL * peak:
-            raise UncoveredSpectrumError(
-                "input has a mean mode but the symbol is not null on zero slots"
-            )
+def _active_modes(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """``support`` of a spectrum above one ulp of its largest coefficient.
+
+    Modes below that are transform noise, not content; keeping them would
+    inflate sparse supports to the full lattice after any FFT round trip.
+    """
+    peak = float(np.max(np.abs(s.coeffs)))
+    return support(s, tol=_SUPPORT_RTOL * peak)
 
 
 def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
@@ -210,9 +185,16 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     Degree zero in each slot makes the dyadic scale sum of a factor collapse
     to ``sum_s psi(2^-s xi) F_jl(2^-s xi) = F_jl(xi / |xi|)``, so slot ``j`` of
     term ``l`` is the single-variable multiplier ``F_jl`` at the direction of
-    every nonzero mode and 0 at the origin.  The slot outputs are multiplied
-    on the padded grid.  Agreement with ``apply_direct`` is governed by the
-    recorded expansion residual plus the angular interpolation error.
+    every active nonzero mode and 0 at the origin; the factors are evaluated
+    only at the modes ``apply_direct`` enumerates.  The slot outputs are
+    multiplied on the padded grid.  The agreement with ``apply_direct`` is
+    bounded by the expansion's recorded ``residual``, the symbol's relative
+    error on and between the angular nodes, up to the rounding of the
+    transforms.
+
+    Every multiplier is 0 at the origin, so a symbol that is not null on
+    zero slots raises ``UncoveredSpectrumError`` on an input whose mean mode
+    is active.
     """
     if not isinstance(op.strategy, Separable):
         raise ValueError("operator strategy is not separable")
@@ -222,26 +204,28 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
     grid = common_grid(fields)
-    spectra = [dft_forward(f) for f in fields]
-    _check_mean_modes(op, spectra)
 
-    pts = np.stack([m.reshape(-1) for m in grid.freq_mesh()], axis=-1).astype(np.float64)
-    nonzero = np.any(pts != 0.0, axis=-1)
-
-    multipliers = []  # per slot: (rank, npoints)
-    for slot in range(op.m):
-        M = np.zeros((exp.rank, grid.npoints), dtype=np.complex128)
-        M[:, nonzero] = exp.factor_values(slot, pts[nonzero])
-        multipliers.append(M)
+    slots = []  # per slot: flat positions of the active nonzero modes, (rank, K) values
+    for j, f in enumerate(fields):
+        freqs, coeffs = _active_modes(dft_forward(f))
+        live = np.any(freqs != 0, axis=-1)
+        if not live.all() and op.symbol.zero_rule not in (0, None):
+            raise UncoveredSpectrumError(
+                "input has a mean mode but the symbol is not null on zero slots"
+            )
+        freqs, coeffs = freqs[live], coeffs[live]
+        flat = np.ravel_multi_index(tuple((freqs % grid.n).T), grid.shape)
+        slots.append((flat, coeffs * exp.factor_values(j, freqs)))
 
     n_out = padded_points(grid.n, op.pad)
     grid_out = grid.with_n(n_out)
     acc = np.zeros(grid_out.shape, dtype=np.complex128)
     for l in range(exp.rank):
         gs = []
-        for slot in range(op.m):
-            loc = spectra[slot].coeffs * multipliers[slot][l].reshape(grid.shape)
-            gs.append(dft_inverse(Spectrum(grid, loc)))
+        for flat, values in slots:
+            loc = np.zeros(grid.npoints, dtype=np.complex128)
+            loc[flat] = values[l]
+            gs.append(dft_inverse(Spectrum(grid, loc.reshape(grid.shape))))
         acc += exp.coeffs[l] * product_on_grid(gs, n_out).samples
     return Field(grid_out, acc)
 

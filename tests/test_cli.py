@@ -56,6 +56,15 @@ class TestScanCommands:
         line = (tmp_path / "boundedness" / "records.jsonl").read_text()
         assert json.loads(line)["passed"] is False
 
+    def test_separable_scan_of_non_smooth_symbol_exits_one(self, capsys, tmp_path):
+        code = run_cli([
+            "boundedness-scan", "--symbol", "det_norm:0.5", "--grid", "2x32",
+            "--family", "2", "--strategy", "separable", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "midpoint error" in capsys.readouterr().err
+        assert not (tmp_path / "boundedness").exists()
+
     def test_thm3_scan_quick(self, tmp_path):
         code = run_cli([
             "thm3-scan", "--k", "1", "--grid", "2x8", "--family", "2",
@@ -205,6 +214,7 @@ class TestDecompose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["symbol"] == "norm[det,1.0]"
         assert payload["rank"] == 2
+        assert payload["n_angular"] == 32
         assert len(payload["coefficient_moduli"]) == 2
         assert prefix.with_suffix(".json").exists()
         assert prefix.with_suffix(".bin").exists()
@@ -213,7 +223,7 @@ class TestDecompose:
         code = run_cli(["decompose-symbol", "--symbol", "nope"])
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--radial", "--rank"])
+    @pytest.mark.parametrize("flag", ["--radial", "--rank", "--angular"])
     def test_radial_flag_removed(self, capsys, flag):
         code = run_cli(["decompose-symbol", "--symbol", "det_norm:1", flag, "16"])
         assert code == 1

@@ -118,21 +118,21 @@ class TestLocalize:
 
 class TestAnnulusGrid:
     def test_weights_sum_to_sphere_measure(self):
-        assert float(np.sum(build_annulus_grid(2, 64).weights)) == pytest.approx(
+        assert float(np.sum(build_annulus_grid(2).weights)) == pytest.approx(
             2.0 * math.pi, rel=1e-15
         )
         assert float(np.sum(build_annulus_grid(1).weights)) == 2.0
 
     def test_nodes_are_unit_directions(self):
-        for d, n_ang in ((1, 64), (2, 32), (2, 64)):
-            grid = build_annulus_grid(d, n_ang)
+        doubled = separable_expand(resolve_symbol("det_norm:20", 2)).grid
+        for grid in (build_annulus_grid(1), build_annulus_grid(2), doubled):
             r = np.linalg.norm(grid.points, axis=-1)
             assert np.all(np.abs(r - 1.0) <= 1e-15)
 
 
 class TestSeparableExpansion:
     def test_constant_symbol_rank_one(self):
-        exp = separable_expand(one_symbol(2, 2), n_angular=16)
+        exp = separable_expand(one_symbol(2, 2))
         # The weighted node matrix is sqrt(w) sqrt(w)^T, so the single
         # coefficient is the measure of the circle, sum(w) = 2 pi.
         assert exp.rank == 1
@@ -161,11 +161,35 @@ class TestSeparableExpansion:
         assert exp.rank == rank
         assert exp.residual <= 1e-14
 
-    def test_slow_spectrum_is_not_truncated(self):
-        # |sin|^(1/2) has a mode at every even frequency, so no fixed rank
-        # is exact; the expansion keeps everything above rounding.
-        exp = separable_expand(resolve_symbol("det_norm:0.5", 2))
-        assert exp.residual <= 1e-14
+    @pytest.mark.parametrize(
+        "spec, d, nodes",
+        [
+            ("det_norm:1", 2, 32),
+            ("det_norm:2", 2, 32),
+            ("det_norm:3", 2, 32),
+            ("dot_norm:1", 2, 32),
+            ("riesz_product:1,2", 2, 32),
+            ("riesz_product:1,2,1", 2, 32),
+            ("one", 2, 32),
+            # sin^20 has angular modes up to 20, aliased at 32 nodes
+            ("det_norm:20", 2, 64),
+            ("det_norm:1", 1, 2),
+        ],
+    )
+    def test_node_count_is_derived(self, spec, d, nodes):
+        exp = separable_expand(resolve_symbol(spec, d))
+        assert exp.grid.n_points == nodes
+        assert exp.residual <= nodes * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("spec", ["det_norm:0.5", "det_norm:1.5"])
+    def test_non_smooth_symbol_raises(self, spec):
+        # |sin|^beta with non-integer beta is not smooth where the directions
+        # are parallel; its interpolation error falls only like n^-(beta+1),
+        # so no node count reaches rounding and the expansion must refuse.
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"1024 angles: midpoint error \d\.\d{3}e-0[4-7]"):
+            separable_expand(resolve_symbol(spec, 2))
+        assert time.perf_counter() - started <= 1.0
 
     def test_stalled_deflation_raises(self, monkeypatch):
         # A step that removes nothing must raise, not cut the sum short.
@@ -175,19 +199,19 @@ class TestSeparableExpansion:
 
     def test_det_norm_spectrum_decay(self):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        exp = separable_expand(sym, n_angular=64)
+        exp = separable_expand(sym)
         s = exp.spectrum
         assert s[31] <= 1e-6 * s[0]
         assert exp.tail_residual(16) <= 1e-6 * exp.tail_residual(1)
 
-    @pytest.mark.parametrize("beta, tol", [(0.5, 1e-9), (1.0, 1e-12), (2.0, 1e-12), (3.0, 1e-12)])
+    @pytest.mark.parametrize("beta, tol", [(1.0, 1e-12), (2.0, 1e-12), (3.0, 1e-12)])
     def test_det_norm_spectrum_is_circulant_dft(self, beta, tol):
         # det_norm:beta in d = 2 depends on theta_2 - theta_1 only, so its
         # weighted angular matrix is circulant: its singular values are the
         # moduli of the DFT of one row, with no SVD involved.
         sym = normalized_power_symbol(det_symbol(2), beta)
-        n = 64
-        exp = separable_expand(sym, n_angular=n)
+        exp = separable_expand(sym)
+        n = exp.grid.n_points
         theta = 2.0 * math.pi * np.arange(n) / n
         e1 = np.tile([1.0, 0.0], (n, 1))
         c = evaluate(sym, [e1, np.stack([np.cos(theta), np.sin(theta)], axis=-1)])
@@ -209,23 +233,27 @@ class TestSeparableExpansion:
     def test_trilinear_riesz_product_builds(self):
         sym = resolve_symbol("riesz_product:1,2,1", 2)
         exp = separable_expand(sym)
-        assert exp.m == 3 and exp.grid.n_points == 64
+        assert exp.m == 3 and exp.grid.n_points == 32
         assert exp.residual <= 1e-12
 
-    def test_arity_beyond_budget_rejected(self):
+    def test_arity_beyond_budget_rejected(self, monkeypatch):
         sym = resolve_symbol("riesz_product:1,2,1,2,1", 2)
         with pytest.raises(BudgetExceededError):
             separable_expand(sym)
+        # The direction product is capped by the enumeration budget.
+        monkeypatch.setenv("MLAB_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError, match="32\\^2 nodes exceeds budget 1000"):
+            separable_expand(resolve_symbol("riesz_product:1,2", 2))
 
     def test_residual_nonincreasing_in_rank(self):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        exp = separable_expand(sym, n_angular=32)
+        exp = separable_expand(sym)
         tails = [exp.tail_residual(r) for r in range(1, 17)]
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
     def test_rank_one_product_expands_exactly(self):
         sym = product_symbol([riesz_factor(2, 0), riesz_factor(2, 1)])
-        exp = separable_expand(sym, n_angular=32)
+        exp = separable_expand(sym)
         assert exp.residual <= 1e-12
         assert exp.spectrum[1] <= 1e-12 * exp.spectrum[0]
 
@@ -237,7 +265,7 @@ class TestSeparableExpansion:
 
     def test_save_load_round_trip(self, tmp_path):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        exp = separable_expand(sym, n_angular=16)
+        exp = separable_expand(sym)
         save_expansion(exp, tmp_path / "exp")
         back = load_expansion(tmp_path / "exp")
         assert back.m == exp.m and back.d == exp.d and back.rank == exp.rank
@@ -249,7 +277,7 @@ class TestSeparableExpansion:
 
     def test_load_rejects_old_format(self, tmp_path):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
-        save_expansion(separable_expand(sym, n_angular=16), tmp_path / "exp")
+        save_expansion(separable_expand(sym), tmp_path / "exp")
         header_path = tmp_path / "exp.json"
         header = json.loads(header_path.read_text())
         header["format"] = "mlab-expansion-1"

@@ -197,6 +197,7 @@ class TestBoundednessScan:
         )
         assert rec.passed
         assert rec.extra["rank"] == 2
+        assert rec.extra["n_angular"] == 32
         assert rec.extra["residual"] <= 1e-14
 
     def test_rejects_smoothness(self):

@@ -246,7 +246,7 @@ class TestApplySeparable:
         f2, _ = random_trig(g, degree=3, seed=72)
         got = apply_separable(op, [f1, f2])
         want = apply_direct(OperatorSpec(sym, 2), [f1, f2])
-        assert rel_l2(got.samples, want.samples) <= 1e-4
+        assert rel_l2(got.samples, want.samples) <= 1e-12
 
     def test_uncovered_spectrum_rejected(self):
         # Every separable multiplier is 0 at the origin, so the constant
