@@ -209,13 +209,12 @@ class SeparableExpansion:
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         n_ang = self.grid.n_points
         k = np.fft.fftfreq(n_ang, 1.0 / n_ang)
-        hat = np.fft.fft(table, axis=-1) / n_ang  # (rank, n_ang)
-        vals = hat @ np.exp(1j * np.outer(k, theta))
+        basis = np.exp(1j * np.outer(k, theta))
         if n_ang % 2 == 0:
-            # Real-symmetric treatment of the angular Nyquist mode.
-            ny = n_ang // 2
-            vals += np.outer(hat[:, ny], np.cos(ny * theta) - np.exp(-1j * ny * theta))
-        return vals
+            # The angular Nyquist mode enters as the real cos(n theta / 2),
+            # its coefficient split evenly between +-n/2.
+            basis[n_ang // 2] = np.cos(n_ang // 2 * theta)
+        return (np.fft.fft(table, axis=-1) / n_ang) @ basis
 
     def tail_residual(self, rank: int) -> float:
         """Relative tail of the recorded spectrum beyond ``rank`` terms."""
@@ -227,30 +226,46 @@ def _tail_residual(s: np.ndarray, rank: int) -> float:
     return float(np.linalg.norm(s[rank:])) / total if total else 0.0
 
 
-def _symbol_on_product(sym: SymbolSpec, points: np.ndarray) -> np.ndarray:
-    """Dense tensor of ``sigma`` on the ``m``-fold product of unit directions."""
-    n, m = points.shape[0], sym.m
+def _symbol_on_product(sym: SymbolSpec, slots: list[np.ndarray]) -> np.ndarray:
+    """Dense tensor of ``sigma`` on the product of one direction set per slot."""
+    sizes = [p.shape[0] for p in slots]
     blocks = [
-        np.repeat(np.tile(points, (n**j, 1)), n ** (m - 1 - j), axis=0) for j in range(m)
+        np.repeat(np.tile(p, (math.prod(sizes[:j]), 1)), math.prod(sizes[j + 1 :]), axis=0)
+        for j, p in enumerate(slots)
     ]
-    return evaluate(sym, blocks).reshape((n,) * m)
+    return evaluate(sym, blocks).reshape(sizes)
 
 
 def _midpoint_error(sym: SymbolSpec, samples: np.ndarray) -> float:
-    """Relative error of the trigonometric interpolant of ``samples`` half a
-    node off the angle grid in every slot, the points farthest from the nodes.
+    """Largest relative error of the trigonometric interpolant of ``samples``
+    half a node off the angle grid in one slot, the other slots on the nodes.
 
-    The interpolant is the one ``factor_values`` evaluates; its Nyquist
-    term ``cos(n theta / 2)`` vanishes there.  The error is the tail of the
-    symbol's angular Fourier coefficients beyond ``n / 2``.
+    A half-node shift in slot ``j`` flips the sign of every angular mode
+    aliased along ``j``, so the error is the tail of the symbol's Fourier
+    coefficients beyond ``n / 2``.  Shifting every slot at once would be a
+    rotation, which leaves a symbol of the angle differences (``det_norm``,
+    ``dot_norm``) unchanged and hides its aliasing.  The interpolant is the
+    one ``factor_values`` evaluates: its Nyquist term ``cos(n theta / 2)``
+    vanishes at the midpoints.  That term's split between ``+-n/2`` is not
+    determined by the nodes, so a resolved symbol must leave it empty: the
+    share of the samples in slot ``j``'s Nyquist mode counts as error too.
     """
     n = samples.shape[0]
+    total = float(np.linalg.norm(samples))
+    if total == 0.0:
+        return 0.0
+    nodes, mids = _circle_points(n), _circle_points(n, shift=0.5)
     shift = np.exp(1j * math.pi * np.fft.fftfreq(n))
     shift[n // 2] = 0.0
-    interp = np.fft.ifftn(np.fft.fftn(samples) * _outer([shift] * sym.m))
-    exact = _symbol_on_product(sym, _circle_points(n, shift=0.5))
-    total = float(np.linalg.norm(samples))
-    return float(np.linalg.norm(interp - exact)) / total if total else 0.0
+    worst = 0.0
+    for j in range(sym.m):
+        hat = np.fft.fft(samples, axis=j)
+        along = shift.reshape([n if i == j else 1 for i in range(sym.m)])
+        interp = np.fft.ifft(hat * along, axis=j)
+        exact = _symbol_on_product(sym, [mids if i == j else nodes for i in range(sym.m)])
+        nyquist = float(np.linalg.norm(np.take(hat, n // 2, axis=j))) / math.sqrt(n)
+        worst = max(worst, float(np.linalg.norm(interp - exact)) / total, nyquist / total)
+    return worst
 
 
 def separable_expand(sym: SymbolSpec) -> SeparableExpansion:
@@ -283,7 +298,7 @@ def separable_expand(sym: SymbolSpec) -> SeparableExpansion:
                 f"direction product of {grid.n_points}^{sym.m} nodes exceeds "
                 f"budget {budget}"
             )
-        samples = _symbol_on_product(sym, grid.points)
+        samples = _symbol_on_product(sym, [grid.points] * sym.m)
         floor = grid.n_points * np.finfo(np.float64).eps
         alias = _midpoint_error(sym, samples) if sym.d == 2 else 0.0
         if alias <= floor:

@@ -248,6 +248,18 @@ class TestApplySeparable:
         want = apply_direct(OperatorSpec(sym, 2), [f1, f2])
         assert rel_l2(got.samples, want.samples) <= 1e-12
 
+    def test_det_norm_odd_power_off_grid(self):
+        # sin^17 has angular modes up to 17; 32 nodes would alias them and
+        # be wrong at directions off the nodes.
+        g = GridSpec(d=2, n=16)
+        sym = resolve_symbol("det_norm:17", 2)
+        op = self._op(sym)
+        f1, _ = random_trig(g, degree=5, seed=71)
+        f2, _ = random_trig(g, degree=5, seed=72)
+        got = apply_separable(op, [f1, f2])
+        want = apply_direct(OperatorSpec(sym, 2), [f1, f2])
+        assert rel_l2(got.samples, want.samples) <= 1e-12
+
     def test_uncovered_spectrum_rejected(self):
         # Every separable multiplier is 0 at the origin, so the constant
         # symbol cannot act on inputs that carry a mean mode.
