@@ -226,9 +226,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(
             f"{payload['experiment']:<20} {payload['kind']:<12} "
             f"max={payload['max_ratio']:.6g} min={payload['min_ratio']:.6g} "
-            f"passed={payload['passed']}"
+            f"passed={payload['passed']}{_vacuous_steps(payload)}"
         )
     return 0 if all_pass else 2
+
+
+def _vacuous_steps(payload: dict) -> str:
+    """Report suffix naming the sweep steps at which no determinant mode
+    met the test function's band, so the ratio there checks nothing."""
+    out = ""
+    sweeps = {
+        "vacuous_t": payload["sweep"],
+        "vacuous_difference_t": payload.get("extra", {}).get("difference_sweep", []),
+    }
+    for label, rows in sweeps.items():
+        steps = [
+            str(row["t"]) for row in rows
+            if "active_modes" in row and not any(row["active_modes"])
+        ]
+        if steps:
+            out += f" {label}={','.join(steps)}"
+    return out
 
 
 def run_cli(argv: list[str] | None = None) -> int:

@@ -21,7 +21,16 @@ from itertools import permutations
 
 import numpy as np
 
-from .grid import Field, common_grid, padded_points, regrid_field, spectral_derivative
+from .grid import (
+    Field,
+    Spectrum,
+    common_grid,
+    derivative_multiplier,
+    dft_forward,
+    dft_inverse,
+    padded_points,
+    regrid_spectrum,
+)
 from .operators import OperatorSpec, apply_direct
 from .polyfield import PolyField, perm_sign, poly_const, poly_det, poly_var, poly_zero
 from .symbols import det_symbol, power_symbol
@@ -79,37 +88,48 @@ def _report(identity: str, d: int, degree: int, residuals: list[PolyField]) -> D
 # numeric routes
 
 
+def _padded_derivative(spec: Spectrum, mult: np.ndarray, n_out: int) -> np.ndarray:
+    """Samples on the ``n_out`` grid of the derivative with multiplier ``mult``."""
+    deriv = Spectrum(spec.grid, spec.coeffs * mult)
+    return dft_inverse(regrid_spectrum(deriv, n_out)).samples
+
+
 def jacobian_det_pointwise(us: list[Field]) -> Field:
-    """``det`` of the matrix ``[d u_i / d x_j]`` sampled on the grid padded by ``d``."""
+    """``det`` of the matrix ``[d u_i / d x_j]`` sampled on the grid padded by ``d``.
+
+    One forward transform per component; each entry is its spectrum times a
+    :func:`derivative_multiplier`, zero padded and inverted once.  The
+    determinant is the cofactor expansion :func:`poly_det` over the entry
+    sample arrays.
+    """
     grid = common_grid(us)
     d = grid.d
     if len(us) != d:
         raise ValueError(f"need {d} components, got {len(us)}")
     n_out = padded_points(grid.n, d)
-    rows = []
+    mults = [derivative_multiplier(grid, j) for j in range(d)]
+    entries = []
     for u in us:
-        rows.append(
-            [regrid_field(spectral_derivative(u, j), n_out).samples for j in range(d)]
-        )
-    mat = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-    return Field(grid.with_n(n_out), np.linalg.det(mat))
+        spec = dft_forward(u)
+        entries.append([_padded_derivative(spec, m, n_out) for m in mults])
+    return Field(grid.with_n(n_out), poly_det(entries))
 
 
 def hessian_det_pointwise(u: Field) -> Field:
-    """``det`` of the spectral Hessian of ``u`` sampled on the grid padded by ``d``."""
+    """``det`` of the spectral Hessian of ``u`` sampled on the grid padded by ``d``.
+
+    Only the ``d (d + 1) / 2`` entries with ``i <= j`` are transformed; the
+    multiplier ``m_i m_j`` is symmetric bitwise, so ``H_ji`` is ``H_ij``.
+    """
     d = u.grid.d
     n_out = padded_points(u.grid.n, d)
-    firsts = [spectral_derivative(u, i) for i in range(d)]
-    rows = []
+    mults = [derivative_multiplier(u.grid, i) for i in range(d)]
+    spec = dft_forward(u)
+    H = [[None] * d for _ in range(d)]
     for i in range(d):
-        rows.append(
-            [
-                regrid_field(spectral_derivative(firsts[i], j), n_out).samples
-                for j in range(d)
-            ]
-        )
-    mat = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-    return Field(u.grid.with_n(n_out), np.linalg.det(mat))
+        for j in range(i, d):
+            H[i][j] = H[j][i] = _padded_derivative(spec, mults[i] * mults[j], n_out)
+    return Field(u.grid.with_n(n_out), poly_det(H))
 
 
 def jacobian_det_fourier(us: list[Field]) -> Field:

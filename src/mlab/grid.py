@@ -32,6 +32,7 @@ __all__ = [
     "support",
     "spectrum_from_modes",
     "field_from_modes",
+    "derivative_multiplier",
     "spectral_derivative",
     "regrid_spectrum",
     "regrid_field",
@@ -203,19 +204,30 @@ def field_from_modes(
     return dft_inverse(spectrum_from_modes(grid, modes), is_real=is_real)
 
 
-def spectral_derivative(f: Field, axis: int) -> Field:
-    """Partial derivative along ``axis`` by Fourier multiplication.
+def derivative_multiplier(grid: GridSpec, axis: int) -> np.ndarray:
+    """Fourier multiplier of the partial derivative along ``axis``.
 
-    Coefficients are multiplied by ``i (2 pi / period) xi_axis``; the Nyquist
-    row ``xi_axis = -n/2`` is zeroed so that derivatives of real fields stay
-    real.
+    ``i (2 pi / period) xi_axis`` with the Nyquist row ``xi_axis = -n/2``
+    zeroed so that derivatives of real fields stay real.  The array has
+    length ``n`` along ``axis`` and 1 elsewhere, so it broadcasts against a
+    spectrum; products of multipliers give higher derivatives, and
+    ``m_i * m_j`` equals ``m_j * m_i`` bitwise.
     """
-    if not (0 <= axis < f.grid.d):
-        raise ValueError(f"axis {axis} out of range for d={f.grid.d}")
+    if not (0 <= axis < grid.d):
+        raise ValueError(f"axis {axis} out of range for d={grid.d}")
+    f = grid.freqs()
+    mult = 1j * grid.kscale * f.astype(np.float64)
+    mult[f == -(grid.n // 2)] = 0.0
+    shape = [1] * grid.d
+    shape[axis] = grid.n
+    return mult.reshape(shape)
+
+
+def spectral_derivative(f: Field, axis: int) -> Field:
+    """Partial derivative along ``axis`` by Fourier multiplication with
+    :func:`derivative_multiplier`."""
+    mult = derivative_multiplier(f.grid, axis)
     s = dft_forward(f)
-    mesh = f.grid.freq_mesh()[axis]
-    mult = 1j * f.grid.kscale * mesh.astype(np.float64)
-    mult[mesh == -(f.grid.n // 2)] = 0.0
     return dft_inverse(Spectrum(f.grid, s.coeffs * mult), is_real=f.is_real)
 
 

@@ -25,16 +25,18 @@ import numpy as np
 from .decomp import separable_expand
 from .determinants import hessian_det_pointwise, jacobian_det_pointwise
 from .grid import (
+    _SUPPORT_RTOL,
     Field,
     GridSpec,
     Spectrum,
+    _axis_index_map,
     dft_forward,
     dft_inverse,
     dilate_dyadic,
-    support,
 )
 from .operators import OperatorSpec, Separable, apply_operator, pair_with_transfer
 from .spaces import (
+    _bessel_weight,
     bessel_norm,
     grad_sup_norms,
     holder_conjugate,
@@ -206,25 +208,50 @@ def random_field(
     return Field(grid, f.samples.real.astype(np.complex128), is_real=True)
 
 
+def _band_block(dets: Spectrum, t: int, phi: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The modes ``eta`` of ``dets`` with ``-2^t eta`` in the band of ``phi``.
+
+    Returns the block of ``dets`` coefficients at those ``eta`` and the
+    block of ``phi`` coefficients at ``-2^t eta``, entry for entry; per axis
+    the modes form the index map of a dyadic remap, so the blocks are
+    gathered with ``np.ix_`` and hold at most ``phi.grid.n^d`` entries.
+    ``eta = 0`` is always the first entry.
+    """
+    if dets.grid.d != phi.grid.d or dets.grid.period != phi.grid.period:
+        raise ValueError("incompatible spectra")
+    old_idx, new_idx = _axis_index_map(dets.grid.n, phi.grid.n, scale=-(1 << t))
+    d = dets.grid.d
+    return (
+        dets.coeffs[np.ix_(*([old_idx] * d))],
+        phi.coeffs[np.ix_(*([new_idx] * d))],
+    )
+
+
 def pair_dilated(dets: Spectrum, t: int, phi: Spectrum) -> complex:
     """``pair(dilate(D, t), phi)`` evaluated without materializing the grid.
 
     Equals ``period^d sum_eta Dhat(eta) phihat(-2^t eta)``; only modes whose
     scaled image lands in the band of ``phi`` contribute.
     """
-    if dets.grid.d != phi.grid.d or dets.grid.period != phi.grid.period:
-        raise ValueError("incompatible spectra")
-    scale = 1 << t
-    freqs, vals = support(dets)
-    target = -scale * freqs
-    n_phi = phi.grid.n
-    ok = np.all((target >= -(n_phi // 2)) & (target <= n_phi // 2 - 1), axis=1)
-    strides = np.array(
-        [n_phi ** (phi.grid.d - 1 - ax) for ax in range(phi.grid.d)], dtype=np.int64
-    )
-    flat = (target[ok] % n_phi) @ strides
-    phi_vals = phi.coeffs.reshape(-1)[flat]
-    return complex(dets.grid.period**dets.grid.d * np.sum(vals[ok] * phi_vals))
+    d_block, phi_block = _band_block(dets, t, phi)
+    return complex(dets.grid.period**dets.grid.d * np.sum(d_block * phi_block))
+
+
+def _active_in_band(dets: Spectrum, t: int, phi: Spectrum, tol: float) -> int:
+    """Nonzero modes of ``dets`` other than the mean that meet ``phi``'s
+    band at dilation ``t``; coefficients at or below ``tol`` are noise."""
+    d_block, _ = _band_block(dets, t, phi)
+    live = np.abs(d_block) > tol
+    live.flat[0] = False
+    return int(np.count_nonzero(live))
+
+
+def _bessel_potential_dilated(spec: Spectrum, t: int, s: float) -> Field:
+    """Base-grid field whose samples, repeated, are those of the Bessel
+    potential of order ``s`` of the ``2^t``-dilated field with spectrum
+    ``spec``."""
+    weight = _bessel_weight(spec.grid, s, t)
+    return dft_inverse(Spectrum(spec.grid, spec.coeffs * weight))
 
 
 def bessel_norm_dilated(f: Field, t: int, p: float, s: float) -> float:
@@ -234,14 +261,18 @@ def bessel_norm_dilated(f: Field, t: int, p: float, s: float) -> float:
     whose coefficients carry the weight ``(1 + |2^t k|^2)^(s/2)``, so the
     quadrature norm is computed exactly on the small grid.
     """
-    spec = dft_forward(f)
-    scale = float(1 << t) * f.grid.kscale
-    mesh = f.grid.freq_mesh()
-    r2 = np.zeros(f.grid.shape, dtype=np.float64)
-    for m in mesh:
-        r2 = r2 + (scale * np.asarray(m, dtype=np.float64)) ** 2
-    weighted = Spectrum(f.grid, spec.coeffs * (1.0 + r2) ** (s / 2.0))
-    return lp_norm(dft_inverse(weighted), p)
+    return lp_norm(_bessel_potential_dilated(dft_forward(f), t, s), p)
+
+
+def _dilated_norms(
+    specs: list[Spectrum], t: int, p: tuple[float, ...], s: float
+) -> list[float]:
+    """``bessel_norm_dilated`` of component ``j % len(specs)`` in ``L^{p_j}_s``
+    for every slot ``j``; each distinct (component, exponent) pair once."""
+    keys = [(j % len(specs), pj) for j, pj in enumerate(p)]
+    potentials = {c: _bessel_potential_dilated(specs[c], t, s) for c, _ in keys}
+    norms = {key: lp_norm(potentials[key[0]], key[1]) for key in keys}
+    return [norms[key] for key in keys]
 
 
 def _family_seeds(cfg: ExperimentConfig, streams: int) -> list[list[int]]:
@@ -419,9 +450,12 @@ def _estimate_sweep(
     ``D = det(u)`` on the base grid, dilating by ``2^t`` multiplies the
     pairing by ``2^{q d t}`` (``q`` = derivative order inside the
     determinant) and remaps the test function's coefficients, which is
-    ``pair_dilated``; input norms dilate through ``bessel_norm_dilated``.
+    ``pair_dilated``; input norms dilate by reweighting the base spectra.
     ``components`` is ``d`` for the Jacobian (a map) and 1 for the Hessian
-    (a scalar reused in every norm factor).
+    (a scalar reused in every norm factor).  Spectra, determinants and
+    their difference are computed once per instance, not once per step.
+    Each row's ``active_modes`` counts, per member, the determinant modes
+    that meet the test function's band at that step (mean excluded).
     """
     grid = cfg.grid
     d = cfg.d
@@ -443,51 +477,51 @@ def _estimate_sweep(
         phi = random_field(block[2 * components], grid, cfg.gamma + 2.0)
         Du = dft_forward(det_of(us))
         Dv = dft_forward(det_of(vs))
-        phihat = dft_forward(phi)
-        sup = grad_sup_norms(phi, sup_order)
-        instances.append((us, vs, Du, Dv, phihat, sup))
+        Ddiff = Spectrum(Du.grid, Du.coeffs - Dv.coeffs)
+        instances.append(
+            {
+                "u": [dft_forward(u) for u in us],
+                "v": [dft_forward(v) for v in vs],
+                "diff": [
+                    dft_forward(Field(grid, u.samples - v.samples))
+                    for u, v in zip(us, vs)
+                ],
+                "Du": Du,
+                "Ddiff": Ddiff,
+                "tol_u": _SUPPORT_RTOL * float(np.max(np.abs(Du.coeffs))),
+                "tol_diff": _SUPPORT_RTOL * float(np.max(np.abs(Ddiff.coeffs))),
+                "phi": dft_forward(phi),
+                "sup": grad_sup_norms(phi, sup_order),
+            }
+        )
 
     sweep_rows = []
     diff_rows = []
     for t in range(cfg.t_min, cfg.t_max + 1):
         amp = float(2 ** (q * d * t))
-        ratios = []
-        diffs = []
-        for us, vs, Du, Dv, phihat, sup in instances:
-            u_norms = [
-                bessel_norm_dilated(us[j % components], t, pj, s)
-                for j, pj in enumerate(cfg.p)
-            ]
-            v_norms = [
-                bessel_norm_dilated(vs[j % components], t, pj, s)
-                for j, pj in enumerate(cfg.p)
-            ]
-            num = amp * abs(pair_dilated(Du, t, phihat))
+        ratios, diffs, active, diff_active = [], [], [], []
+        for inst in instances:
+            phihat, sup = inst["phi"], inst["sup"]
+            u_norms = _dilated_norms(inst["u"], t, cfg.p, s)
+            v_norms = _dilated_norms(inst["v"], t, cfg.p, s)
+            deltas = _dilated_norms(inst["diff"], t, cfg.p, s)
+            num = amp * abs(pair_dilated(inst["Du"], t, phihat))
             den = math.prod(u_norms) * sup
             ratios.append(num / den if den > 0 else 0.0)
-            dnum = amp * abs(
-                pair_dilated(Spectrum(Du.grid, Du.coeffs - Dv.coeffs), t, phihat)
-            )
-            dsum = 0.0
-            for j in range(d):
-                delta = bessel_norm_dilated(
-                    Field(
-                        grid,
-                        us[j % components].samples - vs[j % components].samples,
-                    ),
-                    t,
-                    cfg.p[j],
-                    s,
-                )
-                dsum += delta / (u_norms[j] + v_norms[j])
+            active.append(_active_in_band(inst["Du"], t, phihat, inst["tol_u"]))
+            dnum = amp * abs(pair_dilated(inst["Ddiff"], t, phihat))
+            dsum = sum(deltas[j] / (u_norms[j] + v_norms[j]) for j in range(d))
             dden = (math.prod(u_norms) + math.prod(v_norms)) * dsum * sup
             diffs.append(dnum / dden if dden > 0 else 0.0)
-        sweep_rows.append({"t": t, "ratios": ratios})
-        diff_rows.append({"t": t, "ratios": diffs})
+            diff_active.append(
+                _active_in_band(inst["Ddiff"], t, phihat, inst["tol_diff"])
+            )
+        sweep_rows.append({"t": t, "ratios": ratios, "active_modes": active})
+        diff_rows.append({"t": t, "ratios": diffs, "active_modes": diff_active})
 
     # u = v makes the difference numerator identically zero: the spectra
     # cancel exactly before any pairing.
-    _, _, Du0, _, phihat0, _ = instances[0]
+    Du0, phihat0 = instances[0]["Du"], instances[0]["phi"]
     zero_num = abs(
         pair_dilated(Spectrum(Du0.grid, Du0.coeffs - Du0.coeffs), cfg.t_min, phihat0)
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from typing import TypeVar
 
 __all__ = [
     "PolyField",
@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 _Expo = tuple[int, ...]
+_Entry = TypeVar("_Entry")
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -141,18 +142,34 @@ def poly_var(d: int, axis: int) -> PolyField:
     return PolyField(d, {expo: Fraction(1)})
 
 
-def poly_det(matrix: list[list[PolyField]]) -> PolyField:
-    """Determinant of a square matrix of polynomials (Leibniz expansion)."""
+def poly_det(matrix: list[list[_Entry]]) -> _Entry:
+    """Determinant of a square matrix by Laplace (cofactor) expansion.
+
+    Expands along the first row, recursively: ``9`` entry products for
+    ``n = 3`` and ``40`` for ``n = 4``, against ``n! n`` for the Leibniz
+    sum.  The entries only need ``*``, ``+`` and ``-``: exact
+    :class:`PolyField` polynomials, numbers, or sample arrays, which gives
+    a pointwise determinant over a grid without stacking the entries.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
-    d = matrix[0][0].d
-    out = poly_zero(d)
-    for perm in permutations(range(n)):
-        term = poly_const(d, perm_sign(perm))
-        for i in range(n):
-            term = term * matrix[i][perm[i]]
-        out = out + term
+    return _laplace(matrix, 0, tuple(range(n)))
+
+
+def _laplace(matrix: list[list[_Entry]], row: int, cols: tuple[int, ...]) -> _Entry:
+    """Minor of ``matrix`` on rows ``row..`` and columns ``cols``."""
+    if len(cols) == 1:
+        return matrix[row][cols[0]]
+    out = None
+    for k, c in enumerate(cols):
+        term = matrix[row][c] * _laplace(matrix, row + 1, cols[:k] + cols[k + 1 :])
+        if out is None:
+            out = term
+        elif k % 2:
+            out = out - term
+        else:
+            out = out + term
     return out

@@ -57,6 +57,10 @@ _SWEEP_ROW = {
     "properties": {
         "t": {"type": "integer", "minimum": 0},
         "ratios": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "active_modes": {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 0},
+        },
     },
     "required": ["t", "ratios"],
     "additionalProperties": False,

@@ -12,7 +12,15 @@ import math
 
 import numpy as np
 
-from .grid import Field, Spectrum, dft_forward, dft_inverse, spectral_derivative
+from .grid import (
+    Field,
+    GridSpec,
+    Spectrum,
+    derivative_multiplier,
+    dft_forward,
+    dft_inverse,
+    spectral_derivative,
+)
 
 __all__ = [
     "holder_conjugate",
@@ -47,6 +55,17 @@ def lp_norm(f: Field, p: float) -> float:
     return float((w * np.sum(a**p)) ** (1.0 / p))
 
 
+def _bessel_weight(grid: GridSpec, s: float, t: int = 0) -> np.ndarray:
+    """``(1 + |2^t k|^2)^{s/2}`` on the frequency mesh, ``k = (2 pi / period) xi``.
+
+    ``t > 0`` gives the weight of the ``2^t``-dilated field, read back on
+    the base grid.
+    """
+    scale = float(1 << t) * grid.kscale
+    k2 = sum((scale * m.astype(np.float64)) ** 2 for m in grid.freq_mesh())
+    return (1.0 + k2) ** (s / 2.0)
+
+
 def bessel_potential(f: Field, s: float) -> Field:
     """Multiply the spectrum by ``(1 + |k|^2)^{s/2}`` with ``k`` physical.
 
@@ -54,9 +73,7 @@ def bessel_potential(f: Field, s: float) -> Field:
     Bessel potential on the represented band.
     """
     spec = dft_forward(f)
-    mesh = f.grid.freq_mesh()
-    k2 = sum((f.grid.kscale * m.astype(np.float64)) ** 2 for m in mesh)
-    weight = (1.0 + k2) ** (s / 2.0)
+    weight = _bessel_weight(f.grid, s)
     return dft_inverse(Spectrum(f.grid, spec.coeffs * weight), is_real=f.is_real)
 
 
@@ -94,17 +111,24 @@ def grad_sup_norms(f: Field, order: int) -> float:
 
     ``order = 1``: max over grid points of the Euclidean gradient norm.
     ``order = 2``: max modulus over grid points and Hessian entries.
+    One forward transform; each derivative is one inverse transform of the
+    spectrum times a product of :func:`derivative_multiplier` factors.
     """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    spec = dft_forward(f)
+    mults = [derivative_multiplier(f.grid, axis) for axis in range(f.grid.d)]
+
+    def modulus(mult: np.ndarray) -> np.ndarray:
+        return np.abs(dft_inverse(Spectrum(f.grid, spec.coeffs * mult)).samples)
+
     if order == 1:
         g2 = np.zeros(f.grid.shape, dtype=np.float64)
-        for axis in range(f.grid.d):
-            g2 += np.abs(spectral_derivative(f, axis).samples) ** 2
+        for mult in mults:
+            g2 += modulus(mult) ** 2
         return float(np.sqrt(g2.max()))
-    if order == 2:
-        worst = 0.0
-        for i in range(f.grid.d):
-            fi = spectral_derivative(f, i)
-            for j in range(i, f.grid.d):
-                worst = max(worst, float(np.abs(spectral_derivative(fi, j).samples).max()))
-        return worst
-    raise ValueError(f"order must be 1 or 2, got {order}")
+    worst = 0.0
+    for i in range(f.grid.d):
+        for j in range(i, f.grid.d):
+            worst = max(worst, float(modulus(mults[i] * mults[j]).max()))
+    return worst

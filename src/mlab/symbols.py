@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, enumeration_budget
 from .polyfield import perm_sign
 from .spaces import _multi_indices
 
@@ -468,7 +468,6 @@ def check_hormander_annulus(
     smoothness_order: int = 1,
     r_list: Sequence[float] = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
     points_per_axis: int = 9,
-    budget: int = 2_000_000,
     threshold: float = math.inf,
 ) -> ConditionReport:
     """Discrete Sobolev norm of ``a(R .)`` on the product-space annulus.
@@ -476,13 +475,15 @@ def check_hormander_annulus(
     The concatenated variable ``z = (xi_1, ..., xi_m)`` ranges over a uniform
     Cartesian grid; the ``L^2`` quadrature is restricted to the annulus
     ``1 <= |z| <= 2`` while central differences may use the surrounding
-    collar.  Reports the supremum over ``R``.
+    collar.  Reports the supremum over ``R``.  The ``ext^(m d)`` sample
+    grid is capped by ``enumeration_budget()`` (``MLAB_BUDGET``).
     """
     D = sym.m * sym.d
     s = smoothness_order
     core = points_per_axis
     h = 4.0 / (core - 1)
     ext = core + 2 * s
+    budget = enumeration_budget()
     if ext**D > budget:
         raise BudgetExceededError(f"annulus grid {ext}^{D} exceeds budget {budget}")
     axis = np.linspace(-2.0 - s * h, 2.0 + s * h, ext)

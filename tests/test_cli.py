@@ -260,5 +260,24 @@ class TestReport:
         assert run_cli(["report", "--records", str(path)]) == 1
         assert "does not match schema" in capsys.readouterr().err
 
+    def test_vacuous_steps_flagged(self, capsys, tmp_path):
+        # hessian-estimate's default cutoff 2 on n = 8: at t = 3 no
+        # determinant mode but the mean meets the test function's band.
+        run_cli([
+            "hessian-estimate", "--grid", "2x8", "--family", "1",
+            "--t-max", "3", "--out", str(tmp_path),
+        ])
+        path = tmp_path / "hessian" / "records.jsonl"
+        capsys.readouterr()
+        run_cli(["report", "--records", str(path)])
+        out = capsys.readouterr().out
+        assert "vacuous_t=3 vacuous_difference_t=3" in out
+
+    def test_no_vacuous_flag_without_active_modes(self, capsys, tmp_path):
+        path = self._records(tmp_path)
+        capsys.readouterr()
+        run_cli(["report", "--records", str(path)])
+        assert "vacuous" not in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert run_cli(["report", "--records", "absent.jsonl"]) == 1

@@ -1,6 +1,7 @@
 """Determinant routes: pointwise vs multiplier numerics, exact identities."""
 
 import warnings
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -32,7 +33,8 @@ from mlab import (
     symbolic_hessian2d_check,
     symbolic_piola_check,
 )
-from mlab.grid import padded_points
+from mlab.grid import padded_points, regrid_field, spectral_derivative
+from mlab.harness import random_field
 
 from conftest import random_trig, rel_l2
 from oracles import det_cofactor, det_cofactor_grid, diff_modes, modes_on_grid
@@ -87,11 +89,78 @@ class TestPointwiseRoutes:
         want = det_cofactor_grid(mat)
         assert rel_l2(got.samples, want) <= 1e-12
 
+    def test_hessian_matches_cofactor_oracle_3d(self):
+        g = GridSpec(d=3, n=4)
+        u, m = random_trig(g, degree=1, seed=127)
+        got = hessian_det_pointwise(u)
+        n_out = padded_points(4, 3)
+        rows = []
+        for i in range(3):
+            di = diff_modes(m, i, g.period)
+            rows.append(
+                [modes_on_grid(diff_modes(di, j, g.period), 3, n_out, g.period)
+                 for j in range(3)]
+            )
+        mat = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+        assert rel_l2(got.samples, det_cofactor_grid(mat)) <= 1e-12
+
+    def test_jacobian_matches_cofactor_oracle_4d(self):
+        g = GridSpec(d=4, n=4)
+        us, ms = [], []
+        for s in range(4):
+            _, full = random_trig(g, degree=1, seed=128 + s, real=False)
+            # A sparse subset keeps the direct-evaluation oracle cheap on
+            # the 16^4 padded grid.
+            modes = dict(list(full.items())[s::9])
+            us.append(field_from_modes(g, modes))
+            ms.append(modes)
+        got = jacobian_det_pointwise(us)
+        want = _jacobian_oracle(ms, 4, padded_points(4, 4), g.period)
+        assert rel_l2(got.samples, want) <= 1e-12
+
     def test_component_count_enforced(self):
         g = GridSpec(d=2, n=8)
         u, _ = random_trig(g, degree=1, seed=126)
         with pytest.raises(ValueError):
             jacobian_det_pointwise([u])
+
+
+def _stacked_det(entries) -> np.ndarray:
+    """``np.linalg.det`` of the stacked per-entry sample arrays."""
+    mat = np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+    return np.linalg.det(mat)
+
+
+class TestFullBandRoutes:
+    """Full-band ``random_field`` inputs carry Nyquist modes, as in the
+    estimate scans; the reference route differentiates field by field with
+    ``spectral_derivative``, resamples with ``regrid_field`` and takes a
+    batched LU determinant."""
+
+    def test_jacobian_matches_stacked_det(self):
+        g = GridSpec(d=2, n=32)
+        us = [random_field(170 + i, g, 2.0) for i in range(2)]
+        n_out = padded_points(g.n, 2)
+        want = _stacked_det(
+            [[regrid_field(spectral_derivative(u, j), n_out).samples for j in range(2)]
+             for u in us]
+        )
+        got = jacobian_det_pointwise(us)
+        assert got.grid.n == n_out
+        assert rel_l2(got.samples, want) <= 1e-12
+
+    def test_hessian_matches_stacked_det(self):
+        g = GridSpec(d=3, n=8)
+        u = random_field(172, g, 2.0)
+        n_out = padded_points(g.n, 3)
+        firsts = [spectral_derivative(u, i) for i in range(3)]
+        want = _stacked_det(
+            [[regrid_field(spectral_derivative(fi, j), n_out).samples for j in range(3)]
+             for fi in firsts]
+        )
+        got = hessian_det_pointwise(u)
+        assert got.grid.n == n_out
+        assert rel_l2(got.samples, want) <= 1e-12
 
 
 class TestFourierRoutes:

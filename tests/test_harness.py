@@ -17,6 +17,7 @@ from mlab import (
     dealiased_product,
     dft_forward,
     dilate_dyadic,
+    hessian_det_pointwise,
     hessian_estimate,
     holder_conjugate,
     jacobian_estimate,
@@ -88,13 +89,16 @@ class TestDilatedHelpers:
         assert abs(direct - fast) <= 1e-12 * max(abs(direct), 1.0)
 
     def test_pair_dilated_drops_out_of_band_modes(self):
-        g = GridSpec(d=2, n=8)
-        f, _ = random_trig(g, degree=3, seed=162)
-        phi, _ = random_trig(g, degree=3, seed=163)
-        # t = 2 maps degree-3 modes to radius 12, beyond the n = 8 band of
-        # phi, so only the surviving low modes contribute.
-        val = pair_dilated(dft_forward(f), 2, dft_forward(phi))
-        assert np.isfinite(abs(val))
+        # A determinant-sized grid four times phi's, as in the Hessian scan,
+        # and full-band inputs with Nyquist modes on both grids.  For t >= 1
+        # most dilated modes of f leave phi's band and must drop out.
+        f = random_field(162, GridSpec(d=2, n=64), 1.0)
+        phi = random_field(163, GridSpec(d=2, n=16), 1.0)
+        for t in range(4):
+            ft = dilate_dyadic(f, t)
+            direct = pair(ft, regrid_field(phi, ft.grid.n))
+            fast = pair_dilated(dft_forward(f), t, dft_forward(phi))
+            assert abs(direct - fast) <= 1e-12 * abs(direct)
 
     def test_bessel_norm_dilated_matches_direct(self):
         g = GridSpec(d=2, n=8)
@@ -280,6 +284,36 @@ class TestDeterminantEstimates:
         assert rec.extra["u_equals_v_numerator"] == 0.0
         assert rec.extra["s"] == pytest.approx(1.0)
         assert all(np.isfinite(x) for row in rec.sweep for x in row["ratios"])
+
+    def test_active_modes_count_band_meeting_modes(self):
+        # Cutoff 2 leaves determinant modes with |eta_i| <= 4; phi's n = 8
+        # band is [-4, 3], so at t = 3 only the mean mode can meet it.
+        cfg = ExperimentConfig(
+            experiment="hess", d=2, n=8, symbol="det", p=(2.0, 2.0), r=1.0,
+            family=2, t_min=0, t_max=3, seed=33, cutoff=2.0,
+        )
+        rec = hessian_estimate(cfg)
+        validate_record(rec.to_dict())
+        for i, block in enumerate(_family_seeds(cfg, 3)):
+            u = random_field(block[0], cfg.grid, cfg.gamma, cutoff=cfg.cutoff)
+            spec = dft_forward(hessian_det_pointwise(u))
+            peak = float(np.max(np.abs(spec.coeffs)))
+            freqs, _ = support(spec, tol=1e-15 * peak)
+            freqs = freqs[np.any(freqs != 0, axis=1)]
+            for row in rec.sweep:
+                target = -(2 ** row["t"]) * freqs
+                want = int(np.sum(np.all((target >= -4) & (target <= 3), axis=1)))
+                assert row["active_modes"][i] == want
+        assert [min(row["active_modes"]) > 0 for row in rec.sweep] == [
+            True, True, True, False
+        ]
+        assert rec.sweep[3]["active_modes"] == [0, 0]
+        assert rec.extra["difference_sweep"][3]["active_modes"] == [0, 0]
+        assert all(
+            row["active_modes"][i] > 0
+            for row in rec.extra["difference_sweep"][:3]
+            for i in range(2)
+        )
 
     def test_jacobian_rejects_wrong_exponents(self):
         cfg = ExperimentConfig(

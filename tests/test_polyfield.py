@@ -1,11 +1,22 @@
 """Exact rational polynomial ring: arithmetic, calculus, determinants."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mlab import PolyField, perm_sign, poly_const, poly_det, poly_var, poly_zero
+from mlab import (
+    PolyField,
+    perm_sign,
+    poly_const,
+    poly_det,
+    poly_var,
+    poly_zero,
+    random_poly,
+)
 
 from oracles import det_cofactor, eval_poly_terms, perm_sign_by_inversions
 
@@ -140,8 +151,21 @@ class TestPolyDet:
         swapped = [rows[1], rows[0]]
         assert poly_det(swapped).terms == (-poly_det(rows)).terms
 
-    def test_rejects_non_square(self):
-        import pytest
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_leibniz_sum(self, n):
+        rng = random.Random(180 + n)
+        for _ in range(3):
+            mat = [
+                [random_poly(2, 2, rng, terms=3) for _ in range(n)] for _ in range(n)
+            ]
+            want = poly_zero(2)
+            for perm in permutations(range(n)):
+                term = poly_const(2, perm_sign_by_inversions(perm))
+                for i in range(n):
+                    term = term * mat[i][perm[i]]
+                want = want + term
+            assert poly_det(mat).terms == want.terms
 
+    def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             poly_det([[poly_const(1, 1), poly_const(1, 2)]])

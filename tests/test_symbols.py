@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mlab import (
+    BudgetExceededError,
     check_derivative_conditions,
     check_hormander_annulus,
     check_poly_homogeneity,
@@ -235,3 +236,9 @@ class TestHormanderAnnulus:
         vals = list(report.per_scale.values())
         assert all(math.isfinite(v) for v in vals)
         assert max(vals) <= 2.0 * min(vals)
+
+    def test_sample_grid_capped_by_env_budget(self, monkeypatch):
+        # det_norm:1 in d = 2, m = 2 samples an 11^4 grid at the defaults.
+        monkeypatch.setenv("MLAB_BUDGET", "10")
+        with pytest.raises(BudgetExceededError, match="11\\^4"):
+            check_hormander_annulus(resolve_symbol("det_norm:1", 2))
