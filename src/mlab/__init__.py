@@ -119,6 +119,5 @@ from .schemas import (
     validate_record,
     write_schema_files,
 )
-from .snapshot import read_field, write_field
 
 __version__ = "0.1.0"

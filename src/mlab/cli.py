@@ -152,13 +152,18 @@ def _emit_record(cfg: ExperimentConfig, record: ReportRecord) -> None:
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
-    reports = run_identity_suite(instances=args.instances, seed=args.seed)
+    try:
+        reports = run_identity_suite(instances=args.instances, seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     if args.dims is not None:
         try:
             dims = {int(x) for x in args.dims.split(",") if x.strip()}
         except ValueError as exc:
             raise _UsageError(f"bad --dims {args.dims!r}") from exc
         reports = [r for r in reports if r.d in dims]
+        if not reports:
+            raise _UsageError(f"--dims {args.dims!r} selects no identity check")
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload, indent=2)
     print(text)
@@ -214,10 +219,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not path.exists():
         raise _UsageError(f"records file not found: {path}")
     all_pass = True
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        payload = json.loads(line)
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise _UsageError(f"malformed record JSON on line {number}: {exc}") from exc
         try:
             validate_record(payload)
         except jsonschema.ValidationError as exc:

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import BudgetExceededError, enumeration_budget
 from .grid import Field, Spectrum, dft_forward, dft_inverse
 from .symbols import SymbolSpec, evaluate
-from . import snapshot
 
 __all__ = [
     "smooth_step",
@@ -399,12 +398,14 @@ def _rank_one_deflate(tensor: np.ndarray, sweeps: int) -> list[np.ndarray]:
     return vecs
 
 
-_EXPANSION_FORMAT = "mlab-expansion-2"
+_EXPANSION_FORMAT = "mlab-expansion-3"
 
 
 def save_expansion(exp: SeparableExpansion, prefix: str | Path) -> tuple[Path, Path]:
-    """Write ``<prefix>.json`` header and ``<prefix>.bin`` factor tables."""
+    """Write the ``<prefix>.json`` header and the ``<prefix>.npy`` factor
+    tables, one ``complex128`` array of shape ``(m, rank, n_angular)``."""
     prefix = Path(prefix)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "format": _EXPANSION_FORMAT,
         "symbol": exp.symbol_name,
@@ -416,18 +417,17 @@ def save_expansion(exp: SeparableExpansion, prefix: str | Path) -> tuple[Path, P
         "spectrum": [float(s) for s in exp.spectrum],
         "coeffs_real": [float(c.real) for c in exp.coeffs],
         "coeffs_imag": [float(c.imag) for c in exp.coeffs],
-        "tables": ["factors[%d]" % j for j in range(exp.m)],
     }
     json_path = prefix.with_suffix(".json")
-    bin_path = prefix.with_suffix(".bin")
+    npy_path = prefix.with_suffix(".npy")
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True))
-    with open(bin_path, "wb") as fh:
-        for j in range(exp.m):
-            snapshot.write_array_record(fh, exp.factors[j].reshape(-1))
-    return json_path, bin_path
+    np.save(npy_path, np.stack(exp.factors).astype(np.complex128, copy=False))
+    return json_path, npy_path
 
 
 def load_expansion(prefix: str | Path) -> SeparableExpansion:
+    """Read an expansion written by ``save_expansion``; raises ``ValueError``
+    on another format or on factor tables that do not match the header."""
     prefix = Path(prefix)
     header = json.loads(prefix.with_suffix(".json").read_text())
     fmt = header.get("format")
@@ -435,21 +435,21 @@ def load_expansion(prefix: str | Path) -> SeparableExpansion:
         raise ValueError(f"expansion format {fmt!r} is not {_EXPANSION_FORMAT!r}")
     m, d = int(header["m"]), int(header["d"])
     grid = _circle_grid(int(header["n_angular"])) if d == 2 else build_annulus_grid(d)
-    rank = int(header["rank"])
     coeffs = np.asarray(header["coeffs_real"], dtype=np.float64) + 1j * np.asarray(
         header["coeffs_imag"], dtype=np.float64
     )
-    factors = []
-    with open(prefix.with_suffix(".bin"), "rb") as fh:
-        for _ in range(m):
-            flat = snapshot.read_array_record(fh)
-            factors.append(flat.reshape(rank, grid.n_points))
+    tables = np.load(prefix.with_suffix(".npy"), allow_pickle=False)
+    shape = (m, int(header["rank"]), grid.n_points)
+    if tables.dtype != np.complex128 or tables.shape != shape:
+        raise ValueError(
+            f"factor tables are {tables.dtype} {tables.shape}, header says complex128 {shape}"
+        )
     return SeparableExpansion(
         m=m,
         d=d,
         grid=grid,
         coeffs=coeffs,
-        factors=tuple(factors),
+        factors=tuple(tables),
         residual=float(header["residual"]),
         spectrum=np.asarray(header["spectrum"], dtype=np.float64),
         symbol_name=str(header.get("symbol", "symbol")),

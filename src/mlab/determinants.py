@@ -417,6 +417,8 @@ def run_identity_suite(instances: int = 20, seed: int = 0) -> list[DetReport]:
     variable run where the identity is polynomial in free vectors); it
     passes only if every residual is the zero polynomial.
     """
+    if instances < 1:
+        raise ValueError(f"need at least one instance per batch, got {instances}")
     rng = random.Random(seed)
     reports: list[DetReport] = []
 

@@ -30,6 +30,8 @@ __all__ = [
     "dft_inverse",
     "coeff_at",
     "support",
+    "noise_floor",
+    "active_modes",
     "spectrum_from_modes",
     "field_from_modes",
     "derivative_multiplier",
@@ -186,6 +188,21 @@ def support(s: Spectrum, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     return freqs, flat[keep]
 
 
+def noise_floor(s: Spectrum) -> float:
+    """Magnitude at or below which a coefficient of ``s`` is transform noise,
+    not content: ``_SUPPORT_RTOL`` times the largest coefficient."""
+    return _SUPPORT_RTOL * float(np.max(np.abs(s.coeffs)))
+
+
+def active_modes(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """``support`` of ``s`` above its ``noise_floor``.
+
+    Keeping the noise would inflate a sparse support to the full lattice
+    after any transform round trip.
+    """
+    return support(s, tol=noise_floor(s))
+
+
 def spectrum_from_modes(grid: GridSpec, modes: dict[tuple[int, ...], complex]) -> Spectrum:
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     half = grid.n // 2
@@ -331,35 +348,19 @@ def dilate_dyadic(f: Field, t: int) -> Field:
         raise ValueError(f"dilation exponent must be >= 0, got {t}")
     if t == 0:
         return f
-    s = dft_forward(f)
     # Transform roundtrip noise would otherwise mark every mode active and
     # force the maximal enlargement even for band-limited inputs.
-    peak = float(np.max(np.abs(s.coeffs)))
-    tol = _SUPPORT_RTOL * peak
-    coeffs_in = np.where(np.abs(s.coeffs) > tol, s.coeffs, 0.0)
-    s = Spectrum(f.grid, coeffs_in)
-    freqs, _ = support(s)
-    n = f.grid.n
+    freqs, values = active_modes(dft_forward(f))
     scale = 1 << t
     # Smallest power-of-two enlargement on which every scaled active mode is
     # representable; for a full-band input this is exactly 2^t n, which makes
     # the output samples a plain repetition of the input samples.
     max_pos = int(freqs.max(initial=0))
     min_neg = int(freqs.min(initial=0))
-    n_out = n
+    n_out = f.grid.n
     while scale * max_pos > n_out // 2 - 1 or scale * min_neg < -(n_out // 2):
         n_out *= 2
     grid_out = f.grid.with_n(n_out)
-    old_idx, new_idx = _axis_index_map(n, n_out, scale=scale)
-    if old_idx.size < n:
-        # Only exactly-zero rows may be dropped by the remap.
-        dropped = np.setdiff1d(np.arange(n), old_idx)
-        sl = [slice(None)] * f.grid.d
-        for ax in range(f.grid.d):
-            sl_ax = list(sl)
-            sl_ax[ax] = dropped
-            if np.any(s.coeffs[tuple(sl_ax)]):
-                raise FrequencyOverflowError("active mode outside the remappable band")
     coeffs = np.zeros(grid_out.shape, dtype=np.complex128)
-    coeffs[np.ix_(*([new_idx] * f.grid.d))] = s.coeffs[np.ix_(*([old_idx] * f.grid.d))]
+    coeffs[tuple(((scale * freqs) % n_out).T)] = values
     return dft_inverse(Spectrum(grid_out, coeffs), is_real=f.is_real)

@@ -25,7 +25,6 @@ import numpy as np
 from .decomp import separable_expand
 from .determinants import hessian_det_pointwise, jacobian_det_pointwise
 from .grid import (
-    _SUPPORT_RTOL,
     Field,
     GridSpec,
     Spectrum,
@@ -33,6 +32,7 @@ from .grid import (
     dft_forward,
     dft_inverse,
     dilate_dyadic,
+    noise_floor,
 )
 from .operators import OperatorSpec, Separable, apply_operator, pair_with_transfer
 from .spaces import (
@@ -90,7 +90,6 @@ class ExperimentConfig:
     t_min: int = 0
     t_max: int = 3
     strategy: str = "direct"
-    sweep_tolerance: float | None = None
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -287,8 +286,15 @@ def _median(xs: list[float]) -> float:
     return float(np.median(np.asarray(xs))) if xs else 0.0
 
 
+def _all_finite(sweep_rows: list[dict]) -> bool:
+    return all(math.isfinite(x) for row in sweep_rows for x in row["ratios"])
+
+
 def _sweep_spread(sweep_rows: list[dict]) -> float:
-    """Largest per-member max/min ratio spread along the sweep."""
+    """Largest per-member max/min ratio spread along the sweep; infinite
+    when any ratio is not finite."""
+    if not _all_finite(sweep_rows):
+        return math.inf
     members = len(sweep_rows[0]["ratios"])
     worst = 1.0
     for i in range(members):
@@ -304,7 +310,10 @@ def _sweep_spread(sweep_rows: list[dict]) -> float:
 def _oscillation_ok(sweep_rows: list[dict], tol: float) -> bool:
     """Family-level sweep bound: no ratio anywhere exceeds ``tol`` times the
     family ratio at the base dilation.  Individual members are not normalized
-    by their own base, which can be small through phase cancellation."""
+    by their own base, which can be small through phase cancellation.  Any
+    ratio that is not finite fails the bound."""
+    if not _all_finite(sweep_rows):
+        return False
     base = max(sweep_rows[0]["ratios"])
     top = max(x for row in sweep_rows for x in row["ratios"])
     if base <= 0.0:
@@ -373,17 +382,14 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
             ratios.append(num / den if den > 0 else 0.0)
         sweep_rows.append({"t": t, "ratios": ratios})
 
-    tol = cfg.sweep_tolerance
-    if tol is None:
-        tol = INVARIANCE_TOLERANCE if op.symbol.poly_homogeneous else OSCILLATION_FACTOR
     if op.symbol.poly_homogeneous:
         # Invariance is per family member: each member's ratio must be
         # constant along the sweep, members need not agree with each other.
-        passed = _sweep_spread(sweep_rows) <= tol
-        thresholds = {"per_member_max_over_min": tol}
+        passed = _sweep_spread(sweep_rows) <= INVARIANCE_TOLERANCE
+        thresholds = {"per_member_max_over_min": INVARIANCE_TOLERANCE}
     else:
-        passed = _oscillation_ok(sweep_rows, tol)
-        thresholds = {"sweep_max_over_base": tol}
+        passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR)
+        thresholds = {"sweep_max_over_base": OSCILLATION_FACTOR}
     return _finish(cfg, "boundedness", sweep_rows, thresholds, passed, started, extra)
 
 
@@ -407,16 +413,17 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
     if cfg.s is not None and abs(cfg.s - s) > 1e-12:
         raise ValueError(f"smoothness must be k(m-1)/m = {s}")
     r_star = holder_conjugate(cfg.r)
-    seeds = _family_seeds(cfg, m + 1)
+    families = [
+        (
+            [random_field(sd, grid, cfg.gamma, cutoff=cfg.cutoff) for sd in block[:m]],
+            random_field(block[m], grid, cfg.gamma + 2.0),
+        )
+        for block in _family_seeds(cfg, m + 1)
+    ]
     sweep_rows = []
     for t in range(cfg.t_min, cfg.t_max + 1):
         ratios = []
-        for block in seeds:
-            fs = [
-                random_field(sd, grid, cfg.gamma, cutoff=cfg.cutoff)
-                for sd in block[:m]
-            ]
-            phi = random_field(block[m], grid, cfg.gamma + 2.0)
+        for fs, phi in families:
             fts = [dilate_dyadic(f, t) for f in fs]
             num = abs(pair_with_transfer(sym, k, fts, phi))
             den = sobolev_wkp_norm(phi, k, r_star)
@@ -424,13 +431,12 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
                 den *= bessel_norm(ft, pj, s)
             ratios.append(num / den if den > 0 else 0.0)
         sweep_rows.append({"t": t, "ratios": ratios})
-    tol = cfg.sweep_tolerance if cfg.sweep_tolerance is not None else OSCILLATION_FACTOR
-    passed = _oscillation_ok(sweep_rows, tol)
+    passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR)
     return _finish(
         cfg,
         "transfer",
         sweep_rows,
-        {"sweep_max_over_base": tol},
+        {"sweep_max_over_base": OSCILLATION_FACTOR},
         passed,
         started,
         extra={"k": k, "s": s, "r_star": r_star},
@@ -438,28 +444,27 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
 
 
 def _estimate_sweep(
-    cfg: ExperimentConfig,
-    s: float,
-    det_of: "callable",
-    sup_order: int,
-    components: int,
+    cfg: ExperimentConfig, s: float, order: int
 ) -> tuple[list[dict], list[dict], float]:
-    """Shared plain/difference sweep for the determinant estimates.
+    """Plain and difference sweeps of ``_determinant_estimate``.
 
     The determinant of the dilated input is never materialized: with
-    ``D = det(u)`` on the base grid, dilating by ``2^t`` multiplies the
-    pairing by ``2^{q d t}`` (``q`` = derivative order inside the
-    determinant) and remaps the test function's coefficients, which is
-    ``pair_dilated``; input norms dilate by reweighting the base spectra.
-    ``components`` is ``d`` for the Jacobian (a map) and 1 for the Hessian
-    (a scalar reused in every norm factor).  Spectra, determinants and
-    their difference are computed once per instance, not once per step.
-    Each row's ``active_modes`` counts, per member, the determinant modes
-    that meet the test function's band at that step (mean excluded).
+    ``D = det(D^order u)`` on the base grid, dilating by ``2^t`` multiplies
+    the pairing by ``2^{order d t}`` and remaps the test function's
+    coefficients, which is ``pair_dilated``; input norms dilate by
+    reweighting the base spectra.  The Jacobian's ``u`` is a map with ``d``
+    components, the Hessian's a scalar reused in every norm factor.
+    Spectra, determinants and their difference are computed once per
+    instance, not once per step.  Each row's ``active_modes`` counts, per
+    member, the determinant modes that meet the test function's band at
+    that step (mean excluded).
     """
     grid = cfg.grid
     d = cfg.d
-    q = sup_order
+    if order == 1:
+        det_of, components = jacobian_det_pointwise, d
+    else:
+        det_of, components = (lambda fields: hessian_det_pointwise(fields[0])), 1
     seeds = _family_seeds(cfg, 2 * components + 1)
     instances = []
     for block in seeds:
@@ -488,17 +493,17 @@ def _estimate_sweep(
                 ],
                 "Du": Du,
                 "Ddiff": Ddiff,
-                "tol_u": _SUPPORT_RTOL * float(np.max(np.abs(Du.coeffs))),
-                "tol_diff": _SUPPORT_RTOL * float(np.max(np.abs(Ddiff.coeffs))),
+                "tol_u": noise_floor(Du),
+                "tol_diff": noise_floor(Ddiff),
                 "phi": dft_forward(phi),
-                "sup": grad_sup_norms(phi, sup_order),
+                "sup": grad_sup_norms(phi, order),
             }
         )
 
     sweep_rows = []
     diff_rows = []
     for t in range(cfg.t_min, cfg.t_max + 1):
-        amp = float(2 ** (q * d * t))
+        amp = float(2 ** (order * d * t))
         ratios, diffs, active, diff_active = [], [], [], []
         for inst in instances:
             phihat, sup = inst["phi"], inst["sup"]
@@ -528,42 +533,38 @@ def _estimate_sweep(
     return sweep_rows, diff_rows, zero_num
 
 
-def _require_pointwise_det(cfg: ExperimentConfig) -> None:
-    """The determinant estimates always run the pointwise ``det`` route."""
+def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
+    """Distributional Jacobian (``order`` 1) or Hessian (``order`` 2)
+    pairing ratios with ``s = order (1 - 1/d)``.
+
+    Plain ratio ``|<det D^order u, phi>| / (prod_k ||u_k||_{L^{p_k}_s}
+    ||D^order phi||_inf)`` plus the relative difference form, both across
+    the dilation sweep.  Both always run the pointwise ``det`` route.
+    """
+    started = time.perf_counter()
+    kind = ("jacobian", "hessian")[order - 1]
     if cfg.strategy != "direct":
         raise ValueError(f"{cfg.experiment} runs only the direct strategy")
     if cfg.symbol != "det":
         raise ValueError(f"{cfg.experiment} runs only the symbol 'det'")
     if cfg.k is not None:
         raise ValueError(f"{cfg.experiment} takes no derivative order k")
-
-
-def jacobian_estimate(cfg: ExperimentConfig) -> ReportRecord:
-    """Distributional-Jacobian pairing ratios with ``s = 1 - 1/d``.
-
-    Plain ratio ``|<det grad u, phi>| / (prod_k ||u_k||_{L^{p_k}_s}
-    ||grad phi||_inf)`` plus the relative difference form, both across the
-    dilation sweep.
-    """
-    started = time.perf_counter()
-    _require_pointwise_det(cfg)
     if abs(sum(1.0 / x for x in cfg.p) - 1.0) > 1e-12:
-        raise ValueError("Jacobian estimate needs sum 1/p_k = 1")
+        raise ValueError(f"{kind.capitalize()} estimate needs sum 1/p_k = 1")
     if len(cfg.p) != cfg.d:
-        raise ValueError("need one exponent per component")
-    s = 1.0 - 1.0 / cfg.d
+        raise ValueError(f"need one exponent per {('component', 'slot')[order - 1]}")
+    if cfg.d < 2:
+        raise ValueError("needs dimension >= 2")
+    s = order - order / cfg.d
     if cfg.s is not None and abs(cfg.s - s) > 1e-12:
-        raise ValueError(f"smoothness must be 1 - 1/d = {s}")
-    sweep_rows, diff_rows, zero_num = _estimate_sweep(
-        cfg, s, jacobian_det_pointwise, sup_order=1, components=cfg.d
-    )
-    tol = cfg.sweep_tolerance if cfg.sweep_tolerance is not None else OSCILLATION_FACTOR
-    passed = _oscillation_ok(sweep_rows, tol) and zero_num == 0.0
+        raise ValueError(f"smoothness must be {order} - {order}/d = {s}")
+    sweep_rows, diff_rows, zero_num = _estimate_sweep(cfg, s, order)
+    passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR) and zero_num == 0.0
     return _finish(
         cfg,
-        "jacobian",
+        kind,
         sweep_rows,
-        {"sweep_max_over_base": tol},
+        {"sweep_max_over_base": OSCILLATION_FACTOR},
         passed,
         started,
         extra={
@@ -572,43 +573,16 @@ def jacobian_estimate(cfg: ExperimentConfig) -> ReportRecord:
             "u_equals_v_numerator": zero_num,
         },
     )
+
+
+def jacobian_estimate(cfg: ExperimentConfig) -> ReportRecord:
+    """Distributional-Jacobian pairing ratios with ``s = 1 - 1/d``."""
+    return _determinant_estimate(cfg, 1)
 
 
 def hessian_estimate(cfg: ExperimentConfig) -> ReportRecord:
     """Distributional-Hessian pairing ratios with ``s = 2 - 2/d``."""
-    started = time.perf_counter()
-    _require_pointwise_det(cfg)
-    if abs(sum(1.0 / x for x in cfg.p) - 1.0) > 1e-12:
-        raise ValueError("Hessian estimate needs sum 1/p_k = 1")
-    if len(cfg.p) != cfg.d:
-        raise ValueError("need one exponent per slot")
-    if cfg.d < 2:
-        raise ValueError("needs dimension >= 2")
-    s = 2.0 - 2.0 / cfg.d
-    if cfg.s is not None and abs(cfg.s - s) > 1e-12:
-        raise ValueError(f"smoothness must be 2 - 2/d = {s}")
-
-    def det_of(fields: list[Field]) -> Field:
-        return hessian_det_pointwise(fields[0])
-
-    sweep_rows, diff_rows, zero_num = _estimate_sweep(
-        cfg, s, det_of, sup_order=2, components=1
-    )
-    tol = cfg.sweep_tolerance if cfg.sweep_tolerance is not None else OSCILLATION_FACTOR
-    passed = _oscillation_ok(sweep_rows, tol) and zero_num == 0.0
-    return _finish(
-        cfg,
-        "hessian",
-        sweep_rows,
-        {"sweep_max_over_base": tol},
-        passed,
-        started,
-        extra={
-            "s": s,
-            "difference_sweep": diff_rows,
-            "u_equals_v_numerator": zero_num,
-        },
-    )
+    return _determinant_estimate(cfg, 2)
 
 
 def write_records(path: str | Path, records: list[ReportRecord]) -> None:

@@ -34,9 +34,9 @@ from .errors import (
     enumeration_budget,
 )
 from .grid import (
-    _SUPPORT_RTOL,
     Field,
     Spectrum,
+    active_modes,
     common_grid,
     dft_forward,
     dft_inverse,
@@ -45,7 +45,6 @@ from .grid import (
     product_on_grid,
     regrid_field,
     spectral_derivative,
-    support,
 )
 from .symbols import SymbolSpec, evaluate
 
@@ -118,7 +117,7 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     grid = common_grid(fields)
     if grid.d != op.symbol.d:
         raise GridMismatchError("symbol dimension differs from grid dimension")
-    supports = [_active_modes(dft_forward(f)) for f in fields]
+    supports = [active_modes(dft_forward(f)) for f in fields]
     sizes = [fr.shape[0] for fr, _ in supports]
     total = math.prod(sizes)
     budget = enumeration_budget()
@@ -169,16 +168,6 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     return dft_inverse(Spectrum(grid_out, coeffs_out))
 
 
-def _active_modes(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """``support`` of a spectrum above one ulp of its largest coefficient.
-
-    Modes below that are transform noise, not content; keeping them would
-    inflate sparse supports to the full lattice after any FFT round trip.
-    """
-    peak = float(np.max(np.abs(s.coeffs)))
-    return support(s, tol=_SUPPORT_RTOL * peak)
-
-
 def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     """Fast path through the separable expansion of a poly-homogeneous symbol.
 
@@ -207,7 +196,7 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
 
     slots = []  # per slot: flat positions of the active nonzero modes, (rank, K) values
     for j, f in enumerate(fields):
-        freqs, coeffs = _active_modes(dft_forward(f))
+        freqs, coeffs = active_modes(dft_forward(f))
         live = np.any(freqs != 0, axis=-1)
         if not live.all() and op.symbol.zero_rule not in (0, None):
             raise UncoveredSpectrumError(

@@ -45,7 +45,6 @@ CONFIG_SCHEMA = {
         "t_min": {"type": "integer", "minimum": 0},
         "t_max": {"type": "integer", "minimum": 0},
         "strategy": {"enum": ["direct", "separable"]},
-        "sweep_tolerance": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "out_dir": {"type": ["string", "null"]},
     },
     "required": ["experiment", "d", "n", "symbol", "p", "r"],

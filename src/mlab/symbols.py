@@ -184,19 +184,21 @@ def normalized_power_symbol(base: SymbolSpec, beta: float) -> SymbolSpec:
     """``base^beta / prod_j |xi_j|^beta``, signed for integer ``beta``.
 
     Degree-zero poly-homogeneous by construction.  Non-integer ``beta`` uses
-    ``|base|^beta`` so the power is defined for symbols of either sign.
+    ``|base|^beta`` so the power is defined for symbols of either sign.  The
+    quotient is formed before the power: for ``det`` (Hadamard) and ``dot``
+    (Cauchy-Schwarz) it is at most 1 in modulus, so a large ``beta`` cannot
+    overflow.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     signed = float(beta).is_integer()
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        num = base.evaluator(*blocks)
-        num = num**int(beta) if signed else np.abs(num) ** beta
         den = _norm(blocks[0])
         for b in blocks[1:]:
             den *= _norm(b)
-        return num / den**beta
+        q = base.evaluator(*blocks) / den
+        return q**int(beta) if signed else np.abs(q) ** beta
 
     return SymbolSpec(
         m=base.m,

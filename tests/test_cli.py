@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -26,6 +27,28 @@ class TestVerifyIdentities:
         code = run_cli(["verify-identities", "--dims", "two"])
         assert code == 1
         assert "bad --dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "--records", "{garbage}"], "malformed record JSON on line 2"),
+        (["verify-identities", "--instances", "0"], "at least one instance"),
+        (["verify-identities", "--instances", "-2"], "at least one instance"),
+        (["verify-identities", "--dims", "7", "--instances", "1"], "selects no identity check"),
+    ],
+    ids=["report-not-json", "instances-0", "instances-negative", "dims-unchecked"],
+)
+def test_bad_input_exits_one(capsys, tmp_path, argv, message):
+    # Each of these once crashed with a traceback or checked nothing and
+    # exited 0.
+    garbage = tmp_path / "records.jsonl"
+    garbage.write_text("\n{not json\n")
+    argv = [str(garbage) if a == "{garbage}" else a for a in argv]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 class TestScanCommands:
@@ -64,6 +87,25 @@ class TestScanCommands:
         assert code == 1
         assert "midpoint error" in capsys.readouterr().err
         assert not (tmp_path / "boundedness").exists()
+
+    @pytest.mark.parametrize(
+        "symbol, code",
+        [("det_norm:400", 0), ("det_norm:inf", 1), ("dot_norm:nan", 1)],
+    )
+    def test_large_or_non_finite_beta(self, capsys, tmp_path, symbol, code):
+        # These once wrote ratios [NaN] with passed=True and exit code 0.
+        assert run_cli([
+            "boundedness-scan", "--symbol", symbol, "--grid", "2x16",
+            "--family", "1", "--out", str(tmp_path),
+        ]) == code
+        path = tmp_path / "boundedness" / "records.jsonl"
+        if code == 1:
+            assert "beta must be finite" in capsys.readouterr().err
+            assert not path.exists()
+        else:
+            rec = json.loads(path.read_text())
+            ratios = [x for row in rec["sweep"] for x in row["ratios"]]
+            assert rec["passed"] and all(math.isfinite(x) for x in ratios)
 
     def test_thm3_scan_quick(self, tmp_path):
         code = run_cli([
@@ -217,7 +259,7 @@ class TestDecompose:
         assert payload["n_angular"] == 32
         assert len(payload["coefficient_moduli"]) == 2
         assert prefix.with_suffix(".json").exists()
-        assert prefix.with_suffix(".bin").exists()
+        assert prefix.with_suffix(".npy").exists()
 
     def test_unknown_symbol(self, capsys):
         code = run_cli(["decompose-symbol", "--symbol", "nope"])

@@ -22,7 +22,7 @@ from mlab import (
     spectrum_from_modes,
     support,
 )
-from mlab.grid import padded_points, product_on_grid, regrid_field
+from mlab.grid import active_modes, noise_floor, padded_points, product_on_grid, regrid_field
 
 from conftest import random_trig, rel_err
 from oracles import (
@@ -127,6 +127,15 @@ class TestTransforms:
         found = {tuple(map(int, row)) for row in freqs}
         assert found == {(1, 2), (-3, 0)}
         assert coeffs.shape == (2,)
+
+    def test_active_modes_drop_the_noise_floor(self, grid2d):
+        s = spectrum_from_modes(
+            grid2d, {(1, 2): 1.0, (-3, 0): 2.0, (2, 2): 2e-15, (0, 1): 3e-15}
+        )
+        assert noise_floor(s) == 2e-15
+        freqs, coeffs = active_modes(s)
+        assert {tuple(map(int, row)) for row in freqs} == {(1, 2), (-3, 0), (0, 1)}
+        assert sorted(abs(coeffs)) == [3e-15, 1.0, 2.0]
 
 
 class TestDerivative:
@@ -269,6 +278,19 @@ class TestDilation:
         assert dilate_dyadic(low, 2).grid.n == 16
         full, _ = random_trig(g, degree=7, seed=16)
         assert dilate_dyadic(full, 1).grid.n == 32
+
+    def test_full_band_output_repeats_samples(self):
+        # Nyquist modes included: -n/2 lands on -n_out/2 of the doubled grid.
+        g = GridSpec(d=2, n=8)
+        rng = np.random.default_rng(18)
+        f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        ft = dilate_dyadic(f, 1)
+        assert ft.grid.n == 16
+        assert rel_err(ft.samples, np.tile(f.samples, (2, 2))) <= 1e-13
+
+    def test_zero_field_stays_on_its_grid(self, grid2d):
+        ft = dilate_dyadic(Field(grid2d, np.zeros(grid2d.shape)), 3)
+        assert ft.grid == grid2d and not np.any(ft.samples)
 
     def test_regrid_refines_and_coarsens(self):
         g = GridSpec(d=1, n=8)

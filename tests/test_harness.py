@@ -31,7 +31,7 @@ from mlab import (
     write_summary_csv,
 )
 from mlab.grid import padded_points, regrid_field, support
-from mlab.harness import _family_seeds
+from mlab.harness import _family_seeds, _oscillation_ok, _sweep_spread
 
 from conftest import random_trig, rel_err
 
@@ -330,6 +330,19 @@ class TestDeterminantEstimates:
         )
         with pytest.raises(ValueError):
             hessian_estimate(cfg)
+
+
+class TestVerdictHelpers:
+    # NaN second in its row: Python's max/min skip it there, so a check
+    # that relied on them alone would pass.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ratio_fails(self, bad):
+        rows = [{"t": 0, "ratios": [1.0, 1.0]}, {"t": 1, "ratios": [1.0, bad]}]
+        assert _sweep_spread(rows) == math.inf
+        assert not _oscillation_ok(rows, 4.0)
+        rows[0]["ratios"] = [1.0, bad]
+        assert _sweep_spread(rows) == math.inf
+        assert not _oscillation_ok(rows, 4.0)
 
 
 def _bits(record) -> tuple:

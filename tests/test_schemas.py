@@ -61,8 +61,7 @@ class TestValidateConfig:
         validate_config(
             self._payload(
                 period=6.28, s=None, k=1, gamma=2.0, cutoff=2.0, seed=3,
-                family=4, t_min=0, t_max=3, strategy="separable",
-                sweep_tolerance=4.0, out_dir="out",
+                family=4, t_min=0, t_max=3, strategy="separable", out_dir="out",
             )
         )
 
@@ -73,7 +72,9 @@ class TestValidateConfig:
             validate_config(bad)
 
     @pytest.mark.parametrize(
-        "extra", [dict(tolerance=1.0), dict(rank=16)], ids=["tolerance", "rank"]
+        "extra",
+        [dict(tolerance=1.0), dict(rank=16), dict(sweep_tolerance=4.0)],
+        ids=["tolerance", "rank", "sweep_tolerance"],
     )
     def test_rejects_unknown_key(self, extra):
         with pytest.raises(jsonschema.ValidationError):

@@ -146,6 +146,26 @@ class TestNormalizedSymbol:
         assert _ev(sym, (1, 0), (0, 1)) == 0.0
         assert _ev(sym, (2, 0), (3, 0)) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            normalized_power_symbol(det_symbol(2), beta)
+
+    @pytest.mark.parametrize(
+        "base, unit_pair",
+        [(det_symbol(2), ((30, 0), (0, 30))), (dot_symbol(2), ((30, 0), (40, 0)))],
+        ids=["det", "dot"],
+    )
+    def test_large_beta_is_finite(self, base, unit_pair):
+        # base^400 and the norms^400 both overflow at |xi| ~ 10; their
+        # quotient, at most 1 in modulus, does not.
+        sym = normalized_power_symbol(base, 400.0)
+        rng = np.random.default_rng(0)
+        a, b = rng.integers(-40, 41, size=(2, 64, 2)).astype(np.float64)
+        values = evaluate(sym, [a, b])
+        assert np.all(np.isfinite(values)) and np.all(np.abs(values) <= 1.0)
+        assert _ev(sym, *unit_pair) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestProductSymbol:
     def test_all_ones(self):
