@@ -152,18 +152,18 @@ def _emit_record(cfg: ExperimentConfig, record: ReportRecord) -> None:
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
-    try:
-        reports = run_identity_suite(instances=args.instances, seed=args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    dims = None
     if args.dims is not None:
         try:
             dims = {int(x) for x in args.dims.split(",") if x.strip()}
         except ValueError as exc:
             raise _UsageError(f"bad --dims {args.dims!r}") from exc
-        reports = [r for r in reports if r.d in dims]
-        if not reports:
-            raise _UsageError(f"--dims {args.dims!r} selects no identity check")
+    try:
+        reports = run_identity_suite(instances=args.instances, seed=args.seed, dims=dims)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    if not reports:
+        raise _UsageError(f"--dims {args.dims!r} selects no identity check")
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload, indent=2)
     print(text)

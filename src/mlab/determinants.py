@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .grid import (
     common_grid,
     derivative_multiplier,
     dft_forward,
-    dft_inverse,
+    padded_inverse,
     padded_points,
-    regrid_spectrum,
 )
 from .operators import OperatorSpec, apply_direct
 from .polyfield import PolyField, perm_sign, poly_const, poly_det, poly_var, poly_zero
@@ -91,7 +90,7 @@ def _report(identity: str, d: int, degree: int, residuals: list[PolyField]) -> D
 def _padded_derivative(spec: Spectrum, mult: np.ndarray, n_out: int) -> np.ndarray:
     """Samples on the ``n_out`` grid of the derivative with multiplier ``mult``."""
     deriv = Spectrum(spec.grid, spec.coeffs * mult)
-    return dft_inverse(regrid_spectrum(deriv, n_out)).samples
+    return padded_inverse(deriv, n_out).samples
 
 
 def jacobian_det_pointwise(us: list[Field]) -> Field:
@@ -276,7 +275,7 @@ def _nu_polys(
         if len(nus) != d or any(len(v) != d for v in nus):
             raise ValueError("need d vectors of length d")
         nvars = 1
-        vecs = [[poly_const(nvars, Fraction(x)) for x in v] for v in nus]
+        vecs = [[poly_const(nvars, x) for x in v] for v in nus]
     return nvars, vecs
 
 
@@ -346,6 +345,7 @@ def symbolic_baer_jerison_check(d: int, u: PolyField) -> DetReport:
     grads = [u.diff(i) for i in range(d)]
     H = [[grads[i].diff(j) for j in range(d)] for i in range(d)]
     detH = poly_det(H)
+    C = {ijkl: second_cofactor(H, *ijkl) for ijkl in product(range(d), repeat=4)}
     residuals = []
 
     perm_sum = poly_zero(d)
@@ -368,19 +368,15 @@ def symbolic_baer_jerison_check(d: int, u: PolyField) -> DetReport:
                 for l in range(d):
                     if l == j:
                         continue
-                    inner = inner + grads[k] * grads[l] * second_cofactor(H, i, j, k, l)
+                    inner = inner + grads[k] * grads[l] * C[i, j, k, l]
             div_sum = div_sum + inner.diff(i).diff(j)
     residuals.append(detH.scale(d * (d - 1)) - div_sum)
 
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    c = second_cofactor(H, i, j, k, l)
-                    residuals.append(c + second_cofactor(H, k, j, i, l))
-                    residuals.append(c + second_cofactor(H, i, l, k, j))
-                    residuals.append(c - second_cofactor(H, j, i, l, k))
-                    residuals.append(c - second_cofactor(H, k, l, i, j))
+    for (i, j, k, l), c in C.items():
+        residuals.append(c + C[k, j, i, l])
+        residuals.append(c + C[i, l, k, j])
+        residuals.append(c - C[j, i, l, k])
+        residuals.append(c - C[k, l, i, j])
 
     return _report("baer-jerison", d, u.degree(), residuals)
 
@@ -394,7 +390,7 @@ def random_poly(
 ) -> PolyField:
     """Random polynomial with small integer coefficients, degree <= degree."""
     count = terms if terms is not None else 2 * degree + 3
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for _ in range(count):
         left = degree
         expo = []
@@ -406,53 +402,58 @@ def random_poly(
         if c == 0:
             c = 1
         e = tuple(expo)
-        out[e] = out.get(e, Fraction(0)) + Fraction(c)
+        out[e] = out.get(e, 0) + c
     return PolyField(d, out)
 
 
-def run_identity_suite(instances: int = 20, seed: int = 0) -> list[DetReport]:
+def run_identity_suite(
+    instances: int = 20, seed: int = 0, dims: set[int] | None = None
+) -> list[DetReport]:
     """Randomized batches of every symbolic identity; one report per batch.
 
     Each report aggregates ``instances`` random inputs (plus a formal
     variable run where the identity is polynomial in free vectors); it
-    passes only if every residual is the zero polynomial.
+    passes only if every residual is the zero polynomial.  ``dims`` keeps
+    only the batches of those dimensions.  The inputs of the skipped
+    batches are still drawn, so each kept report is the full suite's.
     """
     if instances < 1:
         raise ValueError(f"need at least one instance per batch, got {instances}")
     rng = random.Random(seed)
     reports: list[DetReport] = []
 
-    for d, degree in ((2, 3), (3, 2), (4, 2)):
-        batch = []
-        for _ in range(instances):
-            us = [random_poly(d, degree, rng) for _ in range(d)]
-            batch.append(symbolic_piola_check(d, us))
-        reports.append(_merge(batch))
+    def keep(d: int) -> bool:
+        return dims is None or d in dims
 
-    batch = [
-        symbolic_hessian2d_check(random_poly(2, 4, rng)) for _ in range(instances)
-    ]
-    reports.append(_merge(batch))
+    for d, degree in ((2, 3), (3, 2), (4, 2)):
+        inputs = [[random_poly(d, degree, rng) for _ in range(d)] for _ in range(instances)]
+        if keep(d):
+            reports.append(_merge([symbolic_piola_check(d, us) for us in inputs]))
+
+    inputs = [random_poly(2, 4, rng) for _ in range(instances)]
+    if keep(2):
+        reports.append(_merge([symbolic_hessian2d_check(u) for u in inputs]))
 
     for d in (2, 3, 4):
-        batch = []
         taus = list(permutations(range(d)))
+        drawn = []
         for _ in range(instances):
             tau = taus[rng.randrange(len(taus))]
-            nus = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-            batch.append(symbolic_detPtau_check(d, tau, nus))
-        for tau in taus if d <= 3 else taus[:6]:
-            batch.append(symbolic_detPtau_check(d, tau, None))
-        reports.append(_merge(batch))
+            drawn.append((tau, [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]))
+        if keep(d):
+            drawn += [(tau, None) for tau in (taus if d <= 3 else taus[:6])]
+            reports.append(
+                _merge([symbolic_detPtau_check(d, tau, nus) for tau, nus in drawn])
+            )
 
     for d in (2, 3):
-        reports.append(symbolic_detPtau_average_check(d))
+        if keep(d):
+            reports.append(symbolic_detPtau_average_check(d))
 
     for d, degree in ((2, 3), (3, 2)):
-        batch = []
-        for _ in range(instances):
-            batch.append(symbolic_baer_jerison_check(d, random_poly(d, degree, rng)))
-        reports.append(_merge(batch))
+        inputs = [random_poly(d, degree, rng) for _ in range(instances)]
+        if keep(d):
+            reports.append(_merge([symbolic_baer_jerison_check(d, u) for u in inputs]))
 
     return reports
 

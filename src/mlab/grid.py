@@ -37,6 +37,7 @@ __all__ = [
     "derivative_multiplier",
     "spectral_derivative",
     "regrid_spectrum",
+    "padded_inverse",
     "regrid_field",
     "common_grid",
     "product_on_grid",
@@ -270,6 +271,31 @@ def regrid_spectrum(s: Spectrum, n_new: int) -> Spectrum:
     return Spectrum(grid_new, coeffs)
 
 
+def padded_inverse(s: Spectrum, n_new: int) -> Field:
+    """``dft_inverse(regrid_spectrum(s, n_new))``, bitwise, without the padded copy.
+
+    ``ifftn`` runs 1-D inverse transforms axis by axis, last axis first.
+    Before the pass along an axis, only the lines whose indices on the axes
+    not yet transformed lie in the old band can be nonzero; this runs the
+    same passes in the same order on those lines alone, zero padding one
+    axis at a time just before its pass.  The last pass, along axis 0,
+    covers the whole ``n_new`` grid.  Truncation and ``n_new == n`` take the
+    two-step form.
+    """
+    n, d = s.grid.n, s.grid.d
+    if n_new <= n:
+        return dft_inverse(regrid_spectrum(s, n_new))
+    grid_new = s.grid.with_n(n_new)
+    _, new_idx = _axis_index_map(n, n_new)
+    out = s.coeffs
+    for axis in reversed(range(d)):
+        padded = np.zeros(out.shape[:axis] + (n_new,) + out.shape[axis + 1 :],
+                          dtype=np.complex128)
+        padded[(slice(None),) * axis + (new_idx,)] = out
+        out = np.fft.ifft(padded, axis=axis)
+    return Field(grid_new, out * grid_new.npoints)
+
+
 def regrid_field(f: Field, n_new: int) -> Field:
     """Spectral resampling of a field onto an ``n_new`` grid.
 
@@ -277,7 +303,7 @@ def regrid_field(f: Field, n_new: int) -> Field:
     Nyquist convention the trigonometric interpolant of a real sample set can
     be complex between the coarse nodes.
     """
-    return dft_inverse(regrid_spectrum(dft_forward(f), n_new))
+    return padded_inverse(dft_forward(f), n_new)
 
 
 def common_grid(fields: list[Field]) -> GridSpec:

@@ -1,8 +1,10 @@
 """Exact multivariate polynomials over the rationals.
 
 Polynomials in ``d`` variables are stored as maps from exponent tuples to
-``Fraction`` coefficients, so every ring operation, differentiation, and
-determinant expansion below is exact.  This is the substrate for the
+exact ``int`` or ``Fraction`` coefficients, so every ring operation,
+differentiation, and determinant expansion below is exact.  Integer inputs
+stay Python integers throughout, which is far cheaper than ``Fraction``;
+any other number enters as a ``Fraction``.  This is the substrate for the
 symbolic divergence-form identity checks: a residual there is the zero
 polynomial or the identity fails, no tolerances involved.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import TypeVar
 
 __all__ = [
@@ -23,7 +26,13 @@ __all__ = [
 ]
 
 _Expo = tuple[int, ...]
+_Coeff = int | Fraction
 _Entry = TypeVar("_Entry")
+
+
+def _exact(c: object) -> _Coeff:
+    """``c`` itself if it is an ``int``, else ``Fraction(c)`` (exact for floats)."""
+    return c if type(c) is int else Fraction(c)
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -46,14 +55,15 @@ def perm_sign(perm: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class PolyField:
-    """Polynomial in ``d`` variables with Fraction coefficients."""
+    """Polynomial in ``d`` variables with exact ``int`` or ``Fraction`` coefficients."""
 
     d: int
-    terms: dict[_Expo, Fraction] = field(default_factory=dict)
+    terms: dict[_Expo, _Coeff] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        clean = {e: c for e, c in self.terms.items() if c != 0}
-        object.__setattr__(self, "terms", clean)
+        if 0 in self.terms.values():
+            clean = {e: c for e, c in self.terms.items() if c != 0}
+            object.__setattr__(self, "terms", clean)
 
     @property
     def is_zero(self) -> bool:
@@ -69,40 +79,46 @@ class PolyField:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return PolyField(self.d, out)
 
     def __neg__(self) -> "PolyField":
         return PolyField(self.d, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "PolyField") -> "PolyField":
-        return self + (-other)
+        if self.d != other.d:
+            raise ValueError("variable count mismatch")
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) - c
+        return PolyField(self.d, out)
 
     def __mul__(self, other: "PolyField") -> "PolyField":
         if self.d != other.d:
             raise ValueError("variable count mismatch")
-        out: dict[_Expo, Fraction] = {}
+        out: dict[_Expo, _Coeff] = {}
+        pairs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+            for e2, c2 in pairs:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return PolyField(self.d, out)
 
     def scale(self, c: Fraction | int) -> "PolyField":
-        c = Fraction(c)
+        c = _exact(c)
         return PolyField(self.d, {e: c * v for e, v in self.terms.items()})
 
     def diff(self, axis: int) -> "PolyField":
         """Exact partial derivative in variable ``axis``."""
         if not 0 <= axis < self.d:
             raise ValueError("axis out of range")
-        out: dict[_Expo, Fraction] = {}
+        out: dict[_Expo, _Coeff] = {}
         for e, c in self.terms.items():
             k = e[axis]
             if k == 0:
                 continue
             e2 = e[:axis] + (k - 1,) + e[axis + 1 :]
-            out[e2] = out.get(e2, Fraction(0)) + c * k
+            out[e2] = out.get(e2, 0) + c * k
         return PolyField(self.d, out)
 
     def eval(self, point: tuple[Fraction | int, ...]) -> Fraction:
@@ -132,14 +148,14 @@ def poly_zero(d: int) -> PolyField:
 
 
 def poly_const(d: int, c: Fraction | int) -> PolyField:
-    return PolyField(d, {(0,) * d: Fraction(c)})
+    return PolyField(d, {(0,) * d: _exact(c)})
 
 
 def poly_var(d: int, axis: int) -> PolyField:
     if not 0 <= axis < d:
         raise ValueError("axis out of range")
     expo = tuple(1 if i == axis else 0 for i in range(d))
-    return PolyField(d, {expo: Fraction(1)})
+    return PolyField(d, {expo: 1})
 
 
 def poly_det(matrix: list[list[_Entry]]) -> _Entry:

@@ -23,6 +23,13 @@ class TestVerifyIdentities:
         assert {r["d"] for r in payload} == {2}
         assert json.loads(out.read_text()) == payload
 
+    def test_dims_output_equals_the_full_suite_entries(self, capsys):
+        argv = ["verify-identities", "--instances", "2", "--seed", "6"]
+        assert run_cli(argv) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert run_cli([*argv, "--dims", "2"]) == 0
+        assert json.loads(capsys.readouterr().out) == [r for r in full if r["d"] == 2]
+
     def test_bad_dims_flag(self, capsys):
         code = run_cli(["verify-identities", "--dims", "two"])
         assert code == 1

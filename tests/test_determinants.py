@@ -33,6 +33,7 @@ from mlab import (
     symbolic_hessian2d_check,
     symbolic_piola_check,
 )
+from mlab import determinants
 from mlab.grid import padded_points, regrid_field, spectral_derivative
 from mlab.harness import random_field
 
@@ -336,6 +337,27 @@ class TestSymbolicIdentities:
         for _ in range(3):
             assert symbolic_baer_jerison_check(d, random_poly(d, deg, rng)).passed
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fraction_coefficients_pass_exactly(self, d):
+        rng = random.Random(250 + d)
+        third = Fraction(1, 3)
+        us = [random_poly(d, 2, rng).scale(third) for _ in range(d)]
+        assert any(type(c) is Fraction and c.denominator == 3
+                   for u in us for c in u.terms.values())
+        for rep in (symbolic_piola_check(d, us),
+                    symbolic_baer_jerison_check(d, us[0])):
+            assert rep.passed and rep.residual == "0"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_baer_jerison_fails_on_a_sign_flipped_second_cofactor(self, monkeypatch, d):
+        # The check builds its table of second cofactors through the module's
+        # ``second_cofactor``; a wrong cofactor must surface as a residual.
+        real = determinants.second_cofactor
+        monkeypatch.setattr(determinants, "second_cofactor",
+                            lambda H, i, j, k, l: -real(H, i, j, k, l))
+        rep = symbolic_baer_jerison_check(d, random_poly(d, 3, random.Random(260 + d)))
+        assert not rep.passed and rep.residual != "0"
+
     def test_second_cofactor_vanishes_on_equal_indices(self):
         H = [[poly_var(4, 2 * i + j) for j in range(2)] for i in range(2)]
         assert second_cofactor(H, 0, 0, 0, 1).is_zero
@@ -371,3 +393,21 @@ class TestIdentitySuite:
             assert r.residual == "0"
             d = r.to_dict()
             assert d["passed"] is True
+
+    def test_dims_keep_the_inputs_of_the_full_suite(self, monkeypatch):
+        # Baer-Jerison in d = 3 is the last batch, so every skipped batch
+        # before it must still draw its inputs for these to match.
+        seen = []
+        real = determinants.symbolic_baer_jerison_check
+
+        def record(d, u):
+            seen.append((d, repr(u)))
+            return real(d, u)
+
+        monkeypatch.setattr(determinants, "symbolic_baer_jerison_check", record)
+        full = run_identity_suite(instances=2, seed=5)
+        want = [entry for entry in seen if entry[0] == 3]
+        seen.clear()
+        kept = run_identity_suite(instances=2, seed=5, dims={3})
+        assert seen == want
+        assert kept == [r for r in full if r.d == 3]

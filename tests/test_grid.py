@@ -22,7 +22,15 @@ from mlab import (
     spectrum_from_modes,
     support,
 )
-from mlab.grid import active_modes, noise_floor, padded_points, product_on_grid, regrid_field
+from mlab.grid import (
+    active_modes,
+    noise_floor,
+    padded_inverse,
+    padded_points,
+    product_on_grid,
+    regrid_field,
+    regrid_spectrum,
+)
 
 from conftest import random_trig, rel_err
 from oracles import (
@@ -300,6 +308,19 @@ class TestDilation:
         assert rel_err(fine.samples, want) <= 1e-12
         back = regrid_field(fine, 8)
         assert rel_err(back.samples, f.samples) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_padded_inverse_equals_two_step_form_bitwise(self, d, factor):
+        # Full band, Nyquist rows included: every line of the old grid is
+        # nonzero, so each pass transforms all the lines it can.
+        g = GridSpec(d=d, n=8)
+        rng = np.random.default_rng(40 + d)
+        s = Spectrum(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        got = padded_inverse(s, factor * g.n)
+        want = dft_inverse(regrid_spectrum(s, factor * g.n))
+        assert got.grid == want.grid
+        assert got.samples.tobytes() == want.samples.tobytes()
 
     def test_product_on_grid_matches_oracle(self):
         g = GridSpec(d=1, n=8)

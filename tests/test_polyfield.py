@@ -21,18 +21,26 @@ from mlab import (
 from oracles import det_cofactor, eval_poly_terms, perm_sign_by_inversions
 
 
-def _rand_poly(d: int, rng_vals: list[int], max_exp: int = 2) -> PolyField:
-    """Deterministic small polynomial from a flat list of integers."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+def _rand_poly(
+    d: int, rng_vals: list[int], max_exp: int = 2, kind: str = "fraction"
+) -> PolyField:
+    """Deterministic small polynomial from a flat list of integers.
+
+    ``kind`` "int" keeps integer coefficients (the integer fast path);
+    "fraction" divides each by a denominator from the list.
+    """
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     per_term = d + 2
     for k in range(len(rng_vals) // per_term):
         chunk = rng_vals[k * per_term : (k + 1) * per_term]
         expo = tuple(abs(v) % (max_exp + 1) for v in chunk[:d])
         num, den_raw = chunk[d], chunk[d + 1]
-        terms[expo] = terms.get(expo, Fraction(0)) + Fraction(num, abs(den_raw) % 5 + 1)
+        c = num if kind == "int" else Fraction(num, abs(den_raw) % 5 + 1)
+        terms[expo] = terms.get(expo, 0) + c
     return PolyField(d, terms)
 
 
+KINDS = ("int", "fraction")
 small_ints = st.lists(st.integers(-9, 9), min_size=12, max_size=12)
 
 
@@ -59,18 +67,28 @@ class TestRing:
 
     @given(small_ints, small_ints, small_ints)
     def test_add_associative(self, a, b, c):
-        p, q, r = (_rand_poly(2, v) for v in (a, b, c))
-        assert ((p + q) + r).terms == (p + (q + r)).terms
+        for kind in KINDS:
+            p, q, r = (_rand_poly(2, v, kind=kind) for v in (a, b, c))
+            assert ((p + q) + r).terms == (p + (q + r)).terms
 
     @given(small_ints, small_ints, small_ints)
     def test_mul_distributes(self, a, b, c):
-        p, q, r = (_rand_poly(2, v) for v in (a, b, c))
-        assert (p * (q + r)).terms == (p * q + p * r).terms
+        for kind in KINDS:
+            p, q, r = (_rand_poly(2, v, kind=kind) for v in (a, b, c))
+            assert (p * (q + r)).terms == (p * q + p * r).terms
 
     @given(small_ints, small_ints)
     def test_mul_commutative(self, a, b):
-        p, q = _rand_poly(2, a), _rand_poly(2, b)
-        assert (p * q).terms == (q * p).terms
+        for kind in KINDS:
+            p, q = _rand_poly(2, a, kind=kind), _rand_poly(2, b, kind=kind)
+            assert (p * q).terms == (q * p).terms
+
+    @given(small_ints, small_ints)
+    def test_sub_is_add_of_negation(self, a, b):
+        for kind in KINDS:
+            p, q = _rand_poly(2, a, kind=kind), _rand_poly(2, b, kind=kind)
+            assert (p - q).terms == (p + (-q)).terms
+            assert (p - p).is_zero
 
     @given(small_ints)
     def test_eval_matches_term_oracle(self, a):
@@ -93,10 +111,11 @@ class TestCalculus:
 
     @given(small_ints, small_ints)
     def test_product_rule(self, a, b):
-        p, q = _rand_poly(2, a), _rand_poly(2, b)
-        lhs = (p * q).diff(0)
-        rhs = p.diff(0) * q + p * q.diff(0)
-        assert lhs.terms == rhs.terms
+        for kind in KINDS:
+            p, q = _rand_poly(2, a, kind=kind), _rand_poly(2, b, kind=kind)
+            lhs = (p * q).diff(0)
+            rhs = p.diff(0) * q + p * q.diff(0)
+            assert lhs.terms == rhs.terms
 
     @given(small_ints)
     def test_mixed_partials_commute(self, a):
@@ -108,6 +127,24 @@ class TestCalculus:
 
         with pytest.raises(ValueError):
             poly_var(2, 0).diff(2)
+
+
+class TestCoefficientKinds:
+    def test_integer_inputs_keep_int_coefficients(self):
+        rng = random.Random(170)
+        p, q = random_poly(2, 3, rng), random_poly(2, 3, rng)
+        mat = [[random_poly(2, 2, rng, terms=3) for _ in range(3)] for _ in range(3)]
+        results = [p + q, p - q, p * q, p.diff(0), p.scale(-3), poly_det(mat),
+                   poly_var(2, 1), poly_const(2, 5)]
+        for r in results:
+            assert not r.is_zero
+            assert all(type(c) is int for c in r.terms.values())
+
+    def test_other_numbers_become_exact_fractions(self):
+        c = poly_const(2, 0.1).terms[(0, 0)]
+        assert type(c) is Fraction and c == Fraction(0.1)
+        h = poly_var(2, 0).scale(0.5).terms[(1, 0)]
+        assert type(h) is Fraction and h == Fraction(1, 2)
 
 
 class TestPermSign:
