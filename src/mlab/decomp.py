@@ -227,12 +227,12 @@ def _tail_residual(s: np.ndarray, rank: int) -> float:
 
 def _symbol_on_product(sym: SymbolSpec, slots: list[np.ndarray]) -> np.ndarray:
     """Dense tensor of ``sigma`` on the product of one direction set per slot."""
-    sizes = [p.shape[0] for p in slots]
+    m = len(slots)
     blocks = [
-        np.repeat(np.tile(p, (math.prod(sizes[:j]), 1)), math.prod(sizes[j + 1 :]), axis=0)
+        p.reshape((1,) * j + (p.shape[0],) + (1,) * (m - 1 - j) + (p.shape[1],))
         for j, p in enumerate(slots)
     ]
-    return evaluate(sym, blocks).reshape(sizes)
+    return evaluate(sym, blocks)
 
 
 def _midpoint_error(sym: SymbolSpec, samples: np.ndarray) -> float:

@@ -102,10 +102,17 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     over the active modes of the inputs, returned on the ``pad``-enlarged
     grid.  Enumerations beyond the configured budget raise.
 
+    When the symbol's ``zero_rule`` is 0, the mean mode is dropped from
+    every support after the budget check, which still counts the full
+    product: tuples with a zero slot add exactly nothing.
+
     The tuples are enumerated as an outer sum: rows are the combinations of
     the first ``m - 1`` slots, columns the modes of the last slot, taken in
-    blocks of about ``_CHUNK`` tuples.  A block's weights are the row's
-    coefficient product times the symbol times the column's coefficient.
+    blocks of about ``_CHUNK`` tuples.  The symbol sees a block as
+    broadcasting views, the row slots shaped ``(height, 1, d)`` and the
+    column slot ``(1, width, d)``, so no tuple is copied.  A block's weights
+    are the row's coefficient product times the symbol times the column's
+    coefficient.
     Its output positions are outer sums of per-mode linear indices of the
     shifted frequencies ``xi + n/2``: each component lies in ``[0, n)``, so
     a sum of ``m`` of them lies in ``[0, m (n - 1)]``, inside the ``n_out``
@@ -118,13 +125,18 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     if grid.d != op.symbol.d:
         raise GridMismatchError("symbol dimension differs from grid dimension")
     supports = [active_modes(dft_forward(f)) for f in fields]
-    sizes = [fr.shape[0] for fr, _ in supports]
-    total = math.prod(sizes)
+    total = math.prod(fr.shape[0] for fr, _ in supports)
     budget = enumeration_budget()
     if total > budget:
         raise BudgetExceededError(
             f"direct enumeration of {total} tuples exceeds budget {budget}"
         )
+    if op.symbol.zero_rule == 0:
+        # Tuples with a zero slot add exactly nothing: drop each mean mode.
+        live = [np.any(fr != 0, axis=-1) for fr, _ in supports]
+        supports = [(fr[keep], c[keep]) for (fr, c), keep in zip(supports, live)]
+    sizes = [fr.shape[0] for fr, _ in supports]
+    total = math.prod(sizes)
     n_out = padded_points(grid.n, op.pad)
     grid_out = grid.with_n(n_out)
     acc_re = np.zeros(grid_out.npoints, dtype=np.float64)
@@ -150,15 +162,11 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
                 rem = rem // sizes[j]
                 prefix = prefix * coeffs[j][idx]
                 row_lin += lin[j][idx]
-                row_xis.append(xis[j][idx])
+                row_xis.append(xis[j][idx][:, None, :])
             row_xis.reverse()
             for c0 in range(0, n_cols, col_step):
                 cols = slice(c0, c0 + col_step)
-                col_xis = xis[-1][cols]
-                width = col_xis.shape[0]
-                blocks = [np.repeat(x, width, axis=0) for x in row_xis]
-                blocks.append(np.tile(col_xis, (height, 1)))
-                sym = evaluate(op.symbol, blocks).reshape(height, width)
+                sym = evaluate(op.symbol, row_xis + [xis[-1][None, cols]])
                 weights = (prefix[:, None] * sym * coeffs[-1][cols]).reshape(-1)
                 flat = (row_lin[:, None] + lin[-1][cols]).reshape(-1)
                 acc_re += np.bincount(flat, weights=weights.real, minlength=grid_out.npoints)
@@ -286,12 +294,12 @@ def pair_with_transfer(
     scale = (1j * grid.period / (2.0 * math.pi)) ** k
     total = 0.0 + 0.0j
     for combo in iter_product(range(d), repeat=k):
+        units = [np.eye(d)[l] for l in combo]
 
-        def reduced(*blocks: np.ndarray, _combo=combo) -> np.ndarray:
-            out = np.ones(blocks[0].shape[0], dtype=np.complex128)
-            for l in _combo:
-                e = np.zeros((blocks[0].shape[0], d))
-                e[:, l] = 1.0
+        def reduced(*blocks: np.ndarray, _units=units) -> np.ndarray:
+            out = np.ones(blocks[0].shape[:-1], dtype=np.complex128)
+            for e in _units:
+                e = e.reshape((1,) * (blocks[0].ndim - 1) + (d,))
                 out = out * np.asarray(
                     sigma_m.evaluator(e, *blocks[1:]), dtype=np.complex128
                 )

@@ -1,11 +1,17 @@
 """Multilinear multiplier symbols and sampled hypothesis checkers.
 
 A symbol is a function of ``m`` integer frequency vectors, evaluated in
-batches: the evaluator receives ``m`` float arrays of shape ``(B, d)``, which
-may be strided views, and returns ``(B,)`` real or complex values; the
-built-in evaluators read the blocks one column at a time.  Frequencies are
-passed in lattice units; any physical ``2 pi / period`` scaling belongs to
-the operator calling the symbol, not to the symbol itself.
+batches: the evaluator receives ``m`` float arrays of shapes ``(..., d)``,
+which may be strided views and broadcast against each other, and returns
+real or complex values of the broadcast shape.  A flat ``(B, d)`` batch is
+the special case of equal shapes; an outer product of per-slot sets passes
+slot ``j`` shaped ``(1, ..., n_j, ..., 1, d)``, so no tuple is copied and
+per-slot quantities such as ``|xi_j|`` cost one operation per mode, not per
+tuple.  The built-in evaluators read component ``c`` as ``b[..., c]``, which
+gives every tuple the same floating-point operations in the same order
+under either layout.  Frequencies are passed in lattice units; any physical
+``2 pi / period`` scaling belongs to the operator calling the symbol, not to
+the symbol itself.
 """
 
 from __future__ import annotations
@@ -79,39 +85,64 @@ def _as_batches(xis: Sequence[np.ndarray], m: int, d: int) -> list[np.ndarray]:
 
 
 def _zero_rows(b: np.ndarray) -> np.ndarray:
-    """Rows of a ``(B, d)`` block that are the zero vector, one column at a time."""
-    zero = b[:, 0] == 0.0
-    for c in range(1, b.shape[1]):
-        zero &= b[:, c] == 0.0
+    """Vectors of a ``(..., d)`` block that are zero, one component at a time."""
+    zero = b[..., 0] == 0.0
+    for c in range(1, b.shape[-1]):
+        zero &= b[..., c] == 0.0
     return zero
 
 
 def _norm(b: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of a ``(B, d)`` block, one column at a time."""
-    r2 = b[:, 0] * b[:, 0]
-    for c in range(1, b.shape[1]):
-        r2 += b[:, c] * b[:, c]
+    """Euclidean norm of every vector of a ``(..., d)`` block, one component at a time."""
+    r2 = b[..., 0] * b[..., 0]
+    for c in range(1, b.shape[-1]):
+        r2 += b[..., c] * b[..., c]
     return np.sqrt(r2)
 
 
-def evaluate(sym: SymbolSpec, xis: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate a symbol on a batch of frequency tuples, applying zero_rule.
+def _checked(sym: SymbolSpec, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Evaluator output as ``complex128``; an evaluator that indexes a block
+    on the wrong axis returns another shape and raises here."""
+    out = np.asarray(values, dtype=np.complex128)
+    if out.shape != shape:
+        raise ValueError(
+            f"symbol {sym.name!r} returned shape {out.shape} for frequency blocks "
+            f"of broadcast shape {shape}"
+        )
+    return out
 
-    Evaluators may return real or complex values; the result is ``complex128``.
-    A batch with no zero slot goes to the evaluator as given, without a copy.
+
+def evaluate(sym: SymbolSpec, xis: Sequence[np.ndarray]) -> np.ndarray:
+    """Evaluate a symbol on broadcasting frequency blocks, applying zero_rule.
+
+    The result is ``complex128`` of the blocks' broadcast shape (without the
+    trailing ``d``); an evaluator returning any other shape raises
+    ``ValueError``.  Each block's zero vectors are found on that block's own
+    elements.  Without a zero vector the blocks go to the evaluator as
+    given, without a copy; otherwise the evaluator sees only the tuples with
+    no zero slot, gathered into flat ``(L, d)`` blocks.
     """
     blocks = _as_batches(xis, sym.m, sym.d)
+    try:
+        shape = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+    except ValueError:
+        raise ValueError(
+            f"frequency blocks of shapes {[b.shape for b in blocks]} do not broadcast"
+        ) from None
     if sym.zero_rule is None:
-        return np.asarray(sym.evaluator(*blocks), dtype=np.complex128)
-    zero_slot = _zero_rows(blocks[0])
-    for b in blocks[1:]:
-        zero_slot |= _zero_rows(b)
-    if not zero_slot.any():
-        return np.asarray(sym.evaluator(*blocks), dtype=np.complex128)
-    out = np.full(blocks[0].shape[0], complex(sym.zero_rule), dtype=np.complex128)
-    live = ~zero_slot
-    if np.any(live):
-        out[live] = sym.evaluator(*[b.compress(live, axis=0) for b in blocks])
+        return _checked(sym, sym.evaluator(*blocks), shape)
+    zeros = [_zero_rows(b) for b in blocks]
+    if not any(z.any() for z in zeros):
+        return _checked(sym, sym.evaluator(*blocks), shape)
+    zero_slot = zeros[0]
+    for z in zeros[1:]:
+        zero_slot = zero_slot | z
+    live = ~np.broadcast_to(zero_slot, shape)
+    out = np.full(shape, complex(sym.zero_rule), dtype=np.complex128)
+    count = int(np.count_nonzero(live))
+    if count:
+        flat = [np.broadcast_to(b, shape + (sym.d,))[live] for b in blocks]
+        out[live] = _checked(sym, sym.evaluator(*flat), (count,))
     return out
 
 
@@ -128,9 +159,9 @@ def det_symbol(d: int) -> SymbolSpec:
     def ev(*blocks: np.ndarray) -> np.ndarray:
         out = 0.0
         for sign, p in zip(signs, perms):
-            term = blocks[0][:, p[0]]
+            term = blocks[0][..., p[0]]
             for col in range(1, d):
-                term = term * blocks[col][:, p[col]]
+                term = term * blocks[col][..., p[col]]
             out = out + term if sign > 0 else out - term
         return out
 
@@ -141,9 +172,9 @@ def dot_symbol(d: int) -> SymbolSpec:
     """Bilinear symbol ``xi_1 . xi_2``."""
 
     def ev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = a[:, 0] * b[:, 0]
+        out = a[..., 0] * b[..., 0]
         for c in range(1, d):
-            out += a[:, c] * b[:, c]
+            out += a[..., c] * b[..., c]
         return out
 
     return SymbolSpec(m=2, d=d, evaluator=ev, name="dot")
@@ -153,7 +184,7 @@ def one_symbol(m: int, d: int) -> SymbolSpec:
     """The constant symbol 1, including on zero slots."""
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        return np.ones(blocks[0].shape[0], dtype=np.float64)
+        return np.ones(np.broadcast_shapes(*(b.shape[:-1] for b in blocks)))
 
     return SymbolSpec(
         m=m, d=d, evaluator=ev, name="one", poly_homogeneous=True, zero_rule=1.0
@@ -196,7 +227,7 @@ def normalized_power_symbol(base: SymbolSpec, beta: float) -> SymbolSpec:
     def ev(*blocks: np.ndarray) -> np.ndarray:
         den = _norm(blocks[0])
         for b in blocks[1:]:
-            den *= _norm(b)
+            den = den * _norm(b)
         q = base.evaluator(*blocks) / den
         return q**int(beta) if signed else np.abs(q) ** beta
 
@@ -216,7 +247,7 @@ def riesz_factor(d: int, component: int) -> SymbolSpec:
         raise ValueError(f"component {component} out of range for d={d}")
 
     def ev(b: np.ndarray) -> np.ndarray:
-        return b[:, component] / _norm(b)
+        return b[..., component] / _norm(b)
 
     return SymbolSpec(
         m=1, d=d, evaluator=ev, name=f"riesz{component + 1}", poly_homogeneous=True

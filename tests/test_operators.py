@@ -51,7 +51,7 @@ def _smooth_symbol(d: int) -> SymbolSpec:
     """Smooth complex bilinear symbol, total on zero slots; ``_smooth`` per tuple."""
 
     def ev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.cos(0.7 * a[:, 0] + 0.3 * b[:, -1]) + 1j * np.sin(0.2 * a[:, -1] - 0.5 * b[:, 0])
+        return np.cos(0.7 * a[..., 0] + 0.3 * b[..., -1]) + 1j * np.sin(0.2 * a[..., -1] - 0.5 * b[..., 0])
 
     return SymbolSpec(m=2, d=d, evaluator=ev, name="smooth", zero_rule=None)
 
@@ -122,7 +122,7 @@ class TestApplyDirect:
         f, modes = random_trig(grid1d, degree=3, seed=55)
 
         def ev(b: np.ndarray) -> np.ndarray:
-            return np.where((b[:, 0] == 2.0), 1.0 + 0.0j, 0.0)
+            return np.where((b[..., 0] == 2.0), 1.0 + 0.0j, 0.0)
 
         sym = SymbolSpec(m=1, d=1, evaluator=ev, name="proj-2")
         op = OperatorSpec(sym, 1)
@@ -195,6 +195,31 @@ class TestApplyDirect:
         op = OperatorSpec(one_symbol(2, 1), 2)
         with pytest.raises(BudgetExceededError):
             apply_direct(op, [f, f])
+
+    def test_budget_counts_tuples_with_mean_mode(self, grid2d, monkeypatch):
+        # The mean mode is active, and det's zero_rule 0 skips its tuples,
+        # but the budget is judged on the full product.
+        u, modes = random_trig(grid2d, degree=1, seed=67)
+        v, _ = random_trig(grid2d, degree=1, seed=68)
+        assert abs(modes[(0, 0)]) > 0.0
+        total = len(modes) ** 2
+        op = OperatorSpec(det_symbol(2), 2)
+        monkeypatch.setenv("MLAB_BUDGET", str(total))
+        apply_direct(op, [u, v])
+        monkeypatch.setenv("MLAB_BUDGET", str(total - 1))
+        with pytest.raises(BudgetExceededError, match=f"{total} tuples"):
+            apply_direct(op, [u, v])
+
+    def test_row_indexed_evaluator_raises(self, grid2d):
+        # ``b[:, c]`` reads the wrong axis of a broadcast block; the shape
+        # check turns the silently wrong values into an error.
+        def ev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return a[:, 0] * b[:, 0]
+
+        sym = SymbolSpec(m=2, d=2, evaluator=ev, name="first-components")
+        u, _ = random_trig(grid2d, degree=2, seed=69)
+        with pytest.raises(ValueError, match="first-components"):
+            apply_direct(OperatorSpec(sym, 2), [u, u])
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_malformed_budget_rejected(self, monkeypatch, raw):

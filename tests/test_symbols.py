@@ -1,5 +1,6 @@
 """Multiplier symbols: determinant powers, normalization, condition checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from mlab import (
     BudgetExceededError,
+    SymbolSpec,
     check_derivative_conditions,
     check_hormander_annulus,
     check_poly_homogeneity,
@@ -89,6 +91,18 @@ class TestDetSymbol:
 
 _REGISTRY_IDS = ["det", "det_pow:2", "det_norm:1", "det_norm:0.5", "dot_norm:1", "riesz_product:1,2"]
 
+# (symbol, d, m) for the broadcast-layout test: arity 2 and 3 where defined.
+_LAYOUT_CASES = [
+    (sym_id, d, d) for sym_id in ("det", "det_pow:2", "det_norm:1", "det_norm:0.5") for d in (2, 3)
+] + [
+    ("dot_norm:1", 2, 2),
+    ("dot_norm:1", 3, 2),
+    ("riesz_product:1,2", 2, 2),
+    ("riesz_product:1,2,1", 2, 3),
+    ("one", 2, 2),
+    ("one", 2, 3),
+]
+
 
 class TestEvaluate:
     def _tuples(self, mixed: bool) -> np.ndarray:
@@ -116,6 +130,52 @@ class TestEvaluate:
         assert got.dtype == np.complex128
         assert got.shape == (tuples.shape[0],)
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("layout", ["rows-columns", "outer"])
+    @pytest.mark.parametrize("zero_rule", [0.0, 1.0, None], ids=["rule0", "rule1", "total"])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["live", "zero-slots"])
+    @pytest.mark.parametrize("sym_id, d, m", _LAYOUT_CASES)
+    def test_broadcast_blocks_equal_flat_blocks(self, sym_id, d, m, zeros, zero_rule, layout):
+        """Broadcast views give bitwise the values of repeat/tile copies."""
+        sym = dataclasses.replace(resolve_symbol(sym_id, d, m), zero_rule=zero_rule)
+        rng = np.random.default_rng(36)
+        sizes = [5, 7, 6][:m]
+        sets = []
+        for size in sizes:
+            x = rng.integers(-4, 5, size=(size, d)).astype(np.float64)
+            x[np.all(x == 0.0, axis=-1)] = 1.0
+            if zeros:
+                x[1] = 0.0
+            sets.append(x)
+        if layout == "rows-columns":
+            # apply_direct: rows of the first m - 1 slots against columns.
+            row_sets = [x[rng.integers(0, x.shape[0], size=9)] for x in sets[:-1]]
+            if zeros:
+                row_sets[0][0] = 0.0
+            blocks = [x[:, None, :] for x in row_sets] + [sets[-1][None, :, :]]
+            shape = (9, sizes[-1])
+            flat = [np.repeat(x, sizes[-1], axis=0) for x in row_sets]
+            flat.append(np.tile(sets[-1], (9, 1)))
+        else:
+            # decomp: one axis per slot.
+            blocks = [
+                x.reshape((1,) * j + (x.shape[0],) + (1,) * (m - 1 - j) + (d,))
+                for j, x in enumerate(sets)
+            ]
+            shape = tuple(sizes)
+            flat = [
+                np.repeat(np.tile(x, (math.prod(sizes[:j]), 1)), math.prod(sizes[j + 1 :]), axis=0)
+                for j, x in enumerate(sets)
+            ]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = evaluate(sym, blocks)
+            want = evaluate(sym, flat)
+        assert got.shape == shape
+        assert np.array_equal(got.reshape(-1), want, equal_nan=True)
+
+    def test_non_broadcasting_blocks_raise(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            evaluate(det_symbol(2), [np.ones((3, 2)), np.ones((4, 2))])
 
     @pytest.mark.parametrize("sym_id", ["det", "det_pow:2", "det_norm:1"])
     def test_repeated_slot_exactly_zero(self, sym_id):
