@@ -245,11 +245,10 @@ def _active_in_band(dets: Spectrum, t: int, phi: Spectrum, tol: float) -> int:
     return int(np.count_nonzero(live))
 
 
-def _bessel_potential_dilated(spec: Spectrum, t: int, s: float) -> Field:
+def _bessel_potential_dilated(spec: Spectrum, weight: np.ndarray) -> Field:
     """Base-grid field whose samples, repeated, are those of the Bessel
-    potential of order ``s`` of the ``2^t``-dilated field with spectrum
-    ``spec``."""
-    weight = _bessel_weight(spec.grid, s, t)
+    potential of the dilated field with spectrum ``spec``; ``weight`` is
+    ``_bessel_weight(spec.grid, s, t)`` for order ``s`` and dilation ``2^t``."""
     return dft_inverse(Spectrum(spec.grid, spec.coeffs * weight))
 
 
@@ -260,16 +259,18 @@ def bessel_norm_dilated(f: Field, t: int, p: float, s: float) -> float:
     whose coefficients carry the weight ``(1 + |2^t k|^2)^(s/2)``, so the
     quadrature norm is computed exactly on the small grid.
     """
-    return lp_norm(_bessel_potential_dilated(dft_forward(f), t, s), p)
+    weight = _bessel_weight(f.grid, s, t)
+    return lp_norm(_bessel_potential_dilated(dft_forward(f), weight), p)
 
 
 def _dilated_norms(
-    specs: list[Spectrum], t: int, p: tuple[float, ...], s: float
+    specs: list[Spectrum], weight: np.ndarray, p: tuple[float, ...]
 ) -> list[float]:
     """``bessel_norm_dilated`` of component ``j % len(specs)`` in ``L^{p_j}_s``
-    for every slot ``j``; each distinct (component, exponent) pair once."""
+    for every slot ``j``, with ``weight`` the step's ``_bessel_weight``; each
+    distinct (component, exponent) pair once."""
     keys = [(j % len(specs), pj) for j, pj in enumerate(p)]
-    potentials = {c: _bessel_potential_dilated(specs[c], t, s) for c, _ in keys}
+    potentials = {c: _bessel_potential_dilated(specs[c], weight) for c, _ in keys}
     norms = {key: lp_norm(potentials[key[0]], key[1]) for key in keys}
     return [norms[key] for key in keys]
 
@@ -455,9 +456,10 @@ def _estimate_sweep(
     reweighting the base spectra.  The Jacobian's ``u`` is a map with ``d``
     components, the Hessian's a scalar reused in every norm factor.
     Spectra, determinants and their difference are computed once per
-    instance, not once per step.  Each row's ``active_modes`` counts, per
-    member, the determinant modes that meet the test function's band at
-    that step (mean excluded).
+    instance, not once per step; the Bessel weight once per step, not once
+    per norm.  Each row's ``active_modes`` counts, per member, the
+    determinant modes that meet the test function's band at that step (mean
+    excluded).
     """
     grid = cfg.grid
     d = cfg.d
@@ -504,12 +506,13 @@ def _estimate_sweep(
     diff_rows = []
     for t in range(cfg.t_min, cfg.t_max + 1):
         amp = float(2 ** (order * d * t))
+        weight = _bessel_weight(grid, s, t)
         ratios, diffs, active, diff_active = [], [], [], []
         for inst in instances:
             phihat, sup = inst["phi"], inst["sup"]
-            u_norms = _dilated_norms(inst["u"], t, cfg.p, s)
-            v_norms = _dilated_norms(inst["v"], t, cfg.p, s)
-            deltas = _dilated_norms(inst["diff"], t, cfg.p, s)
+            u_norms = _dilated_norms(inst["u"], weight, cfg.p)
+            v_norms = _dilated_norms(inst["v"], weight, cfg.p)
+            deltas = _dilated_norms(inst["diff"], weight, cfg.p)
             num = amp * abs(pair_dilated(inst["Du"], t, phihat))
             den = math.prod(u_norms) * sup
             ratios.append(num / den if den > 0 else 0.0)

@@ -6,10 +6,12 @@ coefficient at the sum frequency.  The output lives on a grid enlarged by
 ``pad_factor`` so the result is exact as a trigonometric polynomial; with
 ``pad_factor >= m`` no sum of input frequencies can wrap.  The tuples form
 an outer sum of row tuples (the first ``m - 1`` slots) and column modes (the
-last slot), so each block's weights and output positions are broadcast
-products and sums.  Positions are linear indices of frequencies shifted by
-``n/2`` per axis, which keeps every sum inside the output band without a
-modulo; one roll per axis restores FFT order.
+last slot), taken in cache-sized blocks, so each block's weights and output
+positions are broadcast products and sums.  Positions are linear indices of
+frequencies shifted by ``n/2`` per axis, which keeps every sum inside the
+output band without a modulo, on the compact lattice of the common step of
+every frequency (``2^t`` after a dyadic dilation); one strided write puts
+that lattice on the padded grid and one roll per axis restores FFT order.
 
 ``apply_separable`` evaluates the same operator through the angular
 separable expansion of a degree-zero symbol: each term is one
@@ -59,7 +61,7 @@ __all__ = [
     "pair_with_transfer",
 ]
 
-_CHUNK = 1 << 19
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,25 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
 
     The tuples are enumerated as an outer sum: rows are the combinations of
     the first ``m - 1`` slots, columns the modes of the last slot, taken in
-    blocks of about ``_CHUNK`` tuples.  The symbol sees a block as
-    broadcasting views, the row slots shaped ``(height, 1, d)`` and the
-    column slot ``(1, width, d)``, so no tuple is copied.  A block's weights
-    are the row's coefficient product times the symbol times the column's
+    blocks of about ``_CHUNK`` tuples, small enough that every temporary of
+    a block stays in cache.  The symbol sees a block as broadcasting views,
+    the row slots shaped ``(height, 1, d)`` and the column slot
+    ``(1, width, d)``, so no tuple is copied.  A block's weights are the
+    row's coefficient product times the symbol times the column's
     coefficient.
+
     Its output positions are outer sums of per-mode linear indices of the
     shifted frequencies ``xi + n/2``: each component lies in ``[0, n)``, so
     a sum of ``m`` of them lies in ``[0, m (n - 1)]``, inside the ``n_out``
-    band, and no tuple needs a modulo.  One roll by ``-m n/2`` per axis puts
-    the accumulated coefficients back in FFT order.
+    band, and no tuple needs a modulo.  With ``step`` the gcd of every
+    component of every (kept) support frequency and of ``n/2``, each shifted
+    component is a multiple of ``step``, so the indices are taken on the
+    compact ``(n_out / step)^d`` lattice of ``(xi + n/2) / step``.  ``step``
+    is 1 for generic input and ``2^t`` for input dilated by ``dilate_dyadic``,
+    whose every frequency lies on ``2^t Z^d``; the per-block ``bincount``
+    then spans ``step^d`` times fewer bins.  The accumulated lattice is
+    written into every ``step``-th point of the padded grid once, and one
+    roll by ``-m n/2`` per axis puts the coefficients back in FFT order.
     """
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
@@ -139,12 +150,17 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     total = math.prod(sizes)
     n_out = padded_points(grid.n, op.pad)
     grid_out = grid.with_n(n_out)
-    acc_re = np.zeros(grid_out.npoints, dtype=np.float64)
-    acc_im = np.zeros(grid_out.npoints, dtype=np.float64)
     half = grid.n // 2
+    shifted = np.zeros(grid_out.shape, dtype=np.complex128)
     if total > 0:
-        strides = n_out ** np.arange(grid.d - 1, -1, -1, dtype=np.int64)
-        lin = [(fr + half) @ strides for fr, _ in supports]
+        # Every shifted frequency, and so every sum, lies on step * Z^d.
+        components = np.concatenate([fr.ravel() for fr, _ in supports])
+        step = int(np.gcd.reduce(components, initial=half))
+        n_lat = n_out // step
+        acc_re = np.zeros(n_lat**grid.d, dtype=np.float64)
+        acc_im = np.zeros(n_lat**grid.d, dtype=np.float64)
+        strides = n_lat ** np.arange(grid.d - 1, -1, -1, dtype=np.int64)
+        lin = [((fr + half) // step) @ strides for fr, _ in supports]
         xis = [fr.astype(np.float64) for fr, _ in supports]
         coeffs = [c for _, c in supports]
         n_cols = sizes[-1]
@@ -169,9 +185,10 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
                 sym = evaluate(op.symbol, row_xis + [xis[-1][None, cols]])
                 weights = (prefix[:, None] * sym * coeffs[-1][cols]).reshape(-1)
                 flat = (row_lin[:, None] + lin[-1][cols]).reshape(-1)
-                acc_re += np.bincount(flat, weights=weights.real, minlength=grid_out.npoints)
-                acc_im += np.bincount(flat, weights=weights.imag, minlength=grid_out.npoints)
-    shifted = (acc_re + 1j * acc_im).reshape(grid_out.shape)
+                acc_re += np.bincount(flat, weights=weights.real, minlength=acc_re.size)
+                acc_im += np.bincount(flat, weights=weights.imag, minlength=acc_im.size)
+        lattice = (slice(None, None, step),) * grid.d
+        shifted[lattice] = (acc_re + 1j * acc_im).reshape((n_lat,) * grid.d)
     coeffs_out = np.roll(shifted, (-op.m * half,) * grid.d, axis=tuple(range(grid.d)))
     return dft_inverse(Spectrum(grid_out, coeffs_out))
 

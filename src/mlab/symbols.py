@@ -157,12 +157,19 @@ def det_symbol(d: int) -> SymbolSpec:
     signs = [perm_sign(p) for p in perms]
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        out = 0.0
+        out = None
         for sign, p in zip(signs, perms):
             term = blocks[0][..., p[0]]
             for col in range(1, d):
                 term = term * blocks[col][..., p[col]]
-            out = out + term if sign > 0 else out - term
+            if out is None:
+                # The identity comes first, with sign +1; for d >= 2 its
+                # term is a fresh product of every block's broadcast shape.
+                out = term if d > 1 else term.copy()
+            elif sign > 0:
+                out += term
+            else:
+                out -= term
         return out
 
     return SymbolSpec(m=d, d=d, evaluator=ev, name="det")
@@ -229,7 +236,9 @@ def normalized_power_symbol(base: SymbolSpec, beta: float) -> SymbolSpec:
         for b in blocks[1:]:
             den = den * _norm(b)
         q = base.evaluator(*blocks) / den
-        return q**int(beta) if signed else np.abs(q) ** beta
+        if not signed:
+            return np.abs(q) ** beta
+        return q if beta == 1 else q ** int(beta)
 
     return SymbolSpec(
         m=base.m,

@@ -35,6 +35,7 @@ from mlab import (
     spectral_derivative,
     spectrum_from_modes,
 )
+from mlab import operators
 from mlab.grid import padded_points, regrid_field
 from mlab.harness import random_field
 from mlab.operators import enumeration_budget
@@ -68,6 +69,28 @@ def _input_modes(grid: GridSpec, kind: str, seed: int) -> dict[tuple[int, ...], 
     return {k: complex(rng.standard_normal(), rng.standard_normal()) for k in keys}
 
 
+def _direct_and_oracle(
+    sym_id: str,
+    grid: GridSpec,
+    modes: list[dict[tuple[int, ...], complex]],
+    pad_factor: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """FFT-order output coefficients of ``apply_direct`` on fields with the
+    given modes, and those of the per-tuple oracle on the same grid."""
+    m = len(modes)
+    sym = _smooth_symbol(grid.d) if sym_id == "smooth" else resolve_symbol(sym_id, grid.d, m)
+    fields = [field_from_modes(grid, md) for md in modes]
+    got = apply_direct(OperatorSpec(sym, m, pad_factor=pad_factor), fields)
+    scalar = _smooth if sym_id == "smooth" else scalar_symbol(sym_id)
+    want = apply_multilinear_modes(scalar, *modes)
+    return dft_forward(got).coeffs, spectrum_from_modes(got.grid, want).coeffs
+
+
+def _max_rel(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest coefficient error relative to the largest reference coefficient."""
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
 # (symbol, m, d, n, pad_factor, input kinds)
 _ORACLE_CASES = [
     ("riesz_product:1", 1, 1, 8, None, ("full",)),
@@ -91,17 +114,56 @@ class TestApplyDirect:
     )
     def test_matches_per_tuple_oracle(self, sym_id, m, d, n, pad_factor, kinds):
         grid = GridSpec(d=d, n=n)
-        sym = _smooth_symbol(d) if sym_id == "smooth" else resolve_symbol(sym_id, d, m)
         modes = [_input_modes(grid, kind, seed=200 + j) for j, kind in enumerate(kinds)]
-        fields = [field_from_modes(grid, md) for md in modes]
-        got = apply_direct(OperatorSpec(sym, m, pad_factor=pad_factor), fields)
-        scalar = _smooth if sym_id == "smooth" else scalar_symbol(sym_id)
-        want = apply_multilinear_modes(scalar, *modes)
-        assert got.grid.n == padded_points(n, pad_factor or m)
-        want_coeffs = spectrum_from_modes(got.grid, want).coeffs
-        got_coeffs = dft_forward(got).coeffs
-        scale = float(np.max(np.abs(want_coeffs)))
-        assert float(np.max(np.abs(got_coeffs - want_coeffs))) <= 1e-12 * scale
+        got, want = _direct_and_oracle(sym_id, grid, modes, pad_factor)
+        assert got.shape == (padded_points(n, pad_factor or m),) * d
+        assert _max_rel(got, want) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "sym_id, m, d, n, kinds",
+        [
+            ("riesz_product:2", 1, 2, 8, ("full",)),
+            ("det_norm:1", 2, 2, 8, ("full", "full")),
+            ("smooth", 2, 2, 8, ("full", "sparse")),
+            ("one", 3, 1, 8, ("full", "full", "sparse")),
+            ("riesz_product:1,2,1", 3, 2, 4, ("full", "full", "sparse")),
+        ],
+    )
+    def test_block_partition(self, monkeypatch, sym_id, m, d, n, kinds):
+        # _CHUNK 1 makes every tuple its own block; 37 splits the column slot
+        # (col_step < n_cols) or leaves a partial last row block.
+        grid = GridSpec(d=d, n=n)
+        modes = [_input_modes(grid, kind, seed=210 + j) for j, kind in enumerate(kinds)]
+        outputs = []
+        for chunk in (1, 37, operators._CHUNK):
+            monkeypatch.setattr(operators, "_CHUNK", chunk)
+            got, want = _direct_and_oracle(sym_id, grid, modes)
+            assert _max_rel(got, want) <= 1e-12
+            outputs.append(got)
+        for got in outputs[:-1]:
+            assert _max_rel(got, outputs[-1]) <= 1e-14
+
+    @pytest.mark.parametrize("sym_id", ["det_norm:1", "smooth", "one"])
+    @pytest.mark.parametrize("scales", [(2, 2), (4, 4), (2, 1)])
+    def test_compact_lattice_dilated(self, sym_id, scales):
+        # Frequencies scaled by 2 and 4 put every mode on step 2 and 4; a
+        # dilated slot next to an undilated one leaves step 1.
+        base = GridSpec(d=2, n=8)
+        grid = GridSpec(d=2, n=8 * max(scales))
+        modes = [
+            {tuple(a * c for c in xi): v for xi, v in _input_modes(base, kind, 220 + j).items()}
+            for j, (a, kind) in enumerate(zip(scales, ("full", "sparse")))
+        ]
+        got, want = _direct_and_oracle(sym_id, grid, modes)
+        assert _max_rel(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_compact_lattice_mean_only(self, m):
+        # Only the mean mode is active: step is n/2, the largest it can be.
+        grid = GridSpec(d=2, n=8)
+        modes = [{(0, 0): complex(1.5 + j, -0.5)} for j in range(m)]
+        got, want = _direct_and_oracle("one", grid, modes)
+        assert _max_rel(got, want) <= 1e-12
 
     def test_constant_symbol_is_product_m2(self, grid2d):
         f1, _ = random_trig(grid2d, degree=2, seed=50)
@@ -196,11 +258,14 @@ class TestApplyDirect:
         with pytest.raises(BudgetExceededError):
             apply_direct(op, [f, f])
 
-    def test_budget_counts_tuples_with_mean_mode(self, grid2d, monkeypatch):
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_budget_counts_tuples_with_mean_mode(self, grid2d, monkeypatch, t):
         # The mean mode is active, and det's zero_rule 0 skips its tuples,
-        # but the budget is judged on the full product.
+        # but the budget is judged on the full product, also for dilated
+        # inputs, which accumulate on the compact lattice.
         u, modes = random_trig(grid2d, degree=1, seed=67)
         v, _ = random_trig(grid2d, degree=1, seed=68)
+        u, v = dilate_dyadic(u, t), dilate_dyadic(v, t)
         assert abs(modes[(0, 0)]) > 0.0
         total = len(modes) ** 2
         op = OperatorSpec(det_symbol(2), 2)
