@@ -10,8 +10,12 @@ factors as ``phi(r_1) ... phi(r_m) S(theta_1, ..., theta_m)``: the radial
 part is the rank-one cutoff, so every separable structure lives in the
 angular function ``S``.  The expansion therefore samples ``sigma`` on unit
 directions only (signs for d = 1, equispaced angles for d = 2) and
-factors that table; a factor is evaluated at any nonzero frequency through
-its direction, by trigonometric interpolation in angle.
+factors that table by one recursive SVD for every arity: the slot-0
+unfolding is split by an SVD, and each kept right singular vector,
+reshaped to the remaining slots, is split the same way, as in TT-SVD
+(Oseledets, SIAM J. Sci. Comput. 33, 2011).  A factor is evaluated at any
+nonzero frequency through its direction, by trigonometric interpolation in
+angle.
 """
 
 from __future__ import annotations
@@ -172,10 +176,13 @@ class SeparableExpansion:
     """Rank-``R`` separable model ``sum_l c_l prod_j F_jl(xi_j / |xi_j|)``.
 
     ``factors[j]`` has shape ``(R, n_points)`` holding the slot-``j`` tables;
-    ``R`` is the numerical rank of the sampled symbol.  ``spectrum`` is the
-    full singular-value sequence (m = 2) or the extracted coefficient
-    magnitudes (m != 2), nonincreasing either way.  ``residual`` is the
-    larger of the model's relative error on the direction grid and the
+    ``R`` is the numerical rank of the sampled symbol.  ``spectrum`` holds
+    the singular values, nonincreasing, of the slot-0 unfolding of the
+    weighted node tensor, ``n_points`` rows by ``n_points^(m-1)`` columns:
+    the full singular-value sequence of the node matrix for m = 2.  For
+    m > 2 each kept singular value may carry several terms, so ``R`` can
+    exceed the count of kept values.  ``residual`` is the larger of the
+    returned terms' measured relative error on the direction grid and the
     interpolation error at the midpoints between nodes.
     """
 
@@ -217,12 +224,8 @@ class SeparableExpansion:
 
     def tail_residual(self, rank: int) -> float:
         """Relative tail of the recorded spectrum beyond ``rank`` terms."""
-        return _tail_residual(self.spectrum, rank)
-
-
-def _tail_residual(s: np.ndarray, rank: int) -> float:
-    total = float(np.linalg.norm(s))
-    return float(np.linalg.norm(s[rank:])) / total if total else 0.0
+        total = float(np.linalg.norm(self.spectrum))
+        return float(np.linalg.norm(self.spectrum[rank:])) / total if total else 0.0
 
 
 def _symbol_on_product(sym: SymbolSpec, slots: list[np.ndarray]) -> np.ndarray:
@@ -279,13 +282,12 @@ def separable_expand(sym: SymbolSpec) -> SeparableExpansion:
     direction product above ``enumeration_budget()`` raises
     ``BudgetExceededError``.
 
-    For ``m = 2`` the expansion is the SVD of the quadrature weighted node
-    matrix, keeping the singular values above ``s_0 * n_points * eps``
-    (numpy's ``matrix_rank`` rule); otherwise greedy rank-one deflation (200
-    alternating sweeps per term) runs until the residual is at most
-    ``n_points * eps`` of the tensor, and raises ``ValueError`` if a step
-    fails to lower it.  The recorded ``residual`` is the larger of the
-    model's error on the nodes and the midpoint error.
+    The quadrature weighted node tensor is expanded by ``_svd_expand``, one
+    recursive SVD for every arity, with ``floor`` as the relative cut of
+    every unfolding's singular values (numpy's ``matrix_rank`` rule); for
+    ``m = 2`` it is the SVD of the node matrix.  The recorded ``residual``
+    is the larger of the midpoint error and the relative error of the
+    returned terms, rebuilt on the nodes, against the sampled symbol.
     """
     if not sym.poly_homogeneous:
         raise ValueError("separable expansion requires a poly-homogeneous symbol")
@@ -309,49 +311,58 @@ def separable_expand(sym: SymbolSpec) -> SeparableExpansion:
             )
         grid = _circle_grid(2 * grid.n_points)
     sqw = np.sqrt(grid.weights)
-    weighted = samples * _outer([sqw] * sym.m)
-
-    if sym.m == 2:
-        u, s, vh = np.linalg.svd(weighted, full_matrices=False)
-        r = int(np.count_nonzero(s > s[0] * floor))
-        resid = _tail_residual(s, r)
-        factors = (u[:, :r].T / sqw, vh[:r].conj() / sqw)
-        coeffs = s[:r].astype(np.complex128)
-        spectrum = s
-    else:
-        coeffs_list: list[complex] = []
-        factor_lists: list[list[np.ndarray]] = [[] for _ in range(sym.m)]
-        resid_tensor = weighted
-        norm0 = norm = float(np.linalg.norm(weighted))
-        while norm > floor * norm0:
-            vecs = _rank_one_deflate(resid_tensor, sweeps=200)
-            coef = _contract_all(resid_tensor, vecs)
-            resid_tensor = resid_tensor - coef * _outer(vecs)
-            last, norm = norm, float(np.linalg.norm(resid_tensor))
-            if not norm < last:
-                raise ValueError(f"expansion of {sym.name!r} stalls at residual {last / norm0:.3e}")
-            coeffs_list.append(coef)
-            for j in range(sym.m):
-                factor_lists[j].append(vecs[j] / sqw)
-        coeffs = np.asarray(coeffs_list, dtype=np.complex128)
-        order = np.argsort(-np.abs(coeffs), kind="stable")
-        coeffs = coeffs[order]
-        factors = tuple(
-            np.stack([factor_lists[j][i] for i in order], axis=0) for j in range(sym.m)
-        )
-        resid = 0.0 if norm0 == 0.0 else norm / norm0
-        spectrum = np.abs(coeffs)
-
+    coeffs, tables, spectrum = _svd_expand(samples * _outer([sqw] * sym.m), floor)
+    factors = tuple(t / sqw for t in tables)
+    norm = float(np.linalg.norm(samples))
+    error = float(np.linalg.norm(samples - _model(coeffs, factors))) / norm if norm else 0.0
     return SeparableExpansion(
         m=sym.m,
         d=sym.d,
         grid=grid,
-        coeffs=coeffs,
+        coeffs=coeffs.astype(np.complex128),
         factors=factors,
-        residual=max(resid, alias),
+        residual=max(error, alias),
         spectrum=spectrum,
         symbol_name=sym.name,
     )
+
+
+def _svd_expand(
+    tensor: np.ndarray, floor: float
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Sum of products of one vector per axis, by recursive SVD of unfoldings.
+
+    The slot-0 unfolding ``tensor.reshape(n, -1)`` is factored by an SVD
+    keeping the singular values above ``s_0 * floor``; each kept row of
+    ``vh``, reshaped to the remaining axes, is expanded the same way, and a
+    1-D remainder is the last factor as it is.  Returns the term
+    coefficients, one ``(R, n_j)`` table per axis and the singular values of
+    this unfolding.
+    """
+    n = tensor.shape[0]
+    u, s, vh = np.linalg.svd(tensor.reshape(n, -1), full_matrices=False)
+    coeffs = [np.zeros(0)]
+    factors = [[np.zeros((0, k)) for k in tensor.shape]]
+    for l in range(int(np.count_nonzero(s > s[0] * floor))):
+        rest = vh[l].reshape(tensor.shape[1:])
+        if rest.ndim > 1:
+            c, fs, _ = _svd_expand(rest, floor)
+        elif rest.ndim == 1:
+            c, fs = np.ones(1), [rest[None]]
+        else:  # m = 1: the row is a unit scalar
+            c, fs = rest.reshape(1), []
+        coeffs.append(s[l] * c)
+        factors.append([np.repeat(u[None, :, l], c.shape[0], axis=0), *fs])
+    return np.concatenate(coeffs), [np.concatenate(f) for f in zip(*factors)], s
+
+
+def _model(coeffs: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``sum_l c_l prod_j F_jl`` on the product of the node sets."""
+    cols = np.ones((coeffs.shape[0], 1))
+    for f in factors[1:]:
+        cols = (cols[:, :, None] * f[:, None, :]).reshape(coeffs.shape[0], -1)
+    model = (factors[0].T * coeffs) @ cols
+    return model.reshape(tuple(f.shape[1] for f in factors))
 
 
 def _outer(vecs: list[np.ndarray]) -> np.ndarray:
@@ -359,43 +370,6 @@ def _outer(vecs: list[np.ndarray]) -> np.ndarray:
     for v in vecs[1:]:
         out = np.multiply.outer(out, v)
     return out
-
-
-def _contract_all(tensor: np.ndarray, vecs: list[np.ndarray]) -> complex:
-    out = tensor
-    for v in reversed(vecs):
-        out = out @ v.conj()
-    return complex(out)
-
-
-def _contract_except(tensor: np.ndarray, vecs: list[np.ndarray], skip: int) -> np.ndarray:
-    """Contract every slot but ``skip`` with the conjugate factors."""
-    out = np.moveaxis(tensor, skip, 0)
-    for v in reversed([vecs[j] for j in range(len(vecs)) if j != skip]):
-        out = out @ v.conj()
-    return out
-
-
-def _rank_one_deflate(tensor: np.ndarray, sweeps: int) -> list[np.ndarray]:
-    """Dominant rank-one factor set by alternating power refinement."""
-    m = tensor.ndim
-    flat = np.argmax(np.abs(tensor))
-    idx = np.unravel_index(flat, tensor.shape)
-    vecs: list[np.ndarray] = []
-    for j in range(m):
-        sl = list(idx)
-        sl[j] = slice(None)
-        v = np.asarray(tensor[tuple(sl)], dtype=np.complex128).copy()
-        nv = np.linalg.norm(v)
-        vecs.append(v / nv if nv > 0 else np.ones(tensor.shape[j]) / math.sqrt(tensor.shape[j]))
-    for _ in range(sweeps):
-        for j in range(m):
-            w = _contract_except(tensor, vecs, j)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return vecs
-            vecs[j] = w / nw
-    return vecs
 
 
 _EXPANSION_FORMAT = "mlab-expansion-3"

@@ -16,8 +16,8 @@ that lattice on the padded grid and one roll per axis restores FFT order.
 ``apply_separable`` evaluates the same operator through the angular
 separable expansion of a degree-zero symbol: each term is one
 single-variable multiplier per slot, the factor evaluated at the direction
-of every active nonzero mode, so each term costs ``m`` multiplier
-applications and one dealiased pointwise product.
+of every active nonzero mode, placed straight on the padded output grid,
+so each term costs ``m`` inverse transforms and one pointwise product.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .grid import (
     dft_inverse,
     padded_points,
     pair,
-    product_on_grid,
     regrid_field,
     spectral_derivative,
 )
@@ -200,15 +199,18 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     to ``sum_s psi(2^-s xi) F_jl(2^-s xi) = F_jl(xi / |xi|)``, so slot ``j`` of
     term ``l`` is the single-variable multiplier ``F_jl`` at the direction of
     every active nonzero mode and 0 at the origin; the factors are evaluated
-    only at the modes ``apply_direct`` enumerates.  The slot outputs are
-    multiplied on the padded grid.  The agreement with ``apply_direct`` is
-    bounded by the expansion's recorded ``residual``, the symbol's relative
-    error on and between the angular nodes, up to the rounding of the
-    transforms.
+    only at the modes ``apply_direct`` enumerates.  Each slot's coefficients
+    times factor values are scattered to their frequencies on the
+    ``pad``-enlarged grid, where no sum of ``m`` input frequencies wraps; per
+    term, one ``dft_inverse`` per slot and their pointwise product give the
+    output samples.  The agreement with ``apply_direct`` is bounded by the
+    expansion's recorded ``residual``, the symbol's relative error on and
+    between the angular nodes, up to the rounding of the transforms.
 
-    Every multiplier is 0 at the origin, so a symbol that is not null on
-    zero slots raises ``UncoveredSpectrumError`` on an input whose mean mode
-    is active.
+    Every multiplier is 0 at the origin, so unless the symbol's
+    ``zero_rule`` is 0 an input whose mean mode is active raises
+    ``UncoveredSpectrumError``: a total symbol (``zero_rule`` None) may be
+    nonzero on zero slots, which no term carries.
     """
     if not isinstance(op.strategy, Separable):
         raise ValueError("operator strategy is not separable")
@@ -218,29 +220,28 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
     grid = common_grid(fields)
+    grid_out = grid.with_n(padded_points(grid.n, op.pad))
 
-    slots = []  # per slot: flat positions of the active nonzero modes, (rank, K) values
+    slots = []  # per slot: padded positions of the active nonzero modes, (rank, K) values
     for j, f in enumerate(fields):
         freqs, coeffs = active_modes(dft_forward(f))
         live = np.any(freqs != 0, axis=-1)
-        if not live.all() and op.symbol.zero_rule not in (0, None):
+        if not live.all() and op.symbol.zero_rule != 0:
             raise UncoveredSpectrumError(
                 "input has a mean mode but the symbol is not null on zero slots"
             )
         freqs, coeffs = freqs[live], coeffs[live]
-        flat = np.ravel_multi_index(tuple((freqs % grid.n).T), grid.shape)
+        flat = np.ravel_multi_index(tuple((freqs % grid_out.n).T), grid_out.shape)
         slots.append((flat, coeffs * exp.factor_values(j, freqs)))
 
-    n_out = padded_points(grid.n, op.pad)
-    grid_out = grid.with_n(n_out)
     acc = np.zeros(grid_out.shape, dtype=np.complex128)
     for l in range(exp.rank):
-        gs = []
+        term = np.full(grid_out.shape, exp.coeffs[l], dtype=np.complex128)
         for flat, values in slots:
-            loc = np.zeros(grid.npoints, dtype=np.complex128)
+            loc = np.zeros(grid_out.npoints, dtype=np.complex128)
             loc[flat] = values[l]
-            gs.append(dft_inverse(Spectrum(grid, loc.reshape(grid.shape))))
-        acc += exp.coeffs[l] * product_on_grid(gs, n_out).samples
+            term *= dft_inverse(Spectrum(grid_out, loc.reshape(grid_out.shape))).samples
+        acc += term
     return Field(grid_out, acc)
 
 
@@ -286,9 +287,9 @@ def pair_with_transfer(
     ``<T, phi> = (i period / 2 pi)^k sum_{l_1..l_k}
     <T_{C_{l_1} ... C_{l_k}}(f...), d_{l_1} ... d_{l_k} phi>``.
 
-    ``k = 0`` degenerates to the plain pairing with symbol one.  The rewrite
-    is a pointwise identity on every tuple, zero slots included, so the
-    result matches the direct pairing to rounding error.
+    ``k = 0`` has one empty combination: the plain pairing with symbol one.
+    The rewrite is a pointwise identity on every tuple, zero slots included,
+    so the result matches the direct pairing to rounding error.
     """
     if k < 0:
         raise ValueError("power must be >= 0")
@@ -300,21 +301,14 @@ def pair_with_transfer(
     if sigma_m.zero_rule not in (None, 0.0):
         raise ValueError("alternating symbols must vanish on zero slots")
     n_out = padded_points(grid.n, m)
-
-    if k == 0:
-        from .symbols import one_symbol
-
-        op = OperatorSpec(one_symbol(m, d), m)
-        T = apply_direct(op, fields)
-        return pair(T, regrid_field(phi, n_out))
-
     scale = (1j * grid.period / (2.0 * math.pi)) ** k
     total = 0.0 + 0.0j
     for combo in iter_product(range(d), repeat=k):
         units = [np.eye(d)[l] for l in combo]
 
         def reduced(*blocks: np.ndarray, _units=units) -> np.ndarray:
-            out = np.ones(blocks[0].shape[:-1], dtype=np.complex128)
+            shape = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+            out = np.ones(shape, dtype=np.complex128)
             for e in _units:
                 e = e.reshape((1,) * (blocks[0].ndim - 1) + (d,))
                 out = out * np.asarray(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from mlab import Field, GridSpec, dft_inverse, spectrum_from_modes
+from mlab import Field, GridSpec, SymbolSpec, dft_inverse, spectrum_from_modes
 
 settings.register_profile(
     "suite",
@@ -55,6 +55,22 @@ def random_trig(
         modes = sym
     spec = spectrum_from_modes(grid, modes)
     return dft_inverse(spec, is_real=real), modes
+
+
+def phase_symbol(m: int) -> SymbolSpec:
+    """Complex degree-0 symbol in d = 2 with two terms, written in the unit
+    phases ``z_j = e^{i theta_j}``: ``z_1 z_2^2 + 0.5i conj(z_1) z_2`` for
+    m = 2, ``z_1 z_2 conj(z_3) + 0.5i z_1^2 conj(z_2) z_3^2`` for m = 3."""
+    if m not in (2, 3):
+        raise ValueError(f"phase symbol defined for m = 2, 3, got {m}")
+
+    def ev(*blocks: np.ndarray) -> np.ndarray:
+        z = [(b[..., 0] + 1j * b[..., 1]) / np.hypot(b[..., 0], b[..., 1]) for b in blocks]
+        if m == 2:
+            return z[0] * z[1] ** 2 + 0.5j * z[0].conj() * z[1]
+        return z[0] * z[1] * z[2].conj() + 0.5j * z[0] ** 2 * z[1].conj() * z[2] ** 2
+
+    return SymbolSpec(m=m, d=2, evaluator=ev, name=f"phase{m}", poly_homogeneous=True)
 
 
 @pytest.fixture

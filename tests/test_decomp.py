@@ -29,10 +29,9 @@ from mlab import (
     separable_expand,
     spectrum_from_modes,
 )
-from mlab import decomp
 from mlab.grid import dft_inverse
 
-from conftest import random_trig, rel_err
+from conftest import phase_symbol, random_trig, rel_err
 
 
 class TestProfiles:
@@ -154,6 +153,7 @@ class TestSeparableExpansion:
             ("one", 2, 1),
             ("riesz_product:1,2,1", 2, 1),
             ("det_norm:1", 1, 1),
+            ("riesz_product:1,1,1,1", 1, 1),
         ],
     )
     def test_rank_is_numerical_rank(self, spec, d, rank):
@@ -197,11 +197,38 @@ class TestSeparableExpansion:
             separable_expand(resolve_symbol(spec, 2))
         assert time.perf_counter() - started <= 1.0
 
-    def test_stalled_deflation_raises(self, monkeypatch):
-        # A step that removes nothing must raise, not cut the sum short.
-        monkeypatch.setattr(decomp, "_contract_all", lambda tensor, vecs: 0j)
-        with pytest.raises(ValueError, match="stalls at residual 1.000e"):
-            separable_expand(resolve_symbol("det_norm:1", 1))
+    @pytest.mark.parametrize(
+        "sym",
+        [
+            resolve_symbol("det_norm:17", 2),
+            resolve_symbol("riesz_product:1,2,1", 2),
+            resolve_symbol("riesz_product:1,1,1,1", 1),
+            phase_symbol(2),
+            phase_symbol(3),
+        ],
+        ids=lambda sym: sym.name,
+    )
+    def test_residual_bounds_the_factors_at_the_nodes(self, sym):
+        # The model is rebuilt from ``factor_values`` at the nodes, the
+        # route ``apply_separable`` takes, not from the stored tables.
+        exp = separable_expand(sym)
+        pts = exp.grid.points
+        values = [exp.factor_values(j, pts) for j in range(exp.m)]
+        model = 0.0
+        for l in range(exp.rank):
+            term = exp.coeffs[l]
+            for v in values:
+                term = np.multiply.outer(term, v[l])
+            model = model + term
+        n = exp.grid.n_points
+        blocks = [
+            pts.reshape((1,) * j + (n,) + (1,) * (exp.m - 1 - j) + (sym.d,))
+            for j in range(exp.m)
+        ]
+        samples = evaluate(sym, blocks)
+        err = float(np.linalg.norm(model - samples)) / float(np.linalg.norm(samples))
+        assert exp.residual <= 1e-12
+        assert err <= exp.residual + 1e-14
 
     def test_det_norm_spectrum_decay(self):
         sym = normalized_power_symbol(det_symbol(2), 1.0)

@@ -40,7 +40,7 @@ from mlab.grid import padded_points, regrid_field
 from mlab.harness import random_field
 from mlab.operators import enumeration_budget
 
-from conftest import random_trig, rel_l2
+from conftest import phase_symbol, random_trig, rel_l2
 from oracles import apply_multilinear_modes, modes_on_grid, scalar_symbol
 
 
@@ -360,6 +360,37 @@ class TestApplySeparable:
         f = Field(g, f.samples - np.mean(f.samples) + 1.0)
         with pytest.raises(UncoveredSpectrumError):
             apply_separable(op, [f, f])
+
+    def test_total_symbol_nonzero_on_zero_slots_rejected(self):
+        # zero_rule None: the evaluator is total and gives a nonzero value
+        # on zero slots, which no separable term carries.
+        def ev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            ra = np.maximum(np.hypot(a[..., 0], a[..., 1]), 1.0)
+            rb = np.maximum(np.hypot(b[..., 0], b[..., 1]), 1.0)
+            return (1.0 + a[..., 0] / ra) * (1.0 + b[..., 1] / rb)
+
+        sym = SymbolSpec(m=2, d=2, evaluator=ev, name="shifted-riesz",
+                         poly_homogeneous=True, zero_rule=None)
+        op = self._op(sym)
+        g = GridSpec(d=2, n=8)
+        f, _ = random_trig(g, degree=2, seed=76)
+        f0 = Field(g, f.samples - np.mean(f.samples))
+        with pytest.raises(UncoveredSpectrumError):
+            apply_separable(op, [f, f0])
+        got = apply_separable(op, [f0, f0])
+        want = apply_direct(OperatorSpec(sym, 2), [f0, f0])
+        assert rel_l2(got.samples, want.samples) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_complex_symbol_matches_direct(self, m):
+        g = GridSpec(d=2, n=8)
+        sym = phase_symbol(m)
+        op = self._op(sym)
+        assert op.strategy.expansion.residual <= 1e-12
+        fs = [random_trig(g, degree=3, seed=150 + j, real=False)[0] for j in range(m)]
+        got = apply_separable(op, fs)
+        want = apply_direct(OperatorSpec(sym, m), fs)
+        assert rel_l2(got.samples, want.samples) <= 1e-12
 
     def test_trilinear_riesz_product(self):
         g = GridSpec(d=2, n=8)
