@@ -93,19 +93,40 @@ def _padded_derivative(spec: Spectrum, mult: np.ndarray, n_out: int) -> np.ndarr
     return padded_inverse(deriv, n_out).samples
 
 
-def jacobian_det_pointwise(us: list[Field]) -> Field:
-    """``det`` of the matrix ``[d u_i / d x_j]`` sampled on the grid padded by ``d``.
+def _det_points(n: int, d: int, n_out: int | None) -> int:
+    """The determinant's grid: ``n_out``, by default ``n`` padded by ``d``.
+
+    An ``n_out`` below ``n`` would truncate the entries, so it is refused.
+    """
+    if n_out is None:
+        return padded_points(n, d)
+    if n_out < n:
+        raise ValueError(f"determinant grid {n_out} is coarser than the input grid {n}")
+    return n_out
+
+
+def jacobian_det_pointwise(us: list[Field], n_out: int | None = None) -> Field:
+    """``det`` of the matrix ``[d u_i / d x_j]`` sampled on an ``n_out`` grid.
 
     One forward transform per component; each entry is its spectrum times a
     :func:`derivative_multiplier`, zero padded and inverted once.  The
     determinant is the cofactor expansion :func:`poly_det` over the entry
     sample arrays.
+
+    ``n_out`` defaults to the grid padded by ``d``, on which every mode of
+    the determinant is alias free.  A caller that reads only the modes
+    ``|eta_a| <= b`` may pass any ``n_out >= b + d n/2``.  Every term of
+    the determinant is a product of ``d`` entries that differentiates along
+    each axis ``a``, and that entry's multiplier zeroes the Nyquist row
+    ``xi_a = -n/2``, so the term's modes have ``-d n/2 < xi_a <= d (n/2 -
+    1)``.  No alias ``eta + k n_out`` (``k != 0``) of a read mode lies in
+    that range, so the read coefficients are exact to rounding.
     """
     grid = common_grid(us)
     d = grid.d
     if len(us) != d:
         raise ValueError(f"need {d} components, got {len(us)}")
-    n_out = padded_points(grid.n, d)
+    n_out = _det_points(grid.n, d, n_out)
     mults = [derivative_multiplier(grid, j) for j in range(d)]
     entries = []
     for u in us:
@@ -114,14 +135,18 @@ def jacobian_det_pointwise(us: list[Field]) -> Field:
     return Field(grid.with_n(n_out), poly_det(entries))
 
 
-def hessian_det_pointwise(u: Field) -> Field:
-    """``det`` of the spectral Hessian of ``u`` sampled on the grid padded by ``d``.
+def hessian_det_pointwise(u: Field, n_out: int | None = None) -> Field:
+    """``det`` of the spectral Hessian of ``u`` sampled on an ``n_out`` grid.
 
     Only the ``d (d + 1) / 2`` entries with ``i <= j`` are transformed; the
     multiplier ``m_i m_j`` is symmetric bitwise, so ``H_ji`` is ``H_ij``.
+    ``n_out`` defaults to the grid padded by ``d``; as for
+    :func:`jacobian_det_pointwise`, the modes ``|eta_a| <= b`` are exact on
+    any ``n_out >= b + d n/2``, since every term ``prod_i H_{i sigma(i)}``
+    differentiates along each axis.
     """
     d = u.grid.d
-    n_out = padded_points(u.grid.n, d)
+    n_out = _det_points(u.grid.n, d, n_out)
     mults = [derivative_multiplier(u.grid, i) for i in range(d)]
     spec = dft_forward(u)
     H = [[None] * d for _ in range(d)]

@@ -33,6 +33,7 @@ from .grid import (
     dft_inverse,
     dilate_dyadic,
     noise_floor,
+    padded_points,
 )
 from .operators import OperatorSpec, Separable, apply_operator, pair_with_transfer
 from .spaces import (
@@ -444,10 +445,27 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
     )
 
 
+def _sweep_det_n(d: int, n: int) -> int:
+    """Points per axis on which ``_estimate_sweep`` samples a determinant.
+
+    The sweep reads ``D`` only at the modes ``eta`` with ``-2^t eta`` in the
+    test function's band, so ``|eta_a| <= n/2``.  ``D``'s own modes have
+    ``-d n/2 < xi_a <= d (n/2 - 1)`` (each term differentiates along every
+    axis, and the derivative multiplier zeroes that axis's Nyquist row), so
+    on an ``N`` grid no alias ``eta + k N`` (``k != 0``) of a read mode
+    meets them when ``N >= (d + 1) n/2``.  ``padded_points(n, (d + 2) //
+    2)`` always meets that bound: the ``d``-fold pad for ``d = 2``, half of
+    it for ``d = 3`` (32 points instead of 64 at ``n = 16``, where the bound
+    is met with no slack).
+    """
+    return padded_points(n, (d + 2) // 2)
+
+
 def _estimate_sweep(
     cfg: ExperimentConfig, s: float, order: int
-) -> tuple[list[dict], list[dict], float]:
-    """Plain and difference sweeps of ``_determinant_estimate``.
+) -> tuple[list[dict], list[dict], float, int]:
+    """Plain and difference sweeps of ``_determinant_estimate``, and the
+    number of points per axis of the grid the determinants were sampled on.
 
     The determinant of the dilated input is never materialized: with
     ``D = det(D^order u)`` on the base grid, dilating by ``2^t`` multiplies
@@ -459,14 +477,23 @@ def _estimate_sweep(
     instance, not once per step; the Bessel weight once per step, not once
     per norm.  Each row's ``active_modes`` counts, per member, the
     determinant modes that meet the test function's band at that step (mean
-    excluded).
+    excluded), above ``noise_floor`` of the spectrum held here.
+
+    ``D`` is sampled on ``N = padded_points(n, (d + 2) // 2)`` points per
+    axis (``_sweep_det_n``), not on the ``d``-fold pad: the pairings and
+    counts read only modes with ``|eta_a| <= n/2``, and ``N >= (d + 1) n/2``
+    keeps every alias of those off the determinant's modes.
     """
     grid = cfg.grid
     d = cfg.d
-    if order == 1:
-        det_of, components = jacobian_det_pointwise, d
-    else:
-        det_of, components = (lambda fields: hessian_det_pointwise(fields[0])), 1
+    det_n = _sweep_det_n(d, cfg.n)
+    components = d if order == 1 else 1
+
+    def det_spectrum(fields: list[Field]) -> Spectrum:
+        if order == 1:
+            return dft_forward(jacobian_det_pointwise(fields, det_n))
+        return dft_forward(hessian_det_pointwise(fields[0], det_n))
+
     seeds = _family_seeds(cfg, 2 * components + 1)
     instances = []
     for block in seeds:
@@ -482,8 +509,8 @@ def _estimate_sweep(
         # undilated pairing unrepresentatively small and the sweep ratios
         # erratic relative to it.
         phi = random_field(block[2 * components], grid, cfg.gamma + 2.0)
-        Du = dft_forward(det_of(us))
-        Dv = dft_forward(det_of(vs))
+        Du = det_spectrum(us)
+        Dv = det_spectrum(vs)
         Ddiff = Spectrum(Du.grid, Du.coeffs - Dv.coeffs)
         instances.append(
             {
@@ -533,7 +560,7 @@ def _estimate_sweep(
     zero_num = abs(
         pair_dilated(Spectrum(Du0.grid, Du0.coeffs - Du0.coeffs), cfg.t_min, phihat0)
     )
-    return sweep_rows, diff_rows, zero_num
+    return sweep_rows, diff_rows, zero_num, det_n
 
 
 def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
@@ -561,7 +588,7 @@ def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
     s = order - order / cfg.d
     if cfg.s is not None and abs(cfg.s - s) > 1e-12:
         raise ValueError(f"smoothness must be {order} - {order}/d = {s}")
-    sweep_rows, diff_rows, zero_num = _estimate_sweep(cfg, s, order)
+    sweep_rows, diff_rows, zero_num, det_n = _estimate_sweep(cfg, s, order)
     passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR) and zero_num == 0.0
     return _finish(
         cfg,
@@ -574,6 +601,7 @@ def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
             "s": s,
             "difference_sweep": diff_rows,
             "u_equals_v_numerator": zero_num,
+            "det_n": det_n,
         },
     )
 

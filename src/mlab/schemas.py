@@ -85,7 +85,10 @@ RECORD_SCHEMA = {
         },
         "passed": {"type": "boolean"},
         "runtime_seconds": {"type": "number", "minimum": 0},
-        "extra": {"type": "object"},
+        "extra": {
+            "type": "object",
+            "properties": {"det_n": {"type": "integer", "minimum": 1}},
+        },
     },
     "required": [
         "config_hash",

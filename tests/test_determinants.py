@@ -34,8 +34,10 @@ from mlab import (
     symbolic_piola_check,
 )
 from mlab import determinants
-from mlab.grid import padded_points, regrid_field, spectral_derivative
-from mlab.harness import random_field
+from mlab.grid import (
+    Spectrum, dft_forward, padded_points, regrid_field, spectral_derivative,
+)
+from mlab.harness import _band_block, _sweep_det_n, random_field
 
 from conftest import random_trig, rel_l2
 from oracles import det_cofactor, det_cofactor_grid, diff_modes, modes_on_grid
@@ -162,6 +164,35 @@ class TestFullBandRoutes:
         got = hessian_det_pointwise(u)
         assert got.grid.n == n_out
         assert rel_l2(got.samples, want) <= 1e-12
+
+    @pytest.mark.parametrize("route", ["jacobian", "hessian"])
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (3, 16)])
+    def test_sweep_grid_keeps_the_band_alias_free(self, route, d, n):
+        # The estimate sweep reads only the band blocks of the determinant,
+        # so on its smaller grid they must match the d-fold pad's.
+        g = GridSpec(d=d, n=n)
+        us = [random_field(180 + i, g, 2.0) for i in range(d)]
+        det_n = _sweep_det_n(d, n)
+        if route == "jacobian":
+            full, small = jacobian_det_pointwise(us), jacobian_det_pointwise(us, det_n)
+        else:
+            full = hessian_det_pointwise(us[0])
+            small = hessian_det_pointwise(us[0], det_n)
+        assert small.grid.n == det_n
+        phi = Spectrum(g, np.zeros(g.shape))
+        for t in range(4):
+            want, _ = _band_block(dft_forward(full), t, phi)
+            got, _ = _band_block(dft_forward(small), t, phi)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_grid_coarser_than_input_rejected(self):
+        g = GridSpec(d=2, n=16)
+        us = [random_field(190 + i, g, 2.0) for i in range(2)]
+        with pytest.raises(ValueError, match="coarser"):
+            jacobian_det_pointwise(us, 8)
+        with pytest.raises(ValueError, match="coarser"):
+            hessian_det_pointwise(us[0], 8)
 
 
 class TestFourierRoutes:

@@ -315,6 +315,20 @@ class TestDeterminantEstimates:
             for i in range(2)
         )
 
+    @pytest.mark.parametrize(
+        "scan, d, n, det_n",
+        [(hessian_estimate, 3, 16, 32), (hessian_estimate, 3, 8, 16),
+         (jacobian_estimate, 2, 128, 256)],
+    )
+    def test_record_names_the_determinant_grid(self, scan, d, n, det_n):
+        cfg = ExperimentConfig(
+            experiment="det", d=d, n=n, symbol="det", p=(float(d),) * d, r=1.0,
+            family=1, t_max=0,
+        )
+        rec = scan(cfg).to_dict()
+        validate_record(rec)
+        assert rec["extra"]["det_n"] == det_n
+
     def test_jacobian_rejects_wrong_exponents(self):
         cfg = ExperimentConfig(
             experiment="jac", d=2, n=8, symbol="det", p=(2.0, 2.0, 2.0),

@@ -121,3 +121,14 @@ class TestValidateRecord:
         payload["kind"] = "mystery"
         with pytest.raises(jsonschema.ValidationError):
             validate_record(payload)
+
+    @pytest.mark.parametrize("det_n", [0, 16.5, "32"])
+    def test_rejects_bad_determinant_grid(self, det_n):
+        cfg = ExperimentConfig(
+            experiment="scan", d=2, n=8, symbol="det_norm:1", p=(2.0, 2.0),
+            r=1.0, family=1, t_min=0, t_max=1, cutoff=2.0,
+        )
+        payload = boundedness_scan(cfg).to_dict()
+        payload["extra"]["det_n"] = det_n
+        with pytest.raises(jsonschema.ValidationError):
+            validate_record(payload)
