@@ -362,31 +362,35 @@ def pair(f: Field, g: Field) -> complex:
     return complex(w * np.sum(f.samples * g.samples))
 
 
-def dilate_dyadic(f: Field, t: int) -> Field:
-    """Dyadic dilation ``f(x) -> f(2^t x)`` by exact coefficient remapping.
+def _lattice_grid(grid: GridSpec, step: int) -> GridSpec:
+    """Grid of the spectra on ``grid`` supported on ``step Z^d``.
 
-    The coefficient at ``xi`` moves to ``2^t xi``.  When the dilated spectrum
-    no longer fits the band the grid is enlarged (same period, more points),
-    which keeps the sample multiset of the output identical to the input's up
-    to repetition; every quadrature ``L^p`` norm is then preserved exactly.
+    Such a spectrum is ``step``-periodic in the samples: its value at node
+    ``p`` depends on ``p mod n/step`` alone.  With the frequency ``step k``
+    stored as ``k``, it is a spectrum on ``n / step`` points of period
+    ``period / step``, whose nodes are the first ``n / step`` nodes of
+    ``grid``; ``step`` is a power of two dividing ``n / 4``.
+    """
+    return GridSpec(grid.d, grid.n // step, grid.period / step)
+
+
+def _tile(f: Field, grid: GridSpec) -> Field:
+    """``f``'s samples repeated ``grid.n / f.grid.n`` times per axis on ``grid``."""
+    reps = grid.n // f.grid.n
+    return Field(grid, np.tile(f.samples, (reps,) * grid.d), is_real=f.is_real)
+
+
+def dilate_dyadic(f: Field, t: int) -> Field:
+    """Dyadic dilation ``f(x) -> f(2^t x)`` on the ``2^t n`` grid of the same period.
+
+    The node ``2^t x_p`` of the enlarged grid is the base node ``p mod n``,
+    so the output samples are the input samples tiled ``2^t`` times per
+    axis, and the coefficient at ``xi`` moves to ``2^t xi``.  No transform
+    runs, band-limited or not, and every quadrature ``L^p`` norm is kept up
+    to the rounding of its sum.
     """
     if t < 0:
         raise ValueError(f"dilation exponent must be >= 0, got {t}")
     if t == 0:
         return f
-    # Transform roundtrip noise would otherwise mark every mode active and
-    # force the maximal enlargement even for band-limited inputs.
-    freqs, values = active_modes(dft_forward(f))
-    scale = 1 << t
-    # Smallest power-of-two enlargement on which every scaled active mode is
-    # representable; for a full-band input this is exactly 2^t n, which makes
-    # the output samples a plain repetition of the input samples.
-    max_pos = int(freqs.max(initial=0))
-    min_neg = int(freqs.min(initial=0))
-    n_out = f.grid.n
-    while scale * max_pos > n_out // 2 - 1 or scale * min_neg < -(n_out // 2):
-        n_out *= 2
-    grid_out = f.grid.with_n(n_out)
-    coeffs = np.zeros(grid_out.shape, dtype=np.complex128)
-    coeffs[tuple(((scale * freqs) % n_out).T)] = values
-    return dft_inverse(Spectrum(grid_out, coeffs), is_real=f.is_real)
+    return _tile(f, f.grid.with_n(f.grid.n << t))

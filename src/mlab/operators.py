@@ -9,15 +9,20 @@ an outer sum of row tuples (the first ``m - 1`` slots) and column modes (the
 last slot), taken in cache-sized blocks, so each block's weights and output
 positions are broadcast products and sums.  Positions are linear indices of
 frequencies shifted by ``n/2`` per axis, which keeps every sum inside the
-output band without a modulo, on the compact lattice of the common step of
-every frequency (``2^t`` after a dyadic dilation); one strided write puts
-that lattice on the padded grid and one roll per axis restores FFT order.
+output band without a modulo.
+
+Both routes work on the compact lattice ``step Z^d`` that holds every input
+frequency, and so every sum of them: ``step`` is 1 for generic input and
+``2^t`` for input dilated by ``dilate_dyadic``.  A spectrum on that lattice
+is a spectrum on the ``(n_out / step)^d`` grid of period ``period / step``,
+whose samples repeat ``step`` times per axis on the padded grid, so every
+inverse transform runs on the compact grid and the result is tiled once.
 
 ``apply_separable`` evaluates the same operator through the angular
 separable expansion of a degree-zero symbol: each term is one
 single-variable multiplier per slot, the factor evaluated at the direction
-of every active nonzero mode, placed straight on the padded output grid,
-so each term costs ``m`` inverse transforms and one pointwise product.
+of every active nonzero mode, so each term costs ``m`` inverse transforms
+and one pointwise product on the compact grid.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from .errors import (
 from .grid import (
     Field,
     Spectrum,
+    _lattice_grid,
+    _tile,
     active_modes,
     common_grid,
     dft_forward,
@@ -61,6 +68,15 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
+
+
+def _lattice_step(freqs: list[np.ndarray], n_out: int) -> int:
+    """Step of the lattice ``step Z^d`` that holds every frequency in ``freqs``
+    and so every sum of them: the gcd of all their components and of
+    ``n_out / 4``.  The cap keeps the compact grid at 4 or more points;
+    unless every frequency is 0, it binds only for ``m = 1``."""
+    components = np.concatenate([fr.ravel() for fr in freqs])
+    return int(np.gcd.reduce(components, initial=n_out // 4))
 
 
 @dataclass(frozen=True)
@@ -119,15 +135,15 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     Its output positions are outer sums of per-mode linear indices of the
     shifted frequencies ``xi + n/2``: each component lies in ``[0, n)``, so
     a sum of ``m`` of them lies in ``[0, m (n - 1)]``, inside the ``n_out``
-    band, and no tuple needs a modulo.  With ``step`` the gcd of every
-    component of every (kept) support frequency and of ``n/2``, each shifted
-    component is a multiple of ``step``, so the indices are taken on the
-    compact ``(n_out / step)^d`` lattice of ``(xi + n/2) / step``.  ``step``
-    is 1 for generic input and ``2^t`` for input dilated by ``dilate_dyadic``,
-    whose every frequency lies on ``2^t Z^d``; the per-block ``bincount``
-    then spans ``step^d`` times fewer bins.  The accumulated lattice is
-    written into every ``step``-th point of the padded grid once, and one
-    roll by ``-m n/2`` per axis puts the coefficients back in FFT order.
+    band, and no tuple needs a modulo.  With ``step`` from
+    ``_lattice_step``, each frequency component is a multiple of ``step``,
+    so the indices are taken on the compact ``(n_out / step)^d`` lattice of
+    ``xi / step + n / (2 step)``, and the per-block ``bincount`` spans
+    ``step^d`` times fewer bins than the padded grid.  One roll per axis
+    puts the accumulated lattice in the FFT order of the compact grid, one
+    ``dft_inverse`` runs there, and its samples are tiled ``step`` times per
+    axis onto the padded grid.  When no tuple is live the output is zero
+    and no transform runs.
     """
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
@@ -147,49 +163,47 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
         supports = [(fr[keep], c[keep]) for (fr, c), keep in zip(supports, live)]
     sizes = [fr.shape[0] for fr, _ in supports]
     total = math.prod(sizes)
-    n_out = padded_points(grid.n, op.pad)
-    grid_out = grid.with_n(n_out)
-    half = grid.n // 2
-    shifted = np.zeros(grid_out.shape, dtype=np.complex128)
-    if total > 0:
-        # Every shifted frequency, and so every sum, lies on step * Z^d.
-        components = np.concatenate([fr.ravel() for fr, _ in supports])
-        step = int(np.gcd.reduce(components, initial=half))
-        n_lat = n_out // step
-        acc_re = np.zeros(n_lat**grid.d, dtype=np.float64)
-        acc_im = np.zeros(n_lat**grid.d, dtype=np.float64)
-        strides = n_lat ** np.arange(grid.d - 1, -1, -1, dtype=np.int64)
-        lin = [((fr + half) // step) @ strides for fr, _ in supports]
-        xis = [fr.astype(np.float64) for fr, _ in supports]
-        coeffs = [c for _, c in supports]
-        n_cols = sizes[-1]
-        n_rows = total // n_cols
-        col_step = min(n_cols, _CHUNK)
-        row_step = max(1, _CHUNK // col_step)
-        for r0 in range(0, n_rows, row_step):
-            rem = np.arange(r0, min(r0 + row_step, n_rows), dtype=np.int64)
-            height = rem.shape[0]
-            prefix = np.ones(height, dtype=np.complex128)
-            row_lin = np.zeros(height, dtype=np.int64)
-            row_xis = []
-            for j in range(op.m - 2, -1, -1):
-                idx = rem % sizes[j]
-                rem = rem // sizes[j]
-                prefix = prefix * coeffs[j][idx]
-                row_lin += lin[j][idx]
-                row_xis.append(xis[j][idx][:, None, :])
-            row_xis.reverse()
-            for c0 in range(0, n_cols, col_step):
-                cols = slice(c0, c0 + col_step)
-                sym = evaluate(op.symbol, row_xis + [xis[-1][None, cols]])
-                weights = (prefix[:, None] * sym * coeffs[-1][cols]).reshape(-1)
-                flat = (row_lin[:, None] + lin[-1][cols]).reshape(-1)
-                acc_re += np.bincount(flat, weights=weights.real, minlength=acc_re.size)
-                acc_im += np.bincount(flat, weights=weights.imag, minlength=acc_im.size)
-        lattice = (slice(None, None, step),) * grid.d
-        shifted[lattice] = (acc_re + 1j * acc_im).reshape((n_lat,) * grid.d)
+    grid_out = grid.with_n(padded_points(grid.n, op.pad))
+    if total == 0:
+        return Field(grid_out, np.zeros(grid_out.shape, dtype=np.complex128))
+    step = _lattice_step([fr for fr, _ in supports], grid_out.n)
+    lattice = _lattice_grid(grid_out, step)
+    # Shifted by half, each component lies in [0, 2 half); when step > n/2
+    # every frequency is 0 and so is half.
+    half = grid.n // 2 // step
+    acc_re = np.zeros(lattice.npoints, dtype=np.float64)
+    acc_im = np.zeros(lattice.npoints, dtype=np.float64)
+    strides = lattice.n ** np.arange(grid.d - 1, -1, -1, dtype=np.int64)
+    lin = [(fr // step + half) @ strides for fr, _ in supports]
+    xis = [fr.astype(np.float64) for fr, _ in supports]
+    coeffs = [c for _, c in supports]
+    n_cols = sizes[-1]
+    n_rows = total // n_cols
+    col_step = min(n_cols, _CHUNK)
+    row_step = max(1, _CHUNK // col_step)
+    for r0 in range(0, n_rows, row_step):
+        rem = np.arange(r0, min(r0 + row_step, n_rows), dtype=np.int64)
+        height = rem.shape[0]
+        prefix = np.ones(height, dtype=np.complex128)
+        row_lin = np.zeros(height, dtype=np.int64)
+        row_xis = []
+        for j in range(op.m - 2, -1, -1):
+            idx = rem % sizes[j]
+            rem = rem // sizes[j]
+            prefix = prefix * coeffs[j][idx]
+            row_lin += lin[j][idx]
+            row_xis.append(xis[j][idx][:, None, :])
+        row_xis.reverse()
+        for c0 in range(0, n_cols, col_step):
+            cols = slice(c0, c0 + col_step)
+            sym = evaluate(op.symbol, row_xis + [xis[-1][None, cols]])
+            weights = (prefix[:, None] * sym * coeffs[-1][cols]).reshape(-1)
+            flat = (row_lin[:, None] + lin[-1][cols]).reshape(-1)
+            acc_re += np.bincount(flat, weights=weights.real, minlength=acc_re.size)
+            acc_im += np.bincount(flat, weights=weights.imag, minlength=acc_im.size)
+    shifted = (acc_re + 1j * acc_im).reshape(lattice.shape)
     coeffs_out = np.roll(shifted, (-op.m * half,) * grid.d, axis=tuple(range(grid.d)))
-    return dft_inverse(Spectrum(grid_out, coeffs_out))
+    return _tile(dft_inverse(Spectrum(lattice, coeffs_out)), grid_out)
 
 
 def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
@@ -200,12 +214,14 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     term ``l`` is the single-variable multiplier ``F_jl`` at the direction of
     every active nonzero mode and 0 at the origin; the factors are evaluated
     only at the modes ``apply_direct`` enumerates.  Each slot's coefficients
-    times factor values are scattered to their frequencies on the
-    ``pad``-enlarged grid, where no sum of ``m`` input frequencies wraps; per
-    term, one ``dft_inverse`` per slot and their pointwise product give the
-    output samples.  The agreement with ``apply_direct`` is bounded by the
-    expansion's recorded ``residual``, the symbol's relative error on and
-    between the angular nodes, up to the rounding of the transforms.
+    times factor values are scattered onto the compact lattice of
+    ``_lattice_step``, whose grid holds every sum of ``m`` input frequencies
+    without a wrap; per term, one ``dft_inverse`` per slot and their
+    pointwise product are formed there, the terms are summed, and the sum is
+    tiled once onto the padded output grid.  The agreement with
+    ``apply_direct`` is bounded by the expansion's recorded ``residual``,
+    the symbol's relative error on and between the angular nodes, up to the
+    rounding of the transforms.
 
     Every multiplier is 0 at the origin, so unless the symbol's
     ``zero_rule`` is 0 an input whose mean mode is active raises
@@ -222,7 +238,7 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     grid = common_grid(fields)
     grid_out = grid.with_n(padded_points(grid.n, op.pad))
 
-    slots = []  # per slot: padded positions of the active nonzero modes, (rank, K) values
+    slots = []  # per slot: live frequencies, (rank, K) coefficients times factor values
     for j, f in enumerate(fields):
         freqs, coeffs = active_modes(dft_forward(f))
         live = np.any(freqs != 0, axis=-1)
@@ -231,18 +247,20 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
                 "input has a mean mode but the symbol is not null on zero slots"
             )
         freqs, coeffs = freqs[live], coeffs[live]
-        flat = np.ravel_multi_index(tuple((freqs % grid_out.n).T), grid_out.shape)
-        slots.append((flat, coeffs * exp.factor_values(j, freqs)))
+        slots.append((freqs, coeffs * exp.factor_values(j, freqs)))
 
-    acc = np.zeros(grid_out.shape, dtype=np.complex128)
+    step = _lattice_step([freqs for freqs, _ in slots], grid_out.n)
+    lattice = _lattice_grid(grid_out, step)
+    slots = [(tuple((freqs // step % lattice.n).T), values) for freqs, values in slots]
+    acc = np.zeros(lattice.shape, dtype=np.complex128)
     for l in range(exp.rank):
-        term = np.full(grid_out.shape, exp.coeffs[l], dtype=np.complex128)
-        for flat, values in slots:
-            loc = np.zeros(grid_out.npoints, dtype=np.complex128)
-            loc[flat] = values[l]
-            term *= dft_inverse(Spectrum(grid_out, loc.reshape(grid_out.shape))).samples
+        term = np.full(lattice.shape, exp.coeffs[l], dtype=np.complex128)
+        for pos, values in slots:
+            loc = np.zeros(lattice.shape, dtype=np.complex128)
+            loc[pos] = values[l]
+            term *= dft_inverse(Spectrum(lattice, loc)).samples
         acc += term
-    return Field(grid_out, acc)
+    return _tile(Field(lattice, acc), grid_out)
 
 
 def apply_operator(op: OperatorSpec, fields: list[Field]) -> Field:
@@ -302,6 +320,9 @@ def pair_with_transfer(
         raise ValueError("alternating symbols must vanish on zero slots")
     n_out = padded_points(grid.n, m)
     scale = (1j * grid.period / (2.0 * math.pi)) ** k
+    # Differentiate on the padded grid: there the Nyquist row of phi is an
+    # interior mode, which ``spectral_derivative`` keeps.
+    phi_out = regrid_field(phi, n_out)
     total = 0.0 + 0.0j
     for combo in iter_product(range(d), repeat=k):
         units = [np.eye(d)[l] for l in combo]
@@ -325,9 +346,7 @@ def pair_with_transfer(
         )
         op = OperatorSpec(c_sym, m)
         T = apply_direct(op, fields)
-        # Differentiate on the padded grid: there the Nyquist row of phi is
-        # an interior mode, which ``spectral_derivative`` keeps.
-        dphi = regrid_field(phi, n_out)
+        dphi = phi_out
         for l in combo:
             dphi = spectral_derivative(dphi, l)
         total += pair(T, dphi)

@@ -280,12 +280,29 @@ class TestDilation:
         after = quadrature_lp(ft.samples, p, ft.grid.period)
         assert abs(after - before) <= 1e-12 * before
 
-    def test_enlarges_grid_only_as_needed(self):
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_grid_is_enlarged_by_two_to_the_t(self, t):
+        # Band-limited or full band, f(2^t x) is sampled on the 2^t n grid,
+        # where its samples repeat the base samples.
         g = GridSpec(d=1, n=16)
         low = field_from_modes(g, {(1,): 1.0, (-1,): 1.0})
-        assert dilate_dyadic(low, 2).grid.n == 16
         full, _ = random_trig(g, degree=7, seed=16)
-        assert dilate_dyadic(full, 1).grid.n == 32
+        for f in (low, full):
+            ft = dilate_dyadic(f, t)
+            assert ft.grid == g.with_n(16 << t)
+            assert np.array_equal(ft.samples, np.tile(f.samples, 1 << t))
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0])
+    def test_band_limited_lp_norms_preserved(self, p):
+        # A 2x32 field of degree 3: the dilated samples are those of f, not a
+        # subsample of them, so no quadrature norm moves.
+        g = GridSpec(d=2, n=32)
+        f, _ = random_trig(g, degree=3, seed=19)
+        before = quadrature_lp(f.samples, p, g.period)
+        for t in range(1, 4):
+            ft = dilate_dyadic(f, t)
+            after = quadrature_lp(ft.samples, p, ft.grid.period)
+            assert abs(after - before) <= 1e-12 * before
 
     def test_full_band_output_repeats_samples(self):
         # Nyquist modes included: -n/2 lands on -n_out/2 of the doubled grid.
@@ -296,9 +313,9 @@ class TestDilation:
         assert ft.grid.n == 16
         assert rel_err(ft.samples, np.tile(f.samples, (2, 2))) <= 1e-13
 
-    def test_zero_field_stays_on_its_grid(self, grid2d):
+    def test_zero_field_stays_zero(self, grid2d):
         ft = dilate_dyadic(Field(grid2d, np.zeros(grid2d.shape)), 3)
-        assert ft.grid == grid2d and not np.any(ft.samples)
+        assert ft.grid == grid2d.with_n(64) and not np.any(ft.samples)
 
     def test_regrid_refines_and_coarsens(self):
         g = GridSpec(d=1, n=8)

@@ -172,10 +172,8 @@ def _cfg(**kw) -> ExperimentConfig:
 
 class TestBoundednessScan:
     def test_homogeneous_sweep_is_flat(self):
-        # Full-band inputs force the dilation to enlarge the grid by 2^t, so
-        # the sample multiset and every quadrature norm are preserved exactly.
-        # A band cutoff below n/4 would skip the enlargement and perturb the
-        # L^1 Riemann sum at the percent level.
+        # The dilation tiles the samples on the 2^t n grid, so the sample
+        # multiset and every quadrature norm are preserved exactly.
         rec = boundedness_scan(_cfg())
         assert rec.passed
         assert rec.kind == "boundedness"
@@ -184,6 +182,19 @@ class TestBoundednessScan:
         for i in range(2):
             column = [row["ratios"][i] for row in rec.sweep]
             assert max(column) / min(column) <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize(
+        "symbol, strategy",
+        [("det_norm:1", "direct"), ("det_norm:1", "separable"), ("one", "direct")],
+    )
+    def test_band_limited_sweep_is_flat(self, symbol, strategy):
+        # cutoff 3 at n = 32: the dilated inputs keep the base samples, so
+        # the L^1 ratio stays constant on every route.
+        rec = boundedness_scan(
+            _cfg(symbol=symbol, n=32, cutoff=3.0, t_max=3, strategy=strategy)
+        )
+        assert rec.passed
+        assert _sweep_spread(list(rec.sweep)) <= 1.0 + 1e-10
 
     def test_riesz_ratio_stable_across_resolutions(self):
         maxima = []

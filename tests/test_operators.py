@@ -11,6 +11,7 @@ from mlab import (
     GridSpec,
     OperatorSpec,
     Separable,
+    Spectrum,
     SymbolSpec,
     UncoveredSpectrumError,
     apply_direct,
@@ -36,9 +37,17 @@ from mlab import (
     spectrum_from_modes,
 )
 from mlab import operators
-from mlab.grid import padded_points, regrid_field
+from mlab.grid import (
+    _lattice_grid,
+    _tile,
+    active_modes,
+    dft_inverse,
+    padded_points,
+    regrid_field,
+)
 from mlab.harness import random_field
 from mlab.operators import enumeration_budget
+from mlab.symbols import evaluate
 
 from conftest import phase_symbol, random_trig, rel_l2
 from oracles import apply_multilinear_modes, modes_on_grid, scalar_symbol
@@ -159,7 +168,7 @@ class TestApplyDirect:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_compact_lattice_mean_only(self, m):
-        # Only the mean mode is active: step is n/2, the largest it can be.
+        # Only the mean mode is active: step is the cap n_out / 4.
         grid = GridSpec(d=2, n=8)
         modes = [{(0, 0): complex(1.5 + j, -0.5)} for j in range(m)]
         got, want = _direct_and_oracle("one", grid, modes)
@@ -414,6 +423,211 @@ class TestApplySeparable:
         assert rel_l2(
             regrid_field(sep, n).samples, regrid_field(direct, n).samples
         ) <= 1e-8
+
+
+# -- compact lattice ----------------------------------------------------------
+#
+# The operators invert on the compact lattice of the common step of every
+# input frequency and tile the result.  The oracles below are the full-grid
+# formulas: every output coefficient placed on the padded grid, one inverse
+# transform of that whole grid per spectrum.
+
+
+def _full_grid_direct(op: OperatorSpec, fields: list[Field]) -> np.ndarray:
+    """Output samples of ``apply_direct``: every tuple's weight added at its
+    sum frequency on the padded grid, then one full-grid inverse."""
+    grid = fields[0].grid
+    n_out = padded_points(grid.n, op.pad)
+    supports = [active_modes(dft_forward(f)) for f in fields]
+    m, d = op.m, grid.d
+    blocks, weights = [], np.ones((1,) * m, dtype=np.complex128)
+    for j, (fr, c) in enumerate(supports):
+        shape = [1] * m
+        shape[j] = fr.shape[0]
+        blocks.append(fr.astype(np.float64).reshape(shape + [d]))
+        weights = weights * c.reshape(shape)
+    weights = weights * evaluate(op.symbol, blocks)
+    sums = sum(blocks).astype(np.int64) % n_out
+    sums = np.broadcast_to(sums, weights.shape + (d,)).reshape(-1, d)
+    coeffs = np.zeros((n_out,) * d, dtype=np.complex128)
+    np.add.at(coeffs, tuple(sums.T), weights.reshape(-1))
+    return np.fft.ifftn(coeffs) * n_out**d
+
+
+def _full_grid_separable(op: OperatorSpec, fields: list[Field]) -> np.ndarray:
+    """Output samples of ``apply_separable``: per term, each slot's weighted
+    coefficients on the padded grid, one full-grid inverse per slot."""
+    exp = op.strategy.expansion
+    grid = fields[0].grid
+    n_out = padded_points(grid.n, op.pad)
+    slots = []
+    for j, f in enumerate(fields):
+        freqs, coeffs = active_modes(dft_forward(f))
+        live = np.any(freqs != 0, axis=-1)
+        freqs, coeffs = freqs[live], coeffs[live]
+        slots.append((tuple((freqs % n_out).T), coeffs * exp.factor_values(j, freqs)))
+    acc = np.zeros((n_out,) * grid.d, dtype=np.complex128)
+    for l in range(exp.rank):
+        term = np.full(acc.shape, exp.coeffs[l], dtype=np.complex128)
+        for idx, values in slots:
+            loc = np.zeros(acc.shape, dtype=np.complex128)
+            loc[idx] = values[l]
+            term *= np.fft.ifftn(loc) * n_out**grid.d
+        acc += term
+    return acc
+
+
+def _total_symbol(m: int, d: int) -> SymbolSpec:
+    """Smooth complex symbol, total on zero slots (``zero_rule`` None)."""
+
+    def ev(*blocks: np.ndarray) -> np.ndarray:
+        phase = sum((0.7 - 0.2 * j) * b[..., 0] + 0.3 * b[..., -1] for j, b in enumerate(blocks))
+        return np.cos(phase) + 1j * np.sin(0.5 * phase - 0.1)
+
+    return SymbolSpec(m=m, d=d, evaluator=ev, name="total", zero_rule=None)
+
+
+def _shifted_riesz(m: int, d: int) -> SymbolSpec:
+    """Degree-0 symbol ``prod_j (1 + xi_j[0] / |xi_j|)``, total on zero slots."""
+
+    def ev(*blocks: np.ndarray) -> np.ndarray:
+        out = 1.0
+        for b in blocks:
+            out = out * (1.0 + b[..., 0] / np.maximum(np.linalg.norm(b, axis=-1), 1.0))
+        return out
+
+    return SymbolSpec(m=m, d=d, evaluator=ev, name="shifted-riesz",
+                      poly_homogeneous=True, zero_rule=None)
+
+
+# Base grid per dimension: the dilated grid is 2^t times finer.
+_BASE_N = {1: 8, 2: 8, 3: 4}
+
+
+def _lattice_inputs(d: int, m: int, t: int, seed: int, mean: bool = True) -> list[Field]:
+    """``m`` dilated inputs: slots 0 and 2 on the even modes only, so their
+    own step is ``2^(t+1)`` (above the cap ``n_out / 4`` for m = 1, d = 3),
+    slot 1 full band.  ``mean`` False drops the mean mode."""
+    base = GridSpec(d=d, n=_BASE_N[d])
+    rng = np.random.default_rng(seed)
+    half = base.n // 2
+    fields = []
+    for j in range(m):
+        keys = [tuple(int(c) - half for c in idx) for idx in np.ndindex(*base.shape)]
+        if j % 2 == 0:
+            keys = [xi for xi in keys if all(c % 2 == 0 for c in xi)]
+        if not mean:
+            keys = [xi for xi in keys if any(xi)]
+        modes = {xi: complex(rng.standard_normal(), rng.standard_normal()) for xi in keys}
+        fields.append(dilate_dyadic(field_from_modes(base, modes), t))
+    return fields
+
+
+_LATTICE_CASES = [
+    (d, m, t)
+    for d in (1, 2, 3)
+    for m in (1, 2, 3)
+    for t in range(4)
+    if not (d == 3 and m == 3 and t == 3)  # a 128^3 output grid
+]
+
+
+class TestCompactLattice:
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lattice_inverse_matches_full_grid(self, d, step):
+        # A spectrum on step Z^d, inverted on the compact grid and tiled,
+        # against the same spectrum inverted on the whole grid.
+        grid = GridSpec(d=d, n=16, period=3.0)
+        lattice = _lattice_grid(grid, step)
+        assert lattice.n == 16 // step and lattice.period == 3.0 / step
+        rng = np.random.default_rng(230 + step)
+        compact = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+        full = np.zeros(grid.shape, dtype=np.complex128)
+        k = lattice.freqs()
+        full[np.ix_(*([step * k % grid.n] * d))] = compact
+        got = _tile(dft_inverse(Spectrum(lattice, compact)), grid)
+        assert got.grid == grid
+        assert _max_rel(got.samples, np.fft.ifftn(full) * grid.npoints) <= 1e-14
+
+    @pytest.mark.parametrize("d, m, t", _LATTICE_CASES)
+    @pytest.mark.parametrize("zero_rule", [0, None])
+    def test_direct_matches_full_grid(self, d, m, t, zero_rule):
+        if zero_rule == 0:
+            sym = resolve_symbol("riesz_product:" + ",".join(["1"] * m), d)
+        else:
+            sym = _total_symbol(m, d)
+        op = OperatorSpec(sym, m)
+        fields = _lattice_inputs(d, m, t, seed=240 + 10 * d + m)
+        got = apply_direct(op, fields)
+        assert got.grid == fields[0].grid.with_n(padded_points(fields[0].grid.n, m))
+        assert _max_rel(got.samples, _full_grid_direct(op, fields)) <= 1e-14
+
+    @pytest.mark.parametrize("d, m, t", [c for c in _LATTICE_CASES if c[0] < 3])
+    @pytest.mark.parametrize("zero_rule", [0, None])
+    def test_separable_matches_full_grid(self, d, m, t, zero_rule):
+        if zero_rule == 0:
+            sym = resolve_symbol("riesz_product:" + ",".join([str(d)] * m), d)
+        else:
+            sym = _shifted_riesz(m, d)
+        op = OperatorSpec(sym, m, strategy=Separable(separable_expand(sym)))
+        fields = _lattice_inputs(d, m, t, seed=260 + 10 * d + m, mean=zero_rule == 0)
+        got = apply_separable(op, fields)
+        assert got.grid == fields[0].grid.with_n(padded_points(fields[0].grid.n, m))
+        assert _max_rel(got.samples, _full_grid_separable(op, fields)) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_mean_only_inputs(self, d, m, t):
+        # Every frequency is 0, so step is the cap n_out / 4.
+        base = GridSpec(d=d, n=_BASE_N[d])
+        fields = [
+            dilate_dyadic(field_from_modes(base, {(0,) * d: complex(1.5 + j, -0.5)}), t)
+            for j in range(m)
+        ]
+        for sym in (one_symbol(m, d), _total_symbol(m, d)):
+            op = OperatorSpec(sym, m)
+            assert _max_rel(apply_direct(op, fields).samples, _full_grid_direct(op, fields)) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_inputs_give_zero_without_a_transform(self, monkeypatch, d, m):
+        base = GridSpec(d=d, n=8)
+        fields = [dilate_dyadic(Field(base, np.zeros(base.shape)), 1)] * m
+        n_out = padded_points(16, m)
+        sym = resolve_symbol("riesz_product:" + ",".join(["1"] * m), d)
+        sep = apply_separable(OperatorSpec(sym, m, strategy=Separable(separable_expand(sym))), fields)
+        assert sep.grid.n == n_out and not np.any(sep.samples)
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("inverse transform of an empty output")
+
+        monkeypatch.setattr(operators, "dft_inverse", no_inverse)
+        for sym in (one_symbol(m, d), _total_symbol(m, d)):
+            out = apply_direct(OperatorSpec(sym, m), fields)
+            assert out.grid.n == n_out and not np.any(out.samples)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "sym_id, strategy",
+        [("det_norm:1", "direct"), ("det_norm:1", "separable"),
+         ("riesz_product:1,2", "direct"), ("riesz_product:1,2", "separable"),
+         ("one", "direct")],
+    )
+    def test_degree_zero_dilation_tiles_output(self, sym_id, strategy, t):
+        # a(2^t xi) = a(xi), so T(f(2^t .)) is T(f)(2^t .): the output at
+        # base size, tiled.
+        base = GridSpec(d=2, n=8)
+        sym = resolve_symbol(sym_id, 2, m=2)
+        op = OperatorSpec(sym, 2)
+        if strategy == "separable":
+            op = OperatorSpec(sym, 2, strategy=Separable(separable_expand(sym)))
+        fs = [random_field(280 + j, base, 1.0) for j in range(2)]
+        want = apply_operator(op, fs)
+        got = apply_operator(op, [dilate_dyadic(f, t) for f in fs])
+        assert got.grid == want.grid.with_n(want.grid.n << t)
+        assert _max_rel(got.samples, np.tile(want.samples, (1 << t, 1 << t))) <= 1e-14
 
 
 class TestPairWithTransfer:
