@@ -203,23 +203,32 @@ class SeparableExpansion:
         """Evaluate every rank-factor of one slot at arbitrary nonzero points.
 
         A factor depends on the direction only: sign lookup for d = 1,
-        trigonometric interpolation in ``theta = atan2(xi_2, xi_1)`` for
-        d = 2.  Returns an array of shape ``(rank, B)``.
+        trigonometric interpolation in the angle ``theta`` of ``xi`` for
+        d = 2, whose basis ``exp(i k theta)`` is ``z^k`` for ``z = xi / |xi|``,
+        with no ``atan2`` or ``exp``.  Returns an array of shape ``(rank, B)``.
         """
         pts = np.asarray(points, dtype=np.float64)
-        if np.any(np.linalg.norm(pts, axis=-1) <= 0.0):
+        radius = np.linalg.norm(pts, axis=-1)
+        if np.any(radius <= 0.0):
             raise ValueError("factor evaluation needs nonzero frequencies")
         table = self.factors[slot]
         if self.d == 1:
             return table[:, (pts[:, 0] < 0.0).astype(int)]
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
         n_ang = self.grid.n_points
-        k = np.fft.fftfreq(n_ang, 1.0 / n_ang)
-        basis = np.exp(1j * np.outer(k, theta))
-        if n_ang % 2 == 0:
-            # The angular Nyquist mode enters as the real cos(n theta / 2),
-            # its coefficient split evenly between +-n/2.
-            basis[n_ang // 2] = np.cos(n_ang // 2 * theta)
+        z = (pts[:, 0] + 1j * pts[:, 1]) / radius
+        # z^k for 0 <= k < n/2, the filled rows doubling per pass (z_filled is
+        # z^filled); negative k by conjugation.
+        half = (n_ang + 1) // 2
+        powers = np.ones((half, z.shape[0]), dtype=np.complex128)
+        filled, z_filled = 1, z
+        while filled < half:
+            take = min(filled, half - filled)
+            np.multiply(powers[:take], z_filled, out=powers[filled : filled + take])
+            filled, z_filled = filled + take, z_filled * z_filled
+        # The angular Nyquist mode enters as the real cos(n theta / 2), its
+        # coefficient split evenly between +-n/2.
+        nyquist = [(powers[-1] * z).real[None]] if n_ang % 2 == 0 else []
+        basis = np.concatenate([powers, *nyquist, np.conj(powers[:0:-1])])
         return (np.fft.fft(table, axis=-1) / n_ang) @ basis
 
     def tail_residual(self, rank: int) -> float:

@@ -7,6 +7,11 @@ Conventions, fixed once for the whole library:
 * inverse transform ``f(x_p) = sum_xi coeffs(xi) exp(+i (2 pi / period) xi . x_p)``,
 * integer frequencies ``xi`` with components in ``[-n/2, n/2)``.
 
+A grid with dyadic exponent ``t > 0`` holds one cell ``[0, period / 2^t)^d``
+of a field that repeats ``2^t`` times per period and axis, such as
+``f(2^t x)``: nodes ``x_p / 2^t``, frequencies ``2^t xi``.  Transforms, norms
+and pairings read the cell alone; the ``2^t n`` grid is never built.
+
 Under this pairing a multiplier identically equal to one reproduces the
 pointwise product of its inputs, which is the anchor every other constant in
 the library is calibrated against.
@@ -43,6 +48,7 @@ __all__ = [
     "product_on_grid",
     "dealiased_product",
     "pair",
+    "pair_spectra",
     "dilate_dyadic",
 ]
 
@@ -59,15 +65,14 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on ``[0, period)^d``.
-
-    ``n`` points per axis, ``n`` a power of two so that dyadic dilation stays
-    on the lattice.
-    """
+    """Uniform periodic grid on ``[0, period)^d``, ``n`` points per axis, ``n``
+    a power of two; with dyadic exponent ``t``, one cell ``[0, period /
+    2^t)^d`` of it, whose integer frequency at FFT index ``k`` is ``2^t k``."""
 
     d: int
     n: int
     period: float = TWO_PI
+    t: int = 0
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -76,6 +81,8 @@ class GridSpec:
             raise ValueError(f"n must be a power of two >= 4, got {self.n}")
         if not (self.period > 0.0 and math.isfinite(self.period)):
             raise ValueError(f"period must be positive and finite, got {self.period}")
+        if self.t < 0:
+            raise ValueError(f"dyadic exponent must be >= 0, got {self.t}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,7 +94,7 @@ class GridSpec:
 
     @property
     def spacing(self) -> float:
-        return self.period / self.n
+        return self.period / (self.n << self.t)
 
     @property
     def kscale(self) -> float:
@@ -95,13 +102,13 @@ class GridSpec:
         return TWO_PI / self.period
 
     def axis_points(self) -> np.ndarray:
-        return self.period * np.arange(self.n) / self.n
+        return self.period * np.arange(self.n) / (self.n << self.t)
 
     def freqs(self) -> np.ndarray:
         """Integer frequencies along one axis in FFT storage order."""
         f = np.arange(self.n, dtype=np.int64)
         f[f >= self.n // 2] -= self.n
-        return f
+        return f << self.t
 
     def freq_mesh(self) -> tuple[np.ndarray, ...]:
         """Integer frequency meshes, one ``shape``-shaped array per axis."""
@@ -113,7 +120,11 @@ class GridSpec:
         return np.sqrt(sum(m.astype(np.float64) ** 2 for m in mesh))
 
     def with_n(self, n: int) -> "GridSpec":
-        return GridSpec(self.d, n, self.period)
+        return GridSpec(self.d, n, self.period, self.t)
+
+    def dilated(self, t: int) -> "GridSpec":
+        """The grid of the fields on this one dilated by ``2^t``."""
+        return GridSpec(self.d, self.n, self.period, self.t + t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +174,15 @@ def dft_inverse(s: Spectrum, is_real: bool = False) -> Field:
 
 
 def coeff_at(s: Spectrum, xi: tuple[int, ...]) -> complex:
-    """Coefficient at integer frequency ``xi``; zero outside the band."""
-    n = s.grid.n
+    """Coefficient at integer frequency ``xi``; zero outside the band and off
+    the grid's ``2^t`` lattice."""
+    n, t = s.grid.n, s.grid.t
     idx = []
     for c in xi:
-        if not (-n // 2 <= c < n // 2):
+        k = c >> t
+        if k << t != c or not (-n // 2 <= k < n // 2):
             return 0.0 + 0.0j
-        idx.append(c % n)
+        idx.append(k % n)
     return complex(s.coeffs[tuple(idx)])
 
 
@@ -206,13 +219,15 @@ def active_modes(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
 
 def spectrum_from_modes(grid: GridSpec, modes: dict[tuple[int, ...], complex]) -> Spectrum:
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    half = grid.n // 2
+    half, t = grid.n // 2, grid.t
     for xi, c in modes.items():
         if len(xi) != grid.d:
             raise ValueError(f"mode {xi} has wrong dimension")
-        if any(not (-half <= comp < half) for comp in xi):
-            raise FrequencyOverflowError(f"mode {xi} outside the band of n={grid.n}")
-        coeffs[tuple(comp % grid.n for comp in xi)] += c
+        if any((comp >> t) << t != comp for comp in xi):
+            raise ValueError(f"mode {xi} off the 2^{t} lattice of its grid")
+        if any(not (-half <= comp >> t < half) for comp in xi):
+            raise FrequencyOverflowError(f"mode {xi} outside the band of n={grid.n}, t={t}")
+        coeffs[tuple((comp >> t) % grid.n for comp in xi)] += c
     return Spectrum(grid, coeffs)
 
 
@@ -225,7 +240,7 @@ def field_from_modes(
 def derivative_multiplier(grid: GridSpec, axis: int) -> np.ndarray:
     """Fourier multiplier of the partial derivative along ``axis``.
 
-    ``i (2 pi / period) xi_axis`` with the Nyquist row ``xi_axis = -n/2``
+    ``i (2 pi / period) xi_axis`` with the Nyquist row ``xi_axis = -2^t n/2``
     zeroed so that derivatives of real fields stay real.  The array has
     length ``n`` along ``axis`` and 1 elsewhere, so it broadcasts against a
     spectrum; products of multipliers give higher derivatives, and
@@ -235,7 +250,7 @@ def derivative_multiplier(grid: GridSpec, axis: int) -> np.ndarray:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
     f = grid.freqs()
     mult = 1j * grid.kscale * f.astype(np.float64)
-    mult[f == -(grid.n // 2)] = 0.0
+    mult[f == -(grid.n // 2 << grid.t)] = 0.0
     shape = [1] * grid.d
     shape[axis] = grid.n
     return mult.reshape(shape)
@@ -260,12 +275,16 @@ def _axis_index_map(n_old: int, n_new: int, scale: int = 1) -> tuple[np.ndarray,
     return old_idx, new_idx
 
 
-def regrid_spectrum(s: Spectrum, n_new: int) -> Spectrum:
-    """Exact zero-padding (or truncation) of a spectrum to an ``n_new`` grid."""
-    if n_new == s.grid.n:
+def regrid_spectrum(s: Spectrum, n_new: int, t: int = 0) -> Spectrum:
+    """Exact zero-padding (or truncation) of a spectrum to an ``n_new`` grid.
+
+    ``t > 0`` keeps only the modes on the ``2^t``-times coarser lattice, on
+    ``s.grid.dilated(t)``: all that a field on that grid pairs with.
+    """
+    if n_new == s.grid.n and t == 0:
         return s
-    grid_new = s.grid.with_n(n_new)
-    old_idx, new_idx = _axis_index_map(s.grid.n, n_new)
+    grid_new = s.grid.dilated(t).with_n(n_new)
+    new_idx, old_idx = _axis_index_map(n_new, s.grid.n, scale=1 << t)
     coeffs = np.zeros(grid_new.shape, dtype=np.complex128)
     coeffs[np.ix_(*([new_idx] * s.grid.d))] = s.coeffs[np.ix_(*([old_idx] * s.grid.d))]
     return Spectrum(grid_new, coeffs)
@@ -355,42 +374,43 @@ def dealiased_product(fields: list[Field], pad_factor: int) -> Field:
 
 
 def pair(f: Field, g: Field) -> complex:
-    """Quadrature pairing ``(period/n)^d sum_p f(x_p) g(x_p)`` (no conjugation)."""
+    """Pairing ``int f g`` without conjugation: on a common grid the cell
+    quadrature ``(period/n)^d sum_p f(x_p) g(x_p)``, on two grids of one
+    torus (a dilated and an undilated one) :func:`pair_spectra`."""
     if f.grid != g.grid:
-        raise GridMismatchError("pairing requires a common grid")
+        return pair_spectra(dft_forward(f), dft_forward(g))
     w = (f.grid.period / f.grid.n) ** f.grid.d
     return complex(w * np.sum(f.samples * g.samples))
 
 
-def _lattice_grid(grid: GridSpec, step: int) -> GridSpec:
-    """Grid of the spectra on ``grid`` supported on ``step Z^d``.
+def _band_block(a: Spectrum, b: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of ``a`` at the ``xi`` with ``-xi`` in the band of
+    ``b``, and those of ``b`` at ``-xi``, entry for entry, gathered per axis
+    with ``np.ix_``; ``a.grid.t >= b.grid.t``, and ``xi = 0`` comes first."""
+    if a.grid.d != b.grid.d or a.grid.period != b.grid.period:
+        raise GridMismatchError("pairing needs two grids of the same torus")
+    a_idx, b_idx = _axis_index_map(a.grid.n, b.grid.n, scale=-(1 << (a.grid.t - b.grid.t)))
+    d = a.grid.d
+    return a.coeffs[np.ix_(*([a_idx] * d))], b.coeffs[np.ix_(*([b_idx] * d))]
 
-    Such a spectrum is ``step``-periodic in the samples: its value at node
-    ``p`` depends on ``p mod n/step`` alone.  With the frequency ``step k``
-    stored as ``k``, it is a spectrum on ``n / step`` points of period
-    ``period / step``, whose nodes are the first ``n / step`` nodes of
-    ``grid``; ``step`` is a power of two dividing ``n / 4``.
-    """
-    return GridSpec(grid.d, grid.n // step, grid.period / step)
 
-
-def _tile(f: Field, grid: GridSpec) -> Field:
-    """``f``'s samples repeated ``grid.n / f.grid.n`` times per axis on ``grid``."""
-    reps = grid.n // f.grid.n
-    return Field(grid, np.tile(f.samples, (reps,) * grid.d), is_real=f.is_real)
+def pair_spectra(a: Spectrum, b: Spectrum) -> complex:
+    """``period^d sum_xi ahat(xi) bhat(-xi)`` over the ``xi`` in both bands:
+    the exact pairing of two trigonometric polynomials on one torus."""
+    if a.grid.t < b.grid.t:
+        a, b = b, a
+    a_block, b_block = _band_block(a, b)
+    return complex(a.grid.period**a.grid.d * np.sum(a_block * b_block))
 
 
 def dilate_dyadic(f: Field, t: int) -> Field:
-    """Dyadic dilation ``f(x) -> f(2^t x)`` on the ``2^t n`` grid of the same period.
+    """Dyadic dilation ``f(x) -> f(2^t x)``: the same samples, not copied, as
+    one cell of the grid ``f.grid.dilated(t)``.
 
-    The node ``2^t x_p`` of the enlarged grid is the base node ``p mod n``,
-    so the output samples are the input samples tiled ``2^t`` times per
-    axis, and the coefficient at ``xi`` moves to ``2^t xi``.  No transform
-    runs, band-limited or not, and every quadrature ``L^p`` norm is kept up
-    to the rounding of its sum.
+    The node ``x_p / 2^t`` of the cell carries ``f(x_p)``, and the
+    coefficient at ``xi`` moves to ``2^t xi``.  No transform runs,
+    band-limited or not, and every quadrature ``L^p`` norm is unchanged.
     """
     if t < 0:
         raise ValueError(f"dilation exponent must be >= 0, got {t}")
-    if t == 0:
-        return f
-    return _tile(f, f.grid.with_n(f.grid.n << t))
+    return Field(f.grid.dilated(t), f.samples, is_real=f.is_real)

@@ -2,12 +2,13 @@
 
 Every experiment follows the same shape: a seeded family of random fields,
 a ratio of an operator functional against the product of norms the estimate
-predicts, and a dyadic dilation sweep of that ratio.  Dilation is exact
-coefficient remapping, so degree-zero poly-homogeneous symbols must give a
-sweep that is constant to rounding; oscillation families for the estimate
-experiments are only required to stay within a configured factor of the
-undilated ratio.  Thresholds are artifact policy, recorded in the reports,
-never a claim about sharp constants.
+predicts, and a dyadic dilation sweep of that ratio.  Dilation keeps the
+base samples on a grid with dyadic exponent ``t`` (``GridSpec.t``), so
+degree-zero poly-homogeneous symbols must give a sweep that is constant to
+rounding; oscillation families for the estimate experiments are only
+required to stay within a configured factor of the undilated ratio.
+Thresholds are artifact policy, recorded in the reports, never a claim
+about sharp constants.
 """
 
 from __future__ import annotations
@@ -28,16 +29,18 @@ from .grid import (
     Field,
     GridSpec,
     Spectrum,
-    _axis_index_map,
+    _band_block,
     dft_forward,
     dft_inverse,
     dilate_dyadic,
     noise_floor,
     padded_points,
+    pair_spectra,
 )
 from .operators import OperatorSpec, Separable, apply_operator, pair_with_transfer
 from .spaces import (
     _bessel_weight,
+    _weighted_inverse,
     bessel_norm,
     grad_sup_norms,
     holder_conjugate,
@@ -185,7 +188,7 @@ def random_field(
     radius = grid.freq_radius().reshape(-1)
     profile = (1.0 + radius) ** (-gamma)
 
-    index = np.stack([np.asarray(m).reshape(-1) % n for m in mesh], axis=-1)
+    index = np.stack([(np.asarray(m).reshape(-1) >> grid.t) % n for m in mesh], axis=-1)
     strides = np.array([n ** (d - 1 - ax) for ax in range(d)], dtype=np.int64)
     own = index @ strides
     partner = ((n - index) % n) @ strides
@@ -208,70 +211,39 @@ def random_field(
     return Field(grid, f.samples.real.astype(np.complex128), is_real=True)
 
 
-def _band_block(dets: Spectrum, t: int, phi: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The modes ``eta`` of ``dets`` with ``-2^t eta`` in the band of ``phi``.
-
-    Returns the block of ``dets`` coefficients at those ``eta`` and the
-    block of ``phi`` coefficients at ``-2^t eta``, entry for entry; per axis
-    the modes form the index map of a dyadic remap, so the blocks are
-    gathered with ``np.ix_`` and hold at most ``phi.grid.n^d`` entries.
-    ``eta = 0`` is always the first entry.
-    """
-    if dets.grid.d != phi.grid.d or dets.grid.period != phi.grid.period:
-        raise ValueError("incompatible spectra")
-    old_idx, new_idx = _axis_index_map(dets.grid.n, phi.grid.n, scale=-(1 << t))
-    d = dets.grid.d
-    return (
-        dets.coeffs[np.ix_(*([old_idx] * d))],
-        phi.coeffs[np.ix_(*([new_idx] * d))],
-    )
+def _dilated(spec: Spectrum, t: int) -> Spectrum:
+    """The spectrum of ``dilate_dyadic`` of ``spec``'s field, not copied."""
+    return Spectrum(spec.grid.dilated(t), spec.coeffs)
 
 
 def pair_dilated(dets: Spectrum, t: int, phi: Spectrum) -> complex:
-    """``pair(dilate(D, t), phi)`` evaluated without materializing the grid.
-
-    Equals ``period^d sum_eta Dhat(eta) phihat(-2^t eta)``; only modes whose
-    scaled image lands in the band of ``phi`` contribute.
-    """
-    d_block, phi_block = _band_block(dets, t, phi)
-    return complex(dets.grid.period**dets.grid.d * np.sum(d_block * phi_block))
+    """``pair(dilate_dyadic(D, t), phi)`` from the spectra: ``pair_spectra``,
+    ``period^d sum_eta Dhat(eta) phihat(-2^t eta)``."""
+    return pair_spectra(_dilated(dets, t), phi)
 
 
 def _active_in_band(dets: Spectrum, t: int, phi: Spectrum, tol: float) -> int:
     """Nonzero modes of ``dets`` other than the mean that meet ``phi``'s
     band at dilation ``t``; coefficients at or below ``tol`` are noise."""
-    d_block, _ = _band_block(dets, t, phi)
+    d_block, _ = _band_block(_dilated(dets, t), phi)
     live = np.abs(d_block) > tol
     live.flat[0] = False
     return int(np.count_nonzero(live))
 
 
-def _bessel_potential_dilated(spec: Spectrum, weight: np.ndarray) -> Field:
-    """Base-grid field whose samples, repeated, are those of the Bessel
-    potential of the dilated field with spectrum ``spec``; ``weight`` is
-    ``_bessel_weight(spec.grid, s, t)`` for order ``s`` and dilation ``2^t``."""
-    return dft_inverse(Spectrum(spec.grid, spec.coeffs * weight))
-
-
 def bessel_norm_dilated(f: Field, t: int, p: float, s: float) -> float:
-    """``bessel_norm(dilate_dyadic(f, t), p, s)`` via base-grid reweighting.
-
-    The dilated samples are a repetition of the base samples of the field
-    whose coefficients carry the weight ``(1 + |2^t k|^2)^(s/2)``, so the
-    quadrature norm is computed exactly on the small grid.
-    """
-    weight = _bessel_weight(f.grid, s, t)
-    return lp_norm(_bessel_potential_dilated(dft_forward(f), weight), p)
+    """``bessel_norm(dilate_dyadic(f, t), p, s)``."""
+    return bessel_norm(dilate_dyadic(f, t), p, s)
 
 
 def _dilated_norms(
-    specs: list[Spectrum], weight: np.ndarray, p: tuple[float, ...]
+    specs: list[Spectrum], t: int, weight: np.ndarray, p: tuple[float, ...]
 ) -> list[float]:
-    """``bessel_norm_dilated`` of component ``j % len(specs)`` in ``L^{p_j}_s``
-    for every slot ``j``, with ``weight`` the step's ``_bessel_weight``; each
-    distinct (component, exponent) pair once."""
+    """``bessel_norm`` of component ``j % len(specs)`` dilated by ``2^t`` in
+    ``L^{p_j}_s`` for every slot ``j``, with ``weight`` the step's
+    ``_bessel_weight``; each distinct (component, exponent) pair once."""
     keys = [(j % len(specs), pj) for j, pj in enumerate(p)]
-    potentials = {c: _bessel_potential_dilated(specs[c], weight) for c, _ in keys}
+    potentials = {c: _weighted_inverse(_dilated(specs[c], t), weight) for c, _ in keys}
     norms = {key: lp_norm(potentials[key[0]], key[1]) for key in keys}
     return [norms[key] for key in keys]
 
@@ -470,9 +442,10 @@ def _estimate_sweep(
     The determinant of the dilated input is never materialized: with
     ``D = det(D^order u)`` on the base grid, dilating by ``2^t`` multiplies
     the pairing by ``2^{order d t}`` and remaps the test function's
-    coefficients, which is ``pair_dilated``; input norms dilate by
-    reweighting the base spectra.  The Jacobian's ``u`` is a map with ``d``
-    components, the Hessian's a scalar reused in every norm factor.
+    coefficients, which is ``pair_dilated``; input norms are those of the
+    base spectra on the dilated grid, whose Bessel weight reads ``2^t xi``.
+    The Jacobian's ``u`` is a map with ``d`` components, the Hessian's a
+    scalar reused in every norm factor.
     Spectra, determinants and their difference are computed once per
     instance, not once per step; the Bessel weight once per step, not once
     per norm.  Each row's ``active_modes`` counts, per member, the
@@ -533,13 +506,13 @@ def _estimate_sweep(
     diff_rows = []
     for t in range(cfg.t_min, cfg.t_max + 1):
         amp = float(2 ** (order * d * t))
-        weight = _bessel_weight(grid, s, t)
+        weight = _bessel_weight(grid.dilated(t), s)
         ratios, diffs, active, diff_active = [], [], [], []
         for inst in instances:
             phihat, sup = inst["phi"], inst["sup"]
-            u_norms = _dilated_norms(inst["u"], weight, cfg.p)
-            v_norms = _dilated_norms(inst["v"], weight, cfg.p)
-            deltas = _dilated_norms(inst["diff"], weight, cfg.p)
+            u_norms = _dilated_norms(inst["u"], t, weight, cfg.p)
+            v_norms = _dilated_norms(inst["v"], t, weight, cfg.p)
+            deltas = _dilated_norms(inst["diff"], t, weight, cfg.p)
             num = amp * abs(pair_dilated(inst["Du"], t, phihat))
             den = math.prod(u_norms) * sup
             ratios.append(num / den if den > 0 else 0.0)

@@ -11,18 +11,17 @@ positions are broadcast products and sums.  Positions are linear indices of
 frequencies shifted by ``n/2`` per axis, which keeps every sum inside the
 output band without a modulo.
 
-Both routes work on the compact lattice ``step Z^d`` that holds every input
-frequency, and so every sum of them: ``step`` is 1 for generic input and
-``2^t`` for input dilated by ``dilate_dyadic``.  A spectrum on that lattice
-is a spectrum on the ``(n_out / step)^d`` grid of period ``period / step``,
-whose samples repeat ``step`` times per axis on the padded grid, so every
-inverse transform runs on the compact grid and the result is tiled once.
+Both routes work on the inputs' grid as it is: on a grid dilated by
+``dilate_dyadic`` (``GridSpec.t > 0``) the symbol sees the physical
+frequencies ``2^t k``, the modes are placed by their index ``k`` on the
+padded cell, and the output is that cell on the same ``t``, so the
+``2^t``-times finer grid is never built.
 
 ``apply_separable`` evaluates the same operator through the angular
 separable expansion of a degree-zero symbol: each term is one
 single-variable multiplier per slot, the factor evaluated at the direction
 of every active nonzero mode, so each term costs ``m`` inverse transforms
-and one pointwise product on the compact grid.
+and one pointwise product on the padded cell.
 """
 
 from __future__ import annotations
@@ -43,15 +42,13 @@ from .errors import (
 from .grid import (
     Field,
     Spectrum,
-    _lattice_grid,
-    _tile,
     active_modes,
     common_grid,
     dft_forward,
     dft_inverse,
     padded_points,
     pair,
-    regrid_field,
+    regrid_spectrum,
     spectral_derivative,
 )
 from .symbols import SymbolSpec, evaluate
@@ -68,15 +65,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
-
-
-def _lattice_step(freqs: list[np.ndarray], n_out: int) -> int:
-    """Step of the lattice ``step Z^d`` that holds every frequency in ``freqs``
-    and so every sum of them: the gcd of all their components and of
-    ``n_out / 4``.  The cap keeps the compact grid at 4 or more points;
-    unless every frequency is 0, it binds only for ``m = 1``."""
-    components = np.concatenate([fr.ravel() for fr in freqs])
-    return int(np.gcd.reduce(components, initial=n_out // 4))
 
 
 @dataclass(frozen=True)
@@ -130,20 +118,17 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     the row slots shaped ``(height, 1, d)`` and the column slot
     ``(1, width, d)``, so no tuple is copied.  A block's weights are the
     row's coefficient product times the symbol times the column's
-    coefficient.
+    coefficient.  Weights, their real and imaginary parts and positions are
+    written into one workspace that every block reuses, so the blocks do not
+    churn the heap: freed block-sized temporaries would otherwise be trimmed
+    and page-faulted back in on every block.
 
     Its output positions are outer sums of per-mode linear indices of the
-    shifted frequencies ``xi + n/2``: each component lies in ``[0, n)``, so
-    a sum of ``m`` of them lies in ``[0, m (n - 1)]``, inside the ``n_out``
-    band, and no tuple needs a modulo.  With ``step`` from
-    ``_lattice_step``, each frequency component is a multiple of ``step``,
-    so the indices are taken on the compact ``(n_out / step)^d`` lattice of
-    ``xi / step + n / (2 step)``, and the per-block ``bincount`` spans
-    ``step^d`` times fewer bins than the padded grid.  One roll per axis
-    puts the accumulated lattice in the FFT order of the compact grid, one
-    ``dft_inverse`` runs there, and its samples are tiled ``step`` times per
-    axis onto the padded grid.  When no tuple is live the output is zero
-    and no transform runs.
+    shifted FFT indices ``xi / 2^t + n/2``: each component lies in
+    ``[0, n)``, so a sum of ``m`` of them lies in ``[0, m (n - 1)]``, inside
+    the ``n_out`` band, and no tuple needs a modulo.  One roll per axis puts
+    the accumulated cell in FFT order and one ``dft_inverse`` runs there.
+    When no tuple is live the output is zero and no transform runs.
     """
     if len(fields) != op.m:
         raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
@@ -166,21 +151,22 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     grid_out = grid.with_n(padded_points(grid.n, op.pad))
     if total == 0:
         return Field(grid_out, np.zeros(grid_out.shape, dtype=np.complex128))
-    step = _lattice_step([fr for fr, _ in supports], grid_out.n)
-    lattice = _lattice_grid(grid_out, step)
-    # Shifted by half, each component lies in [0, 2 half); when step > n/2
-    # every frequency is 0 and so is half.
-    half = grid.n // 2 // step
-    acc_re = np.zeros(lattice.npoints, dtype=np.float64)
-    acc_im = np.zeros(lattice.npoints, dtype=np.float64)
-    strides = lattice.n ** np.arange(grid.d - 1, -1, -1, dtype=np.int64)
-    lin = [(fr // step + half) @ strides for fr, _ in supports]
+    half = grid.n // 2
+    acc_re = np.zeros(grid_out.npoints, dtype=np.float64)
+    acc_im = np.zeros(grid_out.npoints, dtype=np.float64)
+    strides = grid_out.n ** np.arange(grid.d - 1, -1, -1, dtype=np.int64)
+    lin = [((fr >> grid.t) + half) @ strides for fr, _ in supports]
     xis = [fr.astype(np.float64) for fr, _ in supports]
     coeffs = [c for _, c in supports]
     n_cols = sizes[-1]
     n_rows = total // n_cols
     col_step = min(n_cols, _CHUNK)
     row_step = max(1, _CHUNK // col_step)
+    block = min(row_step, n_rows) * col_step
+    work = np.empty(5 * block)
+    w_buf = work[: 2 * block].view(np.complex128)
+    parts = work[2 * block : 4 * block].reshape(2, block)
+    flat_buf = work[4 * block :].view(np.int64)
     for r0 in range(0, n_rows, row_step):
         rem = np.arange(r0, min(r0 + row_step, n_rows), dtype=np.int64)
         height = rem.shape[0]
@@ -197,13 +183,17 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
         for c0 in range(0, n_cols, col_step):
             cols = slice(c0, c0 + col_step)
             sym = evaluate(op.symbol, row_xis + [xis[-1][None, cols]])
-            weights = (prefix[:, None] * sym * coeffs[-1][cols]).reshape(-1)
-            flat = (row_lin[:, None] + lin[-1][cols]).reshape(-1)
-            acc_re += np.bincount(flat, weights=weights.real, minlength=acc_re.size)
-            acc_im += np.bincount(flat, weights=weights.imag, minlength=acc_im.size)
-    shifted = (acc_re + 1j * acc_im).reshape(lattice.shape)
+            size = sym.size
+            weights = np.multiply(prefix[:, None], sym, out=w_buf[:size].reshape(sym.shape))
+            weights *= coeffs[-1][cols]
+            np.add(row_lin[:, None], lin[-1][cols], out=flat_buf[:size].reshape(sym.shape))
+            re, im = parts[:, :size]
+            re[:], im[:] = weights.real.reshape(-1), weights.imag.reshape(-1)
+            acc_re += np.bincount(flat_buf[:size], weights=re, minlength=acc_re.size)
+            acc_im += np.bincount(flat_buf[:size], weights=im, minlength=acc_im.size)
+    shifted = (acc_re + 1j * acc_im).reshape(grid_out.shape)
     coeffs_out = np.roll(shifted, (-op.m * half,) * grid.d, axis=tuple(range(grid.d)))
-    return _tile(dft_inverse(Spectrum(lattice, coeffs_out)), grid_out)
+    return dft_inverse(Spectrum(grid_out, coeffs_out))
 
 
 def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
@@ -214,11 +204,10 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     term ``l`` is the single-variable multiplier ``F_jl`` at the direction of
     every active nonzero mode and 0 at the origin; the factors are evaluated
     only at the modes ``apply_direct`` enumerates.  Each slot's coefficients
-    times factor values are scattered onto the compact lattice of
-    ``_lattice_step``, whose grid holds every sum of ``m`` input frequencies
-    without a wrap; per term, one ``dft_inverse`` per slot and their
-    pointwise product are formed there, the terms are summed, and the sum is
-    tiled once onto the padded output grid.  The agreement with
+    times factor values are scattered by FFT index onto the padded cell,
+    which holds every sum of ``m`` input frequencies without a wrap; per
+    term, one ``dft_inverse`` per slot and their pointwise product are
+    formed there, and the terms are summed.  The agreement with
     ``apply_direct`` is bounded by the expansion's recorded ``residual``,
     the symbol's relative error on and between the angular nodes, up to the
     rounding of the transforms.
@@ -249,18 +238,16 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
         freqs, coeffs = freqs[live], coeffs[live]
         slots.append((freqs, coeffs * exp.factor_values(j, freqs)))
 
-    step = _lattice_step([freqs for freqs, _ in slots], grid_out.n)
-    lattice = _lattice_grid(grid_out, step)
-    slots = [(tuple((freqs // step % lattice.n).T), values) for freqs, values in slots]
-    acc = np.zeros(lattice.shape, dtype=np.complex128)
+    slots = [(tuple(((freqs >> grid.t) % grid_out.n).T), values) for freqs, values in slots]
+    acc = np.zeros(grid_out.shape, dtype=np.complex128)
     for l in range(exp.rank):
-        term = np.full(lattice.shape, exp.coeffs[l], dtype=np.complex128)
+        term = np.full(grid_out.shape, exp.coeffs[l], dtype=np.complex128)
         for pos, values in slots:
-            loc = np.zeros(lattice.shape, dtype=np.complex128)
+            loc = np.zeros(grid_out.shape, dtype=np.complex128)
             loc[pos] = values[l]
-            term *= dft_inverse(Spectrum(lattice, loc)).samples
+            term *= dft_inverse(Spectrum(grid_out, loc)).samples
         acc += term
-    return _tile(Field(lattice, acc), grid_out)
+    return Field(grid_out, acc)
 
 
 def apply_operator(op: OperatorSpec, fields: list[Field]) -> Field:
@@ -320,9 +307,10 @@ def pair_with_transfer(
         raise ValueError("alternating symbols must vanish on zero slots")
     n_out = padded_points(grid.n, m)
     scale = (1j * grid.period / (2.0 * math.pi)) ** k
-    # Differentiate on the padded grid: there the Nyquist row of phi is an
-    # interior mode, which ``spectral_derivative`` keeps.
-    phi_out = regrid_field(phi, n_out)
+    # Only phi's modes on the inputs' lattice meet T, so phi is read on the
+    # inputs' grid.  Differentiate on the padded grid: there the Nyquist row
+    # of phi is an interior mode, which ``spectral_derivative`` keeps.
+    phi_out = dft_inverse(regrid_spectrum(dft_forward(phi), n_out, grid.t - phi.grid.t))
     total = 0.0 + 0.0j
     for combo in iter_product(range(d), repeat=k):
         units = [np.eye(d)[l] for l in combo]

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -107,13 +108,22 @@ RECORD_SCHEMA = {
 }
 
 
-def validate_config(payload: dict) -> None:
-    """Raise ``jsonschema.ValidationError`` on a malformed config dict."""
-    jsonschema.validate(payload, CONFIG_SCHEMA)
+def _validator(schema: dict):
+    """``jsonschema.validate`` against ``schema``, raising the same error, with
+    the validator built once and the constant schema not re-checked against
+    its metaschema on every call (a test checks it once)."""
+    validator = Draft202012Validator(schema)
+
+    def validate(payload: dict) -> None:
+        error = best_match(validator.iter_errors(payload))
+        if error is not None:
+            raise error
+
+    return validate
 
 
-def validate_record(payload: dict) -> None:
-    jsonschema.validate(payload, RECORD_SCHEMA)
+validate_config = _validator(CONFIG_SCHEMA)
+validate_record = _validator(RECORD_SCHEMA)
 
 
 def write_schema_files(root: str | Path) -> list[Path]:

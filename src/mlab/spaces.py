@@ -2,7 +2,9 @@
 
 All norms are quadrature norms of the trigonometric polynomial the samples
 represent; for ``p = 2`` they coincide with the continuum norms by Parseval.
-For ``0 < p < 1`` the same quadrature gives the ``L^p`` quasi-norm.
+For ``0 < p < 1`` the same quadrature gives the ``L^p`` quasi-norm.  On a
+dilated grid (``GridSpec.t > 0``) the sums run over the one cell the samples
+hold, and derivatives and Bessel weights see its physical frequencies.
 """
 
 from __future__ import annotations
@@ -55,15 +57,15 @@ def lp_norm(f: Field, p: float) -> float:
     return float((w * np.sum(a**p)) ** (1.0 / p))
 
 
-def _bessel_weight(grid: GridSpec, s: float, t: int = 0) -> np.ndarray:
-    """``(1 + |2^t k|^2)^{s/2}`` on the frequency mesh, ``k = (2 pi / period) xi``.
-
-    ``t > 0`` gives the weight of the ``2^t``-dilated field, read back on
-    the base grid.
-    """
-    scale = float(1 << t) * grid.kscale
-    k2 = sum((scale * m.astype(np.float64)) ** 2 for m in grid.freq_mesh())
+def _bessel_weight(grid: GridSpec, s: float) -> np.ndarray:
+    """``(1 + |k|^2)^{s/2}`` on the frequency mesh, ``k = (2 pi / period) xi``."""
+    k2 = sum((grid.kscale * m.astype(np.float64)) ** 2 for m in grid.freq_mesh())
     return (1.0 + k2) ** (s / 2.0)
+
+
+def _weighted_inverse(spec: Spectrum, weight: np.ndarray, is_real: bool = False) -> Field:
+    """``dft_inverse`` of ``spec`` times a multiplier ``weight`` on its mesh."""
+    return dft_inverse(Spectrum(spec.grid, spec.coeffs * weight), is_real=is_real)
 
 
 def bessel_potential(f: Field, s: float) -> Field:
@@ -72,9 +74,7 @@ def bessel_potential(f: Field, s: float) -> Field:
     ``k = (2 pi / period) xi`` so the operator agrees with the continuum
     Bessel potential on the represented band.
     """
-    spec = dft_forward(f)
-    weight = _bessel_weight(f.grid, s)
-    return dft_inverse(Spectrum(f.grid, spec.coeffs * weight), is_real=f.is_real)
+    return _weighted_inverse(dft_forward(f), _bessel_weight(f.grid, s), f.is_real)
 
 
 def bessel_norm(f: Field, p: float, s: float) -> float:
@@ -120,7 +120,7 @@ def grad_sup_norms(f: Field, order: int) -> float:
     mults = [derivative_multiplier(f.grid, axis) for axis in range(f.grid.d)]
 
     def modulus(mult: np.ndarray) -> np.ndarray:
-        return np.abs(dft_inverse(Spectrum(f.grid, spec.coeffs * mult)).samples)
+        return np.abs(_weighted_inverse(spec, mult).samples)
 
     if order == 1:
         g2 = np.zeros(f.grid.shape, dtype=np.float64)

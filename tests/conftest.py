@@ -32,6 +32,14 @@ def rel_l2(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.linalg.norm(got - want)) / scale
 
 
+def tiled(f: Field) -> Field:
+    """The full-grid oracle of a dilated field: its cell samples repeated
+    ``2^t`` times per axis on the undilated ``2^t n`` grid of the period."""
+    g = f.grid
+    full = GridSpec(g.d, g.n << g.t, g.period)
+    return Field(full, np.tile(f.samples, (1 << g.t,) * g.d), is_real=f.is_real)
+
+
 def random_trig(
     grid: GridSpec, degree: int, seed: int, real: bool = True
 ) -> tuple[Field, dict[tuple[int, ...], complex]]:

@@ -29,6 +29,7 @@ from mlab import (
     separable_expand,
     spectrum_from_modes,
 )
+from mlab.decomp import SeparableExpansion, _circle_grid
 from mlab.grid import dft_inverse
 
 from conftest import phase_symbol, random_trig, rel_err
@@ -346,3 +347,40 @@ class TestSeparableExpansion:
         header_path.write_text(json.dumps(header))
         with pytest.raises(ValueError, match="mlab-expansion-2"):
             load_expansion(tmp_path / "exp")
+
+
+def _angle_formula(exp: SeparableExpansion, slot: int, pts: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolation of the factor tables in ``theta = atan2``,
+    the basis ``exp(i k theta)`` with the Nyquist row ``cos(n theta / 2)``."""
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    n = exp.grid.n_points
+    k = np.fft.fftfreq(n, 1.0 / n)
+    basis = np.exp(1j * np.outer(k, theta))
+    basis[n // 2] = np.cos(n // 2 * theta)
+    return (np.fft.fft(exp.factors[slot], axis=-1) / n) @ basis
+
+
+class TestFactorValues:
+    @pytest.mark.parametrize("nodes, tol", [(32, 1e-14), (1024, 1e-12)])
+    def test_powers_of_the_direction_match_the_angle_formula(self, nodes, tol):
+        # Random complex tables weight every angular mode, Nyquist included;
+        # the points cover every lattice direction of a 32-point grid, the
+        # four axis directions and theta = pi among them.
+        rng = np.random.default_rng(nodes)
+        tables = [rng.standard_normal((3, nodes)) + 1j * rng.standard_normal((3, nodes))
+                  for _ in range(2)]
+        exp = SeparableExpansion(m=2, d=2, grid=_circle_grid(nodes), coeffs=np.ones(3),
+                                 factors=tuple(tables), residual=0.0, spectrum=np.ones(3))
+        f = np.arange(-16, 16)
+        pts = np.stack(np.meshgrid(f, f, indexing="ij"), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([pts[np.any(pts != 0, axis=1)], [[-3, 0], [0, -7]]])
+        for slot in range(2):
+            got = exp.factor_values(slot, pts)
+            want = _angle_formula(exp, slot, pts.astype(np.float64))
+            assert got.shape == (3, pts.shape[0])
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def test_zero_point_rejected(self):
+        exp = separable_expand(resolve_symbol("det_norm:1", 2))
+        with pytest.raises(ValueError, match="nonzero"):
+            exp.factor_values(0, np.array([[1.0, 2.0], [0.0, 0.0]]))

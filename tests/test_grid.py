@@ -17,6 +17,7 @@ from mlab import (
     dft_inverse,
     dilate_dyadic,
     field_from_modes,
+    lp_norm,
     pair,
     spectral_derivative,
     spectrum_from_modes,
@@ -32,7 +33,7 @@ from mlab.grid import (
     regrid_spectrum,
 )
 
-from conftest import random_trig, rel_err
+from conftest import random_trig, rel_err, tiled
 from oracles import (
     convolve_modes,
     dft_direct,
@@ -61,6 +62,14 @@ class TestGridSpec:
         assert g.spacing == 0.5
         assert np.allclose(g.axis_points(), 0.5 * np.arange(8))
         assert g.kscale == pytest.approx(2.0 * math.pi / 4.0)
+
+    def test_dilated_grid(self):
+        g = GridSpec(d=2, n=8, period=3.0).dilated(2)
+        assert g == GridSpec(d=2, n=8, period=3.0, t=2) and g.with_n(16).t == 2
+        assert list(g.freqs()) == [0, 4, 8, 12, -16, -12, -8, -4]
+        assert g.spacing == 3.0 / 32 and g.axis_points()[1] == g.spacing
+        with pytest.raises(ValueError):
+            GridSpec(d=1, n=8, t=-1)
 
     def test_freqs_storage_order(self):
         g = GridSpec(d=1, n=8)
@@ -177,6 +186,18 @@ class TestDerivative:
         c21 = dft_forward(d21).coeffs
         assert rel_err(c12, c21) <= 1e-15
 
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_dilated_field_matches_tiled_grid(self, t):
+        # Full band: the cell's Nyquist row -2^t n/2 is the tiled grid's own,
+        # zeroed on both, while every interior row is differentiated.
+        g = GridSpec(d=2, n=8)
+        ft = dilate_dyadic(Field(g, np.random.default_rng(24).standard_normal(g.shape)), t)
+        for axis in range(2):
+            got = spectral_derivative(ft, axis)
+            want = spectral_derivative(tiled(ft), axis)
+            assert got.grid == ft.grid
+            assert rel_err(tiled(got).samples, want.samples) <= 1e-13
+
     def test_axis_out_of_range(self, grid1d):
         f = Field(grid1d, np.ones(grid1d.shape))
         with pytest.raises(ValueError):
@@ -256,6 +277,20 @@ class TestPair:
         with pytest.raises(Exception):
             pair(f, g)
 
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_dilated_against_undilated_matches_tiled_quadrature(self, t):
+        # A dilated field on an 8-point cell against a full-band 16-point
+        # field: the exact pairing equals the quadrature of the tiled field
+        # against the other one on their common refinement.
+        f, _ = random_trig(GridSpec(d=2, n=8), degree=3, seed=21)
+        g = Field(GridSpec(d=2, n=16), np.random.default_rng(22).standard_normal((16, 16)))
+        ft = dilate_dyadic(f, t)
+        full = tiled(ft)
+        n = max(full.grid.n, 32)
+        want = pair(regrid_field(full, n), regrid_field(g, n))
+        assert abs(pair(ft, g) - want) <= 1e-13 * abs(want)
+        assert abs(pair(g, ft) - want) <= 1e-13 * abs(want)
+
 
 class TestDilation:
     def test_t_zero_is_identity(self, grid2d):
@@ -277,20 +312,22 @@ class TestDilation:
         f, _ = random_trig(g, degree=3, seed=15)
         ft = dilate_dyadic(f, 2)
         before = quadrature_lp(f.samples, p, g.period)
-        after = quadrature_lp(ft.samples, p, ft.grid.period)
+        after = quadrature_lp(tiled(ft).samples, p, g.period)
         assert abs(after - before) <= 1e-12 * before
+        assert abs(lp_norm(ft, p) - after) <= 1e-14 * after
 
     @pytest.mark.parametrize("t", [1, 2, 3])
-    def test_grid_is_enlarged_by_two_to_the_t(self, t):
-        # Band-limited or full band, f(2^t x) is sampled on the 2^t n grid,
-        # where its samples repeat the base samples.
+    def test_dilated_field_is_the_base_cell(self, t):
+        # Band-limited or full band, f(2^t x) keeps f's samples, not copied,
+        # as one cell of the grid with dyadic exponent t.
         g = GridSpec(d=1, n=16)
         low = field_from_modes(g, {(1,): 1.0, (-1,): 1.0})
         full, _ = random_trig(g, degree=7, seed=16)
         for f in (low, full):
             ft = dilate_dyadic(f, t)
-            assert ft.grid == g.with_n(16 << t)
-            assert np.array_equal(ft.samples, np.tile(f.samples, 1 << t))
+            assert ft.grid == g.dilated(t) and ft.grid.n == 16
+            assert np.shares_memory(ft.samples, f.samples)
+            assert dilate_dyadic(ft, 1).grid == g.dilated(t + 1)
 
     @pytest.mark.parametrize("p", [1.0, 3.0, 4.0])
     def test_band_limited_lp_norms_preserved(self, p):
@@ -300,22 +337,43 @@ class TestDilation:
         f, _ = random_trig(g, degree=3, seed=19)
         before = quadrature_lp(f.samples, p, g.period)
         for t in range(1, 4):
-            ft = dilate_dyadic(f, t)
-            after = quadrature_lp(ft.samples, p, ft.grid.period)
+            after = quadrature_lp(tiled(dilate_dyadic(f, t)).samples, p, g.period)
             assert abs(after - before) <= 1e-12 * before
 
-    def test_full_band_output_repeats_samples(self):
-        # Nyquist modes included: -n/2 lands on -n_out/2 of the doubled grid.
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_full_band_spectrum_matches_tiled_grid(self, t):
+        # Nyquist modes included: the cell's mode at -n/2 is -2^t n/2, the
+        # Nyquist mode of the tiled grid, and no mode lies off the lattice.
         g = GridSpec(d=2, n=8)
         rng = np.random.default_rng(18)
         f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-        ft = dilate_dyadic(f, 1)
-        assert ft.grid.n == 16
-        assert rel_err(ft.samples, np.tile(f.samples, (2, 2))) <= 1e-13
+        cell = dft_forward(dilate_dyadic(f, t))
+        full = dft_forward(tiled(dilate_dyadic(f, t)))
+        freqs, values = support(cell)
+        assert freqs.min() == -(8 << t) // 2
+        want = np.array([coeff_at(full, tuple(xi)) for xi in freqs])
+        assert rel_err(values, want) <= 1e-14
+        lattice = np.zeros(full.grid.shape, dtype=bool)
+        lattice[np.ix_(*[np.arange(0, 8 << t, 1 << t)] * 2)] = True
+        assert np.max(np.abs(full.coeffs[~lattice])) <= 1e-14 * np.max(np.abs(values))
+
+    def test_off_lattice_modes(self):
+        # On a t = 2 grid only multiples of 4 are frequencies: reading one
+        # elsewhere gives 0, building one there raises.
+        g = GridSpec(d=2, n=8, t=2)
+        s = spectrum_from_modes(g, {(4, -16): 1.0 + 2.0j, (0, 12): 3.0})
+        assert coeff_at(s, (4, -16)) == 1.0 + 2.0j and coeff_at(s, (0, 12)) == 3.0
+        for xi in [(1, -16), (4, -15), (2, 12), (0, 16), (-20, 0)]:
+            assert coeff_at(s, xi) == 0.0
+        with pytest.raises(ValueError, match="lattice"):
+            spectrum_from_modes(g, {(2, 0): 1.0})
+        with pytest.raises(FrequencyOverflowError):
+            spectrum_from_modes(g, {(16, 0): 1.0})
+        assert np.count_nonzero(s.coeffs) == 2
 
     def test_zero_field_stays_zero(self, grid2d):
         ft = dilate_dyadic(Field(grid2d, np.zeros(grid2d.shape)), 3)
-        assert ft.grid == grid2d.with_n(64) and not np.any(ft.samples)
+        assert ft.grid == grid2d.dilated(3) and not np.any(ft.samples)
 
     def test_regrid_refines_and_coarsens(self):
         g = GridSpec(d=1, n=8)

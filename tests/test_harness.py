@@ -30,10 +30,11 @@ from mlab import (
     write_records,
     write_summary_csv,
 )
+from mlab import decomp, determinants, grid, harness, operators, spaces
 from mlab.grid import padded_points, regrid_field, support
 from mlab.harness import _family_seeds, _oscillation_ok, _sweep_spread
 
-from conftest import random_trig, rel_err
+from conftest import random_trig, rel_err, tiled
 
 
 class TestRandomField:
@@ -47,8 +48,10 @@ class TestRandomField:
         assert f.is_real
         assert float(np.max(np.abs(f.samples.imag))) == 0.0
 
-    def test_profile_readback(self):
-        g = GridSpec(d=2, n=32)
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_profile_readback(self, t):
+        # On a dilated grid the profile reads the frequencies 2^t k.
+        g = GridSpec(d=2, n=32, t=t)
         f = random_field(9, g, 2.0)
         spec = dft_forward(f)
         radius = g.freq_radius()
@@ -83,10 +86,10 @@ class TestDilatedHelpers:
         big = GridSpec(d=2, n=16)
         phi, _ = random_trig(big, degree=7, seed=161)
         ft = dilate_dyadic(f, 1)
-        assert ft.grid.n == 16
-        direct = pair(ft, phi)
+        direct = pair(tiled(ft), phi)
         fast = pair_dilated(dft_forward(f), 1, dft_forward(phi))
         assert abs(direct - fast) <= 1e-12 * max(abs(direct), 1.0)
+        assert pair(ft, phi) == fast
 
     def test_pair_dilated_drops_out_of_band_modes(self):
         # A determinant-sized grid four times phi's, as in the Hessian scan,
@@ -95,8 +98,8 @@ class TestDilatedHelpers:
         f = random_field(162, GridSpec(d=2, n=64), 1.0)
         phi = random_field(163, GridSpec(d=2, n=16), 1.0)
         for t in range(4):
-            ft = dilate_dyadic(f, t)
-            direct = pair(ft, regrid_field(phi, ft.grid.n))
+            full = tiled(dilate_dyadic(f, t))
+            direct = pair(full, regrid_field(phi, full.grid.n))
             fast = pair_dilated(dft_forward(f), t, dft_forward(phi))
             assert abs(direct - fast) <= 1e-12 * abs(direct)
 
@@ -104,10 +107,45 @@ class TestDilatedHelpers:
         g = GridSpec(d=2, n=8)
         f = random_field(13, g, 2.0, cutoff=2.0)
         for t in (0, 1, 2):
-            ft = dilate_dyadic(f, t)
-            direct = bessel_norm(ft, 2.4, 0.8)
+            direct = bessel_norm(tiled(dilate_dyadic(f, t)), 2.4, 0.8)
             fast = bessel_norm_dilated(f, t, 2.4, 0.8)
             assert rel_err(np.array(fast), np.array(direct)) <= 1e-10
+
+
+class TestTransformWork:
+    """A dilated step transforms the base cell: the points passed to
+    ``dft_forward`` and ``dft_inverse`` do not depend on ``t``."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        points = [0]
+        originals = {name: getattr(grid, name) for name in ("dft_forward", "dft_inverse")}
+        for mod in (grid, spaces, decomp, operators, determinants, harness):
+            for name, fn in originals.items():
+                if hasattr(mod, name):
+
+                    def counted(s, *args, _fn=fn, **kwargs):
+                        points[0] += s.grid.npoints
+                        return _fn(s, *args, **kwargs)
+
+                    monkeypatch.setattr(mod, name, counted)
+        return points
+
+    @pytest.mark.parametrize(
+        "scan, changes",
+        [
+            (boundedness_scan, {}),
+            (boundedness_scan, {"strategy": "separable"}),
+            (thm3_estimate_ratio, {"experiment": "thm3", "symbol": "det", "k": 2}),
+        ],
+    )
+    def test_points_do_not_depend_on_t(self, counter, scan, changes):
+        counts = []
+        for t in range(4):
+            counter[0] = 0
+            scan(_cfg(n=16, cutoff=3.0, t_min=t, t_max=t, **changes))
+            counts.append(counter[0])
+        assert counts[0] > 0 and counts == [counts[0]] * 4
 
 
 class TestExperimentConfig:
@@ -172,8 +210,8 @@ def _cfg(**kw) -> ExperimentConfig:
 
 class TestBoundednessScan:
     def test_homogeneous_sweep_is_flat(self):
-        # The dilation tiles the samples on the 2^t n grid, so the sample
-        # multiset and every quadrature norm are preserved exactly.
+        # The dilated inputs keep the base samples, so every quadrature norm
+        # is preserved exactly.
         rec = boundedness_scan(_cfg())
         assert rec.passed
         assert rec.kind == "boundedness"

@@ -38,8 +38,6 @@ from mlab import (
 )
 from mlab import operators
 from mlab.grid import (
-    _lattice_grid,
-    _tile,
     active_modes,
     dft_inverse,
     padded_points,
@@ -49,7 +47,7 @@ from mlab.harness import random_field
 from mlab.operators import enumeration_budget
 from mlab.symbols import evaluate
 
-from conftest import phase_symbol, random_trig, rel_l2
+from conftest import phase_symbol, random_trig, rel_l2, tiled
 from oracles import apply_multilinear_modes, modes_on_grid, scalar_symbol
 
 
@@ -155,8 +153,9 @@ class TestApplyDirect:
     @pytest.mark.parametrize("sym_id", ["det_norm:1", "smooth", "one"])
     @pytest.mark.parametrize("scales", [(2, 2), (4, 4), (2, 1)])
     def test_compact_lattice_dilated(self, sym_id, scales):
-        # Frequencies scaled by 2 and 4 put every mode on step 2 and 4; a
-        # dilated slot next to an undilated one leaves step 1.
+        # Undilated inputs whose modes all lie on 2Z^d or 4Z^d, one slot
+        # possibly on Z^d: modes are placed by frequency, with no lattice
+        # inferred from them.
         base = GridSpec(d=2, n=8)
         grid = GridSpec(d=2, n=8 * max(scales))
         modes = [
@@ -168,7 +167,6 @@ class TestApplyDirect:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_compact_lattice_mean_only(self, m):
-        # Only the mean mode is active: step is the cap n_out / 4.
         grid = GridSpec(d=2, n=8)
         modes = [{(0, 0): complex(1.5 + j, -0.5)} for j in range(m)]
         got, want = _direct_and_oracle("one", grid, modes)
@@ -425,17 +423,19 @@ class TestApplySeparable:
         ) <= 1e-8
 
 
-# -- compact lattice ----------------------------------------------------------
+# -- dilated grids ------------------------------------------------------------
 #
-# The operators invert on the compact lattice of the common step of every
-# input frequency and tile the result.  The oracles below are the full-grid
-# formulas: every output coefficient placed on the padded grid, one inverse
-# transform of that whole grid per spectrum.
+# On inputs dilated by 2^t the operators work on the padded cell and return
+# it on the same t.  The oracles below are the full-grid formulas on the
+# tiled inputs (``conftest.tiled``): every output coefficient placed on the
+# padded 2^t n grid, one inverse transform of that whole grid per spectrum;
+# the cell output, tiled, must match them.
 
 
 def _full_grid_direct(op: OperatorSpec, fields: list[Field]) -> np.ndarray:
     """Output samples of ``apply_direct``: every tuple's weight added at its
     sum frequency on the padded grid, then one full-grid inverse."""
+    fields = [tiled(f) for f in fields]
     grid = fields[0].grid
     n_out = padded_points(grid.n, op.pad)
     supports = [active_modes(dft_forward(f)) for f in fields]
@@ -457,6 +457,7 @@ def _full_grid_direct(op: OperatorSpec, fields: list[Field]) -> np.ndarray:
 def _full_grid_separable(op: OperatorSpec, fields: list[Field]) -> np.ndarray:
     """Output samples of ``apply_separable``: per term, each slot's weighted
     coefficients on the padded grid, one full-grid inverse per slot."""
+    fields = [tiled(f) for f in fields]
     exp = op.strategy.expansion
     grid = fields[0].grid
     n_out = padded_points(grid.n, op.pad)
@@ -505,9 +506,8 @@ _BASE_N = {1: 8, 2: 8, 3: 4}
 
 
 def _lattice_inputs(d: int, m: int, t: int, seed: int, mean: bool = True) -> list[Field]:
-    """``m`` dilated inputs: slots 0 and 2 on the even modes only, so their
-    own step is ``2^(t+1)`` (above the cap ``n_out / 4`` for m = 1, d = 3),
-    slot 1 full band.  ``mean`` False drops the mean mode."""
+    """``m`` dilated inputs: slots 0 and 2 on the even modes only, slot 1
+    full band.  ``mean`` False drops the mean mode."""
     base = GridSpec(d=d, n=_BASE_N[d])
     rng = np.random.default_rng(seed)
     half = base.n // 2
@@ -532,23 +532,24 @@ _LATTICE_CASES = [
 ]
 
 
+def _tile_cell(f: Field) -> np.ndarray:
+    return tiled(f).samples
+
+
 class TestCompactLattice:
-    @pytest.mark.parametrize("step", [1, 2, 4])
+    @pytest.mark.parametrize("t", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_lattice_inverse_matches_full_grid(self, d, step):
-        # A spectrum on step Z^d, inverted on the compact grid and tiled,
-        # against the same spectrum inverted on the whole grid.
+    def test_cell_inverse_matches_full_grid(self, d, t):
+        # A spectrum on a t-dilated cell, inverted there and tiled, against
+        # the same coefficients placed at 2^t k and inverted on the whole grid.
         grid = GridSpec(d=d, n=16, period=3.0)
-        lattice = _lattice_grid(grid, step)
-        assert lattice.n == 16 // step and lattice.period == 3.0 / step
-        rng = np.random.default_rng(230 + step)
-        compact = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+        cell = GridSpec(d=d, n=16 >> t, period=3.0, t=t)
+        rng = np.random.default_rng(230 + t)
+        coeffs = rng.standard_normal(cell.shape) + 1j * rng.standard_normal(cell.shape)
         full = np.zeros(grid.shape, dtype=np.complex128)
-        k = lattice.freqs()
-        full[np.ix_(*([step * k % grid.n] * d))] = compact
-        got = _tile(dft_inverse(Spectrum(lattice, compact)), grid)
-        assert got.grid == grid
-        assert _max_rel(got.samples, np.fft.ifftn(full) * grid.npoints) <= 1e-14
+        full[np.ix_(*([cell.freqs() % grid.n] * d))] = coeffs
+        got = dft_inverse(Spectrum(cell, coeffs))
+        assert _max_rel(_tile_cell(got), np.fft.ifftn(full) * grid.npoints) <= 1e-14
 
     @pytest.mark.parametrize("d, m, t", _LATTICE_CASES)
     @pytest.mark.parametrize("zero_rule", [0, None])
@@ -561,7 +562,8 @@ class TestCompactLattice:
         fields = _lattice_inputs(d, m, t, seed=240 + 10 * d + m)
         got = apply_direct(op, fields)
         assert got.grid == fields[0].grid.with_n(padded_points(fields[0].grid.n, m))
-        assert _max_rel(got.samples, _full_grid_direct(op, fields)) <= 1e-14
+        assert got.grid.t == t
+        assert _max_rel(_tile_cell(got), _full_grid_direct(op, fields)) <= 1e-14
 
     @pytest.mark.parametrize("d, m, t", [c for c in _LATTICE_CASES if c[0] < 3])
     @pytest.mark.parametrize("zero_rule", [0, None])
@@ -574,13 +576,13 @@ class TestCompactLattice:
         fields = _lattice_inputs(d, m, t, seed=260 + 10 * d + m, mean=zero_rule == 0)
         got = apply_separable(op, fields)
         assert got.grid == fields[0].grid.with_n(padded_points(fields[0].grid.n, m))
-        assert _max_rel(got.samples, _full_grid_separable(op, fields)) <= 1e-14
+        assert got.grid.t == t
+        assert _max_rel(_tile_cell(got), _full_grid_separable(op, fields)) <= 1e-14
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [0, 2])
     def test_mean_only_inputs(self, d, m, t):
-        # Every frequency is 0, so step is the cap n_out / 4.
         base = GridSpec(d=d, n=_BASE_N[d])
         fields = [
             dilate_dyadic(field_from_modes(base, {(0,) * d: complex(1.5 + j, -0.5)}), t)
@@ -588,17 +590,18 @@ class TestCompactLattice:
         ]
         for sym in (one_symbol(m, d), _total_symbol(m, d)):
             op = OperatorSpec(sym, m)
-            assert _max_rel(apply_direct(op, fields).samples, _full_grid_direct(op, fields)) <= 1e-14
+            got = apply_direct(op, fields)
+            assert _max_rel(_tile_cell(got), _full_grid_direct(op, fields)) <= 1e-14
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2])
     def test_zero_inputs_give_zero_without_a_transform(self, monkeypatch, d, m):
         base = GridSpec(d=d, n=8)
         fields = [dilate_dyadic(Field(base, np.zeros(base.shape)), 1)] * m
-        n_out = padded_points(16, m)
+        grid_out = base.dilated(1).with_n(padded_points(8, m))
         sym = resolve_symbol("riesz_product:" + ",".join(["1"] * m), d)
         sep = apply_separable(OperatorSpec(sym, m, strategy=Separable(separable_expand(sym))), fields)
-        assert sep.grid.n == n_out and not np.any(sep.samples)
+        assert sep.grid == grid_out and not np.any(sep.samples)
 
         def no_inverse(*args, **kwargs):
             raise AssertionError("inverse transform of an empty output")
@@ -606,7 +609,7 @@ class TestCompactLattice:
         monkeypatch.setattr(operators, "dft_inverse", no_inverse)
         for sym in (one_symbol(m, d), _total_symbol(m, d)):
             out = apply_direct(OperatorSpec(sym, m), fields)
-            assert out.grid.n == n_out and not np.any(out.samples)
+            assert out.grid == grid_out and not np.any(out.samples)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -615,9 +618,9 @@ class TestCompactLattice:
          ("riesz_product:1,2", "direct"), ("riesz_product:1,2", "separable"),
          ("one", "direct")],
     )
-    def test_degree_zero_dilation_tiles_output(self, sym_id, strategy, t):
-        # a(2^t xi) = a(xi), so T(f(2^t .)) is T(f)(2^t .): the output at
-        # base size, tiled.
+    def test_degree_zero_dilation_keeps_output_samples(self, sym_id, strategy, t):
+        # a(2^t xi) = a(xi), so T(f(2^t .)) is T(f)(2^t .): the undilated
+        # output's samples on the dilated grid.
         base = GridSpec(d=2, n=8)
         sym = resolve_symbol(sym_id, 2, m=2)
         op = OperatorSpec(sym, 2)
@@ -626,8 +629,8 @@ class TestCompactLattice:
         fs = [random_field(280 + j, base, 1.0) for j in range(2)]
         want = apply_operator(op, fs)
         got = apply_operator(op, [dilate_dyadic(f, t) for f in fs])
-        assert got.grid == want.grid.with_n(want.grid.n << t)
-        assert _max_rel(got.samples, np.tile(want.samples, (1 << t, 1 << t))) <= 1e-14
+        assert got.grid == want.grid.dilated(t)
+        assert _max_rel(got.samples, want.samples) <= 1e-14
 
 
 class TestPairWithTransfer:

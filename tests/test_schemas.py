@@ -132,3 +132,46 @@ class TestValidateRecord:
         payload["extra"]["det_n"] = det_n
         with pytest.raises(jsonschema.ValidationError):
             validate_record(payload)
+
+
+class TestValidators:
+    """The validators are built once, without a schema check per call."""
+
+    @pytest.mark.parametrize("schema", [CONFIG_SCHEMA, RECORD_SCHEMA])
+    def test_schemas_pass_the_metaschema(self, schema):
+        jsonschema.Draft202012Validator.check_schema(schema)
+        assert jsonschema.validators.validator_for(schema) is jsonschema.Draft202012Validator
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"d": 0},
+            {"p": [1.0, "x"]},
+            {"strategy": "magic", "n": 2},
+            {"bogus": 1},
+            {"experiment": None},
+        ],
+    )
+    def test_config_messages_match_jsonschema_validate(self, change):
+        payload = {"experiment": "scan", "d": 2, "n": 16, "symbol": "det",
+                   "p": [2.0, 2.0], "r": 1.0, **change}
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(payload, CONFIG_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            validate_config(payload)
+        assert str(got.value) == str(want.value)
+        assert got.value.message == want.value.message
+
+    def test_record_messages_match_jsonschema_validate(self):
+        cfg = ExperimentConfig(
+            experiment="scan", d=2, n=8, symbol="det_norm:1", p=(2.0, 2.0),
+            r=1.0, family=1, t_min=0, t_max=0, cutoff=2.0,
+        )
+        record = boundedness_scan(cfg).to_dict()
+        for key, value in [("kind", "mystery"), ("ratios", [-1.0]), ("passed", 1)]:
+            payload = {**record, key: value}
+            with pytest.raises(jsonschema.ValidationError) as want:
+                jsonschema.validate(payload, RECORD_SCHEMA)
+            with pytest.raises(jsonschema.ValidationError) as got:
+                validate_record(payload)
+            assert str(got.value) == str(want.value)
