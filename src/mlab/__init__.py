@@ -102,11 +102,9 @@ from .determinants import (
 from .harness import (
     ExperimentConfig,
     ReportRecord,
-    bessel_norm_dilated,
     boundedness_scan,
     hessian_estimate,
     jacobian_estimate,
-    pair_dilated,
     random_field,
     thm3_estimate_ratio,
     write_records,

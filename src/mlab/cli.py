@@ -186,7 +186,7 @@ def _cmd_scan(args: argparse.Namespace, command: str) -> int:
     try:
         enumeration_budget()
         record = _SCANS[command](cfg)
-    except ValueError as exc:
+    except (ValueError, NotImplementedError) as exc:
         raise _UsageError(str(exc)) from exc
     _emit_record(cfg, record)
     return 0 if record.passed else 2

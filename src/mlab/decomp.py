@@ -231,11 +231,6 @@ class SeparableExpansion:
         basis = np.concatenate([powers, *nyquist, np.conj(powers[:0:-1])])
         return (np.fft.fft(table, axis=-1) / n_ang) @ basis
 
-    def tail_residual(self, rank: int) -> float:
-        """Relative tail of the recorded spectrum beyond ``rank`` terms."""
-        total = float(np.linalg.norm(self.spectrum))
-        return float(np.linalg.norm(self.spectrum[rank:])) / total if total else 0.0
-
 
 def _symbol_on_product(sym: SymbolSpec, slots: list[np.ndarray]) -> np.ndarray:
     """Dense tensor of ``sigma`` on the product of one direction set per slot."""

@@ -11,6 +11,9 @@ A grid with dyadic exponent ``t > 0`` holds one cell ``[0, period / 2^t)^d``
 of a field that repeats ``2^t`` times per period and axis, such as
 ``f(2^t x)``: nodes ``x_p / 2^t``, frequencies ``2^t xi``.  Transforms, norms
 and pairings read the cell alone; the ``2^t n`` grid is never built.
+:func:`dilate_dyadic` is the one dilation verb, for fields and spectra
+alike; :func:`pair_spectra` pairs spectra on two grids of one torus, and
+:func:`active_in_band` counts the modes such a pairing reads.
 
 Under this pairing a multiplier identically equal to one reproduces the
 pointwise product of its inputs, which is the anchor every other constant in
@@ -49,6 +52,7 @@ __all__ = [
     "dealiased_product",
     "pair",
     "pair_spectra",
+    "active_in_band",
     "dilate_dyadic",
 ]
 
@@ -67,7 +71,8 @@ def _is_power_of_two(n: int) -> bool:
 class GridSpec:
     """Uniform periodic grid on ``[0, period)^d``, ``n`` points per axis, ``n``
     a power of two; with dyadic exponent ``t``, one cell ``[0, period /
-    2^t)^d`` of it, whose integer frequency at FFT index ``k`` is ``2^t k``."""
+    2^t)^d`` of it, whose integer frequency at FFT index ``k`` is ``2^t k``.
+    Frequencies are int64, so ``n 2^t`` must stay below ``2^63``."""
 
     d: int
     n: int
@@ -83,6 +88,8 @@ class GridSpec:
             raise ValueError(f"period must be positive and finite, got {self.period}")
         if self.t < 0:
             raise ValueError(f"dyadic exponent must be >= 0, got {self.t}")
+        if self.n << self.t >= 1 << 63:
+            raise ValueError(f"dilated frequencies of n={self.n}, t={self.t} overflow int64")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -403,9 +410,19 @@ def pair_spectra(a: Spectrum, b: Spectrum) -> complex:
     return complex(a.grid.period**a.grid.d * np.sum(a_block * b_block))
 
 
-def dilate_dyadic(f: Field, t: int) -> Field:
-    """Dyadic dilation ``f(x) -> f(2^t x)``: the same samples, not copied, as
-    one cell of the grid ``f.grid.dilated(t)``.
+def active_in_band(a: Spectrum, b: Spectrum, tol: float) -> int:
+    """Modes of ``a`` other than the mean that :func:`pair_spectra` reads
+    against ``b`` (``-xi`` in ``b``'s band), with modulus above ``tol``;
+    ``a.grid.t >= b.grid.t``."""
+    a_block, _ = _band_block(a, b)
+    live = np.abs(a_block) > tol
+    live.flat[0] = False
+    return int(np.count_nonzero(live))
+
+
+def dilate_dyadic(x: Field | Spectrum, t: int) -> Field | Spectrum:
+    """Dyadic dilation ``f(x) -> f(2^t x)`` of a field or of its spectrum:
+    the same array, not copied, on the grid ``x.grid.dilated(t)``.
 
     The node ``x_p / 2^t`` of the cell carries ``f(x_p)``, and the
     coefficient at ``xi`` moves to ``2^t xi``.  No transform runs,
@@ -413,4 +430,6 @@ def dilate_dyadic(f: Field, t: int) -> Field:
     """
     if t < 0:
         raise ValueError(f"dilation exponent must be >= 0, got {t}")
-    return Field(f.grid.dilated(t), f.samples, is_real=f.is_real)
+    if isinstance(x, Spectrum):
+        return Spectrum(x.grid.dilated(t), x.coeffs)
+    return Field(x.grid.dilated(t), x.samples, is_real=x.is_real)

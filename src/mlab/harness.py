@@ -7,6 +7,9 @@ base samples on a grid with dyadic exponent ``t`` (``GridSpec.t``), so
 degree-zero poly-homogeneous symbols must give a sweep that is constant to
 rounding; oscillation families for the estimate experiments are only
 required to stay within a configured factor of the undilated ratio.
+Each dilated quantity has one route below this module: ``grid.dilate_dyadic``
+of a field or spectrum, ``grid.pair_spectra`` and ``grid.active_in_band``
+across grids, and one ``spaces.bessel_norms`` batch per sweep step.
 Thresholds are artifact policy, recorded in the reports, never a claim
 about sharp constants.
 """
@@ -29,7 +32,7 @@ from .grid import (
     Field,
     GridSpec,
     Spectrum,
-    _band_block,
+    active_in_band,
     dft_forward,
     dft_inverse,
     dilate_dyadic,
@@ -39,9 +42,7 @@ from .grid import (
 )
 from .operators import OperatorSpec, Separable, apply_operator, pair_with_transfer
 from .spaces import (
-    _bessel_weight,
-    _weighted_inverse,
-    bessel_norm,
+    bessel_norms,
     grad_sup_norms,
     holder_conjugate,
     lp_norm,
@@ -53,8 +54,6 @@ __all__ = [
     "ExperimentConfig",
     "ReportRecord",
     "random_field",
-    "pair_dilated",
-    "bessel_norm_dilated",
     "boundedness_scan",
     "thm3_estimate_ratio",
     "jacobian_estimate",
@@ -170,15 +169,16 @@ def random_field(
     seed: int,
     grid: GridSpec,
     gamma: float,
-    mean_zero: bool = True,
     cutoff: float | None = None,
 ) -> Field:
-    """Seeded real field with coefficient modulus ``(1 + |xi|)^-gamma``.
+    """Seeded real mean-zero field, coefficient modulus ``(1 + |xi|)^-gamma``.
 
     Phases are independent and uniform on a canonical half lattice and
     mirrored conjugate-symmetrically; self-paired modes get a random sign.
     The modulus therefore matches the profile exactly at every active mode.
-    ``cutoff`` zeroes all modes with lattice radius beyond it.
+    ``cutoff`` zeroes all modes with lattice radius beyond it.  A cutoff and
+    decay that leave no nonzero coefficient raise ``ValueError``: every
+    ratio of such a family would read 0 and check nothing.
     """
     if gamma < 0:
         raise ValueError("decay exponent must be >= 0")
@@ -205,47 +205,11 @@ def random_field(
 
     if cutoff is not None:
         coeffs[radius > cutoff] = 0.0
-    if mean_zero:
-        coeffs[0] = 0.0
+    coeffs[0] = 0.0
+    if not np.any(coeffs):
+        raise ValueError(f"cutoff {cutoff} and decay {gamma} leave no nonzero mode")
     f = dft_inverse(Spectrum(grid, coeffs.reshape(grid.shape)))
     return Field(grid, f.samples.real.astype(np.complex128), is_real=True)
-
-
-def _dilated(spec: Spectrum, t: int) -> Spectrum:
-    """The spectrum of ``dilate_dyadic`` of ``spec``'s field, not copied."""
-    return Spectrum(spec.grid.dilated(t), spec.coeffs)
-
-
-def pair_dilated(dets: Spectrum, t: int, phi: Spectrum) -> complex:
-    """``pair(dilate_dyadic(D, t), phi)`` from the spectra: ``pair_spectra``,
-    ``period^d sum_eta Dhat(eta) phihat(-2^t eta)``."""
-    return pair_spectra(_dilated(dets, t), phi)
-
-
-def _active_in_band(dets: Spectrum, t: int, phi: Spectrum, tol: float) -> int:
-    """Nonzero modes of ``dets`` other than the mean that meet ``phi``'s
-    band at dilation ``t``; coefficients at or below ``tol`` are noise."""
-    d_block, _ = _band_block(_dilated(dets, t), phi)
-    live = np.abs(d_block) > tol
-    live.flat[0] = False
-    return int(np.count_nonzero(live))
-
-
-def bessel_norm_dilated(f: Field, t: int, p: float, s: float) -> float:
-    """``bessel_norm(dilate_dyadic(f, t), p, s)``."""
-    return bessel_norm(dilate_dyadic(f, t), p, s)
-
-
-def _dilated_norms(
-    specs: list[Spectrum], t: int, weight: np.ndarray, p: tuple[float, ...]
-) -> list[float]:
-    """``bessel_norm`` of component ``j % len(specs)`` dilated by ``2^t`` in
-    ``L^{p_j}_s`` for every slot ``j``, with ``weight`` the step's
-    ``_bessel_weight``; each distinct (component, exponent) pair once."""
-    keys = [(j % len(specs), pj) for j, pj in enumerate(p)]
-    potentials = {c: _weighted_inverse(_dilated(specs[c], t), weight) for c, _ in keys}
-    norms = {key: lp_norm(potentials[key[0]], key[1]) for key in keys}
-    return [norms[key] for key in keys]
 
 
 def _family_seeds(cfg: ExperimentConfig, streams: int) -> list[list[int]]:
@@ -350,9 +314,7 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
             fts = [dilate_dyadic(f, t) for f in fs]
             out = apply_operator(op, fts)
             num = lp_norm(out, cfg.r)
-            den = 1.0
-            for ft, pj in zip(fts, cfg.p):
-                den *= lp_norm(ft, pj)
+            den = math.prod(lp_norm(ft, pj) for ft, pj in zip(fts, cfg.p))
             ratios.append(num / den if den > 0 else 0.0)
         sweep_rows.append({"t": t, "ratios": ratios})
 
@@ -372,7 +334,9 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
 
     Numerator ``|pair_with_transfer(sigma_m, k, f_1..f_m, phi)|``; denominator
     ``prod_j ||f_j||_{L^{p_j}_s} ||phi||_{W^{k, r*}}`` with ``s = k(m-1)/m``
-    and ``r*`` the conjugate of ``r``.  Only the inputs are dilated.
+    and ``r*`` the conjugate of ``r``.  Only the inputs are dilated: their
+    spectra are taken once per member and their Bessel norms are one
+    ``bessel_norms`` batch per step; ``phi``'s norm is taken once per member.
     """
     started = time.perf_counter()
     if cfg.strategy != "direct":
@@ -394,15 +358,17 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
         )
         for block in _family_seeds(cfg, m + 1)
     ]
+    spectra = [[dft_forward(f) for f in fs] for fs, _ in families]
+    phi_norms = [sobolev_wkp_norm(phi, k, r_star) for _, phi in families]
     sweep_rows = []
     for t in range(cfg.t_min, cfg.t_max + 1):
+        slots = [dilate_dyadic(sp, t) for specs in spectra for sp in specs]
+        norms = bessel_norms(slots, list(cfg.p) * len(families), s)
         ratios = []
-        for fs, phi in families:
+        for i, (fs, phi) in enumerate(families):
             fts = [dilate_dyadic(f, t) for f in fs]
             num = abs(pair_with_transfer(sym, k, fts, phi))
-            den = sobolev_wkp_norm(phi, k, r_star)
-            for ft, pj in zip(fts, cfg.p):
-                den *= bessel_norm(ft, pj, s)
+            den = math.prod(norms[i * m : (i + 1) * m], start=phi_norms[i])
             ratios.append(num / den if den > 0 else 0.0)
         sweep_rows.append({"t": t, "ratios": ratios})
     passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR)
@@ -418,18 +384,9 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
 
 
 def _sweep_det_n(d: int, n: int) -> int:
-    """Points per axis on which ``_estimate_sweep`` samples a determinant.
-
-    The sweep reads ``D`` only at the modes ``eta`` with ``-2^t eta`` in the
-    test function's band, so ``|eta_a| <= n/2``.  ``D``'s own modes have
-    ``-d n/2 < xi_a <= d (n/2 - 1)`` (each term differentiates along every
-    axis, and the derivative multiplier zeroes that axis's Nyquist row), so
-    on an ``N`` grid no alias ``eta + k N`` (``k != 0``) of a read mode
-    meets them when ``N >= (d + 1) n/2``.  ``padded_points(n, (d + 2) //
-    2)`` always meets that bound: the ``d``-fold pad for ``d = 2``, half of
-    it for ``d = 3`` (32 points instead of 64 at ``n = 16``, where the bound
-    is met with no slack).
-    """
+    """Points per axis on which ``_estimate_sweep`` samples a determinant: it
+    reads the modes ``|eta_a| <= n/2``, exact on ``(d + 1) n/2`` points by
+    the bound in ``jacobian_det_pointwise``, which this power of two meets."""
     return padded_points(n, (d + 2) // 2)
 
 
@@ -437,25 +394,20 @@ def _estimate_sweep(
     cfg: ExperimentConfig, s: float, order: int
 ) -> tuple[list[dict], list[dict], float, int]:
     """Plain and difference sweeps of ``_determinant_estimate``, and the
-    number of points per axis of the grid the determinants were sampled on.
+    number of points per axis of the grid the determinants were sampled on
+    (``_sweep_det_n``).
 
     The determinant of the dilated input is never materialized: with
     ``D = det(D^order u)`` on the base grid, dilating by ``2^t`` multiplies
-    the pairing by ``2^{order d t}`` and remaps the test function's
-    coefficients, which is ``pair_dilated``; input norms are those of the
-    base spectra on the dilated grid, whose Bessel weight reads ``2^t xi``.
-    The Jacobian's ``u`` is a map with ``d`` components, the Hessian's a
-    scalar reused in every norm factor.
+    the pairing by ``2^{order d t}``, and the pairing is ``pair_spectra`` of
+    the dilated spectrum of ``D``.  The Jacobian's ``u`` is a map with ``d``
+    components, the Hessian's a scalar reused in every norm factor.
     Spectra, determinants and their difference are computed once per
-    instance, not once per step; the Bessel weight once per step, not once
-    per norm.  Each row's ``active_modes`` counts, per member, the
-    determinant modes that meet the test function's band at that step (mean
-    excluded), above ``noise_floor`` of the spectrum held here.
-
-    ``D`` is sampled on ``N = padded_points(n, (d + 2) // 2)`` points per
-    axis (``_sweep_det_n``), not on the ``d``-fold pad: the pairings and
-    counts read only modes with ``|eta_a| <= n/2``, and ``N >= (d + 1) n/2``
-    keeps every alias of those off the determinant's modes.
+    instance, not once per step; all input norms of a step are one
+    ``bessel_norms`` batch.  Each row's ``active_modes`` counts, per
+    member, the determinant modes that meet the test function's band at
+    that step (mean excluded), above ``noise_floor`` of the spectrum held
+    here.
     """
     grid = cfg.grid
     d = cfg.d
@@ -470,14 +422,11 @@ def _estimate_sweep(
     seeds = _family_seeds(cfg, 2 * components + 1)
     instances = []
     for block in seeds:
-        us = [
+        fields = [
             random_field(sd, grid, cfg.gamma, cutoff=cfg.cutoff)
-            for sd in block[:components]
+            for sd in block[: 2 * components]
         ]
-        vs = [
-            random_field(sd, grid, cfg.gamma, cutoff=cfg.cutoff)
-            for sd in block[components : 2 * components]
-        ]
+        us, vs = fields[:components], fields[components:]
         # Full-band smooth test function: a band cutoff here would make the
         # undilated pairing unrepresentatively small and the sweep ratios
         # erratic relative to it.
@@ -485,14 +434,15 @@ def _estimate_sweep(
         Du = det_spectrum(us)
         Dv = det_spectrum(vs)
         Ddiff = Spectrum(Du.grid, Du.coeffs - Dv.coeffs)
+        spectra = [
+            [dft_forward(u) for u in us],
+            [dft_forward(v) for v in vs],
+            [dft_forward(Field(grid, u.samples - v.samples)) for u, v in zip(us, vs)],
+        ]
         instances.append(
             {
-                "u": [dft_forward(u) for u in us],
-                "v": [dft_forward(v) for v in vs],
-                "diff": [
-                    dft_forward(Field(grid, u.samples - v.samples))
-                    for u, v in zip(us, vs)
-                ],
+                # The u, v and difference spectrum of every norm slot.
+                "slots": [specs[j % components] for specs in spectra for j in range(d)],
                 "Du": Du,
                 "Ddiff": Ddiff,
                 "tol_u": noise_floor(Du),
@@ -506,33 +456,31 @@ def _estimate_sweep(
     diff_rows = []
     for t in range(cfg.t_min, cfg.t_max + 1):
         amp = float(2 ** (order * d * t))
-        weight = _bessel_weight(grid.dilated(t), s)
+        slots = [dilate_dyadic(sp, t) for inst in instances for sp in inst["slots"]]
+        norms = bessel_norms(slots, list(cfg.p) * (3 * len(instances)), s)
+        rows = [norms[j : j + d] for j in range(0, len(norms), d)]
         ratios, diffs, active, diff_active = [], [], [], []
-        for inst in instances:
+        for i, inst in enumerate(instances):
             phihat, sup = inst["phi"], inst["sup"]
-            u_norms = _dilated_norms(inst["u"], t, weight, cfg.p)
-            v_norms = _dilated_norms(inst["v"], t, weight, cfg.p)
-            deltas = _dilated_norms(inst["diff"], t, weight, cfg.p)
-            num = amp * abs(pair_dilated(inst["Du"], t, phihat))
+            u_norms, v_norms, deltas = rows[3 * i : 3 * i + 3]
+            Du, Ddiff = dilate_dyadic(inst["Du"], t), dilate_dyadic(inst["Ddiff"], t)
+            num = amp * abs(pair_spectra(Du, phihat))
             den = math.prod(u_norms) * sup
             ratios.append(num / den if den > 0 else 0.0)
-            active.append(_active_in_band(inst["Du"], t, phihat, inst["tol_u"]))
-            dnum = amp * abs(pair_dilated(inst["Ddiff"], t, phihat))
+            active.append(active_in_band(Du, phihat, inst["tol_u"]))
+            dnum = amp * abs(pair_spectra(Ddiff, phihat))
             dsum = sum(deltas[j] / (u_norms[j] + v_norms[j]) for j in range(d))
             dden = (math.prod(u_norms) + math.prod(v_norms)) * dsum * sup
             diffs.append(dnum / dden if dden > 0 else 0.0)
-            diff_active.append(
-                _active_in_band(inst["Ddiff"], t, phihat, inst["tol_diff"])
-            )
+            diff_active.append(active_in_band(Ddiff, phihat, inst["tol_diff"]))
         sweep_rows.append({"t": t, "ratios": ratios, "active_modes": active})
         diff_rows.append({"t": t, "ratios": diffs, "active_modes": diff_active})
 
     # u = v makes the difference numerator identically zero: the spectra
     # cancel exactly before any pairing.
     Du0, phihat0 = instances[0]["Du"], instances[0]["phi"]
-    zero_num = abs(
-        pair_dilated(Spectrum(Du0.grid, Du0.coeffs - Du0.coeffs), cfg.t_min, phihat0)
-    )
+    zero = Spectrum(Du0.grid, Du0.coeffs - Du0.coeffs)
+    zero_num = abs(pair_spectra(dilate_dyadic(zero, cfg.t_min), phihat0))
     return sweep_rows, diff_rows, zero_num, det_n
 
 

@@ -257,22 +257,32 @@ def apply_operator(op: OperatorSpec, fields: list[Field]) -> Field:
 
 
 def _probe_alternating(sigma_m: SymbolSpec, seed: int = 7, tol: float = 1e-10) -> None:
-    """Reject symbols that are not alternating multilinear (sampled)."""
+    """Reject symbols that are not alternating, or not linear in slot 1
+    (sampled on integer tuples, where a polynomial symbol is exact)."""
     rng = np.random.default_rng(seed)
     m, d = sigma_m.m, sigma_m.d
-    B = 32
-    tuples = rng.integers(-6, 7, size=(B, m, d)).astype(np.float64)
-    generic = np.max(np.abs(evaluate(sigma_m, [tuples[:, j] for j in range(m)])))
-    scale = max(float(generic), 1.0)
+    tuples = rng.integers(-6, 7, size=(32, m, d)).astype(np.float64)
+    other = rng.integers(-6, 7, size=(32, d)).astype(np.float64)
+    c = rng.integers(-3, 4, size=(32, 1)).astype(np.float64)
+
+    def sigma(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        return evaluate(sigma_m, [first] + [rest[:, j] for j in range(1, m)])
+
+    base = sigma(tuples[:, 0], tuples)
+    bound = tol * max(float(np.max(np.abs(base))), 1.0)
+
+    def off(values: np.ndarray) -> bool:
+        return not np.max(np.abs(values)) <= bound  # a NaN is off too
+
     for a in range(m):
         for b in range(a + 1, m):
             clone = tuples.copy()
             clone[:, b] = clone[:, a]
-            dup = np.max(np.abs(evaluate(sigma_m, [clone[:, j] for j in range(m)])))
-            if float(dup) > tol * scale:
-                raise ValueError(
-                    f"symbol {sigma_m.name!r} is not alternating (repeated-slot probe)"
-                )
+            if off(sigma(clone[:, 0], clone)):
+                raise ValueError(f"symbol {sigma_m.name!r} is not alternating")
+    additive = sigma(tuples[:, 0] + other, tuples) - base - sigma(other, tuples)
+    if off(additive) or off(sigma(c * tuples[:, 0], tuples) - c[:, 0] * base):
+        raise ValueError(f"symbol {sigma_m.name!r} is not linear in slot 1")
 
 
 def pair_with_transfer(

@@ -4,7 +4,10 @@ All norms are quadrature norms of the trigonometric polynomial the samples
 represent; for ``p = 2`` they coincide with the continuum norms by Parseval.
 For ``0 < p < 1`` the same quadrature gives the ``L^p`` quasi-norm.  On a
 dilated grid (``GridSpec.t > 0``) the sums run over the one cell the samples
-hold, and derivatives and Bessel weights see its physical frequencies.
+hold, and derivatives and Bessel weights see its physical frequencies, so a
+dilated field's norms are those of ``grid.dilate_dyadic`` of the field or of
+its spectrum.  :func:`bessel_norms` forms every Bessel norm, the scans'
+batches of dilated spectra as well as :func:`bessel_norm`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import GridMismatchError
 from .grid import (
     Field,
     GridSpec,
@@ -29,6 +33,8 @@ __all__ = [
     "lp_norm",
     "bessel_potential",
     "bessel_norm",
+    "bessel_norms",
+    "multi_indices",
     "sobolev_wkp_norm",
     "grad_sup_norms",
 ]
@@ -77,18 +83,39 @@ def bessel_potential(f: Field, s: float) -> Field:
     return _weighted_inverse(dft_forward(f), _bessel_weight(f.grid, s), f.is_real)
 
 
+def bessel_norms(specs: list[Spectrum], p: list[float], s: float) -> list[float]:
+    """``L^{p_j}_s`` norm of the field with spectrum ``specs[j]``, every ``j``.
+
+    All spectra live on one grid, whose weight is built once.  Each potential
+    is formed once per distinct coefficient array (a spectrum and its
+    dilations share one) and each ``lp_norm`` once per distinct (array,
+    exponent), so a spectrum repeated in several slots costs one transform.
+    """
+    grids = {spec.grid for spec in specs}
+    if len(grids) != 1:
+        raise GridMismatchError(f"a Bessel norm batch needs one grid, got {len(grids)}")
+    weight = _bessel_weight(grids.pop(), s)
+    keys = [id(spec.coeffs) for spec in specs]
+    batch: dict[int, tuple[Spectrum, set[float]]] = {}
+    for spec, key, pj in zip(specs, keys, p, strict=True):
+        batch.setdefault(key, (spec, set()))[1].add(pj)
+    norms = {}
+    for key, (spec, exponents) in batch.items():
+        potential = _weighted_inverse(spec, weight)  # one potential alive at a time
+        norms.update({(key, pj): lp_norm(potential, pj) for pj in exponents})
+    return [norms[key, pj] for key, pj in zip(keys, p)]
+
+
 def bessel_norm(f: Field, p: float, s: float) -> float:
     """``L^p_s`` norm, ``lp_norm(bessel_potential(f, s), p)``."""
-    return lp_norm(bessel_potential(f, s), p)
+    return bessel_norms([dft_forward(f)], [p], s)[0]
 
 
-def _multi_indices(d: int, max_order: int):
+def multi_indices(d: int, max_order: int):
+    """Every ``alpha`` in ``N^d`` with ``|alpha| <= max_order``, by order."""
     for order in range(max_order + 1):
         for alpha in itertools.combinations_with_replacement(range(d), order):
-            counts = [0] * d
-            for axis in alpha:
-                counts[axis] += 1
-            yield tuple(counts)
+            yield tuple(alpha.count(axis) for axis in range(d))
 
 
 def _derive(f: Field, alpha: tuple[int, ...]) -> Field:
@@ -103,7 +130,7 @@ def sobolev_wkp_norm(f: Field, k: int, p: float) -> float:
     """``W^{k,p}`` norm as the sum of ``L^p`` norms over ``|alpha| <= k``."""
     if k < 0:
         raise ValueError(f"order must satisfy k >= 0, got {k}")
-    return float(sum(lp_norm(_derive(f, alpha), p) for alpha in _multi_indices(f.grid.d, k)))
+    return float(sum(lp_norm(_derive(f, alpha), p) for alpha in multi_indices(f.grid.d, k)))
 
 
 def grad_sup_norms(f: Field, order: int) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, enumeration_budget
 from .polyfield import perm_sign
-from .spaces import _multi_indices
+from .spaces import multi_indices
 
 __all__ = [
     "SymbolSpec",
@@ -549,7 +549,7 @@ def check_hormander_annulus(
         blocks = [R * pts[:, j * sym.d : (j + 1) * sym.d] for j in range(sym.m)]
         vals = evaluate(sym, blocks).reshape((ext,) * D)
         total = 0.0
-        for alpha in _multi_indices(D, s):
+        for alpha in multi_indices(D, s):
             a = vals
             for axis_i, reps in enumerate(alpha):
                 for _ in range(reps):

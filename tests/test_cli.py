@@ -207,15 +207,47 @@ class TestScanCommands:
             (["boundedness-scan", "--k", "3"], "neither k nor s"),
             (["jacobian-estimate", "--k", "3"], "no derivative order k"),
             (["hessian-estimate", "--k", "3"], "no derivative order k"),
+            (["thm3-scan", "--symbol", "det_norm:1"], "not linear in slot 1"),
+            (["thm3-scan", "--symbol", "det_pow:3"], "not linear in slot 1"),
+            (["boundedness-scan", "--grid", "3x8", "--strategy", "separable"],
+             "annulus grids implemented for d <= 2"),
         ],
         ids=["jacobian-strategy", "jacobian-symbol", "hessian-strategy",
              "hessian-symbol", "thm3-strategy", "boundedness-k", "jacobian-k",
-             "hessian-k"],
+             "hessian-k", "thm3-det-norm", "thm3-det-pow-3", "separable-3d"],
     )
     def test_ignored_field_exits_one(self, capsys, tmp_path, argv, message):
         code = run_cli([*argv, "--family", "1", "--t-max", "0", "--out", str(tmp_path)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, experiment, d",
+        [("boundedness-scan", "boundedness", 2), ("thm3-scan", "thm3", 2),
+         ("jacobian-estimate", "jacobian", 2), ("hessian-estimate", "hessian", 3)],
+    )
+    def test_cutoff_leaving_no_mode_exits_one(self, capsys, tmp_path, command, experiment, d):
+        # Every ratio once read 0 and passed, or the Jacobian scan divided by 0.
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": experiment, "d": d, "n": 8, "symbol": "det",
+            "p": [float(d)] * d, "r": 1.0, "cutoff": 0.5, "family": 1, "t_max": 0,
+        }))
+        code = run_cli([command, "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert code == 1
+        assert "leave no nonzero mode" in capsys.readouterr().err
+        assert not (tmp_path / experiment).exists()
+
+    def test_dilation_beyond_int64_exits_one(self, capsys, tmp_path):
+        # The padded 16-point output holds frequencies up to 2^t 8, so t = 59
+        # is refused; the scan once read wrapped frequencies there.
+        code = run_cli([
+            "boundedness-scan", "--grid", "2x8", "--family", "1",
+            "--t-min", "58", "--t-max", "63", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "n=16, t=59 overflow int64" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_thm3_smoothness_mismatch_exits_one(self, capsys, tmp_path):

@@ -35,9 +35,10 @@ from mlab import (
 )
 from mlab import determinants
 from mlab.grid import (
-    Spectrum, _band_block, dft_forward, padded_points, regrid_field, spectral_derivative,
+    Spectrum, _band_block, dft_forward, dilate_dyadic, padded_points, regrid_field,
+    spectral_derivative,
 )
-from mlab.harness import _dilated, _sweep_det_n, random_field
+from mlab.harness import _sweep_det_n, random_field
 
 from conftest import random_trig, rel_l2
 from oracles import det_cofactor, det_cofactor_grid, diff_modes, modes_on_grid
@@ -181,8 +182,8 @@ class TestFullBandRoutes:
         assert small.grid.n == det_n
         phi = Spectrum(g, np.zeros(g.shape))
         for t in range(4):
-            want, _ = _band_block(_dilated(dft_forward(full), t), phi)
-            got, _ = _band_block(_dilated(dft_forward(small), t), phi)
+            want, _ = _band_block(dilate_dyadic(dft_forward(full), t), phi)
+            got, _ = _band_block(dilate_dyadic(dft_forward(small), t), phi)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -24,10 +24,12 @@ from mlab import (
     support,
 )
 from mlab.grid import (
+    active_in_band,
     active_modes,
     noise_floor,
     padded_inverse,
     padded_points,
+    pair_spectra,
     product_on_grid,
     regrid_field,
     regrid_spectrum,
@@ -74,6 +76,20 @@ class TestGridSpec:
     def test_freqs_storage_order(self):
         g = GridSpec(d=1, n=8)
         assert list(g.freqs()) == [0, 1, 2, 3, -4, -3, -2, -1]
+
+    @pytest.mark.parametrize("n, t_last", [(8, 59), (4, 60), (16, 58)])
+    def test_refuses_frequencies_beyond_int64(self, n, t_last):
+        # n 2^t < 2^63 keeps every frequency 2^t k, |k| <= n/2, in int64;
+        # at t = 62 the n = 8 frequencies once wrapped around silently.
+        g = GridSpec(d=2, n=n, t=t_last)
+        assert g.freqs().max() == (n // 2 - 1) << t_last
+        assert g.freqs().min() == -(n // 2 << t_last)
+        with pytest.raises(ValueError, match="overflow int64"):
+            GridSpec(d=2, n=n, t=t_last + 1)
+        with pytest.raises(ValueError, match="overflow int64"):
+            g.dilated(1)
+        with pytest.raises(ValueError, match="overflow int64"):
+            g.with_n(2 * n)
 
 
 class TestTransforms:
@@ -370,6 +386,33 @@ class TestDilation:
         with pytest.raises(FrequencyOverflowError):
             spectrum_from_modes(g, {(16, 0): 1.0})
         assert np.count_nonzero(s.coeffs) == 2
+
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    def test_dilated_spectrum_is_the_dilated_fields(self, t):
+        # The one dilation verb: a spectrum moves to the dilated grid with
+        # its array, not copied, and equals the transform of the dilated field.
+        f, _ = random_trig(GridSpec(d=2, n=8), degree=3, seed=23)
+        spec = dft_forward(f)
+        st_ = dilate_dyadic(spec, t)
+        assert isinstance(st_, Spectrum) and st_.grid == f.grid.dilated(t)
+        assert st_.coeffs is spec.coeffs
+        assert np.array_equal(dft_forward(dilate_dyadic(f, t)).coeffs, st_.coeffs)
+        with pytest.raises(ValueError):
+            dilate_dyadic(spec, -1)
+
+    def test_active_in_band_counts_the_paired_modes(self):
+        # A mode counts when -2^t xi lies in phi's band, it is not the mean,
+        # and its modulus exceeds tol.
+        g = GridSpec(d=1, n=16)
+        a = spectrum_from_modes(g, {(0,): 5.0, (1,): 1.0, (3,): 1e-3, (4,): 1.0, (5,): 1.0})
+        phi = dft_forward(Field(GridSpec(d=1, n=8), np.ones(8)))
+        assert active_in_band(a, phi, 0.0) == 3
+        assert active_in_band(a, phi, 1e-2) == 2
+        assert active_in_band(dilate_dyadic(a, 1), phi, 0.0) == 1  # only 2 * 1
+        assert active_in_band(dilate_dyadic(a, 3), phi, 0.0) == 0
+        # The modes it counts are those pair_spectra reads.
+        b = spectrum_from_modes(g, {(5,): 1.0, (-4,): 1.0})
+        assert active_in_band(b, phi, 0.0) == 0 and pair_spectra(b, phi) == 0
 
     def test_zero_field_stays_zero(self, grid2d):
         ft = dilate_dyadic(Field(grid2d, np.zeros(grid2d.shape)), 3)

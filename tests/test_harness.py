@@ -12,7 +12,6 @@ from mlab import (
     Field,
     GridSpec,
     bessel_norm,
-    bessel_norm_dilated,
     boundedness_scan,
     dealiased_product,
     dft_forward,
@@ -23,7 +22,6 @@ from mlab import (
     jacobian_estimate,
     lp_norm,
     pair,
-    pair_dilated,
     random_field,
     thm3_estimate_ratio,
     validate_record,
@@ -31,7 +29,8 @@ from mlab import (
     write_summary_csv,
 )
 from mlab import decomp, determinants, grid, harness, operators, spaces
-from mlab.grid import padded_points, regrid_field, support
+from mlab.grid import padded_points, pair_spectra, regrid_field, support
+from mlab.spaces import bessel_norms
 from mlab.harness import _family_seeds, _oscillation_ok, _sweep_spread
 
 from conftest import random_trig, rel_err, tiled
@@ -68,30 +67,38 @@ class TestRandomField:
         assert np.all(radii <= 1.0 + 1e-12)
         assert np.all(radii > 0)
 
-    def test_mean_zero_default(self, grid2d):
+    def test_mean_zero(self, grid2d):
         f = random_field(11, grid2d, 2.0)
         assert abs(np.mean(f.samples)) <= 1e-14
-        g = random_field(11, grid2d, 2.0, mean_zero=False)
-        assert abs(np.mean(g.samples)) > 1e-6
+
+    @pytest.mark.parametrize("gamma, cutoff", [(2.0, 0.5), (1e6, None)])
+    def test_rejects_family_with_no_mode(self, grid2d, gamma, cutoff):
+        # A cutoff below the first shell, or a decay that underflows every
+        # nonzero mode, leaves only the mean, which is zeroed.
+        with pytest.raises(ValueError, match="leave no nonzero mode"):
+            random_field(14, grid2d, gamma, cutoff=cutoff)
 
     def test_rejects_negative_gamma(self, grid2d):
         with pytest.raises(ValueError):
             random_field(12, grid2d, -1.0)
 
 
-class TestDilatedHelpers:
-    def test_pair_dilated_matches_direct(self):
+class TestDilatedRoutes:
+    """The sweeps' route for a dilated quantity, ``dilate_dyadic`` of a
+    spectrum, against the tiled full-grid field."""
+
+    def test_pairing_of_dilated_spectrum_matches_direct(self):
         g = GridSpec(d=2, n=8)
         f, _ = random_trig(g, degree=2, seed=160)
         big = GridSpec(d=2, n=16)
         phi, _ = random_trig(big, degree=7, seed=161)
         ft = dilate_dyadic(f, 1)
         direct = pair(tiled(ft), phi)
-        fast = pair_dilated(dft_forward(f), 1, dft_forward(phi))
+        fast = pair_spectra(dilate_dyadic(dft_forward(f), 1), dft_forward(phi))
         assert abs(direct - fast) <= 1e-12 * max(abs(direct), 1.0)
         assert pair(ft, phi) == fast
 
-    def test_pair_dilated_drops_out_of_band_modes(self):
+    def test_pairing_drops_out_of_band_modes(self):
         # A determinant-sized grid four times phi's, as in the Hessian scan,
         # and full-band inputs with Nyquist modes on both grids.  For t >= 1
         # most dilated modes of f leave phi's band and must drop out.
@@ -100,16 +107,18 @@ class TestDilatedHelpers:
         for t in range(4):
             full = tiled(dilate_dyadic(f, t))
             direct = pair(full, regrid_field(phi, full.grid.n))
-            fast = pair_dilated(dft_forward(f), t, dft_forward(phi))
+            fast = pair_spectra(dilate_dyadic(dft_forward(f), t), dft_forward(phi))
             assert abs(direct - fast) <= 1e-12 * abs(direct)
 
-    def test_bessel_norm_dilated_matches_direct(self):
+    def test_bessel_norms_of_dilated_spectrum_match_direct(self):
         g = GridSpec(d=2, n=8)
         f = random_field(13, g, 2.0, cutoff=2.0)
+        spec = dft_forward(f)
         for t in (0, 1, 2):
             direct = bessel_norm(tiled(dilate_dyadic(f, t)), 2.4, 0.8)
-            fast = bessel_norm_dilated(f, t, 2.4, 0.8)
+            (fast,) = bessel_norms([dilate_dyadic(spec, t)], [2.4], 0.8)
             assert rel_err(np.array(fast), np.array(direct)) <= 1e-10
+            assert fast == bessel_norm(dilate_dyadic(f, t), 2.4, 0.8)
 
 
 class TestTransformWork:

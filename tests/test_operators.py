@@ -701,6 +701,25 @@ class TestPairWithTransfer:
         with pytest.raises(ValueError):
             pair_with_transfer(one_symbol(2, 2), 1, [f, f], phi)
 
+    @pytest.mark.parametrize("sym_id, linear", [
+        ("det", True), ("det_pow:1", True), ("det_norm:1", False), ("det_pow:3", False),
+    ])
+    def test_slot_one_linearity_probe(self, sym_id, linear):
+        # The rewrite needs sigma linear in slot 1.  det_norm:1 and det_pow:3
+        # are alternating but not linear; their transferred pairings were
+        # 46-118 % off the direct pairing before the probe refused them.
+        g = GridSpec(d=2, n=8)
+        f1, f2, phi = (random_field(sd, g, 2.0) for sd in (0, 131, 262))
+        sym = resolve_symbol(sym_id, 2, m=2)
+        if not linear:
+            with pytest.raises(ValueError, match="not linear in slot 1"):
+                pair_with_transfer(sym, 1, [f1, f2], phi)
+            return
+        got = pair_with_transfer(sym, 1, [f1, f2], phi)
+        out = apply_direct(OperatorSpec(power_symbol(sym, 1), 2), [f1, f2])
+        want = pair(out, regrid_field(phi, out.grid.n))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestOperatorSpec:
     def test_pad_factor_default_is_arity(self):

@@ -12,6 +12,7 @@ from mlab import (
     bessel_norm,
     bessel_potential,
     dft_forward,
+    dilate_dyadic,
     field_from_modes,
     grad_sup_norms,
     holder_conjugate,
@@ -19,7 +20,10 @@ from mlab import (
     sobolev_wkp_norm,
     spectral_derivative,
 )
-from conftest import random_trig, rel_err
+from mlab.errors import GridMismatchError
+from mlab.spaces import bessel_norms
+
+from conftest import random_trig, rel_err, tiled
 from oracles import diff_modes, fd_gradient_sup, modes_on_grid, quadrature_lp
 
 
@@ -119,6 +123,57 @@ class TestBesselNorm:
         f, _ = random_trig(grid2d, degree=3, seed=28)
         values = [bessel_norm(f, 3.0, s) for s in (0.0, 0.5, 1.0, 2.0)]
         assert all(a <= b * (1.0 + 1e-12) for a, b in zip(values, values[1:]))
+
+
+class TestBesselNorms:
+    def test_batch_matches_one_norm_at_a_time(self, grid2d):
+        fs = [random_trig(grid2d, degree=3, seed=29 + i)[0] for i in range(2)]
+        specs = [dft_forward(f) for f in fs]
+        ps = [1.5, 3.0, 3.0]
+        got = bessel_norms([specs[0], specs[1], specs[0]], ps, 0.7)
+        want = [bessel_norm(f, p, 0.7) for f, p in zip([fs[0], fs[1], fs[0]], ps)]
+        assert got == want
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_dilated_spectra_match_tiled_fields(self, t):
+        g = GridSpec(d=2, n=8)
+        f, _ = random_trig(g, degree=3, seed=31)
+        ft = dilate_dyadic(f, t)
+        (got,) = bessel_norms([dilate_dyadic(dft_forward(f), t)], [2.4], 0.8)
+        want = bessel_norm(tiled(ft), 2.4, 0.8)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_repeated_spectrum_costs_one_inverse(self, grid2d, monkeypatch):
+        # Dilations of one spectrum share its array: one potential for all
+        # of them, one lp_norm per distinct exponent.
+        from mlab import spaces
+
+        spec = dft_forward(random_trig(grid2d, degree=3, seed=32)[0])
+        calls = {"inverse": 0, "lp": 0}
+        inverse, lp = spaces.dft_inverse, spaces.lp_norm
+
+        def counted_inverse(*args, **kwargs):
+            calls["inverse"] += 1
+            return inverse(*args, **kwargs)
+
+        def counted_lp(*args, **kwargs):
+            calls["lp"] += 1
+            return lp(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "dft_inverse", counted_inverse)
+        monkeypatch.setattr(spaces, "lp_norm", counted_lp)
+        slots = [dilate_dyadic(spec, 1) for _ in range(3)]
+        norms = bessel_norms(slots, [3.0, 3.0, 1.5], 1.0)
+        assert calls == {"inverse": 1, "lp": 2} and norms[0] == norms[1]
+
+    def test_rejects_mixed_grids_and_lengths(self, grid2d):
+        spec = dft_forward(random_trig(grid2d, degree=2, seed=33)[0])
+        with pytest.raises(GridMismatchError):
+            bessel_norms([spec, dilate_dyadic(spec, 1)], [2.0, 2.0], 1.0)
+        with pytest.raises(GridMismatchError):
+            bessel_norms([], [], 1.0)
+        with pytest.raises(ValueError):
+            bessel_norms([spec], [2.0, 2.0], 1.0)
 
 
 class TestSobolevNorm:
