@@ -66,7 +66,6 @@ from .decomp import (
     load_expansion,
     localize,
     partition_for_grid,
-    phi_profile,
     psi_profile,
     save_expansion,
     separable_expand,

@@ -218,10 +218,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.records)
     if not path.exists():
         raise _UsageError(f"records file not found: {path}")
+    lines = [(number, line) for number, line in
+             enumerate(path.read_text().splitlines(), start=1) if line.strip()]
+    if not lines:
+        raise _UsageError(f"no records in {path}")
     all_pass = True
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for number, line in lines:
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -28,13 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExceededError, enumeration_budget
-from .grid import Field, Spectrum, dft_forward, dft_inverse
+from .grid import Field, apply_multiplier, dft_forward
 from .symbols import SymbolSpec, evaluate
 
 __all__ = [
     "smooth_step",
     "psi_profile",
-    "phi_profile",
     "DyadicPartition",
     "localize",
     "AnnulusGrid",
@@ -73,16 +72,6 @@ def psi_profile(r) -> np.ndarray:
     pos = r > 0.0
     t = np.log2(r[pos])
     out[pos] = _g(t) - _g(t + 1.0)
-    return out
-
-
-def phi_profile(r) -> np.ndarray:
-    """Companion cutoff: support [1/4, 4], identically 1 on [1/2, 2]."""
-    r = np.asarray(r, dtype=np.float64)
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    t = np.log2(r[pos])
-    out[pos] = _g(t - 1.0) - _g(t + 2.0)
     return out
 
 
@@ -128,9 +117,7 @@ def partition_for_grid(n: int, d: int) -> DyadicPartition:
 
 def localize(f: Field, part: DyadicPartition, j: int) -> Field:
     """Frequency localization: multiply the spectrum by ``psi(2^-j |xi|)``."""
-    s = dft_forward(f)
-    radius = f.grid.freq_radius()
-    return dft_inverse(Spectrum(f.grid, s.coeffs * part.psi_at_scale(radius, j)))
+    return apply_multiplier(dft_forward(f), part.psi_at_scale(f.grid.freq_radius(), j))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Jacobian and Hessian determinants three ways, plus exact identity checks.
 
-Numeric routes: the pointwise route samples spectral derivatives on a
-``d``-fold padded grid and takes determinants sample by sample; the
+Numeric routes: the pointwise route samples spectral derivatives, each one
+``grid.apply_multiplier`` of a component's spectrum, on a ``d``-fold padded
+grid and takes determinants sample by sample; the
 multiplier route applies the alternating symbol ``det`` (or its square) and
 rescales by a frozen convention constant.  Both are exact for trigonometric
 polynomials that fit the padding, so they must agree to rounding.
@@ -23,11 +24,10 @@ import numpy as np
 
 from .grid import (
     Field,
-    Spectrum,
+    apply_multiplier,
     common_grid,
     derivative_multiplier,
     dft_forward,
-    padded_inverse,
     padded_points,
 )
 from .operators import OperatorSpec, apply_direct
@@ -87,12 +87,6 @@ def _report(identity: str, d: int, degree: int, residuals: list[PolyField]) -> D
 # numeric routes
 
 
-def _padded_derivative(spec: Spectrum, mult: np.ndarray, n_out: int) -> np.ndarray:
-    """Samples on the ``n_out`` grid of the derivative with multiplier ``mult``."""
-    deriv = Spectrum(spec.grid, spec.coeffs * mult)
-    return padded_inverse(deriv, n_out).samples
-
-
 def _det_points(n: int, d: int, n_out: int | None) -> int:
     """The determinant's grid: ``n_out``, by default ``n`` padded by ``d``.
 
@@ -108,8 +102,9 @@ def _det_points(n: int, d: int, n_out: int | None) -> int:
 def jacobian_det_pointwise(us: list[Field], n_out: int | None = None) -> Field:
     """``det`` of the matrix ``[d u_i / d x_j]`` sampled on an ``n_out`` grid.
 
-    One forward transform per component; each entry is its spectrum times a
-    :func:`derivative_multiplier`, zero padded and inverted once.  The
+    One forward transform per component; each entry is one
+    :func:`apply_multiplier` of its spectrum with a first-order
+    :func:`derivative_multiplier`, inverted on the ``n_out`` grid.  The
     determinant is the cofactor expansion :func:`poly_det` over the entry
     sample arrays.
 
@@ -127,19 +122,21 @@ def jacobian_det_pointwise(us: list[Field], n_out: int | None = None) -> Field:
     if len(us) != d:
         raise ValueError(f"need {d} components, got {len(us)}")
     n_out = _det_points(grid.n, d, n_out)
-    mults = [derivative_multiplier(grid, j) for j in range(d)]
+    mults = [derivative_multiplier(grid, tuple(int(a == j) for a in range(d)))
+             for j in range(d)]
     entries = []
     for u in us:
         spec = dft_forward(u)
-        entries.append([_padded_derivative(spec, m, n_out) for m in mults])
+        entries.append([apply_multiplier(spec, m, n_out).samples for m in mults])
     return Field(grid.with_n(n_out), poly_det(entries))
 
 
 def hessian_det_pointwise(u: Field, n_out: int | None = None) -> Field:
     """``det`` of the spectral Hessian of ``u`` sampled on an ``n_out`` grid.
 
-    Only the ``d (d + 1) / 2`` entries with ``i <= j`` are transformed; the
-    multiplier ``m_i m_j`` is symmetric bitwise, so ``H_ji`` is ``H_ij``.
+    Only the ``d (d + 1) / 2`` entries with ``i <= j`` are transformed, each
+    one :func:`apply_multiplier` with the multiplier of ``d^alpha``,
+    ``alpha = e_i + e_j``; ``H_ji`` is ``H_ij``.
     ``n_out`` defaults to the grid padded by ``d``; as for
     :func:`jacobian_det_pointwise`, the modes ``|eta_a| <= b`` are exact on
     any ``n_out >= b + d n/2``, since every term ``prod_i H_{i sigma(i)}``
@@ -147,12 +144,13 @@ def hessian_det_pointwise(u: Field, n_out: int | None = None) -> Field:
     """
     d = u.grid.d
     n_out = _det_points(u.grid.n, d, n_out)
-    mults = [derivative_multiplier(u.grid, i) for i in range(d)]
     spec = dft_forward(u)
     H = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            H[i][j] = H[j][i] = _padded_derivative(spec, mults[i] * mults[j], n_out)
+            alpha = tuple(int(a == i) + int(a == j) for a in range(d))
+            H[i][j] = H[j][i] = apply_multiplier(
+                spec, derivative_multiplier(u.grid, alpha), n_out).samples
     return Field(u.grid.with_n(n_out), poly_det(H))
 
 

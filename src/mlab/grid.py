@@ -15,6 +15,12 @@ and pairings read the cell alone; the ``2^t n`` grid is never built.
 alike; :func:`pair_spectra` pairs spectra on two grids of one torus, and
 :func:`active_in_band` counts the modes such a pairing reads.
 
+:func:`apply_multiplier` is the one route from a spectrum to a Fourier
+multiplier of one function: a derivative ``d^alpha`` (with
+:func:`derivative_multiplier` of a multi-index ``alpha``), a Bessel
+potential, a Littlewood-Paley piece, inverted on the spectrum's grid or a
+zero-padded one.  No other module multiplies a spectrum's coefficients.
+
 Under this pairing a multiplier identically equal to one reproduces the
 pointwise product of its inputs, which is the anchor every other constant in
 the library is calibrated against.
@@ -22,7 +28,9 @@ the library is calibrated against.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,7 @@ __all__ = [
     "spectrum_from_modes",
     "field_from_modes",
     "derivative_multiplier",
+    "apply_multiplier",
     "spectral_derivative",
     "regrid_spectrum",
     "padded_inverse",
@@ -244,31 +253,38 @@ def field_from_modes(
     return dft_inverse(spectrum_from_modes(grid, modes), is_real=is_real)
 
 
-def derivative_multiplier(grid: GridSpec, axis: int) -> np.ndarray:
-    """Fourier multiplier of the partial derivative along ``axis``.
+def derivative_multiplier(grid: GridSpec, alpha: tuple[int, ...]) -> np.ndarray:
+    """Fourier multiplier of the partial derivative ``d^alpha``.
 
-    ``i (2 pi / period) xi_axis`` with the Nyquist row ``xi_axis = -2^t n/2``
-    zeroed so that derivatives of real fields stay real.  The array has
-    length ``n`` along ``axis`` and 1 elsewhere, so it broadcasts against a
-    spectrum; products of multipliers give higher derivatives, and
-    ``m_i * m_j`` equals ``m_j * m_i`` bitwise.
+    The product, in axis order, of ``alpha_a`` factors ``i (2 pi / period)
+    xi_a`` per axis, each with the Nyquist row ``xi_a = -2^t n/2`` zeroed so
+    that derivatives of real fields stay real; all ones for ``alpha = 0``.
+    Each factor has length ``n`` along its axis and 1 elsewhere, so the
+    product broadcasts against a spectrum.
     """
-    if not (0 <= axis < grid.d):
-        raise ValueError(f"axis {axis} out of range for d={grid.d}")
+    if len(alpha) != grid.d or any(a < 0 for a in alpha):
+        raise ValueError(f"multi-index {alpha} invalid for d={grid.d}")
     f = grid.freqs()
-    mult = 1j * grid.kscale * f.astype(np.float64)
-    mult[f == -(grid.n // 2 << grid.t)] = 0.0
-    shape = [1] * grid.d
-    shape[axis] = grid.n
-    return mult.reshape(shape)
+    factor = 1j * grid.kscale * f.astype(np.float64)
+    factor[f == -(grid.n // 2 << grid.t)] = 0.0
+    factors = [factor.reshape((1,) * axis + (grid.n,) + (1,) * (grid.d - axis - 1))
+               for axis, reps in enumerate(alpha) for _ in range(reps)]
+    return functools.reduce(operator.mul, factors) if factors else np.ones((1,) * grid.d)
 
 
-def spectral_derivative(f: Field, axis: int) -> Field:
-    """Partial derivative along ``axis`` by Fourier multiplication with
-    :func:`derivative_multiplier`."""
-    mult = derivative_multiplier(f.grid, axis)
-    s = dft_forward(f)
-    return dft_inverse(Spectrum(f.grid, s.coeffs * mult), is_real=f.is_real)
+def apply_multiplier(s: Spectrum, mult: np.ndarray, n_out: int | None = None) -> Field:
+    """The field of ``s`` times a Fourier multiplier ``mult`` that broadcasts
+    against it, inverted on an ``n_out`` grid (default ``s.grid.n``) by
+    :func:`padded_inverse`: the one route from a spectrum to a derivative,
+    a Bessel potential or any other multiplier of one function."""
+    return padded_inverse(Spectrum(s.grid, s.coeffs * mult), n_out or s.grid.n)
+
+
+def spectral_derivative(f: Field, alpha: tuple[int, ...]) -> Field:
+    """Partial derivative ``d^alpha f`` by Fourier multiplication with
+    :func:`derivative_multiplier`; a real field stays flagged real."""
+    out = apply_multiplier(dft_forward(f), derivative_multiplier(f.grid, alpha))
+    return Field(f.grid, out.samples, is_real=f.is_real)
 
 
 def _axis_index_map(n_old: int, n_new: int, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:

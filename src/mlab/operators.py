@@ -22,13 +22,17 @@ separable expansion of a degree-zero symbol: each term is one
 single-variable multiplier per slot, the factor evaluated at the direction
 of every active nonzero mode, so each term costs ``m`` inverse transforms
 and one pointwise product on the padded cell.
+
+``pair_with_transfer`` pairs an alternating symbol's power with a test
+function by moving the output frequency onto it: a sum over multi-indices
+``|alpha| = k`` with weight ``k! / alpha!`` of one ``apply_direct`` and one
+``grid.apply_multiplier`` derivative ``d^alpha phi`` each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -43,14 +47,16 @@ from .grid import (
     Field,
     Spectrum,
     active_modes,
+    apply_multiplier,
     common_grid,
+    derivative_multiplier,
     dft_forward,
     dft_inverse,
     padded_points,
     pair,
     regrid_spectrum,
-    spectral_derivative,
 )
+from .spaces import multi_indices
 from .symbols import SymbolSpec, evaluate
 
 __all__ = [
@@ -297,14 +303,17 @@ def pair_with_transfer(
     ``sigma_m(xi_1, ..., xi_m) = sigma_m(xi_1 + ... + xi_m, xi_2, ..., xi_m)``
     and multilinearity in the first slot to move every factor of the output
     frequency onto ``phi`` as a spectral derivative: with
-    ``C_l(xi_2, ..., xi_m) = sigma_m(e_l, xi_2, ..., xi_m)``,
+    ``C_l(xi_2, ..., xi_m) = sigma_m(e_l, xi_2, ..., xi_m)`` and
+    ``C^alpha = prod_l C_l^{alpha_l}``, the multinomial expansion of
+    ``(sum_l eta_l C_l)^k`` gives
 
-    ``<T, phi> = (i period / 2 pi)^k sum_{l_1..l_k}
-    <T_{C_{l_1} ... C_{l_k}}(f...), d_{l_1} ... d_{l_k} phi>``.
+    ``<T, phi> = (i period / 2 pi)^k sum_{|alpha| = k} (k! / alpha!)
+    <T_{C^alpha}(f...), d^alpha phi>``,
 
-    ``k = 0`` has one empty combination: the plain pairing with symbol one.
-    The rewrite is a pointwise identity on every tuple, zero slots included,
-    so the result matches the direct pairing to rounding error.
+    one ``apply_direct`` per multi-index, ``C(d + k - 1, k)`` in all.
+    ``k = 0`` has the one index ``alpha = 0``: the plain pairing with symbol
+    one.  The rewrite is a pointwise identity on every tuple, zero slots
+    included, so the result matches the direct pairing to rounding error.
     """
     if k < 0:
         raise ValueError("power must be >= 0")
@@ -319,33 +328,33 @@ def pair_with_transfer(
     scale = (1j * grid.period / (2.0 * math.pi)) ** k
     # Only phi's modes on the inputs' lattice meet T, so phi is read on the
     # inputs' grid.  Differentiate on the padded grid: there the Nyquist row
-    # of phi is an interior mode, which ``spectral_derivative`` keeps.
-    phi_out = dft_inverse(regrid_spectrum(dft_forward(phi), n_out, grid.t - phi.grid.t))
+    # of phi is an interior mode, which ``derivative_multiplier`` keeps.
+    phi_spec = regrid_spectrum(dft_forward(phi), n_out, grid.t - phi.grid.t)
     total = 0.0 + 0.0j
-    for combo in iter_product(range(d), repeat=k):
-        units = [np.eye(d)[l] for l in combo]
+    for alpha in multi_indices(d, k):
+        if sum(alpha) != k:
+            continue
 
-        def reduced(*blocks: np.ndarray, _units=units) -> np.ndarray:
+        def reduced(*blocks: np.ndarray, _alpha=alpha) -> np.ndarray:
             shape = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
             out = np.ones(shape, dtype=np.complex128)
-            for e in _units:
-                e = e.reshape((1,) * (blocks[0].ndim - 1) + (d,))
-                out = out * np.asarray(
-                    sigma_m.evaluator(e, *blocks[1:]), dtype=np.complex128
-                )
+            for l, reps in enumerate(_alpha):
+                if reps:
+                    e = np.eye(d)[l].reshape((1,) * (blocks[0].ndim - 1) + (d,))
+                    c_l = np.asarray(sigma_m.evaluator(e, *blocks[1:]), dtype=np.complex128)
+                    for _ in range(reps):
+                        out = out * c_l
             return out
 
         c_sym = SymbolSpec(
             m=m,
             d=d,
             evaluator=reduced,
-            name=f"{sigma_m.name}-reduced{combo}",
+            name=f"{sigma_m.name}-reduced{alpha}",
             zero_rule=None,
         )
-        op = OperatorSpec(c_sym, m)
-        T = apply_direct(op, fields)
-        dphi = phi_out
-        for l in combo:
-            dphi = spectral_derivative(dphi, l)
-        total += pair(T, dphi)
+        T = apply_direct(OperatorSpec(c_sym, m), fields)
+        dphi = apply_multiplier(phi_spec, derivative_multiplier(phi_spec.grid, alpha))
+        weight = math.factorial(k) // math.prod(math.factorial(a) for a in alpha)
+        total += weight * pair(T, dphi)
     return complex(scale * total)

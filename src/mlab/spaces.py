@@ -7,7 +7,9 @@ dilated grid (``GridSpec.t > 0``) the sums run over the one cell the samples
 hold, and derivatives and Bessel weights see its physical frequencies, so a
 dilated field's norms are those of ``grid.dilate_dyadic`` of the field or of
 its spectrum.  :func:`bessel_norms` forms every Bessel norm, the scans'
-batches of dilated spectra as well as :func:`bessel_norm`.
+batches of dilated spectra as well as :func:`bessel_norm`.  Every potential
+and derivative is one ``grid.apply_multiplier`` of a spectrum transformed
+once, derivatives indexed by multi-index ``alpha``.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ import math
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import (
-    Field,
-    GridSpec,
-    Spectrum,
-    derivative_multiplier,
-    dft_forward,
-    dft_inverse,
-    spectral_derivative,
-)
+from .grid import Field, GridSpec, Spectrum, apply_multiplier, derivative_multiplier, dft_forward
 
 __all__ = [
     "holder_conjugate",
@@ -69,18 +63,14 @@ def _bessel_weight(grid: GridSpec, s: float) -> np.ndarray:
     return (1.0 + k2) ** (s / 2.0)
 
 
-def _weighted_inverse(spec: Spectrum, weight: np.ndarray, is_real: bool = False) -> Field:
-    """``dft_inverse`` of ``spec`` times a multiplier ``weight`` on its mesh."""
-    return dft_inverse(Spectrum(spec.grid, spec.coeffs * weight), is_real=is_real)
-
-
 def bessel_potential(f: Field, s: float) -> Field:
     """Multiply the spectrum by ``(1 + |k|^2)^{s/2}`` with ``k`` physical.
 
     ``k = (2 pi / period) xi`` so the operator agrees with the continuum
     Bessel potential on the represented band.
     """
-    return _weighted_inverse(dft_forward(f), _bessel_weight(f.grid, s), f.is_real)
+    out = apply_multiplier(dft_forward(f), _bessel_weight(f.grid, s))
+    return Field(f.grid, out.samples, is_real=f.is_real)
 
 
 def bessel_norms(specs: list[Spectrum], p: list[float], s: float) -> list[float]:
@@ -101,7 +91,7 @@ def bessel_norms(specs: list[Spectrum], p: list[float], s: float) -> list[float]
         batch.setdefault(key, (spec, set()))[1].add(pj)
     norms = {}
     for key, (spec, exponents) in batch.items():
-        potential = _weighted_inverse(spec, weight)  # one potential alive at a time
+        potential = apply_multiplier(spec, weight)  # one potential alive at a time
         norms.update({(key, pj): lp_norm(potential, pj) for pj in exponents})
     return [norms[key, pj] for key, pj in zip(keys, p)]
 
@@ -118,19 +108,14 @@ def multi_indices(d: int, max_order: int):
             yield tuple(alpha.count(axis) for axis in range(d))
 
 
-def _derive(f: Field, alpha: tuple[int, ...]) -> Field:
-    out = f
-    for axis, reps in enumerate(alpha):
-        for _ in range(reps):
-            out = spectral_derivative(out, axis)
-    return out
-
-
 def sobolev_wkp_norm(f: Field, k: int, p: float) -> float:
-    """``W^{k,p}`` norm as the sum of ``L^p`` norms over ``|alpha| <= k``."""
+    """``W^{k,p}`` norm as the sum of ``L^p`` norms over ``|alpha| <= k``:
+    one forward transform, then one inverse per ``alpha``."""
     if k < 0:
         raise ValueError(f"order must satisfy k >= 0, got {k}")
-    return float(sum(lp_norm(_derive(f, alpha), p) for alpha in multi_indices(f.grid.d, k)))
+    spec = dft_forward(f)
+    return float(sum(lp_norm(apply_multiplier(spec, derivative_multiplier(f.grid, alpha)), p)
+                     for alpha in multi_indices(f.grid.d, k)))
 
 
 def grad_sup_norms(f: Field, order: int) -> float:
@@ -138,24 +123,14 @@ def grad_sup_norms(f: Field, order: int) -> float:
 
     ``order = 1``: max over grid points of the Euclidean gradient norm.
     ``order = 2``: max modulus over grid points and Hessian entries.
-    One forward transform; each derivative is one inverse transform of the
-    spectrum times a product of :func:`derivative_multiplier` factors.
+    One forward transform, then one inverse per derivative ``d^alpha``,
+    ``|alpha| = order``.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     spec = dft_forward(f)
-    mults = [derivative_multiplier(f.grid, axis) for axis in range(f.grid.d)]
-
-    def modulus(mult: np.ndarray) -> np.ndarray:
-        return np.abs(_weighted_inverse(spec, mult).samples)
-
+    moduli = (np.abs(apply_multiplier(spec, derivative_multiplier(f.grid, alpha)).samples)
+              for alpha in multi_indices(f.grid.d, order) if sum(alpha) == order)
     if order == 1:
-        g2 = np.zeros(f.grid.shape, dtype=np.float64)
-        for mult in mults:
-            g2 += modulus(mult) ** 2
-        return float(np.sqrt(g2.max()))
-    worst = 0.0
-    for i in range(f.grid.d):
-        for j in range(i, f.grid.d):
-            worst = max(worst, float(modulus(mults[i] * mults[j]).max()))
-    return worst
+        return float(np.sqrt(sum(m**2 for m in moduli).max()))
+    return max(float(m.max()) for m in moduli)

@@ -299,8 +299,11 @@ def resolve_symbol(spec_id: str, d: int, m: int | None = None) -> SymbolSpec:
 
     Recognised ids: ``one``, ``det``, ``det_pow:k``, ``det_norm:beta``,
     ``dot_norm:beta``, ``riesz_product:j1,...,jm`` (1-based components).
+    ``one`` and ``det`` take no argument, and no component may be empty.
     """
-    head, _, arg = spec_id.partition(":")
+    head, sep, arg = spec_id.partition(":")
+    if head in ("one", "det") and sep:
+        raise ValueError(f"symbol {head!r} takes no argument, got {spec_id!r}")
     if head == "one":
         return one_symbol(m or 2, d)
     if head == "det":
@@ -312,10 +315,10 @@ def resolve_symbol(spec_id: str, d: int, m: int | None = None) -> SymbolSpec:
     if head == "dot_norm":
         return normalized_power_symbol(dot_symbol(d), float(arg))
     if head == "riesz_product":
-        comps = [int(tok) for tok in arg.split(",") if tok]
-        if not comps:
-            raise ValueError("riesz_product needs at least one component")
-        return product_symbol([riesz_factor(d, c - 1) for c in comps])
+        comps = arg.split(",")
+        if not all(comps):
+            raise ValueError(f"riesz_product needs comma-separated components, got {arg!r}")
+        return product_symbol([riesz_factor(d, int(c) - 1) for c in comps])
     raise ValueError(f"unknown symbol id {spec_id!r}")
 
 

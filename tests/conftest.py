@@ -23,6 +23,11 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want))) / scale
 
 
+def unit(d: int, axis: int) -> tuple[int, ...]:
+    """The multi-index of the first derivative along ``axis`` in ``d`` dimensions."""
+    return tuple(int(a == axis) for a in range(d))
+
+
 def rel_l2(got: np.ndarray, want: np.ndarray) -> float:
     got = np.asarray(got).reshape(-1)
     want = np.asarray(want).reshape(-1)

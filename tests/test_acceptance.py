@@ -40,7 +40,7 @@ from mlab import (
 )
 from mlab.grid import Field, regrid_field
 
-from conftest import random_trig, rel_l2
+from conftest import random_trig, rel_l2, unit
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -293,7 +293,7 @@ def test_c11_bessel_spaces():
 
     lhs = bessel_norm(f, 2.0, 1.0) ** 2
     rhs = lp_norm(f, 2.0) ** 2 + sum(
-        lp_norm(spectral_derivative(f, ax), 2.0) ** 2 for ax in range(2)
+        lp_norm(spectral_derivative(f, unit(2, ax)), 2.0) ** 2 for ax in range(2)
     )
     ident_err = abs(lhs - rhs) / rhs
 

@@ -40,18 +40,21 @@ class TestVerifyIdentities:
     "argv, message",
     [
         (["report", "--records", "{garbage}"], "malformed record JSON on line 2"),
+        (["report", "--records", "{empty}"], "no records in"),
         (["verify-identities", "--instances", "0"], "at least one instance"),
         (["verify-identities", "--instances", "-2"], "at least one instance"),
         (["verify-identities", "--dims", "7", "--instances", "1"], "selects no identity check"),
     ],
-    ids=["report-not-json", "instances-0", "instances-negative", "dims-unchecked"],
+    ids=["report-not-json", "report-empty", "instances-0", "instances-negative", "dims-unchecked"],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # Each of these once crashed with a traceback or checked nothing and
     # exited 0.
-    garbage = tmp_path / "records.jsonl"
+    garbage, empty = tmp_path / "records.jsonl", tmp_path / "empty.jsonl"
     garbage.write_text("\n{not json\n")
-    argv = [str(garbage) if a == "{garbage}" else a for a in argv]
+    empty.write_text("")
+    files = {"{garbage}": str(garbage), "{empty}": str(empty)}
+    argv = [files.get(a, a) for a in argv]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert message in captured.err
@@ -211,10 +214,16 @@ class TestScanCommands:
             (["thm3-scan", "--symbol", "det_pow:3"], "not linear in slot 1"),
             (["boundedness-scan", "--grid", "3x8", "--strategy", "separable"],
              "annulus grids implemented for d <= 2"),
+            (["boundedness-scan", "--grid", "2x8", "--symbol", "one:7"],
+             "symbol 'one' takes no argument"),
+            (["thm3-scan", "--symbol", "det:xyz"], "symbol 'det' takes no argument"),
+            (["boundedness-scan", "--symbol", "riesz_product:1,,2"],
+             "comma-separated components"),
         ],
         ids=["jacobian-strategy", "jacobian-symbol", "hessian-strategy",
              "hessian-symbol", "thm3-strategy", "boundedness-k", "jacobian-k",
-             "hessian-k", "thm3-det-norm", "thm3-det-pow-3", "separable-3d"],
+             "hessian-k", "thm3-det-norm", "thm3-det-pow-3", "separable-3d",
+             "one-argument", "det-argument", "riesz-empty-component"],
     )
     def test_ignored_field_exits_one(self, capsys, tmp_path, argv, message):
         code = run_cli([*argv, "--family", "1", "--t-max", "0", "--out", str(tmp_path)])

@@ -20,7 +20,6 @@ from mlab import (
     det_symbol,
     one_symbol,
     partition_for_grid,
-    phi_profile,
     product_symbol,
     psi_profile,
     resolve_symbol,
@@ -45,15 +44,6 @@ class TestProfiles:
 
     def test_psi_zero_at_origin(self):
         assert psi_profile(np.array([0.0]))[0] == 0.0
-
-    def test_phi_plateau(self):
-        r = np.array([0.125, 0.5, 1.0, 2.0, 8.0])
-        vals = phi_profile(r)
-        assert vals[0] == 0.0
-        assert vals[1] == pytest.approx(1.0)
-        assert vals[2] == pytest.approx(1.0)
-        assert vals[3] == pytest.approx(1.0)
-        assert vals[4] == 0.0
 
 
 class TestPartition:

@@ -40,7 +40,7 @@ from mlab.grid import (
 )
 from mlab.harness import _sweep_det_n, random_field
 
-from conftest import random_trig, rel_l2
+from conftest import random_trig, rel_l2, unit
 from oracles import det_cofactor, det_cofactor_grid, diff_modes, modes_on_grid
 
 
@@ -146,7 +146,7 @@ class TestFullBandRoutes:
         us = [random_field(170 + i, g, 2.0) for i in range(2)]
         n_out = padded_points(g.n, 2)
         want = _stacked_det(
-            [[regrid_field(spectral_derivative(u, j), n_out).samples for j in range(2)]
+            [[regrid_field(spectral_derivative(u, unit(2, j)), n_out).samples for j in range(2)]
              for u in us]
         )
         got = jacobian_det_pointwise(us)
@@ -157,9 +157,9 @@ class TestFullBandRoutes:
         g = GridSpec(d=3, n=8)
         u = random_field(172, g, 2.0)
         n_out = padded_points(g.n, 3)
-        firsts = [spectral_derivative(u, i) for i in range(3)]
+        firsts = [spectral_derivative(u, unit(3, i)) for i in range(3)]
         want = _stacked_det(
-            [[regrid_field(spectral_derivative(fi, j), n_out).samples for j in range(3)]
+            [[regrid_field(spectral_derivative(fi, unit(3, j)), n_out).samples for j in range(3)]
              for fi in firsts]
         )
         got = hessian_det_pointwise(u)

@@ -26,6 +26,8 @@ from mlab import (
 from mlab.grid import (
     active_in_band,
     active_modes,
+    apply_multiplier,
+    derivative_multiplier,
     noise_floor,
     padded_inverse,
     padded_points,
@@ -34,8 +36,9 @@ from mlab.grid import (
     regrid_field,
     regrid_spectrum,
 )
+from mlab.spaces import multi_indices
 
-from conftest import random_trig, rel_err, tiled
+from conftest import random_trig, rel_err, tiled, unit
 from oracles import (
     convolve_modes,
     dft_direct,
@@ -176,12 +179,12 @@ class TestDerivative:
         g = GridSpec(d=1, n=16)
         x = g.axis_points()
         f = Field(g, np.sin(x), is_real=True)
-        df = spectral_derivative(f, 0)
+        df = spectral_derivative(f, (1,))
         assert rel_err(df.real_samples(), np.cos(x)) <= 1e-12
 
     def test_constant_to_zero(self, grid1d):
         f = Field(grid1d, np.ones(grid1d.shape), is_real=True)
-        df = spectral_derivative(f, 0)
+        df = spectral_derivative(f, (1,))
         assert float(np.max(np.abs(df.samples))) <= 1e-14
 
     def test_matches_term_by_term_oracle(self):
@@ -189,15 +192,15 @@ class TestDerivative:
         f, modes = random_trig(g, degree=4, seed=5)
         for axis in range(2):
             want = modes_on_grid(diff_modes(modes, axis, g.period), g.d, g.n, g.period)
-            got = spectral_derivative(f, axis)
+            got = spectral_derivative(f, unit(2, axis))
             assert rel_err(got.samples, want) <= 1e-12
 
     def test_mixed_partials_commute(self, grid2d):
         # Each composition roundtrips through the inverse transform, so the
         # comparison is at machine roundoff rather than bit level.
         f, _ = random_trig(grid2d, degree=3, seed=6)
-        d12 = spectral_derivative(spectral_derivative(f, 0), 1)
-        d21 = spectral_derivative(spectral_derivative(f, 1), 0)
+        d12 = spectral_derivative(spectral_derivative(f, (1, 0)), (0, 1))
+        d21 = spectral_derivative(spectral_derivative(f, (0, 1)), (1, 0))
         c12 = dft_forward(d12).coeffs
         c21 = dft_forward(d21).coeffs
         assert rel_err(c12, c21) <= 1e-15
@@ -209,15 +212,44 @@ class TestDerivative:
         g = GridSpec(d=2, n=8)
         ft = dilate_dyadic(Field(g, np.random.default_rng(24).standard_normal(g.shape)), t)
         for axis in range(2):
-            got = spectral_derivative(ft, axis)
-            want = spectral_derivative(tiled(ft), axis)
+            got = spectral_derivative(ft, unit(2, axis))
+            want = spectral_derivative(tiled(ft), unit(2, axis))
             assert got.grid == ft.grid
             assert rel_err(tiled(got).samples, want.samples) <= 1e-13
 
     def test_axis_out_of_range(self, grid1d):
         f = Field(grid1d, np.ones(grid1d.shape))
         with pytest.raises(ValueError):
-            spectral_derivative(f, 1)
+            spectral_derivative(f, (0, 1))
+
+
+class TestApplyMultiplier:
+    @pytest.mark.parametrize("t", [0, 2])
+    @pytest.mark.parametrize("pad", [1, 2], ids=["n", "2n"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_derivative_matches_term_by_term_oracle(self, d, pad, t):
+        # The dilated field has modes 2^t xi; its samples on the cell nodes
+        # x_p / 2^t are those of the same coefficients at xi on x_p.
+        g = GridSpec(d=d, n=8)
+        _, modes = random_trig(g, degree=3, seed=40 + d, real=False)
+        spec = dilate_dyadic(spectrum_from_modes(g, modes), t)
+        n_out = pad * g.n
+        for alpha in multi_indices(d, 2):
+            want = {tuple(c << t for c in xi): v for xi, v in modes.items()}
+            for axis, reps in enumerate(alpha):
+                for _ in range(reps):
+                    want = diff_modes(want, axis, g.period)
+            want = {tuple(c >> t for c in xi): v for xi, v in want.items()}
+            got = apply_multiplier(spec, derivative_multiplier(spec.grid, alpha), n_out)
+            assert got.grid == spec.grid.with_n(n_out)
+            assert rel_err(got.samples, modes_on_grid(want, d, n_out, g.period)) <= 1e-12
+
+    def test_multiplier_is_the_product_of_first_derivatives(self, grid2d):
+        m0, m1 = (derivative_multiplier(grid2d, unit(2, a)) for a in range(2))
+        assert np.array_equal(derivative_multiplier(grid2d, (2, 1)), m0 * m0 * m1)
+        assert np.array_equal(derivative_multiplier(grid2d, (0, 0)), np.ones((1, 1)))
+        with pytest.raises(ValueError):
+            derivative_multiplier(grid2d, (1, -1))
 
 
 class TestDealiasedProduct:

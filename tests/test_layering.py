@@ -1,4 +1,5 @@
-"""Modules of the package meet only through each other's public names."""
+"""Modules of the package meet only through each other's public names, and
+only ``grid`` multiplies a spectrum by a Fourier multiplier."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,30 @@ def _private_imports(path: Path) -> set[str]:
     return names
 
 
+def _factors(node: ast.expr) -> list[ast.expr]:
+    """The operands of a chain of products, ``a * b * c`` -> ``[a, b, c]``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _multiplier_spectra(path: Path) -> list[int]:
+    """Lines that build ``Spectrum(_, x.coeffs * _)``: a Fourier multiplier
+    applied by hand rather than by ``grid.apply_multiplier``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "Spectrum":
+            continue
+        coeffs = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "coeffs"]
+        if any(isinstance(arg, ast.BinOp) and any(
+                isinstance(f, ast.Attribute) and f.attr == "coeffs" for f in _factors(arg))
+               for arg in coeffs):
+            lines.append(node.lineno)
+    return lines
+
+
 def test_modules_exist():
     assert len(MODULES) > 1
 
@@ -35,3 +60,20 @@ def test_checker_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .grid import Field, _band_block\nfrom mlab.spaces import _x\n")
     assert _private_imports(bad) == {"grid._band_block", "mlab.spaces._x"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_only_grid_applies_a_multiplier(path):
+    assert _multiplier_spectra(path) == []
+
+
+def test_checker_sees_a_multiplier_product(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "a = Spectrum(g, s.coeffs * m)\n"
+        "b = grid.Spectrum(g, coeffs=w * s.coeffs * m)\n"
+        "c = Spectrum(g, s.coeffs - t.coeffs)\n"
+        "d = Spectrum(g, coeffs * m)\n"
+    )
+    assert _multiplier_spectra(bad) == [1, 2]

@@ -658,14 +658,14 @@ class TestPairWithTransfer:
         assert abs(got - want) <= 1e-10 * scale
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_direct_pairing_random_fields(self, k):
-        g = GridSpec(d=2, n=16)
-        f1, _ = random_trig(g, degree=3, seed=80 + k)
-        f2, _ = random_trig(g, degree=3, seed=90 + k)
+    @pytest.mark.parametrize("d, n, degree", [(2, 16, 3), (3, 8, 1)])
+    def test_matches_direct_pairing_random_fields(self, d, n, degree, k):
+        g = GridSpec(d=d, n=n)
+        fields = [random_trig(g, degree=degree, seed=80 + 10 * i + k)[0] for i in range(d)]
         phi, _ = random_trig(g, degree=3, seed=100 + k)
-        sym = det_symbol(2)
-        got = pair_with_transfer(sym, k, [f1, f2], phi)
-        out = apply_direct(OperatorSpec(power_symbol(sym, k), 2), [f1, f2])
+        sym = det_symbol(d)
+        got = pair_with_transfer(sym, k, fields, phi)
+        out = apply_direct(OperatorSpec(power_symbol(sym, k), d), fields)
         want = pair(out, regrid_field(phi, out.grid.n))
         assert abs(got - want) <= 1e-8 * max(abs(want), 1.0)
 
@@ -682,6 +682,24 @@ class TestPairWithTransfer:
         out = apply_direct(OperatorSpec(power_symbol(sym, k), 2), [f1, f2])
         want = pair(out, regrid_field(phi, out.grid.n))
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("d, k", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_one_direct_application_per_multi_index(self, monkeypatch, d, k):
+        # The d^k ordered derivative combinations collapse to the
+        # C(d + k - 1, k) multi-indices |alpha| = k.
+        calls = []
+        direct = operators.apply_direct
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return direct(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "apply_direct", counted)
+        g = GridSpec(d=d, n=8)
+        fields = [random_trig(g, degree=1, seed=150 + i)[0] for i in range(d)]
+        phi, _ = random_trig(g, degree=1, seed=149)
+        pair_with_transfer(det_symbol(d), k, fields, phi)
+        assert len(calls) == math.comb(d + k - 1, k)
 
     def test_k3_small_case(self):
         g = GridSpec(d=2, n=8)

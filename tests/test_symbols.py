@@ -264,11 +264,14 @@ class TestResolveSymbol:
         assert resolve_symbol("det_norm:1", 2).poly_homogeneous
         assert resolve_symbol("riesz_product:1,2", 2).m == 2
 
-    def test_unknown_id(self):
+    @pytest.mark.parametrize(
+        "spec_id", ["nope", "riesz_product:", "one:7", "det:xyz", "riesz_product:1,,2"]
+    )
+    def test_unknown_id(self, spec_id):
+        # one:7, det:xyz and riesz_product:1,,2 once resolved, dropping the
+        # argument or the empty component.
         with pytest.raises(ValueError):
-            resolve_symbol("nope", 2)
-        with pytest.raises(ValueError):
-            resolve_symbol("riesz_product:", 2)
+            resolve_symbol(spec_id, 2)
 
 
 class TestDerivativeConditions:
