@@ -2,11 +2,11 @@
 
 Layers, bottom up: ``grid`` (fields, spectra, exact dyadic dilation),
 ``spaces`` (Lebesgue/Bessel/Sobolev quadrature norms), ``symbols``
-(multiplier symbols plus sampled hypothesis checkers), ``decomp`` (dyadic
-partition of unity and separable expansions), ``operators`` (direct and
-separable application, derivative-transferred pairings), ``polyfield`` and
-``determinants`` (exact polynomial identities, determinant routes),
-``harness`` and ``cli`` (seeded experiments and reporting).
+(multiplier symbols), ``decomp`` (dyadic partition of unity and separable
+expansions), ``operators`` (direct and separable application,
+derivative-transferred pairings), ``polyfield`` and ``determinants`` (exact
+polynomial identities, determinant routes), ``harness`` and ``cli`` (seeded
+experiments and reporting).
 """
 
 from .errors import (
@@ -43,11 +43,7 @@ from .spaces import (
     sobolev_wkp_norm,
 )
 from .symbols import (
-    ConditionReport,
     SymbolSpec,
-    check_derivative_conditions,
-    check_hormander_annulus,
-    check_poly_homogeneity,
     det_symbol,
     dot_symbol,
     evaluate,

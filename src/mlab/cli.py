@@ -103,6 +103,11 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
             validate_config(loaded)
         except jsonschema.ValidationError as exc:
             raise _UsageError(f"config does not match schema: {exc.message}") from exc
+        if loaded["experiment"] != payload["experiment"]:
+            raise _UsageError(
+                f"config experiment {loaded['experiment']!r} does not match "
+                f"{command}, which runs {payload['experiment']!r}"
+            )
         payload.update(loaded)
 
     if args.grid is not None:
@@ -282,3 +287,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

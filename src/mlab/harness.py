@@ -73,8 +73,8 @@ class ExperimentConfig:
     ``p`` lists the input Lebesgue exponents; the output exponent ``r`` must
     satisfy ``1/r = sum 1/p_j`` to 1e-12, which with ``p_j > 1`` puts it in
     ``(1/m, inf)``: the quasi-Banach range ``r < 1`` included.  The seed
-    fully determines the generated family.  A scan rejects a set ``s`` or
-    ``k`` that it would not read.
+    fully determines the generated family.  A scan rejects a set ``k`` that
+    it would not read; each scan derives its smoothness ``s`` itself.
     """
 
     experiment: str
@@ -84,7 +84,6 @@ class ExperimentConfig:
     p: tuple[float, ...]
     r: float
     period: float = 2.0 * math.pi
-    s: float | None = None
     k: int | None = None
     gamma: float = 2.0
     cutoff: float | None = None
@@ -289,8 +288,8 @@ def _finish(
 def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     """Ratio ``||T(f_1..f_m)||_r / prod ||f_j||_{p_j}`` over family and sweep."""
     started = time.perf_counter()
-    if cfg.k is not None or cfg.s is not None:
-        raise ValueError("the boundedness scan takes neither k nor s")
+    if cfg.k is not None:
+        raise ValueError("the boundedness scan takes no derivative order k")
     sym = resolve_symbol(cfg.symbol, cfg.d, m=cfg.m)
     op, extra = OperatorSpec(sym, cfg.m), {}
     if cfg.strategy == "separable":
@@ -348,8 +347,6 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
     grid = cfg.grid
     m = cfg.m
     s = k * (m - 1) / m
-    if cfg.s is not None and abs(cfg.s - s) > 1e-12:
-        raise ValueError(f"smoothness must be k(m-1)/m = {s}")
     r_star = holder_conjugate(cfg.r)
     families = [
         (
@@ -507,8 +504,6 @@ def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
     if cfg.d < 2:
         raise ValueError("needs dimension >= 2")
     s = order - order / cfg.d
-    if cfg.s is not None and abs(cfg.s - s) > 1e-12:
-        raise ValueError(f"smoothness must be {order} - {order}/d = {s}")
     sweep_rows, diff_rows, zero_num, det_n = _estimate_sweep(cfg, s, order)
     passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR) and zero_num == 0.0
     return _finish(

@@ -324,12 +324,15 @@ def pair_with_transfer(
     _probe_alternating(sigma_m)
     if sigma_m.zero_rule not in (None, 0.0):
         raise ValueError("alternating symbols must vanish on zero slots")
-    n_out = padded_points(grid.n, m)
     scale = (1j * grid.period / (2.0 * math.pi)) ** k
-    # Only phi's modes on the inputs' lattice meet T, so phi is read on the
-    # inputs' grid.  Differentiate on the padded grid: there the Nyquist row
-    # of phi is an interior mode, which ``derivative_multiplier`` keeps.
-    phi_spec = regrid_spectrum(dft_forward(phi), n_out, grid.t - phi.grid.t)
+    # Differentiate phi on its grid padded by m, where its Nyquist row is an
+    # interior mode that ``derivative_multiplier`` keeps.  Inputs more
+    # dilated than phi meet only its modes on their lattice, so phi is read
+    # on their grid and the pairing is a quadrature there; a phi more
+    # dilated than the inputs keeps its own grid, and ``pair`` reads T
+    # against it across the two grids.
+    lift = max(grid.t - phi.grid.t, 0)
+    phi_spec = regrid_spectrum(dft_forward(phi), padded_points(phi.grid.n, m), lift)
     total = 0.0 + 0.0j
     for alpha in multi_indices(d, k):
         if sum(alpha) != k:

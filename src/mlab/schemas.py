@@ -37,7 +37,6 @@ CONFIG_SCHEMA = {
             "minItems": 1,
         },
         "r": {"type": "number", "exclusiveMinimum": 0},
-        "s": {"type": ["number", "null"]},
         "k": {"type": ["integer", "null"], "minimum": 0},
         "gamma": {"type": "number", "minimum": 0},
         "cutoff": {"type": ["number", "null"], "exclusiveMinimum": 0},

@@ -1,4 +1,4 @@
-"""Multilinear multiplier symbols and sampled hypothesis checkers.
+"""Multilinear multiplier symbols.
 
 A symbol is a function of ``m`` integer frequency vectors, evaluated in
 batches: the evaluator receives ``m`` float arrays of shapes ``(..., d)``,
@@ -18,18 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, enumeration_budget
 from .polyfield import perm_sign
-from .spaces import multi_indices
 
 __all__ = [
     "SymbolSpec",
-    "ConditionReport",
     "evaluate",
     "det_symbol",
     "dot_symbol",
@@ -39,9 +36,6 @@ __all__ = [
     "riesz_factor",
     "product_symbol",
     "resolve_symbol",
-    "check_poly_homogeneity",
-    "check_derivative_conditions",
-    "check_hormander_annulus",
 ]
 
 Evaluator = Callable[..., np.ndarray]
@@ -320,261 +314,4 @@ def resolve_symbol(spec_id: str, d: int, m: int | None = None) -> SymbolSpec:
             raise ValueError(f"riesz_product needs comma-separated components, got {arg!r}")
         return product_symbol([riesz_factor(d, int(c) - 1) for c in comps])
     raise ValueError(f"unknown symbol id {spec_id!r}")
-
-
-@dataclass
-class ConditionReport:
-    """Outcome of a sampled symbol-hypothesis check."""
-
-    condition: str
-    description: str
-    constants: dict[str, float]
-    worst_ratio: float
-    samples_used: int
-    samples_skipped: int
-    passed: bool
-    threshold: float
-    per_scale: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "description": self.description,
-            "constants": self.constants,
-            "worst_ratio": self.worst_ratio,
-            "samples_used": self.samples_used,
-            "samples_skipped": self.samples_skipped,
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "per_scale": self.per_scale,
-        }
-
-
-def _random_tuples(rng: np.random.Generator, m: int, d: int, count: int) -> np.ndarray:
-    """Nonzero integer frequency tuples, shape (count, m, d)."""
-    out = rng.integers(-8, 9, size=(count, m, d)).astype(np.float64)
-    for j in range(m):
-        bad = np.all(out[:, j, :] == 0.0, axis=-1)
-        while np.any(bad):
-            out[bad, j, :] = rng.integers(-8, 9, size=(int(bad.sum()), d))
-            bad = np.all(out[:, j, :] == 0.0, axis=-1)
-    return out
-
-
-def check_poly_homogeneity(
-    sym: SymbolSpec, samples: int = 64, seed: int = 0, tol: float = 1e-10
-) -> ConditionReport:
-    """Sampled check of ``sigma(t_1 xi_1, ..., t_m xi_m) = sigma(xi...)``.
-
-    Scale factors are dyadic powers ``2^-4 .. 2^4`` so the rescaling itself
-    is exact in floating point; any deviation is the symbol's.
-    """
-    rng = np.random.default_rng(seed)
-    tuples = _random_tuples(rng, sym.m, sym.d, samples)
-    base = evaluate(sym, [tuples[:, j, :] for j in range(sym.m)])
-    worst = 0.0
-    for _ in range(4):
-        ts = 2.0 ** rng.integers(-4, 5, size=(samples, sym.m))
-        scaled = [tuples[:, j, :] * ts[:, j : j + 1] for j in range(sym.m)]
-        dev = np.max(np.abs(evaluate(sym, scaled) - base))
-        worst = max(worst, float(dev))
-    return ConditionReport(
-        condition="poly-homogeneity",
-        description=f"{sym.name}: dyadic rescale invariance over {samples} tuples",
-        constants={"max_deviation": worst},
-        worst_ratio=worst,
-        samples_used=samples,
-        samples_skipped=0,
-        passed=worst <= tol,
-        threshold=tol,
-    )
-
-
-def _fd_derivative(
-    sym: SymbolSpec, tuples: np.ndarray, alpha: dict[tuple[int, int], int], steps: np.ndarray
-) -> np.ndarray:
-    """Central finite-difference estimate of a first or second derivative.
-
-    ``alpha`` maps ``(slot, axis)`` to its order; total order <= 2.
-    """
-
-    def shifted(offsets: list[tuple[tuple[int, int], float]]) -> np.ndarray:
-        pts = tuples.copy()
-        for (j, i), mult in offsets:
-            pts[:, j, i] += mult * steps[:, j]
-        return evaluate(sym, [pts[:, j, :] for j in range(sym.m)])
-
-    items = list(alpha.items())
-    total = sum(o for _, o in items)
-    if total == 1:
-        (coord, _), = items
-        h = steps[:, coord[0]]
-        return (shifted([(coord, 1.0)]) - shifted([(coord, -1.0)])) / (2.0 * h)
-    if total == 2 and len(items) == 1:
-        coord, _ = items[0]
-        h = steps[:, coord[0]]
-        return (shifted([(coord, 1.0)]) - 2.0 * shifted([]) + shifted([(coord, -1.0)])) / h**2
-    if total == 2:
-        (c1, _), (c2, _) = items
-        h1 = steps[:, c1[0]]
-        h2 = steps[:, c2[0]]
-        plus = shifted([(c1, 1.0), (c2, 1.0)]) + shifted([(c1, -1.0), (c2, -1.0)])
-        minus = shifted([(c1, 1.0), (c2, -1.0)]) + shifted([(c1, -1.0), (c2, 1.0)])
-        return (plus - minus) / (4.0 * h1 * h2)
-    raise ValueError("finite differences implemented up to order 2")
-
-
-def check_derivative_conditions(
-    sym: SymbolSpec,
-    weighting: str = "CM",
-    max_order: int = 1,
-    samples: int = 32,
-    seed: int = 0,
-    threshold: float = 2.0,
-) -> ConditionReport:
-    """Sampled derivative-decay check.
-
-    ``weighting='CM'`` weights ``|d^alpha sigma|`` by ``(sum_j |xi_j|)^|alpha|``;
-    ``weighting='PRODUCT'`` uses the per-slot weight ``prod_j |xi_j|^|alpha_j|``.
-    Derivatives are central finite differences with step ``|xi_j| / 64`` in
-    slot ``j``, sampled across 6 dyadic scales.  The check passes when the
-    per-scale supremum is stable: largest/smallest scale supremum within
-    ``threshold``.
-    """
-    if weighting not in ("CM", "PRODUCT"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    rng = np.random.default_rng(seed)
-    scales = 2.0 ** np.arange(6)
-    coords = [(j, i) for j in range(sym.m) for i in range(sym.d)]
-    alphas: list[dict[tuple[int, int], int]] = [{c: 1} for c in coords]
-    if max_order >= 2:
-        alphas += [{c: 2} for c in coords]
-        alphas += [{a: 1, b: 1} for a, b in itertools.combinations(coords, 2)]
-
-    constants: dict[str, float] = {}
-    per_scale: dict[str, float] = {}
-    used = skipped = 0
-    base = _random_tuples(rng, sym.m, sym.d, samples)
-    dirs = base / np.linalg.norm(base, axis=-1, keepdims=True)
-    radii = rng.uniform(1.0, 2.0, size=(samples, sym.m, 1))
-
-    order0 = 0.0
-    for scale in scales:
-        tuples = scale * radii * dirs
-        mags = np.linalg.norm(tuples, axis=-1)  # (samples, m)
-        ok = np.all(mags > 64.0 * np.finfo(float).tiny, axis=-1)
-        skipped += int((~ok).sum())
-        used += int(ok.sum())
-        tuples = tuples[ok]
-        mags = mags[ok]
-        if tuples.shape[0] == 0:
-            continue
-        order0 = max(order0, float(np.max(np.abs(evaluate(sym, [tuples[:, j, :] for j in range(sym.m)])))))
-        steps = mags / 64.0
-        sup_here = 0.0
-        for alpha in alphas:
-            order = sum(alpha.values())
-            est = np.abs(_fd_derivative(sym, tuples, alpha, steps))
-            if weighting == "CM":
-                weight = np.sum(mags, axis=-1) ** order
-            else:
-                weight = np.ones(tuples.shape[0])
-                for (j, _), o in alpha.items():
-                    weight = weight * mags[:, j] ** o
-            weighted = float(np.max(est * weight))
-            key = "d" + "".join(f"({j + 1},{i + 1})^{o}" for (j, i), o in sorted(alpha.items()))
-            constants[key] = max(constants.get(key, 0.0), weighted)
-            sup_here = max(sup_here, weighted)
-        per_scale[f"2^{int(math.log2(scale))}"] = sup_here
-    constants["order0"] = order0
-
-    vals = [v for v in per_scale.values() if v > 0.0]
-    if vals and min(vals) > 0.0:
-        worst = max(vals) / min(vals)
-    else:
-        worst = 1.0 if len(set(per_scale.values())) <= 1 else math.inf
-    return ConditionReport(
-        condition=f"derivative-{weighting}",
-        description=f"{sym.name}: weighted FD derivatives to order {max_order}",
-        constants=constants,
-        worst_ratio=float(worst),
-        samples_used=used,
-        samples_skipped=skipped,
-        passed=bool(worst <= threshold),
-        threshold=threshold,
-        per_scale=per_scale,
-    )
-
-
-def check_hormander_annulus(
-    sym: SymbolSpec,
-    smoothness_order: int = 1,
-    r_list: Sequence[float] = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
-    points_per_axis: int = 9,
-    threshold: float = math.inf,
-) -> ConditionReport:
-    """Discrete Sobolev norm of ``a(R .)`` on the product-space annulus.
-
-    The concatenated variable ``z = (xi_1, ..., xi_m)`` ranges over a uniform
-    Cartesian grid; the ``L^2`` quadrature is restricted to the annulus
-    ``1 <= |z| <= 2`` while central differences may use the surrounding
-    collar.  Reports the supremum over ``R``.  The ``ext^(m d)`` sample
-    grid is capped by ``enumeration_budget()`` (``MLAB_BUDGET``).
-    """
-    D = sym.m * sym.d
-    s = smoothness_order
-    core = points_per_axis
-    h = 4.0 / (core - 1)
-    ext = core + 2 * s
-    budget = enumeration_budget()
-    if ext**D > budget:
-        raise BudgetExceededError(f"annulus grid {ext}^{D} exceeds budget {budget}")
-    axis = np.linspace(-2.0 - s * h, 2.0 + s * h, ext)
-    mesh = np.meshgrid(*([axis] * D), indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)  # (P, D)
-
-    core_sl = tuple(slice(s, ext - s) for _ in range(D))
-    radius = np.sqrt(sum(m**2 for m in mesh))[core_sl]
-    annulus = (radius >= 1.0) & (radius <= 2.0)
-    measure = float(annulus.sum()) * h**D
-
-    def diff_axis(a: np.ndarray, axis_i: int) -> np.ndarray:
-        upper = [slice(None)] * a.ndim
-        lower = [slice(None)] * a.ndim
-        upper[axis_i] = slice(2, None)
-        lower[axis_i] = slice(None, -2)
-        return (a[tuple(upper)] - a[tuple(lower)]) / (2.0 * h)
-
-    per_r: dict[str, float] = {}
-    for R in r_list:
-        blocks = [R * pts[:, j * sym.d : (j + 1) * sym.d] for j in range(sym.m)]
-        vals = evaluate(sym, blocks).reshape((ext,) * D)
-        total = 0.0
-        for alpha in multi_indices(D, s):
-            a = vals
-            for axis_i, reps in enumerate(alpha):
-                for _ in range(reps):
-                    a = diff_axis(a, axis_i)
-            # After alpha_k differences along axis k the array lost alpha_k
-            # cells per side there; trim the rest of the collar to the core.
-            sl = tuple(
-                slice(s - alpha[k], a.shape[k] - (s - alpha[k])) for k in range(D)
-            )
-            a = a[sl]
-            total += float(np.sum(np.abs(a[annulus]) ** 2)) * h**D
-        per_r[f"R={R}"] = math.sqrt(total)
-    sup = max(per_r.values())
-    return ConditionReport(
-        condition=f"hormander-annulus-H{s}",
-        description=f"{sym.name}: discrete Sobolev norm on 1<=|z|<=2, sup over R",
-        constants={"sup_norm": sup, "annulus_measure": measure},
-        worst_ratio=sup,
-        samples_used=int(annulus.sum()) * len(r_list),
-        samples_skipped=0,
-        passed=bool(sup <= threshold),
-        threshold=threshold,
-        per_scale=per_r,
-    )
 

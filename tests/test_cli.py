@@ -3,11 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mlab import validate_record
 from mlab.cli import run_cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestVerifyIdentities:
@@ -44,21 +50,31 @@ class TestVerifyIdentities:
         (["verify-identities", "--instances", "0"], "at least one instance"),
         (["verify-identities", "--instances", "-2"], "at least one instance"),
         (["verify-identities", "--dims", "7", "--instances", "1"], "selects no identity check"),
+        (["boundedness-scan", "--config", "{jacobian}", "--out", "{out}"],
+         "config experiment 'jacobian' does not match boundedness-scan"),
     ],
-    ids=["report-not-json", "report-empty", "instances-0", "instances-negative", "dims-unchecked"],
+    ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
+         "dims-unchecked", "experiment-of-another-command"],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # Each of these once crashed with a traceback or checked nothing and
-    # exited 0.
+    # exited 0; the last wrote a boundedness record under out/jacobian.
     garbage, empty = tmp_path / "records.jsonl", tmp_path / "empty.jsonl"
     garbage.write_text("\n{not json\n")
     empty.write_text("")
-    files = {"{garbage}": str(garbage), "{empty}": str(empty)}
+    jacobian, out = tmp_path / "jacobian.json", tmp_path / "out"
+    jacobian.write_text(json.dumps({
+        "experiment": "jacobian", "d": 2, "n": 8, "symbol": "det_norm:1",
+        "p": [2.0, 2.0], "r": 1.0, "family": 1, "t_max": 0,
+    }))
+    files = {"{garbage}": str(garbage), "{empty}": str(empty),
+             "{jacobian}": str(jacobian), "{out}": str(out)}
     argv = [files.get(a, a) for a in argv]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+    assert not out.exists()
 
 
 class TestScanCommands:
@@ -172,7 +188,7 @@ class TestScanCommands:
     def test_config_file_drives_scan(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
-            "experiment": "custom-scan",
+            "experiment": "boundedness",
             "d": 2, "n": 8,
             "symbol": "det_norm:1",
             "p": [2.0, 2.0], "r": 1.0,
@@ -183,7 +199,8 @@ class TestScanCommands:
             "boundedness-scan", "--config", str(cfgfile), "--out", str(tmp_path),
         ])
         assert code == 0
-        assert (tmp_path / "custom-scan" / "records.jsonl").exists()
+        rec = json.loads((tmp_path / "boundedness" / "records.jsonl").read_text())
+        assert rec["kind"] == "boundedness" and len(rec["sweep"]) == 2
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_malformed_budget_exits_one(self, capsys, monkeypatch, tmp_path, raw):
@@ -207,7 +224,7 @@ class TestScanCommands:
             (["hessian-estimate", "--strategy", "separable"], "direct strategy"),
             (["hessian-estimate", "--symbol", "det_norm:1"], "symbol 'det'"),
             (["thm3-scan", "--strategy", "separable"], "direct strategy"),
-            (["boundedness-scan", "--k", "3"], "neither k nor s"),
+            (["boundedness-scan", "--k", "3"], "no derivative order k"),
             (["jacobian-estimate", "--k", "3"], "no derivative order k"),
             (["hessian-estimate", "--k", "3"], "no derivative order k"),
             (["thm3-scan", "--symbol", "det_norm:1"], "not linear in slot 1"),
@@ -259,7 +276,8 @@ class TestScanCommands:
         assert "n=16, t=59 overflow int64" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_thm3_smoothness_mismatch_exits_one(self, capsys, tmp_path):
+    def test_smoothness_field_exits_one(self, capsys, tmp_path):
+        # thm3-scan derives s = k(m-1)/m; the config has no field to set it.
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "experiment": "thm3", "d": 2, "n": 8, "symbol": "det",
@@ -267,7 +285,8 @@ class TestScanCommands:
         }))
         code = run_cli(["thm3-scan", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert code == 1
-        assert "k(m-1)/m = 0.5" in capsys.readouterr().err
+        assert "does not match schema" in capsys.readouterr().err
+        assert not (tmp_path / "thm3").exists()
 
     def _quasi_banach_config(self, tmp_path, experiment: str):
         cfgfile = tmp_path / "cfg.json"
@@ -371,3 +390,19 @@ class TestReport:
 
     def test_missing_file(self, capsys):
         assert run_cli(["report", "--records", "absent.jsonl"]) == 1
+
+    def test_module_entry_point_exits_one(self, tmp_path):
+        # python -m mlab.cli once imported the module and exited 0 without
+        # running a command.
+        src = str(ROOT / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlab.cli", "report",
+             "--records", str(tmp_path / "absent.jsonl")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "records file not found" in proc.stderr

@@ -262,10 +262,6 @@ class TestBoundednessScan:
         assert rec.extra["n_angular"] == 32
         assert rec.extra["residual"] <= 1e-14
 
-    def test_rejects_smoothness(self):
-        with pytest.raises(ValueError, match="neither k nor s"):
-            boundedness_scan(_cfg(n=8, s=0.5))
-
     def test_record_passes_schema(self):
         rec = boundedness_scan(_cfg(cutoff=2.0, t_max=1))
         validate_record(rec.to_dict())
@@ -394,14 +390,6 @@ class TestDeterminantEstimates:
         )
         with pytest.raises(ValueError):
             jacobian_estimate(cfg)
-
-    def test_hessian_rejects_wrong_smoothness(self):
-        cfg = ExperimentConfig(
-            experiment="hess", d=2, n=8, symbol="det", p=(2.0, 2.0), r=1.0,
-            s=0.25, family=1,
-        )
-        with pytest.raises(ValueError):
-            hessian_estimate(cfg)
 
 
 class TestVerdictHelpers:

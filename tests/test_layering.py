@@ -1,5 +1,6 @@
-"""Modules of the package meet only through each other's public names, and
-only ``grid`` multiplies a spectrum by a Fourier multiplier."""
+"""Modules of the package meet only through each other's public names,
+only ``grid`` multiplies a spectrum by a Fourier multiplier, and ``symbols``
+depends on no ``mlab`` module but ``polyfield``."""
 
 import ast
 from pathlib import Path
@@ -20,6 +21,26 @@ def _private_imports(path: Path) -> set[str]:
         if node.level == 0 and module.split(".")[0] != "mlab":
             continue
         names |= {f"{module}.{a.name}" for a in node.names if a.name.startswith("_")}
+    return names
+
+
+def _mlab_imports(path: Path) -> set[str]:
+    """The ``mlab`` modules a module imports, by their names in the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("mlab.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "mlab":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                names.add(parts[0])
+            else:
+                names |= {a.name for a in node.names}
     return names
 
 
@@ -60,6 +81,23 @@ def test_checker_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .grid import Field, _band_block\nfrom mlab.spaces import _x\n")
     assert _private_imports(bad) == {"grid._band_block", "mlab.spaces._x"}
+
+
+def test_symbols_imports_only_polyfield():
+    assert _mlab_imports(ROOT / "src" / "mlab" / "symbols.py") <= {"polyfield"}
+
+
+def test_checker_sees_an_mlab_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "import mlab.errors\n"
+        "from .spaces import multi_indices\n"
+        "from . import grid\n"
+        "from mlab.polyfield import perm_sign\n"
+        "from mlab import decomp\n"
+    )
+    assert _mlab_imports(bad) == {"errors", "spaces", "grid", "polyfield", "decomp"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],

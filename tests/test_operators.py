@@ -683,6 +683,20 @@ class TestPairWithTransfer:
         want = pair(out, regrid_field(phi, out.grid.n))
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("t_fields, t_phi", [(0, 1), (0, 2), (1, 0)])
+    def test_phi_on_another_dilation_matches_direct_pairing(self, t_fields, t_phi, k):
+        # A test function more dilated than the inputs once raised
+        # "negative shift count".
+        g = GridSpec(d=2, n=8)
+        f1, f2 = (dilate_dyadic(random_field(sd, g, 2.0), t_fields) for sd in (160, 161))
+        phi = dilate_dyadic(random_field(162 + k, g, 4.0), t_phi)
+        sym = det_symbol(2)
+        got = pair_with_transfer(sym, k, [f1, f2], phi)
+        want = pair(apply_direct(OperatorSpec(power_symbol(sym, k), 2), [f1, f2]), phi)
+        assert abs(want) > 1e-3
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     @pytest.mark.parametrize("d, k", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2)])
     def test_one_direct_application_per_multi_index(self, monkeypatch, d, k):
         # The d^k ordered derivative combinations collapse to the

@@ -60,7 +60,7 @@ class TestValidateConfig:
     def test_accepts_full(self):
         validate_config(
             self._payload(
-                period=6.28, s=None, k=1, gamma=2.0, cutoff=2.0, seed=3,
+                period=6.28, k=1, gamma=2.0, cutoff=2.0, seed=3,
                 family=4, t_min=0, t_max=3, strategy="separable", out_dir="out",
             )
         )
@@ -79,6 +79,15 @@ class TestValidateConfig:
     def test_rejects_unknown_key(self, extra):
         with pytest.raises(jsonschema.ValidationError):
             validate_config(self._payload(**extra))
+
+    @pytest.mark.parametrize("experiment, s", [("boundedness", 0.5), ("hessian", 0.25)])
+    def test_rejects_smoothness(self, experiment, s):
+        # Each scan derives s itself and records it as extra.s.
+        payload = self._payload(experiment=experiment, s=s)
+        with pytest.raises(jsonschema.ValidationError):
+            validate_config(payload)
+        with pytest.raises(TypeError):
+            ExperimentConfig(**payload)
 
     def test_properties_match_config_fields(self):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
