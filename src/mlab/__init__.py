@@ -71,6 +71,7 @@ from .operators import (
     OperatorSpec,
     Separable,
     apply_direct,
+    apply_direct_family,
     apply_operator,
     apply_separable,
     enumeration_budget,

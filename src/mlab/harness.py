@@ -9,7 +9,11 @@ rounding; oscillation families for the estimate experiments are only
 required to stay within a configured factor of the undilated ratio.
 Each dilated quantity has one route below this module: ``grid.dilate_dyadic``
 of a field or spectrum, ``grid.pair_spectra`` and ``grid.active_in_band``
-across grids, and one ``spaces.bessel_norms`` batch per sweep step.
+across grids, and one ``spaces.bessel_norms`` batch per sweep step.  The
+direct boundedness scan applies its operator to a step's whole family with
+one ``operators.apply_direct_family`` call, which enumerates the tuples of
+equal supports once; the separable scan calls ``apply_operator`` once per
+member.
 Thresholds are artifact policy, recorded in the reports, never a claim
 about sharp constants.
 """
@@ -40,7 +44,13 @@ from .grid import (
     padded_points,
     pair_spectra,
 )
-from .operators import OperatorSpec, Separable, apply_operator, pair_with_transfer
+from .operators import (
+    OperatorSpec,
+    Separable,
+    apply_direct_family,
+    apply_operator,
+    pair_with_transfer,
+)
 from .spaces import (
     bessel_norms,
     grad_sup_norms,
@@ -308,10 +318,13 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     ]
     sweep_rows = []
     for t in range(cfg.t_min, cfg.t_max + 1):
+        batch = [[dilate_dyadic(f, t) for f in fs] for fs in families]
+        if isinstance(op.strategy, Separable):
+            outs = [apply_operator(op, fts) for fts in batch]
+        else:
+            outs = apply_direct_family(op, batch)
         ratios = []
-        for fs in families:
-            fts = [dilate_dyadic(f, t) for f in fs]
-            out = apply_operator(op, fts)
+        for fts, out in zip(batch, outs):
             num = lp_norm(out, cfg.r)
             den = math.prod(lp_norm(ft, pj) for ft, pj in zip(fts, cfg.p))
             ratios.append(num / den if den > 0 else 0.0)

@@ -2,7 +2,12 @@
 
 ``apply_direct`` is the reference evaluator: it enumerates every tuple of
 active input modes, evaluates the symbol there, and accumulates the output
-coefficient at the sum frequency.  The output lives on a grid enlarged by
+coefficient at the sum frequency.  ``apply_direct_family`` holds its one
+enumeration loop and runs it once for every group of input tuples whose
+supports are equal: the symbol values and output positions of a block serve
+every member of the group, only the weights and their accumulation are per
+member, and every output is bitwise equal to the member's own call.
+``apply_direct`` is the family of one.  The output lives on a grid enlarged by
 ``pad_factor`` so the result is exact as a trigonometric polynomial; with
 ``pad_factor >= m`` no sum of input frequencies can wrap.  The tuples form
 an outer sum of row tuples (the first ``m - 1`` slots) and column modes (the
@@ -45,6 +50,7 @@ from .errors import (
 )
 from .grid import (
     Field,
+    GridSpec,
     Spectrum,
     active_modes,
     apply_multiplier,
@@ -65,6 +71,7 @@ __all__ = [
     "Separable",
     "OperatorSpec",
     "apply_direct",
+    "apply_direct_family",
     "apply_separable",
     "apply_operator",
     "pair_with_transfer",
@@ -111,59 +118,97 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     Output coefficient at ``eta`` is
     ``sum_{xi_1 + ... + xi_m = eta} a(xi_1, ..., xi_m) prod_j fhat_j(xi_j)``
     over the active modes of the inputs, returned on the ``pad``-enlarged
-    grid.  Enumerations beyond the configured budget raise.
+    grid.  Enumerations beyond the configured budget raise.  This is
+    ``apply_direct_family`` on a family of one, which holds the one
+    enumeration loop.
+    """
+    return apply_direct_family(op, [fields])[0]
 
-    When the symbol's ``zero_rule`` is 0, the mean mode is dropped from
-    every support after the budget check, which still counts the full
-    product: tuples with a zero slot add exactly nothing.
+
+def apply_direct_family(op: OperatorSpec, batch: list[list[Field]]) -> list[Field]:
+    """``apply_direct`` of every input tuple of ``batch``, in order, each
+    output bitwise equal to its own call.
+
+    Every member is validated and checked against the budget as its own
+    call would be, before any enumeration.  When the symbol's ``zero_rule``
+    is 0, the mean mode is then dropped from every support: the budget
+    still counts the full product, and tuples with a zero slot add exactly
+    nothing.  Members on the same grid whose supports are equal, slot by
+    slot, form a group, and each group's tuples are enumerated once: the
+    symbol values and output positions of a block serve every member of the
+    group, and only the weights and their accumulation are per member.
 
     The tuples are enumerated as an outer sum: rows are the combinations of
     the first ``m - 1`` slots, columns the modes of the last slot, taken in
     blocks of about ``_CHUNK`` tuples, small enough that every temporary of
     a block stays in cache.  The symbol sees a block as broadcasting views,
     the row slots shaped ``(height, 1, d)`` and the column slot
-    ``(1, width, d)``, so no tuple is copied.  A block's weights are the
-    row's coefficient product times the symbol times the column's
-    coefficient.  Weights, their real and imaginary parts and positions are
-    written into one workspace that every block reuses, so the blocks do not
-    churn the heap: freed block-sized temporaries would otherwise be trimmed
-    and page-faulted back in on every block.
+    ``(1, width, d)``, so no tuple is copied.  A member's weights are its
+    row coefficient product times the symbol times its column coefficient.
+    Weights and positions are written into one workspace that every block
+    reuses, so the blocks do not churn the heap: freed block-sized
+    temporaries would otherwise be trimmed and page-faulted back in on
+    every block.
 
-    Its output positions are outer sums of per-mode linear indices of the
+    Output positions are outer sums of per-mode linear indices of the
     shifted FFT indices ``xi / 2^t + n/2``: each component lies in
     ``[0, n)``, so a sum of ``m`` of them lies in ``[0, m (n - 1)]``, inside
-    the ``n_out`` band, and no tuple needs a modulo.  One roll per axis puts
-    the accumulated cell in FFT order and one ``dft_inverse`` runs there.
-    When no tuple is live the output is zero and no transform runs.
+    the ``n_out`` band, and no tuple needs a modulo.  A member accumulates
+    the real and imaginary parts of its weights with one ``bincount`` each.
+    One roll per axis puts the accumulated cell in FFT order and one
+    ``dft_inverse`` runs there.  When no tuple is live the output is zero
+    and no transform runs.
     """
-    if len(fields) != op.m:
-        raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
-    grid = common_grid(fields)
-    if grid.d != op.symbol.d:
-        raise GridMismatchError("symbol dimension differs from grid dimension")
-    supports = [active_modes(dft_forward(f)) for f in fields]
-    total = math.prod(fr.shape[0] for fr, _ in supports)
     budget = enumeration_budget()
-    if total > budget:
-        raise BudgetExceededError(
-            f"direct enumeration of {total} tuples exceeds budget {budget}"
-        )
-    if op.symbol.zero_rule == 0:
-        # Tuples with a zero slot add exactly nothing: drop each mean mode.
-        live = [np.any(fr != 0, axis=-1) for fr, _ in supports]
-        supports = [(fr[keep], c[keep]) for (fr, c), keep in zip(supports, live)]
-    sizes = [fr.shape[0] for fr, _ in supports]
+    groups: dict = {}
+    for i, fields in enumerate(batch):
+        if len(fields) != op.m:
+            raise ValueError(f"expected {op.m} inputs, got {len(fields)}")
+        grid = common_grid(fields)
+        if grid.d != op.symbol.d:
+            raise GridMismatchError("symbol dimension differs from grid dimension")
+        supports = [active_modes(dft_forward(f)) for f in fields]
+        total = math.prod(fr.shape[0] for fr, _ in supports)
+        if total > budget:
+            raise BudgetExceededError(
+                f"direct enumeration of {total} tuples exceeds budget {budget}"
+            )
+        if op.symbol.zero_rule == 0:
+            # Tuples with a zero slot add exactly nothing: drop each mean mode.
+            live = [np.any(fr != 0, axis=-1) for fr, _ in supports]
+            supports = [(fr[keep], c[keep]) for (fr, c), keep in zip(supports, live)]
+        key = (grid, *(fr.tobytes() for fr, _ in supports))
+        if key not in groups:
+            groups[key] = (grid, [fr for fr, _ in supports], [], [])
+        _, _, members, coeffs = groups[key]
+        members.append(i)
+        coeffs.append([c for _, c in supports])
+    outs: list = [None] * len(batch)
+    for grid, freqs, members, coeffs in groups.values():
+        for i, out in zip(members, _enumerate_group(op, grid, freqs, coeffs)):
+            outs[i] = out
+    return outs
+
+
+def _enumerate_group(
+    op: OperatorSpec,
+    grid: GridSpec,
+    freqs: list[np.ndarray],
+    coeffs: list[list[np.ndarray]],
+) -> list[Field]:
+    """The block loop of ``apply_direct_family`` over one group: ``freqs``
+    holds the shared support of each slot, ``coeffs[i][j]`` member ``i``'s
+    coefficients on slot ``j``."""
+    sizes = [fr.shape[0] for fr in freqs]
     total = math.prod(sizes)
     grid_out = grid.with_n(padded_points(grid.n, op.pad))
     if total == 0:
-        return Field(grid_out, np.zeros(grid_out.shape, dtype=np.complex128))
+        return [Field(grid_out, np.zeros(grid_out.shape, dtype=np.complex128)) for _ in coeffs]
     half = grid.n // 2
-    acc_re = np.zeros(grid_out.npoints, dtype=np.float64)
-    acc_im = np.zeros(grid_out.npoints, dtype=np.float64)
+    accs = [np.zeros((2, grid_out.npoints), dtype=np.float64) for _ in coeffs]
     strides = grid_out.n ** np.arange(grid.d - 1, -1, -1, dtype=np.int64)
-    lin = [((fr >> grid.t) + half) @ strides for fr, _ in supports]
-    xis = [fr.astype(np.float64) for fr, _ in supports]
-    coeffs = [c for _, c in supports]
+    lin = [((fr >> grid.t) + half) @ strides for fr in freqs]
+    xis = [fr.astype(np.float64) for fr in freqs]
     n_cols = sizes[-1]
     n_rows = total // n_cols
     col_step = min(n_cols, _CHUNK)
@@ -176,30 +221,41 @@ def apply_direct(op: OperatorSpec, fields: list[Field]) -> Field:
     for r0 in range(0, n_rows, row_step):
         rem = np.arange(r0, min(r0 + row_step, n_rows), dtype=np.int64)
         height = rem.shape[0]
-        prefix = np.ones(height, dtype=np.complex128)
         row_lin = np.zeros(height, dtype=np.int64)
-        row_xis = []
+        row_idx, row_xis = [], []
         for j in range(op.m - 2, -1, -1):
             idx = rem % sizes[j]
             rem = rem // sizes[j]
-            prefix = prefix * coeffs[j][idx]
+            row_idx.append((j, idx))
             row_lin += lin[j][idx]
             row_xis.append(xis[j][idx][:, None, :])
         row_xis.reverse()
+        prefixes = []
+        for member in coeffs:
+            prefix = np.ones(height, dtype=np.complex128)
+            for j, idx in row_idx:
+                prefix = prefix * member[j][idx]
+            prefixes.append(prefix)
         for c0 in range(0, n_cols, col_step):
             cols = slice(c0, c0 + col_step)
             sym = evaluate(op.symbol, row_xis + [xis[-1][None, cols]])
             size = sym.size
-            weights = np.multiply(prefix[:, None], sym, out=w_buf[:size].reshape(sym.shape))
-            weights *= coeffs[-1][cols]
-            np.add(row_lin[:, None], lin[-1][cols], out=flat_buf[:size].reshape(sym.shape))
+            flat = flat_buf[:size]
+            np.add(row_lin[:, None], lin[-1][cols], out=flat.reshape(sym.shape))
+            weights = w_buf[:size].reshape(sym.shape)
             re, im = parts[:, :size]
-            re[:], im[:] = weights.real.reshape(-1), weights.imag.reshape(-1)
-            acc_re += np.bincount(flat_buf[:size], weights=re, minlength=acc_re.size)
-            acc_im += np.bincount(flat_buf[:size], weights=im, minlength=acc_im.size)
-    shifted = (acc_re + 1j * acc_im).reshape(grid_out.shape)
-    coeffs_out = np.roll(shifted, (-op.m * half,) * grid.d, axis=tuple(range(grid.d)))
-    return dft_inverse(Spectrum(grid_out, coeffs_out))
+            for prefix, member, (acc_re, acc_im) in zip(prefixes, coeffs, accs):
+                np.multiply(prefix[:, None], sym, out=weights)
+                weights *= member[-1][cols]
+                re[:], im[:] = weights.real.reshape(-1), weights.imag.reshape(-1)
+                acc_re += np.bincount(flat, weights=re, minlength=acc_re.size)
+                acc_im += np.bincount(flat, weights=im, minlength=acc_im.size)
+    outs = []
+    for acc_re, acc_im in accs:
+        shifted = (acc_re + 1j * acc_im).reshape(grid_out.shape)
+        coeffs_out = np.roll(shifted, (-op.m * half,) * grid.d, axis=tuple(range(grid.d)))
+        outs.append(dft_inverse(Spectrum(grid_out, coeffs_out)))
+    return outs
 
 
 def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:

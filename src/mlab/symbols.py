@@ -312,6 +312,10 @@ def resolve_symbol(spec_id: str, d: int, m: int | None = None) -> SymbolSpec:
         comps = arg.split(",")
         if not all(comps):
             raise ValueError(f"riesz_product needs comma-separated components, got {arg!r}")
-        return product_symbol([riesz_factor(d, int(c) - 1) for c in comps])
+        components = [int(c) for c in comps]
+        for c in components:
+            if not 1 <= c <= d:
+                raise ValueError(f"riesz_product component {c} out of range 1..{d}")
+        return product_symbol([riesz_factor(d, c - 1) for c in components])
     raise ValueError(f"unknown symbol id {spec_id!r}")
 

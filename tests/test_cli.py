@@ -52,13 +52,20 @@ class TestVerifyIdentities:
         (["verify-identities", "--dims", "7", "--instances", "1"], "selects no identity check"),
         (["boundedness-scan", "--config", "{jacobian}", "--out", "{out}"],
          "config experiment 'jacobian' does not match boundedness-scan"),
+        (["boundedness-scan", "--grid", "2x8", "--symbol", "riesz_product:0,1", "--out", "{out}"],
+         "riesz_product component 0 out of range 1..2"),
+        (["boundedness-scan", "--grid", "2x8", "--symbol", "riesz_product:3,1", "--out", "{out}"],
+         "riesz_product component 3 out of range 1..2"),
     ],
     ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
-         "dims-unchecked", "experiment-of-another-command"],
+         "dims-unchecked", "experiment-of-another-command", "riesz-component-0",
+         "riesz-component-above-d"],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
-    # Each of these once crashed with a traceback or checked nothing and
-    # exited 0; the last wrote a boundedness record under out/jacobian.
+    # Each of these once crashed with a traceback, checked nothing and
+    # exited 0, or named the wrong thing: experiment-of-another-command
+    # wrote a boundedness record under out/jacobian, and the riesz ids
+    # named the 0-based components -1 and 2.
     garbage, empty = tmp_path / "records.jsonl", tmp_path / "empty.jsonl"
     garbage.write_text("\n{not json\n")
     empty.write_text("")

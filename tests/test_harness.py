@@ -11,6 +11,7 @@ from mlab import (
     ExperimentConfig,
     Field,
     GridSpec,
+    Separable,
     bessel_norm,
     boundedness_scan,
     dealiased_product,
@@ -261,6 +262,44 @@ class TestBoundednessScan:
         assert rec.extra["rank"] == 2
         assert rec.extra["n_angular"] == 32
         assert rec.extra["residual"] <= 1e-14
+
+    def test_direct_scan_enumerates_each_step_once(self, monkeypatch):
+        # The members of a step share one enumeration, so the tuples the
+        # symbol sees do not depend on the family size.
+        seen = []
+
+        def counted(sym, xis, _evaluate=operators.evaluate):
+            out = _evaluate(sym, xis)
+            seen[-1] += out.size
+            return out
+
+        monkeypatch.setattr(operators, "evaluate", counted)
+        per_family = {}
+        for family in (1, 3):
+            seen.append(0)
+            boundedness_scan(_cfg(n=8, family=family, t_max=1))
+            per_family[family] = seen[-1]
+        assert per_family[1] > 0 and per_family[3] == per_family[1]
+
+    def test_separable_scan_calls_apply_operator_per_member(self, monkeypatch):
+        # The separable scan reaches its operator through the module's
+        # ``apply_operator`` binding, once per member per step, with the
+        # operator and the member's list of fields.
+        calls = []
+
+        def recorded(op, fields, _apply=harness.apply_operator):
+            out = _apply(op, fields)
+            calls.append((op, fields, out))
+            return out
+
+        monkeypatch.setattr(harness, "apply_operator", recorded)
+        boundedness_scan(_cfg(n=8, cutoff=2.0, family=3, t_max=1, strategy="separable"))
+        assert len(calls) == 3 * 2
+        for op, fields, out in calls:
+            assert isinstance(op.strategy, Separable)
+            assert isinstance(fields, list) and len(fields) == 2
+            assert all(isinstance(f, Field) for f in fields)
+            assert isinstance(out, Field)
 
     def test_record_passes_schema(self):
         rec = boundedness_scan(_cfg(cutoff=2.0, t_max=1))

@@ -15,6 +15,7 @@ from mlab import (
     SymbolSpec,
     UncoveredSpectrumError,
     apply_direct,
+    apply_direct_family,
     apply_operator,
     apply_separable,
     coeff_at,
@@ -631,6 +632,82 @@ class TestCompactLattice:
         got = apply_operator(op, [dilate_dyadic(f, t) for f in fs])
         assert got.grid == want.grid.dilated(t)
         assert _max_rel(got.samples, want.samples) <= 1e-14
+
+
+def _family(d: int, m: int, t: int, seed: int) -> list[list[Field]]:
+    """Four members on one grid: two full-band members with a mean mode,
+    whose supports are equal; a third with a cutoff, whose supports are
+    smaller; and the third with every spectrum rolled by one index along
+    the first axis, whose supports have the third's sizes but other modes.
+    The family forms three groups."""
+    base = GridSpec(d=d, n=_BASE_N[d])
+    full = [_lattice_inputs(d, m, t, seed=seed + i) for i in range(2)]
+    cut = [dilate_dyadic(random_field(seed + 10 + j, base, 1.0, cutoff=1.0), t) for j in range(m)]
+    rolled = [
+        dft_inverse(Spectrum(f.grid, np.roll(dft_forward(f).coeffs, 1, axis=0))) for f in cut
+    ]
+    return full + [cut, rolled]
+
+
+def _counted_tuples(monkeypatch) -> list[int]:
+    """Tuples ``operators.evaluate`` receives from here on, in one counter."""
+    seen = [0]
+
+    def counted(sym, xis):
+        out = evaluate(sym, xis)
+        seen[0] += out.size
+        return out
+
+    monkeypatch.setattr(operators, "evaluate", counted)
+    return seen
+
+
+class TestApplyDirectFamily:
+    @pytest.mark.parametrize("t", [0, 2])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("zero_rule", [0, None])
+    def test_members_equal_their_own_calls(self, monkeypatch, d, m, t, zero_rule):
+        if zero_rule == 0:
+            sym = resolve_symbol("riesz_product:" + ",".join(["1"] * m), d)
+        else:
+            sym = _total_symbol(m, d)
+        op = OperatorSpec(sym, m)
+        family = _family(d, m, t, seed=300 + 10 * d + m)
+        want = [apply_direct(op, fs) for fs in family]
+        seen = _counted_tuples(monkeypatch)
+        for members in (family[:1], family):
+            seen[0] = 0
+            got = apply_direct_family(op, members)
+            assert len(got) == len(members)
+            for out, ref in zip(got, want):
+                assert out.grid == ref.grid
+                assert out.samples.tobytes() == ref.samples.tobytes()
+        # The two full-band members share one enumeration; the cutoff
+        # member and its rolled copy are a group each.
+        freqs = [[active_modes(dft_forward(f))[0] for f in fs] for fs in family]
+        if zero_rule == 0:
+            freqs = [[fr[np.any(fr != 0, axis=-1)] for fr in frs] for frs in freqs]
+        tuples = [math.prod(fr.shape[0] for fr in frs) for frs in freqs]
+        assert tuples[2] < tuples[0] == tuples[1]
+        assert seen[0] == tuples[0] + tuples[2] + tuples[3]
+
+    def test_empty_family(self):
+        assert apply_direct_family(OperatorSpec(one_symbol(2, 1), 2), []) == []
+
+    def test_over_budget_group_raises(self, monkeypatch):
+        op = OperatorSpec(det_symbol(2), 2)
+        family = _family(2, 2, 1, seed=330)
+        small, big = family[2:3], family[:1]
+        total = math.prod(active_modes(dft_forward(f))[0].shape[0] for f in big[0])
+        monkeypatch.setenv("MLAB_BUDGET", str(total - 1))
+        apply_direct(op, small[0])
+        with pytest.raises(BudgetExceededError, match=f"{total} tuples"):
+            apply_direct(op, big[0])
+        with pytest.raises(BudgetExceededError, match=f"{total} tuples"):
+            apply_direct_family(op, small + big)
+        monkeypatch.setenv("MLAB_BUDGET", str(total))
+        assert len(apply_direct_family(op, small + big)) == 2
 
 
 class TestPairWithTransfer:

@@ -258,6 +258,14 @@ class TestResolveSymbol:
         with pytest.raises(ValueError):
             resolve_symbol(spec_id, 2)
 
+    @pytest.mark.parametrize(
+        "spec_id, component", [("riesz_product:0,1", 0), ("riesz_product:3,1", 3)]
+    )
+    def test_component_out_of_range_names_the_typed_component(self, spec_id, component):
+        # The message once named the 0-based index: -1 and 2 here.
+        with pytest.raises(ValueError, match=rf"component {component} out of range 1\.\.2$"):
+            resolve_symbol(spec_id, 2)
+
 
 def _dyadic_rescale_deviation(sym, samples=64, seed=0):
     """Largest change of ``sym`` when each slot of a nonzero integer tuple
