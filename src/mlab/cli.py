@@ -6,6 +6,7 @@ Exit codes: 0 pass, 1 usage or input error, 2 threshold failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,7 +44,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's parser, built on first use and shared by every later
+    ``run_cli`` call in the process; parsing does not change it."""
     parser = _Parser(prog="mlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,10 @@ alike; :func:`pair_spectra` pairs spectra on two grids of one torus, and
 multiplier of one function: a derivative ``d^alpha`` (with
 :func:`derivative_multiplier` of a multi-index ``alpha``), a Bessel
 potential, a Littlewood-Paley piece, inverted on the spectrum's grid or a
-zero-padded one.  No other module multiplies a spectrum's coefficients.
+zero-padded one.  :func:`multiplier_l2_norm` is the one route to the ``L^2``
+norm of such a field: by discrete Parseval it reads the weighted
+coefficients and runs no inverse transform.  No other module multiplies a
+spectrum's coefficients.
 
 Under this pairing a multiplier identically equal to one reproduces the
 pointwise product of its inputs, which is the anchor every other constant in
@@ -52,6 +55,7 @@ __all__ = [
     "field_from_modes",
     "derivative_multiplier",
     "apply_multiplier",
+    "multiplier_l2_norm",
     "spectral_derivative",
     "regrid_spectrum",
     "padded_inverse",
@@ -127,11 +131,12 @@ class GridSpec:
         return f << self.t
 
     def freq_mesh(self) -> tuple[np.ndarray, ...]:
-        """Integer frequency meshes, one ``shape``-shaped array per axis."""
-        return np.meshgrid(*([self.freqs()] * self.d), indexing="ij")
+        """Integer frequencies, one array per axis, of length ``n`` along it
+        and 1 elsewhere: an open mesh that broadcasts to ``shape``."""
+        return np.ix_(*([self.freqs()] * self.d))
 
     def freq_radius(self) -> np.ndarray:
-        """Euclidean lattice radius ``|xi|`` on the full frequency mesh."""
+        """Euclidean lattice radius ``|xi|``, a ``shape``-shaped array."""
         mesh = self.freq_mesh()
         return np.sqrt(sum(m.astype(np.float64) ** 2 for m in mesh))
 
@@ -280,6 +285,18 @@ def apply_multiplier(s: Spectrum, mult: np.ndarray, n_out: int | None = None) ->
     return padded_inverse(Spectrum(s.grid, s.coeffs * mult), n_out or s.grid.n)
 
 
+def multiplier_l2_norm(s: Spectrum, mult: np.ndarray) -> float:
+    """``L^2`` norm of ``apply_multiplier(s, mult)`` by discrete Parseval,
+    ``sqrt(period^d sum_xi |mult(xi) shat(xi)|^2)``.
+
+    Equal to rounding to the cell quadrature of the inverted field, on a
+    dilated grid too, where dilation moves neither samples nor coefficients;
+    no inverse transform runs and ``np.vdot`` forms no ``|.|^2`` temporary.
+    """
+    weighted = s.coeffs * mult
+    return math.sqrt(s.grid.period**s.grid.d * np.vdot(weighted, weighted).real)
+
+
 def spectral_derivative(f: Field, alpha: tuple[int, ...]) -> Field:
     """Partial derivative ``d^alpha f`` by Fourier multiplication with
     :func:`derivative_multiplier`; a real field stays flagged real."""
@@ -328,12 +345,15 @@ def padded_inverse(s: Spectrum, n_new: int) -> Field:
     if n_new <= n:
         return dft_inverse(regrid_spectrum(s, n_new))
     grid_new = s.grid.with_n(n_new)
-    _, new_idx = _axis_index_map(n, n_new)
+    half = n // 2
     out = s.coeffs
     for axis in reversed(range(d)):
         padded = np.zeros(out.shape[:axis] + (n_new,) + out.shape[axis + 1 :],
                           dtype=np.complex128)
-        padded[(slice(None),) * axis + (new_idx,)] = out
+        lead = (slice(None),) * axis
+        # Frequencies [0, n/2) keep their index; [-n/2, 0) move to the top.
+        padded[lead + (slice(half),)] = out[lead + (slice(half),)]
+        padded[lead + (slice(n_new - half, None),)] = out[lead + (slice(half, None),)]
         out = np.fft.ifft(padded, axis=axis)
     return Field(grid_new, out * grid_new.npoints)
 

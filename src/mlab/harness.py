@@ -193,14 +193,13 @@ def random_field(
         raise ValueError("decay exponent must be >= 0")
     rng = np.random.default_rng(seed)
     n, d = grid.n, grid.d
-    mesh = grid.freq_mesh()
     radius = grid.freq_radius().reshape(-1)
     profile = (1.0 + radius) ** (-gamma)
 
-    index = np.stack([(np.asarray(m).reshape(-1) >> grid.t) % n for m in mesh], axis=-1)
-    strides = np.array([n ** (d - 1 - ax) for ax in range(d)], dtype=np.int64)
-    own = index @ strides
-    partner = ((n - index) % n) @ strides
+    # Row-major flat index of each mode and of its negative, -k mod n per axis.
+    own = np.arange(grid.npoints)
+    negated = -np.arange(n) % n
+    partner = own.reshape(grid.shape)[np.ix_(*([negated] * d))].reshape(-1)
 
     phases = rng.uniform(0.0, 2.0 * math.pi, size=own.shape[0])
     signs = rng.integers(0, 2, size=own.shape[0]) * 2 - 1
@@ -414,10 +413,11 @@ def _estimate_sweep(
     components, the Hessian's a scalar reused in every norm factor.
     Spectra, determinants and their difference are computed once per
     instance, not once per step; all input norms of a step are one
-    ``bessel_norms`` batch.  Each row's ``active_modes`` counts, per
-    member, the determinant modes that meet the test function's band at
-    that step (mean excluded), above ``noise_floor`` of the spectrum held
-    here.
+    ``bessel_norms`` batch, whose ``p = 2`` norms (the Jacobian's in its
+    critical ``d = 2`` space) are Parseval sums with no transform.  Each
+    row's ``active_modes`` counts, per member, the determinant modes that
+    meet the test function's band at that step (mean excluded), above
+    ``noise_floor`` of the spectrum held here.
     """
     grid = cfg.grid
     d = cfg.d

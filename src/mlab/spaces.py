@@ -7,9 +7,11 @@ dilated grid (``GridSpec.t > 0``) the sums run over the one cell the samples
 hold, and derivatives and Bessel weights see its physical frequencies, so a
 dilated field's norms are those of ``grid.dilate_dyadic`` of the field or of
 its spectrum.  :func:`bessel_norms` forms every Bessel norm, the scans'
-batches of dilated spectra as well as :func:`bessel_norm`.  Every potential
-and derivative is one ``grid.apply_multiplier`` of a spectrum transformed
-once, derivatives indexed by multi-index ``alpha``.
+batches of dilated spectra as well as :func:`bessel_norm`.  A ``p = 2``
+Bessel norm needs no transform: it is ``grid.multiplier_l2_norm`` of the
+weighted spectrum, by Parseval.  Every other potential and derivative is one
+``grid.apply_multiplier`` of a spectrum transformed once, derivatives indexed
+by multi-index ``alpha``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ import math
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import Field, GridSpec, Spectrum, apply_multiplier, derivative_multiplier, dft_forward
+from .grid import (
+    Field,
+    GridSpec,
+    Spectrum,
+    apply_multiplier,
+    derivative_multiplier,
+    dft_forward,
+    multiplier_l2_norm,
+)
 
 __all__ = [
     "holder_conjugate",
@@ -76,10 +86,12 @@ def bessel_potential(f: Field, s: float) -> Field:
 def bessel_norms(specs: list[Spectrum], p: list[float], s: float) -> list[float]:
     """``L^{p_j}_s`` norm of the field with spectrum ``specs[j]``, every ``j``.
 
-    All spectra live on one grid, whose weight is built once.  Each potential
-    is formed once per distinct coefficient array (a spectrum and its
-    dilations share one) and each ``lp_norm`` once per distinct (array,
-    exponent), so a spectrum repeated in several slots costs one transform.
+    All spectra live on one grid, whose weight is built once.  A ``p = 2``
+    norm is ``multiplier_l2_norm`` of the weighted coefficients, with no
+    transform.  For every other exponent the potential is formed once per
+    distinct coefficient array (a spectrum and its dilations share one) and
+    each ``lp_norm`` once per distinct (array, exponent), so a spectrum
+    repeated in several slots costs at most one transform.
     """
     grids = {spec.grid for spec in specs}
     if len(grids) != 1:
@@ -91,8 +103,12 @@ def bessel_norms(specs: list[Spectrum], p: list[float], s: float) -> list[float]
         batch.setdefault(key, (spec, set()))[1].add(pj)
     norms = {}
     for key, (spec, exponents) in batch.items():
-        potential = apply_multiplier(spec, weight)  # one potential alive at a time
-        norms.update({(key, pj): lp_norm(potential, pj) for pj in exponents})
+        if 2.0 in exponents:
+            norms[key, 2.0] = multiplier_l2_norm(spec, weight)
+        quadrature = exponents - {2.0}
+        if quadrature:
+            potential = apply_multiplier(spec, weight)  # one potential alive at a time
+            norms.update({(key, pj): lp_norm(potential, pj) for pj in quadrature})
     return [norms[key, pj] for key, pj in zip(keys, p)]
 
 

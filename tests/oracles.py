@@ -271,3 +271,44 @@ def eval_poly_terms(
             term *= x**e
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# Seeded random fields built on the full frequency mesh
+# ---------------------------------------------------------------------------
+
+
+def random_field_mesh(
+    seed: int, d: int, n: int, t: int, gamma: float, cutoff: float | None
+) -> np.ndarray:
+    """Real samples of ``harness.random_field`` on the grid ``(d, n)`` with
+    dyadic exponent ``t``, built the long way: a dense frequency meshgrid,
+    a stacked FFT index per mode, and flat indices by stride products.
+
+    The random draws, the profile and the assignment order are those of the
+    library, so the samples agree bitwise.
+    """
+    rng = np.random.default_rng(seed)
+    axis = np.arange(n, dtype=np.int64)
+    axis[axis >= n // 2] -= n
+    mesh = np.meshgrid(*([axis << t] * d), indexing="ij")
+    radius = np.sqrt(sum(m.astype(np.float64) ** 2 for m in mesh)).reshape(-1)
+    profile = (1.0 + radius) ** (-gamma)
+
+    index = np.stack([(m.reshape(-1) >> t) % n for m in mesh], axis=-1)
+    strides = np.array([n ** (d - 1 - ax) for ax in range(d)], dtype=np.int64)
+    own = index @ strides
+    partner = ((n - index) % n) @ strides
+
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=own.shape[0])
+    signs = rng.integers(0, 2, size=own.shape[0]) * 2 - 1
+    coeffs = np.zeros(own.shape[0], dtype=np.complex128)
+    lead = own < partner
+    coeffs[own[lead]] = profile[lead] * np.exp(1j * phases[lead])
+    coeffs[partner[lead]] = np.conj(coeffs[own[lead]])
+    selfp = own == partner
+    coeffs[own[selfp]] = profile[selfp] * signs[selfp]
+    if cutoff is not None:
+        coeffs[radius > cutoff] = 0.0
+    coeffs[0] = 0.0
+    return (np.fft.ifftn(coeffs.reshape((n,) * d)) * n**d).real

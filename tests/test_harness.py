@@ -35,6 +35,7 @@ from mlab.spaces import bessel_norms
 from mlab.harness import _family_seeds, _oscillation_ok, _sweep_spread
 
 from conftest import random_trig, rel_err, tiled
+from oracles import random_field_mesh
 
 
 class TestRandomField:
@@ -82,6 +83,20 @@ class TestRandomField:
     def test_rejects_negative_gamma(self, grid2d):
         with pytest.raises(ValueError):
             random_field(12, grid2d, -1.0)
+
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("t", [0, 2])
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    @pytest.mark.parametrize("cutoff", [None, 1.5])
+    def test_matches_meshgrid_oracle_bitwise(self, d, n, t, gamma, cutoff):
+        # The cutoff scales with the dilated lattice, keeping its first shells.
+        g = GridSpec(d=d, n=n, t=t)
+        if cutoff is not None:
+            cutoff *= 1 << t
+        for seed in (0, 1, 2):
+            f = random_field(seed, g, gamma, cutoff=cutoff)
+            want = random_field_mesh(seed, d, n, t, gamma, cutoff)
+            assert np.array_equal(f.samples.real, want)
 
 
 class TestDilatedRoutes:

@@ -1,5 +1,5 @@
 """Modules of the package meet only through each other's public names,
-only ``grid`` multiplies a spectrum by a Fourier multiplier, and ``symbols``
+only ``grid`` multiplies a spectrum's coefficients, and ``symbols``
 depends on no ``mlab`` module but ``polyfield``."""
 
 import ast
@@ -44,28 +44,31 @@ def _mlab_imports(path: Path) -> set[str]:
     return names
 
 
-def _factors(node: ast.expr) -> list[ast.expr]:
-    """The operands of a chain of products, ``a * b * c`` -> ``[a, b, c]``."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        return _factors(node.left) + _factors(node.right)
-    return [node]
+def _is_coeffs(node: ast.expr) -> bool:
+    """``x.coeffs`` or an index into it, ``x.coeffs[...]``."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "coeffs"
 
 
 def _multiplier_spectra(path: Path) -> list[int]:
-    """Lines that build ``Spectrum(_, x.coeffs * _)``: a Fourier multiplier
-    applied by hand rather than by ``grid.apply_multiplier``."""
-    lines = []
+    """Lines that multiply a ``.coeffs`` operand, by ``*``, ``*=`` or
+    ``multiply``: a Fourier multiplier applied by hand rather than by
+    ``grid.apply_multiplier`` or ``grid.multiplier_l2_norm``."""
+    lines = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not isinstance(node, ast.Call):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = [node.target, node.value]
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "multiply":
+            operands = node.args
+        else:
             continue
-        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "Spectrum":
-            continue
-        coeffs = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "coeffs"]
-        if any(isinstance(arg, ast.BinOp) and any(
-                isinstance(f, ast.Attribute) and f.attr == "coeffs" for f in _factors(arg))
-               for arg in coeffs):
-            lines.append(node.lineno)
-    return lines
+        if any(_is_coeffs(x) for x in operands):
+            lines.add(node.lineno)
+    return sorted(lines)
 
 
 def test_modules_exist():
@@ -113,5 +116,10 @@ def test_checker_sees_a_multiplier_product(tmp_path):
         "b = grid.Spectrum(g, coeffs=w * s.coeffs * m)\n"
         "c = Spectrum(g, s.coeffs - t.coeffs)\n"
         "d = Spectrum(g, coeffs * m)\n"
+        "e = np.sum(abs(spec.coeffs * w) ** 2)\n"
+        "f = np.vdot(w * s.coeffs[idx], x)\n"
+        "s.coeffs[:] *= m\n"
+        "g = np.multiply(m, s.coeffs)\n"
+        "h = exp.coeffs[0] + 2 * len(s.coeffs)\n"
     )
-    assert _multiplier_spectra(bad) == [1, 2]
+    assert _multiplier_spectra(bad) == [1, 2, 5, 6, 7, 8]

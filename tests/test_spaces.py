@@ -133,6 +133,30 @@ class TestBesselNorms:
         want = [bessel_norm(f, p, 0.7) for f, p in zip([fs[0], fs[1], fs[0]], ps)]
         assert got == want
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_p2_parseval_matches_quadrature(self, d):
+        # p = 2 reads the weighted coefficients; the quadrature of the
+        # inverted potential is its oracle, on dilated grids too.
+        g = GridSpec(d=d, n=8)
+        f, _ = random_trig(g, degree=3, seed=34 + d)
+        spec = dft_forward(f)
+        for t in range(4):
+            for s in (0.0, 0.5, 4.0 / 3.0):
+                (got,) = bessel_norms([dilate_dyadic(spec, t)], [2.0], s)
+                want = lp_norm(bessel_potential(dilate_dyadic(f, t), s), 2.0)
+                assert abs(got - want) <= 1e-13 * want
+
+    def test_mixed_batch_keeps_quadrature_for_other_exponents(self, grid2d):
+        fs = [random_trig(grid2d, degree=3, seed=38 + i)[0] for i in range(2)]
+        specs = [dilate_dyadic(dft_forward(f), 1) for f in fs]
+        norms = bessel_norms([specs[0], specs[0], specs[1], specs[1]],
+                             [2.0, 3.0, 3.0, 2.0], 0.7)
+        want = [lp_norm(bessel_potential(dilate_dyadic(f, 1), 0.7), 3.0) for f in fs]
+        assert [norms[1], norms[2]] == want
+        for j, f in ((0, fs[0]), (3, fs[1])):
+            quadrature = lp_norm(bessel_potential(dilate_dyadic(f, 1), 0.7), 2.0)
+            assert abs(norms[j] - quadrature) <= 1e-13 * quadrature
+
     @pytest.mark.parametrize("t", [1, 2])
     def test_dilated_spectra_match_tiled_fields(self, t):
         g = GridSpec(d=2, n=8)
@@ -164,6 +188,16 @@ class TestBesselNorms:
         slots = [dilate_dyadic(spec, 1) for _ in range(3)]
         norms = bessel_norms(slots, [3.0, 3.0, 1.5], 1.0)
         assert calls == {"inverse": 1, "lp": 2} and norms[0] == norms[1]
+
+    def test_p2_inverts_no_potential(self, grid2d, monkeypatch):
+        from mlab import spaces
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("a p = 2 norm inverted its potential")
+
+        spec = dilate_dyadic(dft_forward(random_trig(grid2d, degree=3, seed=40)[0]), 2)
+        monkeypatch.setattr(spaces, "apply_multiplier", no_inverse)
+        assert bessel_norms([spec, spec], [2.0, 2], 1.0)[0] > 0
 
     def test_rejects_mixed_grids_and_lengths(self, grid2d):
         spec = dft_forward(random_trig(grid2d, degree=2, seed=33)[0])
