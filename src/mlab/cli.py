@@ -245,18 +245,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(
             f"{payload['experiment']:<20} {payload['kind']:<12} "
             f"max={payload['max_ratio']:.6g} min={payload['min_ratio']:.6g} "
-            f"passed={payload['passed']}{_vacuous_steps(payload)}"
+            f"passed={payload['passed']}{_step_notes(payload)}"
         )
     return 0 if all_pass else 2
 
 
-def _vacuous_steps(payload: dict) -> str:
+def _step_notes(payload: dict) -> str:
     """Report suffix naming the sweep steps at which no determinant mode
-    met the test function's band, so the ratio there checks nothing."""
+    met the test function's band, so the ratio there checks nothing, and
+    the steps whose output the degree-zero dilation identity formed from an
+    earlier step's instead of the operator (those not in ``applied_t``)."""
     out = ""
+    extra = payload.get("extra", {})
     sweeps = {
         "vacuous_t": payload["sweep"],
-        "vacuous_difference_t": payload.get("extra", {}).get("difference_sweep", []),
+        "vacuous_difference_t": extra.get("difference_sweep", []),
     }
     for label, rows in sweeps.items():
         steps = [
@@ -265,6 +268,11 @@ def _vacuous_steps(payload: dict) -> str:
         ]
         if steps:
             out += f" {label}={','.join(steps)}"
+    if "applied_t" in extra:
+        steps = [str(row["t"]) for row in payload["sweep"]
+                 if row["t"] not in extra["applied_t"]]
+        if steps:
+            out += f" identity_t={','.join(steps)}"
     return out
 
 

@@ -24,10 +24,11 @@ import numpy as np
 
 from .grid import (
     Field,
+    Spectrum,
     apply_multiplier,
+    as_spectrum,
     common_grid,
     derivative_multiplier,
-    dft_forward,
     padded_points,
 )
 from .operators import OperatorSpec, apply_direct
@@ -99,10 +100,11 @@ def _det_points(n: int, d: int, n_out: int | None) -> int:
     return n_out
 
 
-def jacobian_det_pointwise(us: list[Field], n_out: int | None = None) -> Field:
+def jacobian_det_pointwise(us: list[Field | Spectrum], n_out: int | None = None) -> Field:
     """``det`` of the matrix ``[d u_i / d x_j]`` sampled on an ``n_out`` grid.
 
-    One forward transform per component; each entry is one
+    Each component is a field or its spectrum; a field costs one forward
+    transform (``grid.as_spectrum``).  Each entry is one
     :func:`apply_multiplier` of its spectrum with a first-order
     :func:`derivative_multiplier`, inverted on the ``n_out`` grid.  The
     determinant is the cofactor expansion :func:`poly_det` over the entry
@@ -126,13 +128,14 @@ def jacobian_det_pointwise(us: list[Field], n_out: int | None = None) -> Field:
              for j in range(d)]
     entries = []
     for u in us:
-        spec = dft_forward(u)
+        spec = as_spectrum(u)
         entries.append([apply_multiplier(spec, m, n_out).samples for m in mults])
     return Field(grid.with_n(n_out), poly_det(entries))
 
 
-def hessian_det_pointwise(u: Field, n_out: int | None = None) -> Field:
-    """``det`` of the spectral Hessian of ``u`` sampled on an ``n_out`` grid.
+def hessian_det_pointwise(u: Field | Spectrum, n_out: int | None = None) -> Field:
+    """``det`` of the spectral Hessian of ``u``, a field or its spectrum,
+    sampled on an ``n_out`` grid.
 
     Only the ``d (d + 1) / 2`` entries with ``i <= j`` are transformed, each
     one :func:`apply_multiplier` with the multiplier of ``d^alpha``,
@@ -144,7 +147,7 @@ def hessian_det_pointwise(u: Field, n_out: int | None = None) -> Field:
     """
     d = u.grid.d
     n_out = _det_points(u.grid.n, d, n_out)
-    spec = dft_forward(u)
+    spec = as_spectrum(u)
     H = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):

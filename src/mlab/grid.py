@@ -47,6 +47,7 @@ __all__ = [
     "Spectrum",
     "dft_forward",
     "dft_inverse",
+    "as_spectrum",
     "coeff_at",
     "support",
     "noise_floor",
@@ -192,6 +193,12 @@ def dft_forward(f: Field) -> Spectrum:
 def dft_inverse(s: Spectrum, is_real: bool = False) -> Field:
     """Inverse transform; exact round trip with :func:`dft_forward`."""
     return Field(s.grid, np.fft.ifftn(s.coeffs) * s.grid.npoints, is_real=is_real)
+
+
+def as_spectrum(x: Field | Spectrum) -> Spectrum:
+    """``x`` itself if it is a spectrum, else ``dft_forward(x)``: routes that
+    accept either let a caller holding the spectrum skip the transform."""
+    return x if isinstance(x, Spectrum) else dft_forward(x)
 
 
 def coeff_at(s: Spectrum, xi: tuple[int, ...]) -> complex:

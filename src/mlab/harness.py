@@ -3,17 +3,20 @@
 Every experiment follows the same shape: a seeded family of random fields,
 a ratio of an operator functional against the product of norms the estimate
 predicts, and a dyadic dilation sweep of that ratio.  Dilation keeps the
-base samples on a grid with dyadic exponent ``t`` (``GridSpec.t``), so
-degree-zero poly-homogeneous symbols must give a sweep that is constant to
-rounding; oscillation families for the estimate experiments are only
-required to stay within a configured factor of the undilated ratio.
-Each dilated quantity has one route below this module: ``grid.dilate_dyadic``
-of a field or spectrum, ``grid.pair_spectra`` and ``grid.active_in_band``
-across grids, and one ``spaces.bessel_norms`` batch per sweep step.  The
-direct boundedness scan applies its operator to a step's whole family with
-one ``operators.apply_direct_family`` call, which enumerates the tuples of
-equal supports once; the separable scan calls ``apply_operator`` once per
-member.
+base samples on a grid with dyadic exponent ``t`` (``GridSpec.t``).  A
+degree-zero poly-homogeneous operator commutes with that dilation, so the
+boundedness scan applies it at ``t_min`` only and dilates its output for
+every later step, which gives a sweep constant to rounding; any other
+symbol's operator runs at every step.  Oscillation families for the
+estimate experiments are only required to stay within a configured factor
+of the undilated ratio.  Each dilated quantity has one route below this
+module: ``grid.dilate_dyadic`` of a field or spectrum, ``grid.pair_spectra``
+and ``grid.active_in_band`` across grids, and one ``spaces.bessel_norms``
+batch per sweep step.  Where the direct boundedness scan applies its
+operator, it applies it to the step's whole family with one
+``operators.apply_direct_family`` call, which enumerates the tuples of
+equal supports once.  The separable scan, whose symbols are all degree
+zero, calls ``apply_operator`` once per member.
 Thresholds are artifact policy, recorded in the reports, never a claim
 about sharp constants.
 """
@@ -295,7 +298,15 @@ def _finish(
 
 
 def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
-    """Ratio ``||T(f_1..f_m)||_r / prod ||f_j||_{p_j}`` over family and sweep."""
+    """Ratio ``||T(f_1..f_m)||_r / prod ||f_j||_{p_j}`` over family and sweep.
+
+    A degree-zero symbol (``poly_homogeneous``) commutes with dilation,
+    ``T(f(2^s .)) = T(f)(2^s .)``, so its operator runs once per member, at
+    ``t_min``, and each later step's output is ``dilate_dyadic`` of that
+    output; the ratio is still formed at every step.  Any other symbol runs
+    its operator at every step.  ``extra.applied_t`` lists the steps at
+    which the operator ran.
+    """
     started = time.perf_counter()
     if cfg.k is not None:
         raise ValueError("the boundedness scan takes no derivative order k")
@@ -315,13 +326,20 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
         [random_field(s, grid, cfg.gamma, cutoff=cfg.cutoff) for s in block]
         for block in seeds
     ]
-    sweep_rows = []
+    sweep_rows, applied_t, base_outs = [], [], None
     for t in range(cfg.t_min, cfg.t_max + 1):
         batch = [[dilate_dyadic(f, t) for f in fs] for fs in families]
-        if isinstance(op.strategy, Separable):
-            outs = [apply_operator(op, fts) for fts in batch]
+        if base_outs is not None:
+            # Degree 0: T(f(2^s .)) = T(f)(2^s .), s = t - t_min.
+            outs = [dilate_dyadic(out, t - cfg.t_min) for out in base_outs]
         else:
-            outs = apply_direct_family(op, batch)
+            if isinstance(op.strategy, Separable):
+                outs = [apply_operator(op, fts) for fts in batch]
+            else:
+                outs = apply_direct_family(op, batch)
+            applied_t.append(t)
+            if op.symbol.poly_homogeneous:
+                base_outs = outs
         ratios = []
         for fts, out in zip(batch, outs):
             num = lp_norm(out, cfg.r)
@@ -337,6 +355,7 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     else:
         passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR)
         thresholds = {"sweep_max_over_base": OSCILLATION_FACTOR}
+    extra["applied_t"] = applied_t
     return _finish(cfg, "boundedness", sweep_rows, thresholds, passed, started, extra)
 
 
@@ -412,22 +431,23 @@ def _estimate_sweep(
     the dilated spectrum of ``D``.  The Jacobian's ``u`` is a map with ``d``
     components, the Hessian's a scalar reused in every norm factor.
     Spectra, determinants and their difference are computed once per
-    instance, not once per step; all input norms of a step are one
-    ``bessel_norms`` batch, whose ``p = 2`` norms (the Jacobian's in its
-    critical ``d = 2`` space) are Parseval sums with no transform.  Each
-    row's ``active_modes`` counts, per member, the determinant modes that
-    meet the test function's band at that step (mean excluded), above
-    ``noise_floor`` of the spectrum held here.
+    instance, not once per step, and each field is transformed once: the
+    determinant and sup-norm routes take the spectra.  All input norms of a
+    step are one ``bessel_norms`` batch, whose ``p = 2`` norms (the
+    Jacobian's in its critical ``d = 2`` space) are Parseval sums with no
+    transform.  Each row's ``active_modes`` counts, per member, the
+    determinant modes that meet the test function's band at that step (mean
+    excluded), above ``noise_floor`` of the spectrum held here.
     """
     grid = cfg.grid
     d = cfg.d
     det_n = _sweep_det_n(d, cfg.n)
     components = d if order == 1 else 1
 
-    def det_spectrum(fields: list[Field]) -> Spectrum:
+    def det_spectrum(specs: list[Spectrum]) -> Spectrum:
         if order == 1:
-            return dft_forward(jacobian_det_pointwise(fields, det_n))
-        return dft_forward(hessian_det_pointwise(fields[0], det_n))
+            return dft_forward(jacobian_det_pointwise(specs, det_n))
+        return dft_forward(hessian_det_pointwise(specs[0], det_n))
 
     seeds = _family_seeds(cfg, 2 * components + 1)
     instances = []
@@ -437,18 +457,20 @@ def _estimate_sweep(
             for sd in block[: 2 * components]
         ]
         us, vs = fields[:components], fields[components:]
+        u_specs = [dft_forward(u) for u in us]
+        Du = det_spectrum(u_specs)
+        v_specs = [dft_forward(v) for v in vs]
+        Dv = det_spectrum(v_specs)
+        spectra = [
+            u_specs,
+            v_specs,
+            [dft_forward(Field(grid, u.samples - v.samples)) for u, v in zip(us, vs)],
+        ]
         # Full-band smooth test function: a band cutoff here would make the
         # undilated pairing unrepresentatively small and the sweep ratios
         # erratic relative to it.
-        phi = random_field(block[2 * components], grid, cfg.gamma + 2.0)
-        Du = det_spectrum(us)
-        Dv = det_spectrum(vs)
+        phihat = dft_forward(random_field(block[2 * components], grid, cfg.gamma + 2.0))
         Ddiff = Spectrum(Du.grid, Du.coeffs - Dv.coeffs)
-        spectra = [
-            [dft_forward(u) for u in us],
-            [dft_forward(v) for v in vs],
-            [dft_forward(Field(grid, u.samples - v.samples)) for u, v in zip(us, vs)],
-        ]
         instances.append(
             {
                 # The u, v and difference spectrum of every norm slot.
@@ -457,8 +479,8 @@ def _estimate_sweep(
                 "Ddiff": Ddiff,
                 "tol_u": noise_floor(Du),
                 "tol_diff": noise_floor(Ddiff),
-                "phi": dft_forward(phi),
-                "sup": grad_sup_norms(phi, order),
+                "phi": phihat,
+                "sup": grad_sup_norms(phihat, order),
             }
         )
 

@@ -87,7 +87,13 @@ RECORD_SCHEMA = {
         "runtime_seconds": {"type": "number", "minimum": 0},
         "extra": {
             "type": "object",
-            "properties": {"det_n": {"type": "integer", "minimum": 1}},
+            "properties": {
+                "det_n": {"type": "integer", "minimum": 1},
+                "applied_t": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 0},
+                },
+            },
         },
     },
     "required": [

@@ -27,6 +27,7 @@ from .grid import (
     GridSpec,
     Spectrum,
     apply_multiplier,
+    as_spectrum,
     derivative_multiplier,
     dft_forward,
     multiplier_l2_norm,
@@ -134,17 +135,17 @@ def sobolev_wkp_norm(f: Field, k: int, p: float) -> float:
                      for alpha in multi_indices(f.grid.d, k)))
 
 
-def grad_sup_norms(f: Field, order: int) -> float:
-    """Sup norms of first or second derivatives.
+def grad_sup_norms(f: Field | Spectrum, order: int) -> float:
+    """Sup norms of first or second derivatives of a field or its spectrum.
 
     ``order = 1``: max over grid points of the Euclidean gradient norm.
     ``order = 2``: max modulus over grid points and Hessian entries.
-    One forward transform, then one inverse per derivative ``d^alpha``,
-    ``|alpha| = order``.
+    One forward transform of a field (none of a spectrum), then one inverse
+    per derivative ``d^alpha``, ``|alpha| = order``.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    spec = dft_forward(f)
+    spec = as_spectrum(f)
     moduli = (np.abs(apply_multiplier(spec, derivative_multiplier(f.grid, alpha)).samples)
               for alpha in multi_indices(f.grid.d, order) if sum(alpha) == order)
     if order == 1:

@@ -3,7 +3,9 @@
 Everything here is written from the definitions, without the library's FFT
 plumbing: direct summation transforms, term-by-term mode arithmetic,
 cofactor determinant expansion, finite differences on dense scans.  Slow on
-purpose; keep grids small.
+purpose; keep grids small.  The one exception is the per-step boundedness
+scan at the end, which replays the scan's loop on the library's own
+operators and checks only how often they run.
 """
 
 from __future__ import annotations
@@ -312,3 +314,55 @@ def random_field_mesh(
         coeffs[radius > cutoff] = 0.0
     coeffs[0] = 0.0
     return (np.fft.ifftn(coeffs.reshape((n,) * d)) * n**d).real
+
+
+# ---------------------------------------------------------------------------
+# The boundedness scan with its operator applied at every sweep step
+# ---------------------------------------------------------------------------
+
+
+def boundedness_scan_per_step(cfg) -> dict:
+    """``harness.boundedness_scan(cfg).to_dict()`` without
+    ``runtime_seconds`` and ``extra.applied_t``, computed the long way: the
+    operator runs on the dilated family at every step ``t``, degree-zero
+    symbols included, instead of dilating the ``t_min`` output."""
+    from mlab import harness
+    from mlab.decomp import separable_expand
+    from mlab.grid import dilate_dyadic
+    from mlab.operators import OperatorSpec, Separable, apply_direct_family, apply_operator
+    from mlab.spaces import lp_norm
+    from mlab.symbols import resolve_symbol
+
+    sym = resolve_symbol(cfg.symbol, cfg.d, m=cfg.m)
+    op, extra = OperatorSpec(sym, cfg.m), {}
+    if cfg.strategy == "separable":
+        exp = separable_expand(sym)
+        op = OperatorSpec(sym, cfg.m, strategy=Separable(exp))
+        extra = {"rank": exp.rank, "n_angular": exp.grid.n_points, "residual": exp.residual}
+    families = [
+        [harness.random_field(s, cfg.grid, cfg.gamma, cutoff=cfg.cutoff) for s in block]
+        for block in harness._family_seeds(cfg, cfg.m)
+    ]
+    sweep_rows = []
+    for t in range(cfg.t_min, cfg.t_max + 1):
+        batch = [[dilate_dyadic(f, t) for f in fs] for fs in families]
+        if cfg.strategy == "separable":
+            outs = [apply_operator(op, fts) for fts in batch]
+        else:
+            outs = apply_direct_family(op, batch)
+        ratios = []
+        for fts, out in zip(batch, outs):
+            num = lp_norm(out, cfg.r)
+            den = math.prod(lp_norm(ft, pj) for ft, pj in zip(fts, cfg.p))
+            ratios.append(num / den if den > 0 else 0.0)
+        sweep_rows.append({"t": t, "ratios": ratios})
+    if sym.poly_homogeneous:
+        passed = harness._sweep_spread(sweep_rows) <= harness.INVARIANCE_TOLERANCE
+        thresholds = {"per_member_max_over_min": harness.INVARIANCE_TOLERANCE}
+    else:
+        passed = harness._oscillation_ok(sweep_rows, harness.OSCILLATION_FACTOR)
+        thresholds = {"sweep_max_over_base": harness.OSCILLATION_FACTOR}
+    out = harness._finish(cfg, "boundedness", sweep_rows, thresholds, passed, 0.0, extra)
+    payload = out.to_dict()
+    payload.pop("runtime_seconds")
+    return payload

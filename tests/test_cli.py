@@ -395,6 +395,25 @@ class TestReport:
         run_cli(["report", "--records", str(path)])
         assert "vacuous" not in capsys.readouterr().out
 
+    def test_identity_steps_named(self, capsys, tmp_path):
+        # det_norm:1 is degree 0: the operator runs at t = 0 only, and the
+        # t = 1 output is the dilated t = 0 output.
+        path = self._records(tmp_path)
+        capsys.readouterr()
+        run_cli(["report", "--records", str(path)])
+        assert capsys.readouterr().out.rstrip().endswith(" identity_t=1")
+
+    def test_no_identity_note_on_a_det_scan(self, capsys, tmp_path):
+        run_cli([
+            "boundedness-scan", "--symbol", "det", "--grid", "2x8",
+            "--family", "1", "--t-max", "2", "--out", str(tmp_path),
+        ])
+        path = tmp_path / "boundedness" / "records.jsonl"
+        assert json.loads(path.read_text())["extra"]["applied_t"] == [0, 1, 2]
+        capsys.readouterr()
+        run_cli(["report", "--records", str(path)])
+        assert "identity_t" not in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert run_cli(["report", "--records", "absent.jsonl"]) == 1
 

@@ -35,7 +35,7 @@ from mlab.spaces import bessel_norms
 from mlab.harness import _family_seeds, _oscillation_ok, _sweep_spread
 
 from conftest import random_trig, rel_err, tiled
-from oracles import random_field_mesh
+from oracles import boundedness_scan_per_step, random_field_mesh
 
 
 class TestRandomField:
@@ -139,22 +139,38 @@ class TestDilatedRoutes:
 
 class TestTransformWork:
     """A dilated step transforms the base cell: the points passed to
-    ``dft_forward`` and ``dft_inverse`` do not depend on ``t``."""
+    ``dft_forward`` and ``dft_inverse`` do not depend on ``t``; and an
+    estimate sweep transforms each field once."""
 
     @pytest.fixture
     def counter(self, monkeypatch):
-        points = [0]
+        # points[0]: points of every transform; points[1]: forward calls.
+        points = [0, 0]
         originals = {name: getattr(grid, name) for name in ("dft_forward", "dft_inverse")}
         for mod in (grid, spaces, decomp, operators, determinants, harness):
             for name, fn in originals.items():
                 if hasattr(mod, name):
 
-                    def counted(s, *args, _fn=fn, **kwargs):
+                    def counted(s, *args, _fn=fn, _name=name, **kwargs):
                         points[0] += s.grid.npoints
+                        points[1] += _name == "dft_forward"
                         return _fn(s, *args, **kwargs)
 
                     monkeypatch.setattr(mod, name, counted)
         return points
+
+    @pytest.mark.parametrize(
+        "scan, changes, forward",
+        [
+            # Per member: u, v and u - v per component, the two
+            # determinants, and phi.
+            (jacobian_estimate, dict(n=128, p=(2.0, 2.0), t_max=5), 4 * 9),
+            (hessian_estimate, dict(d=3, n=16, p=(3.0, 3.0, 3.0), t_max=5), 4 * 6),
+        ],
+    )
+    def test_estimate_sweep_transforms_each_field_once(self, counter, scan, changes, forward):
+        scan(_cfg(experiment="estimate", symbol="det", family=4, **changes))
+        assert counter[1] == forward
 
     @pytest.mark.parametrize(
         "scan, changes",
@@ -280,7 +296,9 @@ class TestBoundednessScan:
 
     def test_direct_scan_enumerates_each_step_once(self, monkeypatch):
         # The members of a step share one enumeration, so the tuples the
-        # symbol sees do not depend on the family size.
+        # symbol sees do not depend on the family size.  A degree-zero
+        # symbol is enumerated at t_min alone, whatever t_max is; det, of
+        # degree 2, at every one of the 4 steps of t 0..3.
         seen = []
 
         def counted(sym, xis, _evaluate=operators.evaluate):
@@ -289,17 +307,23 @@ class TestBoundednessScan:
             return out
 
         monkeypatch.setattr(operators, "evaluate", counted)
-        per_family = {}
-        for family in (1, 3):
-            seen.append(0)
-            boundedness_scan(_cfg(n=8, family=family, t_max=1))
-            per_family[family] = seen[-1]
-        assert per_family[1] > 0 and per_family[3] == per_family[1]
 
-    def test_separable_scan_calls_apply_operator_per_member(self, monkeypatch):
+        def tuples(**kw):
+            seen.append(0)
+            boundedness_scan(_cfg(n=8, **kw))
+            return seen[-1]
+
+        per_family = {family: tuples(family=family, t_max=1) for family in (1, 3)}
+        assert per_family[1] > 0 and per_family[3] == per_family[1]
+        assert tuples(t_max=0) == tuples(t_max=3)
+        assert tuples(symbol="det", t_max=3) == 4 * tuples(symbol="det", t_max=0) > 0
+
+    def test_separable_scan_calls_apply_operator_once_per_member(self, monkeypatch):
         # The separable scan reaches its operator through the module's
-        # ``apply_operator`` binding, once per member per step, with the
-        # operator and the member's list of fields.
+        # ``apply_operator`` binding, once per member at t_min, in member
+        # order, with the operator and the member's list of fields; the
+        # later steps dilate those outputs.  perfbench's Capture oracle reads
+        # the first call as member 0 at t_min.
         calls = []
 
         def recorded(op, fields, _apply=harness.apply_operator):
@@ -308,13 +332,59 @@ class TestBoundednessScan:
             return out
 
         monkeypatch.setattr(harness, "apply_operator", recorded)
-        boundedness_scan(_cfg(n=8, cutoff=2.0, family=3, t_max=1, strategy="separable"))
-        assert len(calls) == 3 * 2
-        for op, fields, out in calls:
+        cfg = _cfg(n=8, cutoff=2.0, family=3, t_max=1, strategy="separable")
+        boundedness_scan(cfg)
+        assert len(calls) == 3
+        for (op, fields, out), block in zip(calls, _family_seeds(cfg, 2)):
             assert isinstance(op.strategy, Separable)
             assert isinstance(fields, list) and len(fields) == 2
             assert all(isinstance(f, Field) for f in fields)
+            assert all(f.grid == cfg.grid.dilated(cfg.t_min) for f in fields)
+            for f, seed in zip(fields, block):
+                want = random_field(seed, cfg.grid, cfg.gamma, cutoff=cfg.cutoff)
+                assert np.array_equal(f.samples, want.samples)
             assert isinstance(out, Field)
+
+    @pytest.mark.parametrize("cutoff", [None, 3.0])
+    @pytest.mark.parametrize("family", [1, 3])
+    @pytest.mark.parametrize("t_min", [0, 2])
+    @pytest.mark.parametrize(
+        "symbol, strategy",
+        [
+            ("det_norm:1", "direct"),
+            ("det_norm:1", "separable"),
+            ("dot_norm:1", "direct"),
+            ("dot_norm:1", "separable"),
+            ("riesz_product:1,2", "direct"),
+            ("riesz_product:1,2", "separable"),
+            ("det", "direct"),
+        ],
+    )
+    def test_records_equal_per_step_oracle(
+        self, monkeypatch, symbol, strategy, t_min, family, cutoff
+    ):
+        # Dilating the t_min output of a degree-zero operator gives, bitwise,
+        # the record of applying the operator at every step; det is not
+        # degree zero and is applied at every step.  A dilated norm does not
+        # depend on t, so the grids the norms read are checked as well: each
+        # step's inputs and outputs live on that step's t.
+        normed = []
+
+        def recorded(f, p, _norm=harness.lp_norm):
+            normed.append(f.grid.t)
+            return _norm(f, p)
+
+        monkeypatch.setattr(harness, "lp_norm", recorded)
+        cfg = _cfg(n=8, symbol=symbol, strategy=strategy, t_min=t_min,
+                   t_max=t_min + 2, family=family, cutoff=cutoff)
+        got = boundedness_scan(cfg).to_dict()
+        assert normed == [t for t in range(t_min, t_min + 3) for _ in range(3 * family)]
+        got.pop("runtime_seconds")
+        applied = got["extra"].pop("applied_t")
+        assert json.dumps(got, sort_keys=True) == json.dumps(
+            boundedness_scan_per_step(cfg), sort_keys=True)
+        steps = list(range(t_min, t_min + 3))
+        assert applied == (steps if symbol == "det" else steps[:1])
 
     def test_record_passes_schema(self):
         rec = boundedness_scan(_cfg(cutoff=2.0, t_max=1))

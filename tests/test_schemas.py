@@ -142,6 +142,18 @@ class TestValidateRecord:
         with pytest.raises(jsonschema.ValidationError):
             validate_record(payload)
 
+    @pytest.mark.parametrize("applied_t", [0, [-1], [1.5], ["2"]])
+    def test_rejects_bad_applied_steps(self, applied_t):
+        cfg = ExperimentConfig(
+            experiment="scan", d=2, n=8, symbol="det_norm:1", p=(2.0, 2.0),
+            r=1.0, family=1, t_min=0, t_max=1, cutoff=2.0,
+        )
+        payload = boundedness_scan(cfg).to_dict()
+        assert payload["extra"]["applied_t"] == [0]
+        payload["extra"]["applied_t"] = applied_t
+        with pytest.raises(jsonschema.ValidationError):
+            validate_record(payload)
+
 
 class TestValidators:
     """The validators are built once, without a schema check per call."""
