@@ -4,11 +4,10 @@
 Thin wrapper around ``mlab decompose-symbol``: samples the symbol on unit
 directions, prints the expansion's rank (its numerical rank, derived from
 the spectrum), node count (derived from the interpolation error), residual
-and spectrum as JSON, and with ``--out PREFIX`` saves it for reuse.
+and spectrum as JSON.
 
 Usage:
   python3 scripts/decompose_symbol.py --symbol det_norm:1 --d 2
-  python3 scripts/decompose_symbol.py --out out/expansion
 """
 
 import sys

@@ -59,11 +59,9 @@ from .decomp import (
     DyadicPartition,
     SeparableExpansion,
     build_annulus_grid,
-    load_expansion,
     localize,
     partition_for_grid,
     psi_profile,
-    save_expansion,
     separable_expand,
 )
 from .operators import (

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .decomp import save_expansion, separable_expand
+from .decomp import separable_expand
 from .determinants import run_identity_suite
 from .errors import MlabError
 from .harness import (
@@ -72,10 +72,9 @@ def _build_parser() -> _Parser:
     for name in ("boundedness-scan", "thm3-scan", "jacobian-estimate", "hessian-estimate"):
         scan_flags(sub.add_parser(name, help=f"run {name.replace('-', ' ')}"))
 
-    dec = sub.add_parser("decompose-symbol", help="build and save a separable expansion")
+    dec = sub.add_parser("decompose-symbol", help="build a separable expansion and print it")
     dec.add_argument("--symbol", required=True)
     dec.add_argument("--d", type=int, default=2)
-    dec.add_argument("--out", default=None, help="file prefix for the saved expansion")
 
     rep = sub.add_parser("report", help="summarize a records.jsonl file")
     rep.add_argument("--records", required=True)
@@ -106,7 +105,9 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         try:
             validate_config(loaded)
         except jsonschema.ValidationError as exc:
-            raise _UsageError(f"config does not match schema: {exc.message}") from exc
+            raise _UsageError(
+                f"config does not match schema at {exc.json_path}: {exc.message}"
+            ) from exc
         if loaded["experiment"] != payload["experiment"]:
             raise _UsageError(
                 f"config experiment {loaded['experiment']!r} does not match "
@@ -120,22 +121,9 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
             payload["d"], payload["n"] = int(d_str), int(n_str)
         except ValueError as exc:
             raise _UsageError(f"bad --grid {args.grid!r}, expected DxN") from exc
-    if args.symbol is not None:
-        payload["symbol"] = args.symbol
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.family is not None:
-        payload["family"] = args.family
-    if args.t_min is not None:
-        payload["t_min"] = args.t_min
-    if args.t_max is not None:
-        payload["t_max"] = args.t_max
-    if args.k is not None:
-        payload["k"] = args.k
-    if args.strategy is not None:
-        payload["strategy"] = args.strategy
-    if args.out is not None:
-        payload["out_dir"] = args.out
+    for flag in ("symbol", "seed", "family", "t_min", "t_max", "k", "strategy", "out"):
+        if getattr(args, flag) is not None:
+            payload["out_dir" if flag == "out" else flag] = getattr(args, flag)
 
     if "p" not in payload:
         # m = d slots at p_j = d, so 1/r = 1.
@@ -218,8 +206,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "spectrum": list(exp.spectrum),
     }
     print(json.dumps(payload, indent=2))
-    if args.out:
-        save_expansion(exp, args.out)
     return 0
 
 

@@ -20,10 +20,8 @@ angle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +37,6 @@ __all__ = [
     "AnnulusGrid",
     "SeparableExpansion",
     "separable_expand",
-    "save_expansion",
-    "load_expansion",
 ]
 
 
@@ -361,61 +357,3 @@ def _outer(vecs: list[np.ndarray]) -> np.ndarray:
     for v in vecs[1:]:
         out = np.multiply.outer(out, v)
     return out
-
-
-_EXPANSION_FORMAT = "mlab-expansion-3"
-
-
-def save_expansion(exp: SeparableExpansion, prefix: str | Path) -> tuple[Path, Path]:
-    """Write the ``<prefix>.json`` header and the ``<prefix>.npy`` factor
-    tables, one ``complex128`` array of shape ``(m, rank, n_angular)``."""
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    header = {
-        "format": _EXPANSION_FORMAT,
-        "symbol": exp.symbol_name,
-        "m": exp.m,
-        "d": exp.d,
-        "n_angular": exp.grid.n_points,
-        "rank": exp.rank,
-        "residual": exp.residual,
-        "spectrum": [float(s) for s in exp.spectrum],
-        "coeffs_real": [float(c.real) for c in exp.coeffs],
-        "coeffs_imag": [float(c.imag) for c in exp.coeffs],
-    }
-    json_path = prefix.with_suffix(".json")
-    npy_path = prefix.with_suffix(".npy")
-    json_path.write_text(json.dumps(header, indent=2, sort_keys=True))
-    np.save(npy_path, np.stack(exp.factors).astype(np.complex128, copy=False))
-    return json_path, npy_path
-
-
-def load_expansion(prefix: str | Path) -> SeparableExpansion:
-    """Read an expansion written by ``save_expansion``; raises ``ValueError``
-    on another format or on factor tables that do not match the header."""
-    prefix = Path(prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    fmt = header.get("format")
-    if fmt != _EXPANSION_FORMAT:
-        raise ValueError(f"expansion format {fmt!r} is not {_EXPANSION_FORMAT!r}")
-    m, d = int(header["m"]), int(header["d"])
-    grid = _circle_grid(int(header["n_angular"])) if d == 2 else build_annulus_grid(d)
-    coeffs = np.asarray(header["coeffs_real"], dtype=np.float64) + 1j * np.asarray(
-        header["coeffs_imag"], dtype=np.float64
-    )
-    tables = np.load(prefix.with_suffix(".npy"), allow_pickle=False)
-    shape = (m, int(header["rank"]), grid.n_points)
-    if tables.dtype != np.complex128 or tables.shape != shape:
-        raise ValueError(
-            f"factor tables are {tables.dtype} {tables.shape}, header says complex128 {shape}"
-        )
-    return SeparableExpansion(
-        m=m,
-        d=d,
-        grid=grid,
-        coeffs=coeffs,
-        factors=tuple(tables),
-        residual=float(header["residual"]),
-        spectrum=np.asarray(header["spectrum"], dtype=np.float64),
-        symbol_name=str(header.get("symbol", "symbol")),
-    )

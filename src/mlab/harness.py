@@ -1,24 +1,27 @@
 """Experiment driver: random spectral families, ratio scans, dilation sweeps.
 
-Every experiment follows the same shape: a seeded family of random fields,
-a ratio of an operator functional against the product of norms the estimate
-predicts, and a dyadic dilation sweep of that ratio.  Dilation keeps the
-base samples on a grid with dyadic exponent ``t`` (``GridSpec.t``).  A
-degree-zero poly-homogeneous operator commutes with that dilation, so the
-boundedness scan applies it at ``t_min`` only and dilates its output for
-every later step, which gives a sweep constant to rounding; any other
-symbol's operator runs at every step.  Oscillation families for the
-estimate experiments are only required to stay within a configured factor
-of the undilated ratio.  Each dilated quantity has one route below this
-module: ``grid.dilate_dyadic`` of a field or spectrum, ``grid.pair_spectra``
-and ``grid.active_in_band`` across grids, and one ``spaces.bessel_norms``
-batch per sweep step.  Where the direct boundedness scan applies its
-operator, it applies it to the step's whole family with one
-``operators.apply_direct_family`` call, which enumerates the tuples of
-equal supports once.  The separable scan, whose symbols are all degree
-zero, calls ``apply_operator`` once per member.
-Thresholds are artifact policy, recorded in the reports, never a claim
-about sharp constants.
+Every experiment has the same shape, and one private driver runs it:
+``_draw`` yields each member of a seeded family (its random input fields
+and, where the scan pairs against one, a full-band test function), and
+``_scan`` runs the dyadic dilation sweep ``t_min .. t_max``, builds one row
+per step from the scan's ``step(t)``, and gives the verdict.  Each public
+scan keeps only its refusals, its per-member preparation and its ``step``.
+Dilation keeps the base samples on a grid with dyadic exponent ``t``
+(``GridSpec.t``).  A degree-zero poly-homogeneous operator commutes with
+that dilation, so the boundedness scan applies it at ``t_min`` only,
+dilates its output for every later step, and asks each member's ratio to be
+constant along the sweep; any other symbol's operator runs at every step,
+and its family, like those of the estimate experiments, need only stay
+within a configured factor of the undilated ratio.  Each dilated quantity
+has one route below this module: ``grid.dilate_dyadic`` of a field or
+spectrum, ``grid.pair_spectra`` and ``grid.active_in_band`` across grids,
+and one ``spaces.bessel_norms`` batch per sweep step.  Where the direct
+boundedness scan applies its operator, it applies it to the step's whole
+family with one ``operators.apply_direct_family`` call, which enumerates
+the tuples of equal supports once.  The separable scan, whose symbols are
+all degree zero, calls ``apply_operator`` once per member.  Thresholds are
+artifact policy, recorded in the reports, never a claim about sharp
+constants.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +112,8 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"dimension d must be >= 1, got {self.d}")
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         if not self.p or any(x <= 1.0 for x in self.p):
             raise ValueError("input exponents must satisfy p_j > 1")
@@ -123,6 +129,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.gamma < 0:
             raise ValueError("decay exponent must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def m(self) -> int:
@@ -133,12 +141,7 @@ class ExperimentConfig:
         return GridSpec(self.d, self.n, self.period)
 
     def config_hash(self) -> str:
-        payload = {
-            k: v
-            for k, v in self.__dict__.items()
-            if k != "out_dir"
-        }
-        payload["p"] = list(self.p)
+        payload = {k: v for k, v in self.__dict__.items() if k != "out_dir"}
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -161,20 +164,9 @@ class ReportRecord:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "experiment": self.experiment,
-            "kind": self.kind,
-            "ratios": list(self.ratios),
-            "max_ratio": self.max_ratio,
-            "median_ratio": self.median_ratio,
-            "min_ratio": self.min_ratio,
-            "sweep": [dict(row) for row in self.sweep],
-            "thresholds": dict(self.thresholds),
-            "passed": self.passed,
-            "runtime_seconds": self.runtime_seconds,
-            "extra": self.extra,
-        }
+        # JSON arrays are lists: a schema validator rejects tuples.
+        return {**asdict(self), "ratios": list(self.ratios),
+                "sweep": [dict(row) for row in self.sweep]}
 
 
 def random_field(
@@ -231,8 +223,24 @@ def _family_seeds(cfg: ExperimentConfig, streams: int) -> list[list[int]]:
     ]
 
 
-def _median(xs: list[float]) -> float:
-    return float(np.median(np.asarray(xs))) if xs else 0.0
+def _draw(
+    cfg: ExperimentConfig, inputs: int, test_function: bool = False
+) -> Iterator[tuple[list[Field], Field | None]]:
+    """Each member's ``inputs`` random fields and, with ``test_function``,
+    its full-band test function ``phi`` at decay ``gamma + 2`` from the next
+    seed of the member's block; ``phi`` is ``None`` otherwise.  A band
+    cutoff on ``phi`` would make the undilated pairing unrepresentatively
+    small and the sweep ratios erratic relative to it."""
+    for block in _family_seeds(cfg, inputs + test_function):
+        fields = [random_field(s, cfg.grid, cfg.gamma, cutoff=cfg.cutoff)
+                  for s in block[:inputs]]
+        phi = random_field(block[inputs], cfg.grid, cfg.gamma + 2.0) if test_function else None
+        yield fields, phi
+
+
+def _ratio(num: float, den: float) -> float:
+    """``num / den``, or 0 when the denominator vanishes."""
+    return num / den if den > 0 else 0.0
 
 
 def _all_finite(sweep_rows: list[dict]) -> bool:
@@ -287,7 +295,7 @@ def _finish(
         kind=kind,
         ratios=tuple(base),
         max_ratio=max(allr),
-        median_ratio=_median(allr),
+        median_ratio=float(np.median(np.asarray(allr))),
         min_ratio=min(allr),
         sweep=tuple(sweep_rows),
         thresholds=thresholds,
@@ -297,15 +305,36 @@ def _finish(
     )
 
 
+def _scan(
+    cfg: ExperimentConfig, kind: str, started: float, step: Callable[[int], dict],
+    extra: dict, invariant: bool = False, holds: bool = True,
+) -> ReportRecord:
+    """The dilation sweep ``t_min .. t_max``: row ``{"t": t, **step(t)}``,
+    then the verdict.  ``invariant`` asks for each member's ratio to be
+    constant along the sweep (per-member spread within
+    ``INVARIANCE_TOLERANCE``); otherwise the family may oscillate within
+    ``OSCILLATION_FACTOR`` of its base ratio.  ``holds`` is an exact check of
+    the scan's own that the verdict also needs."""
+    sweep_rows = [{"t": t, **step(t)} for t in range(cfg.t_min, cfg.t_max + 1)]
+    if invariant:
+        passed = _sweep_spread(sweep_rows) <= INVARIANCE_TOLERANCE
+        thresholds = {"per_member_max_over_min": INVARIANCE_TOLERANCE}
+    else:
+        passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR)
+        thresholds = {"sweep_max_over_base": OSCILLATION_FACTOR}
+    return _finish(cfg, kind, sweep_rows, thresholds, passed and holds, started, extra)
+
+
 def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     """Ratio ``||T(f_1..f_m)||_r / prod ||f_j||_{p_j}`` over family and sweep.
 
     A degree-zero symbol (``poly_homogeneous``) commutes with dilation,
     ``T(f(2^s .)) = T(f)(2^s .)``, so its operator runs once per member, at
     ``t_min``, and each later step's output is ``dilate_dyadic`` of that
-    output; the ratio is still formed at every step.  Any other symbol runs
-    its operator at every step.  ``extra.applied_t`` lists the steps at
-    which the operator ran.
+    output; the ratio is still formed at every step, and each member's ratio
+    must be constant along the sweep.  Any other symbol runs its operator at
+    every step.  ``extra.applied_t`` lists the steps at which the operator
+    ran.
     """
     started = time.perf_counter()
     if cfg.k is not None:
@@ -320,14 +349,12 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
             "n_angular": exp.grid.n_points,
             "residual": exp.residual,
         }
-    grid = cfg.grid
-    seeds = _family_seeds(cfg, cfg.m)
-    families = [
-        [random_field(s, grid, cfg.gamma, cutoff=cfg.cutoff) for s in block]
-        for block in seeds
-    ]
-    sweep_rows, applied_t, base_outs = [], [], None
-    for t in range(cfg.t_min, cfg.t_max + 1):
+    families = [fs for fs, _ in _draw(cfg, cfg.m)]
+    applied_t, base_outs = [], None
+    extra["applied_t"] = applied_t
+
+    def step(t: int) -> dict:
+        nonlocal base_outs
         batch = [[dilate_dyadic(f, t) for f in fs] for fs in families]
         if base_outs is not None:
             # Degree 0: T(f(2^s .)) = T(f)(2^s .), s = t - t_min.
@@ -338,25 +365,14 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
             else:
                 outs = apply_direct_family(op, batch)
             applied_t.append(t)
-            if op.symbol.poly_homogeneous:
-                base_outs = outs
-        ratios = []
-        for fts, out in zip(batch, outs):
-            num = lp_norm(out, cfg.r)
-            den = math.prod(lp_norm(ft, pj) for ft, pj in zip(fts, cfg.p))
-            ratios.append(num / den if den > 0 else 0.0)
-        sweep_rows.append({"t": t, "ratios": ratios})
+            base_outs = outs if sym.poly_homogeneous else None
+        return {"ratios": [
+            _ratio(lp_norm(out, cfg.r),
+                   math.prod(lp_norm(ft, pj) for ft, pj in zip(fts, cfg.p)))
+            for fts, out in zip(batch, outs)
+        ]}
 
-    if op.symbol.poly_homogeneous:
-        # Invariance is per family member: each member's ratio must be
-        # constant along the sweep, members need not agree with each other.
-        passed = _sweep_spread(sweep_rows) <= INVARIANCE_TOLERANCE
-        thresholds = {"per_member_max_over_min": INVARIANCE_TOLERANCE}
-    else:
-        passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR)
-        thresholds = {"sweep_max_over_base": OSCILLATION_FACTOR}
-    extra["applied_t"] = applied_t
-    return _finish(cfg, "boundedness", sweep_rows, thresholds, passed, started, extra)
+    return _scan(cfg, "boundedness", started, step, extra, invariant=sym.poly_homogeneous)
 
 
 def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
@@ -375,55 +391,45 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
     if k is None:
         raise ValueError("the transfer scan needs a derivative order k")
     sym = resolve_symbol(cfg.symbol, cfg.d, m=cfg.m)
-    grid = cfg.grid
     m = cfg.m
     s = k * (m - 1) / m
     r_star = holder_conjugate(cfg.r)
-    families = [
-        (
-            [random_field(sd, grid, cfg.gamma, cutoff=cfg.cutoff) for sd in block[:m]],
-            random_field(block[m], grid, cfg.gamma + 2.0),
-        )
-        for block in _family_seeds(cfg, m + 1)
-    ]
-    spectra = [[dft_forward(f) for f in fs] for fs, _ in families]
-    phi_norms = [sobolev_wkp_norm(phi, k, r_star) for _, phi in families]
-    sweep_rows = []
-    for t in range(cfg.t_min, cfg.t_max + 1):
+    members = list(_draw(cfg, m, test_function=True))
+    spectra = [[dft_forward(f) for f in fs] for fs, _ in members]
+    phi_norms = [sobolev_wkp_norm(phi, k, r_star) for _, phi in members]
+
+    def step(t: int) -> dict:
         slots = [dilate_dyadic(sp, t) for specs in spectra for sp in specs]
-        norms = bessel_norms(slots, list(cfg.p) * len(families), s)
+        norms = bessel_norms(slots, list(cfg.p) * len(members), s)
         ratios = []
-        for i, (fs, phi) in enumerate(families):
+        for i, (fs, phi) in enumerate(members):
             fts = [dilate_dyadic(f, t) for f in fs]
             num = abs(pair_with_transfer(sym, k, fts, phi))
             den = math.prod(norms[i * m : (i + 1) * m], start=phi_norms[i])
-            ratios.append(num / den if den > 0 else 0.0)
-        sweep_rows.append({"t": t, "ratios": ratios})
-    passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR)
-    return _finish(
-        cfg,
-        "transfer",
-        sweep_rows,
-        {"sweep_max_over_base": OSCILLATION_FACTOR},
-        passed,
-        started,
-        extra={"k": k, "s": s, "r_star": r_star},
-    )
+            ratios.append(_ratio(num, den))
+        return {"ratios": ratios}
+
+    return _scan(cfg, "transfer", started, step, {"k": k, "s": s, "r_star": r_star})
 
 
 def _sweep_det_n(d: int, n: int) -> int:
-    """Points per axis on which ``_estimate_sweep`` samples a determinant: it
+    """Points per axis on which an estimate scan samples a determinant: it
     reads the modes ``|eta_a| <= n/2``, exact on ``(d + 1) n/2`` points by
     the bound in ``jacobian_det_pointwise``, which this power of two meets."""
     return padded_points(n, (d + 2) // 2)
 
 
-def _estimate_sweep(
-    cfg: ExperimentConfig, s: float, order: int
-) -> tuple[list[dict], list[dict], float, int]:
-    """Plain and difference sweeps of ``_determinant_estimate``, and the
-    number of points per axis of the grid the determinants were sampled on
-    (``_sweep_det_n``).
+def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
+    """Distributional Jacobian (``order`` 1) or Hessian (``order`` 2)
+    pairing ratios with ``s = order (1 - 1/d)``.
+
+    Plain ratio ``|<det D^order u, phi>| / (prod_k ||u_k||_{L^{p_k}_s}
+    ||D^order phi||_inf)`` plus the relative difference form of ``u`` and
+    ``v`` (``extra.difference_sweep``), both across the dilation sweep, and
+    the exact zero of the difference numerator at ``u = v``.  ``extra.det_n``
+    is the number of points per axis of the grid the determinants were
+    sampled on (``_sweep_det_n``); both always run the pointwise ``det``
+    route.
 
     The determinant of the dilated input is never materialized: with
     ``D = det(D^order u)`` on the base grid, dilating by ``2^t`` multiplies
@@ -439,91 +445,6 @@ def _estimate_sweep(
     determinant modes that meet the test function's band at that step (mean
     excluded), above ``noise_floor`` of the spectrum held here.
     """
-    grid = cfg.grid
-    d = cfg.d
-    det_n = _sweep_det_n(d, cfg.n)
-    components = d if order == 1 else 1
-
-    def det_spectrum(specs: list[Spectrum]) -> Spectrum:
-        if order == 1:
-            return dft_forward(jacobian_det_pointwise(specs, det_n))
-        return dft_forward(hessian_det_pointwise(specs[0], det_n))
-
-    seeds = _family_seeds(cfg, 2 * components + 1)
-    instances = []
-    for block in seeds:
-        fields = [
-            random_field(sd, grid, cfg.gamma, cutoff=cfg.cutoff)
-            for sd in block[: 2 * components]
-        ]
-        us, vs = fields[:components], fields[components:]
-        u_specs = [dft_forward(u) for u in us]
-        Du = det_spectrum(u_specs)
-        v_specs = [dft_forward(v) for v in vs]
-        Dv = det_spectrum(v_specs)
-        spectra = [
-            u_specs,
-            v_specs,
-            [dft_forward(Field(grid, u.samples - v.samples)) for u, v in zip(us, vs)],
-        ]
-        # Full-band smooth test function: a band cutoff here would make the
-        # undilated pairing unrepresentatively small and the sweep ratios
-        # erratic relative to it.
-        phihat = dft_forward(random_field(block[2 * components], grid, cfg.gamma + 2.0))
-        Ddiff = Spectrum(Du.grid, Du.coeffs - Dv.coeffs)
-        instances.append(
-            {
-                # The u, v and difference spectrum of every norm slot.
-                "slots": [specs[j % components] for specs in spectra for j in range(d)],
-                "Du": Du,
-                "Ddiff": Ddiff,
-                "tol_u": noise_floor(Du),
-                "tol_diff": noise_floor(Ddiff),
-                "phi": phihat,
-                "sup": grad_sup_norms(phihat, order),
-            }
-        )
-
-    sweep_rows = []
-    diff_rows = []
-    for t in range(cfg.t_min, cfg.t_max + 1):
-        amp = float(2 ** (order * d * t))
-        slots = [dilate_dyadic(sp, t) for inst in instances for sp in inst["slots"]]
-        norms = bessel_norms(slots, list(cfg.p) * (3 * len(instances)), s)
-        rows = [norms[j : j + d] for j in range(0, len(norms), d)]
-        ratios, diffs, active, diff_active = [], [], [], []
-        for i, inst in enumerate(instances):
-            phihat, sup = inst["phi"], inst["sup"]
-            u_norms, v_norms, deltas = rows[3 * i : 3 * i + 3]
-            Du, Ddiff = dilate_dyadic(inst["Du"], t), dilate_dyadic(inst["Ddiff"], t)
-            num = amp * abs(pair_spectra(Du, phihat))
-            den = math.prod(u_norms) * sup
-            ratios.append(num / den if den > 0 else 0.0)
-            active.append(active_in_band(Du, phihat, inst["tol_u"]))
-            dnum = amp * abs(pair_spectra(Ddiff, phihat))
-            dsum = sum(deltas[j] / (u_norms[j] + v_norms[j]) for j in range(d))
-            dden = (math.prod(u_norms) + math.prod(v_norms)) * dsum * sup
-            diffs.append(dnum / dden if dden > 0 else 0.0)
-            diff_active.append(active_in_band(Ddiff, phihat, inst["tol_diff"]))
-        sweep_rows.append({"t": t, "ratios": ratios, "active_modes": active})
-        diff_rows.append({"t": t, "ratios": diffs, "active_modes": diff_active})
-
-    # u = v makes the difference numerator identically zero: the spectra
-    # cancel exactly before any pairing.
-    Du0, phihat0 = instances[0]["Du"], instances[0]["phi"]
-    zero = Spectrum(Du0.grid, Du0.coeffs - Du0.coeffs)
-    zero_num = abs(pair_spectra(dilate_dyadic(zero, cfg.t_min), phihat0))
-    return sweep_rows, diff_rows, zero_num, det_n
-
-
-def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
-    """Distributional Jacobian (``order`` 1) or Hessian (``order`` 2)
-    pairing ratios with ``s = order (1 - 1/d)``.
-
-    Plain ratio ``|<det D^order u, phi>| / (prod_k ||u_k||_{L^{p_k}_s}
-    ||D^order phi||_inf)`` plus the relative difference form, both across
-    the dilation sweep.  Both always run the pointwise ``det`` route.
-    """
     started = time.perf_counter()
     kind = ("jacobian", "hessian")[order - 1]
     if cfg.strategy != "direct":
@@ -538,23 +459,73 @@ def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
         raise ValueError(f"need one exponent per {('component', 'slot')[order - 1]}")
     if cfg.d < 2:
         raise ValueError("needs dimension >= 2")
-    s = order - order / cfg.d
-    sweep_rows, diff_rows, zero_num, det_n = _estimate_sweep(cfg, s, order)
-    passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR) and zero_num == 0.0
-    return _finish(
-        cfg,
-        kind,
-        sweep_rows,
-        {"sweep_max_over_base": OSCILLATION_FACTOR},
-        passed,
-        started,
-        extra={
-            "s": s,
-            "difference_sweep": diff_rows,
-            "u_equals_v_numerator": zero_num,
-            "det_n": det_n,
-        },
-    )
+    d = cfg.d
+    s = order - order / d
+    det_n = _sweep_det_n(d, cfg.n)
+    components = d if order == 1 else 1
+
+    def det_spectrum(specs: list[Spectrum]) -> Spectrum:
+        if order == 1:
+            return dft_forward(jacobian_det_pointwise(specs, det_n))
+        return dft_forward(hessian_det_pointwise(specs[0], det_n))
+
+    instances = []
+    for fields, phi in _draw(cfg, 2 * components, test_function=True):
+        us, vs = fields[:components], fields[components:]
+        u_specs = [dft_forward(u) for u in us]
+        Du = det_spectrum(u_specs)
+        v_specs = [dft_forward(v) for v in vs]
+        Dv = det_spectrum(v_specs)
+        spectra = [
+            u_specs,
+            v_specs,
+            [dft_forward(Field(cfg.grid, u.samples - v.samples)) for u, v in zip(us, vs)],
+        ]
+        phihat = dft_forward(phi)
+        Ddiff = Spectrum(Du.grid, Du.coeffs - Dv.coeffs)
+        instances.append(
+            {
+                # The u, v and difference spectrum of every norm slot.
+                "slots": [specs[j % components] for specs in spectra for j in range(d)],
+                "Du": Du,
+                "Ddiff": Ddiff,
+                "tol_u": noise_floor(Du),
+                "tol_diff": noise_floor(Ddiff),
+                "phi": phihat,
+                "sup": grad_sup_norms(phihat, order),
+            }
+        )
+    diff_rows = []
+
+    def step(t: int) -> dict:
+        amp = float(2 ** (order * d * t))
+        slots = [dilate_dyadic(sp, t) for inst in instances for sp in inst["slots"]]
+        norms = bessel_norms(slots, list(cfg.p) * (3 * len(instances)), s)
+        rows = [norms[j : j + d] for j in range(0, len(norms), d)]
+        ratios, diffs, active, diff_active = [], [], [], []
+        for i, inst in enumerate(instances):
+            phihat, sup = inst["phi"], inst["sup"]
+            u_norms, v_norms, deltas = rows[3 * i : 3 * i + 3]
+            Du, Ddiff = dilate_dyadic(inst["Du"], t), dilate_dyadic(inst["Ddiff"], t)
+            num = amp * abs(pair_spectra(Du, phihat))
+            ratios.append(_ratio(num, math.prod(u_norms) * sup))
+            active.append(active_in_band(Du, phihat, inst["tol_u"]))
+            dnum = amp * abs(pair_spectra(Ddiff, phihat))
+            dsum = sum(deltas[j] / (u_norms[j] + v_norms[j]) for j in range(d))
+            dden = (math.prod(u_norms) + math.prod(v_norms)) * dsum * sup
+            diffs.append(_ratio(dnum, dden))
+            diff_active.append(active_in_band(Ddiff, phihat, inst["tol_diff"]))
+        diff_rows.append({"t": t, "ratios": diffs, "active_modes": diff_active})
+        return {"ratios": ratios, "active_modes": active}
+
+    # u = v makes the difference numerator identically zero: the spectra
+    # cancel exactly before any pairing.
+    Du0, phihat0 = instances[0]["Du"], instances[0]["phi"]
+    zero = Spectrum(Du0.grid, Du0.coeffs - Du0.coeffs)
+    zero_num = abs(pair_spectra(dilate_dyadic(zero, cfg.t_min), phihat0))
+    extra = {"s": s, "difference_sweep": diff_rows,
+             "u_equals_v_numerator": zero_num, "det_n": det_n}
+    return _scan(cfg, kind, started, step, extra, holds=zero_num == 0.0)
 
 
 def jacobian_estimate(cfg: ExperimentConfig) -> ReportRecord:

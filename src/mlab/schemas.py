@@ -40,7 +40,7 @@ CONFIG_SCHEMA = {
         "k": {"type": ["integer", "null"], "minimum": 0},
         "gamma": {"type": "number", "minimum": 0},
         "cutoff": {"type": ["number", "null"], "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "family": {"type": "integer", "minimum": 1},
         "t_min": {"type": "integer", "minimum": 0},
         "t_max": {"type": "integer", "minimum": 0},

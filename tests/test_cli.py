@@ -56,10 +56,14 @@ class TestVerifyIdentities:
          "riesz_product component 0 out of range 1..2"),
         (["boundedness-scan", "--grid", "2x8", "--symbol", "riesz_product:3,1", "--out", "{out}"],
          "riesz_product component 3 out of range 1..2"),
+        (["boundedness-scan", "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
+        (["boundedness-scan", "--config", "{negative_seed}", "--out", "{out}"],
+         "does not match schema at $.seed"),
+        (["boundedness-scan", "--grid", "0x8", "--out", "{out}"], "dimension d must be >= 1"),
     ],
     ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
          "dims-unchecked", "experiment-of-another-command", "riesz-component-0",
-         "riesz-component-above-d"],
+         "riesz-component-above-d", "seed-negative", "config-seed-negative", "grid-d-0"],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # Each of these once crashed with a traceback, checked nothing and
@@ -74,8 +78,14 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
         "experiment": "jacobian", "d": 2, "n": 8, "symbol": "det_norm:1",
         "p": [2.0, 2.0], "r": 1.0, "family": 1, "t_max": 0,
     }))
+    negative_seed = tmp_path / "negative_seed.json"
+    negative_seed.write_text(json.dumps({
+        "experiment": "boundedness", "d": 2, "n": 8, "symbol": "det_norm:1",
+        "p": [2.0, 2.0], "r": 1.0, "seed": -1,
+    }))
     files = {"{garbage}": str(garbage), "{empty}": str(empty),
-             "{jacobian}": str(jacobian), "{out}": str(out)}
+             "{jacobian}": str(jacobian), "{negative_seed}": str(negative_seed),
+             "{out}": str(out)}
     argv = [files.get(a, a) for a in argv]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
@@ -320,26 +330,20 @@ class TestScanCommands:
 
 
 class TestDecompose:
-    def test_json_and_files(self, capsys, tmp_path):
-        prefix = tmp_path / "expansion"
-        code = run_cli([
-            "decompose-symbol", "--symbol", "det_norm:1", "--d", "2",
-            "--out", str(prefix),
-        ])
+    def test_json_and_files(self, capsys):
+        code = run_cli(["decompose-symbol", "--symbol", "det_norm:1", "--d", "2"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["symbol"] == "norm[det,1.0]"
         assert payload["rank"] == 2
         assert payload["n_angular"] == 32
         assert len(payload["coefficient_moduli"]) == 2
-        assert prefix.with_suffix(".json").exists()
-        assert prefix.with_suffix(".npy").exists()
 
     def test_unknown_symbol(self, capsys):
         code = run_cli(["decompose-symbol", "--symbol", "nope"])
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--radial", "--rank", "--angular"])
+    @pytest.mark.parametrize("flag", ["--radial", "--rank", "--angular", "--out"])
     def test_radial_flag_removed(self, capsys, flag):
         code = run_cli(["decompose-symbol", "--symbol", "det_norm:1", flag, "16"])
         assert code == 1

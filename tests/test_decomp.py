@@ -1,6 +1,5 @@
 """Dyadic partition of unity and separable symbol expansions."""
 
-import json
 import math
 import time
 
@@ -14,7 +13,6 @@ from mlab import (
     build_annulus_grid,
     dft_forward,
     evaluate,
-    load_expansion,
     localize,
     normalized_power_symbol,
     det_symbol,
@@ -24,7 +22,6 @@ from mlab import (
     psi_profile,
     resolve_symbol,
     riesz_factor,
-    save_expansion,
     separable_expand,
     spectrum_from_modes,
 )
@@ -286,57 +283,6 @@ class TestSeparableExpansion:
 
         with pytest.raises(ValueError):
             separable_expand(power_symbol(det_symbol(2), 1))
-
-    def test_save_load_round_trip(self, tmp_path):
-        sym = normalized_power_symbol(det_symbol(2), 1.0)
-        exp = separable_expand(sym)
-        save_expansion(exp, tmp_path / "exp")
-        back = load_expansion(tmp_path / "exp")
-        assert back.m == exp.m and back.d == exp.d and back.rank == exp.rank
-        assert np.array_equal(back.coeffs, exp.coeffs)
-        for j in range(exp.m):
-            assert np.array_equal(back.factors[j], exp.factors[j])
-        pts = np.array([[1.0, 1.0], [2.0, -1.0]])
-        assert np.array_equal(back.factor_values(0, pts), exp.factor_values(0, pts))
-
-    def test_save_load_round_trip_three_slots(self, tmp_path):
-        exp = separable_expand(resolve_symbol("riesz_product:1,2,1", 2))
-        assert exp.m == 3
-        json_path, npy_path = save_expansion(exp, tmp_path / "new" / "exp")
-        assert json_path.exists() and npy_path.suffix == ".npy"
-        back = load_expansion(tmp_path / "new" / "exp")
-        assert back.grid.n_points == exp.grid.n_points
-        assert np.array_equal(back.coeffs, exp.coeffs)
-        assert np.array_equal(back.spectrum, exp.spectrum)
-        for j in range(exp.m):
-            assert np.array_equal(back.factors[j], exp.factors[j])
-
-    @pytest.mark.parametrize(
-        "tables",
-        [
-            lambda t: t[:, :, :-1],
-            lambda t: t[:1],
-            lambda t: t.real.copy(),
-            lambda t: t.astype(np.complex64),
-        ],
-        ids=["angular", "slots", "real", "complex64"],
-    )
-    def test_load_rejects_mismatched_tables(self, tmp_path, tables):
-        sym = normalized_power_symbol(det_symbol(2), 1.0)
-        _, npy_path = save_expansion(separable_expand(sym), tmp_path / "exp")
-        np.save(npy_path, tables(np.load(npy_path)))
-        with pytest.raises(ValueError, match="factor tables"):
-            load_expansion(tmp_path / "exp")
-
-    def test_load_rejects_old_format(self, tmp_path):
-        sym = normalized_power_symbol(det_symbol(2), 1.0)
-        save_expansion(separable_expand(sym), tmp_path / "exp")
-        header_path = tmp_path / "exp.json"
-        header = json.loads(header_path.read_text())
-        header["format"] = "mlab-expansion-2"
-        header_path.write_text(json.dumps(header))
-        with pytest.raises(ValueError, match="mlab-expansion-2"):
-            load_expansion(tmp_path / "exp")
 
 
 def _angle_formula(exp: SeparableExpansion, slot: int, pts: np.ndarray) -> np.ndarray:

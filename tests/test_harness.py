@@ -216,6 +216,17 @@ class TestExperimentConfig:
                 t_min=3, t_max=1,
             )
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"seed": -1}, "seed must be >= 0"),
+         ({"d": 0, "p": (), "r": 1.0}, "dimension d must be >= 1")],
+    )
+    def test_rejects_negative_seed_and_zero_dimension(self, changes, message):
+        # d is checked first: with d = 0 the CLI's default exponents are empty.
+        payload = dict(experiment="x", d=2, n=8, symbol="det", p=(2.0, 2.0), r=1.0)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{**payload, **changes})
+
     def test_hash_ignores_out_dir(self):
         a = ExperimentConfig(
             experiment="x", d=2, n=8, symbol="det", p=(2.0, 2.0), r=1.0,

@@ -1,6 +1,7 @@
 """Modules of the package meet only through each other's public names,
-only ``grid`` multiplies a spectrum's coefficients, and ``symbols``
-depends on no ``mlab`` module but ``polyfield``."""
+only ``grid`` multiplies a spectrum's coefficients, ``symbols`` depends on
+no ``mlab`` module but ``polyfield``, and the harness sweeps the dilation
+range in one place."""
 
 import ast
 from pathlib import Path
@@ -123,3 +124,36 @@ def test_checker_sees_a_multiplier_product(tmp_path):
         "h = exp.coeffs[0] + 2 * len(s.coeffs)\n"
     )
     assert _multiplier_spectra(bad) == [1, 2, 5, 6, 7, 8]
+
+
+_SWEEP_RANGE = "range(cfg.t_min, cfg.t_max + 1)"
+
+
+def _sweep_loops(path: Path) -> list[int]:
+    """Lines of the ``for`` loops and comprehensions over the dilation
+    range ``range(cfg.t_min, cfg.t_max + 1)``."""
+    return sorted(
+        node.iter.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.For, ast.comprehension))
+        and ast.unparse(node.iter) == _SWEEP_RANGE
+    )
+
+
+def test_harness_sweeps_the_dilation_range_once():
+    # One driver runs every scan's sweep; a scan contributes its step only.
+    assert len(_sweep_loops(ROOT / "src" / "mlab" / "harness.py")) == 1
+
+
+def test_checker_sees_a_sweep_loop(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "for t in range(cfg.t_min, cfg.t_max + 1):\n"
+        "    pass\n"
+        "rows = [step(t) for t in range(cfg.t_min, cfg.t_max + 1)]\n"
+        "top = max(x for t in range(cfg.t_min, cfg.t_max + 1) for x in f(t))\n"
+        "for t in range(cfg.t_max + 1):\n"
+        "    pass\n"
+        "steps = list(range(cfg.t_min, cfg.t_max + 1))\n"
+    )
+    assert _sweep_loops(bad) == [1, 3, 4]

@@ -1,6 +1,7 @@
 """Scripts are thin wrappers around the CLI entry point."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -32,17 +33,17 @@ def test_script_imports_only_run_cli(path):
     assert _mlab_imports(path) == {"mlab.cli.run_cli"}
 
 
-def test_decompose_symbol_script_writes_expansion(tmp_path):
+def test_decompose_symbol_script_prints_the_expansion():
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    prefix = tmp_path / "new" / "x"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "decompose_symbol.py"), "--out", str(prefix)],
+        [sys.executable, str(ROOT / "scripts" / "decompose_symbol.py")],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert prefix.with_suffix(".json").exists()
-    assert prefix.with_suffix(".npy").exists()
+    payload = json.loads(proc.stdout)
+    assert payload["symbol"] == "norm[det,1.0]"
+    assert payload["rank"] == 2
