@@ -65,7 +65,6 @@ from .decomp import (
     separable_expand,
 )
 from .operators import (
-    Direct,
     OperatorSpec,
     Separable,
     apply_direct,

@@ -126,8 +126,9 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
             payload["out_dir" if flag == "out" else flag] = getattr(args, flag)
 
     if "p" not in payload:
-        # m = d slots at p_j = d, so 1/r = 1.
-        payload["p"], payload["r"] = (float(payload["d"]),) * payload["d"], 1.0
+        # m = d slots at p_j = d, so 1/r = 1; for d = 1, p_1 = r = 2 (p_1 > 1).
+        d = payload["d"]
+        payload["p"], payload["r"] = ((float(d),) * d, 1.0) if d != 1 else ((2.0,), 2.0)
     if isinstance(payload.get("p"), list):
         payload["p"] = tuple(payload["p"])
     try:

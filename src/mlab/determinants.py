@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -65,13 +65,7 @@ class DetReport:
     residual: str
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "d": self.d,
-            "degree": self.degree,
-            "passed": self.passed,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def _report(identity: str, d: int, degree: int, residuals: list[PolyField]) -> DetReport:

@@ -124,7 +124,8 @@ class ExperimentConfig:
         if self.family < 1:
             raise ValueError("family size must be >= 1")
         if self.t_min > self.t_max or self.t_min < 0:
-            raise ValueError("bad dilation range")
+            raise ValueError("dilation range needs 0 <= t_min <= t_max, "
+                             f"got t_min={self.t_min}, t_max={self.t_max}")
         if self.strategy not in ("direct", "separable"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.gamma < 0:
@@ -340,15 +341,16 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     if cfg.k is not None:
         raise ValueError("the boundedness scan takes no derivative order k")
     sym = resolve_symbol(cfg.symbol, cfg.d, m=cfg.m)
-    op, extra = OperatorSpec(sym, cfg.m), {}
+    strategy, extra = None, {}
     if cfg.strategy == "separable":
         exp = separable_expand(sym)
-        op = OperatorSpec(sym, cfg.m, strategy=Separable(exp))
+        strategy = Separable(exp)
         extra = {
             "rank": exp.rank,
             "n_angular": exp.grid.n_points,
             "residual": exp.residual,
         }
+    op = OperatorSpec(sym, cfg.m, strategy=strategy)
     families = [fs for fs, _ in _draw(cfg, cfg.m)]
     applied_t, base_outs = [], None
     extra["applied_t"] = applied_t
@@ -360,7 +362,7 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
             # Degree 0: T(f(2^s .)) = T(f)(2^s .), s = t - t_min.
             outs = [dilate_dyadic(out, t - cfg.t_min) for out in base_outs]
         else:
-            if isinstance(op.strategy, Separable):
+            if strategy is not None:
                 outs = [apply_operator(op, fts) for fts in batch]
             else:
                 outs = apply_direct_family(op, batch)
@@ -453,12 +455,12 @@ def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
         raise ValueError(f"{cfg.experiment} runs only the symbol 'det'")
     if cfg.k is not None:
         raise ValueError(f"{cfg.experiment} takes no derivative order k")
+    if cfg.d < 2:
+        raise ValueError(f"{kind.capitalize()} estimate needs dimension d >= 2, got {cfg.d}")
     if abs(sum(1.0 / x for x in cfg.p) - 1.0) > 1e-12:
         raise ValueError(f"{kind.capitalize()} estimate needs sum 1/p_k = 1")
     if len(cfg.p) != cfg.d:
         raise ValueError(f"need one exponent per {('component', 'slot')[order - 1]}")
-    if cfg.d < 2:
-        raise ValueError("needs dimension >= 2")
     d = cfg.d
     s = order - order / d
     det_n = _sweep_det_n(d, cfg.n)

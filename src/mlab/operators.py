@@ -37,7 +37,7 @@ function by moving the output frequency onto it: a sum over multi-indices
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from .symbols import SymbolSpec, evaluate
 
 __all__ = [
     "enumeration_budget",
-    "Direct",
     "Separable",
     "OperatorSpec",
     "apply_direct",
@@ -81,11 +80,6 @@ _CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
-class Direct:
-    """Exhaustive enumeration strategy."""
-
-
-@dataclass(frozen=True)
 class Separable:
     """Angular separable expansion fast path."""
 
@@ -94,11 +88,11 @@ class Separable:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A multiplier operator: symbol, arity, strategy, output padding."""
+    """A multiplier operator: symbol, arity, strategy (None: direct), output padding."""
 
     symbol: SymbolSpec
     m: int
-    strategy: Direct | Separable = field(default_factory=Direct)
+    strategy: Separable | None = None
     pad_factor: int | None = None
 
     def __post_init__(self) -> None:

@@ -11,6 +11,7 @@ polynomial or the identity fails, no tolerances involved.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
@@ -163,15 +164,20 @@ def poly_det(matrix: list[list[_Entry]]) -> _Entry:
 
     Expands along the first row, recursively: ``9`` entry products for
     ``n = 3`` and ``40`` for ``n = 4``, against ``n! n`` for the Leibniz
-    sum.  The entries only need ``*``, ``+`` and ``-``: exact
+    sum.  The entries only need ``*``, ``+=`` and ``-=``: exact
     :class:`PolyField` polynomials, numbers, or sample arrays, which gives
     a pointwise determinant over a grid without stacking the entries.
+    Each sum accumulates in place into its first term, a fresh product, so
+    array entries keep one dtype and one broadcast shape per column.  No
+    entry is ever written, and ``n = 1`` returns a copy of its entry.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
+    if n == 1:
+        return copy(matrix[0][0])
     return _laplace(matrix, 0, tuple(range(n)))
 
 
@@ -179,13 +185,11 @@ def _laplace(matrix: list[list[_Entry]], row: int, cols: tuple[int, ...]) -> _En
     """Minor of ``matrix`` on rows ``row..`` and columns ``cols``."""
     if len(cols) == 1:
         return matrix[row][cols[0]]
-    out = None
-    for k, c in enumerate(cols):
-        term = matrix[row][c] * _laplace(matrix, row + 1, cols[:k] + cols[k + 1 :])
-        if out is None:
-            out = term
-        elif k % 2:
-            out = out - term
+    out = matrix[row][cols[0]] * _laplace(matrix, row + 1, cols[1:])
+    for k in range(1, len(cols)):
+        term = matrix[row][cols[k]] * _laplace(matrix, row + 1, cols[:k] + cols[k + 1 :])
+        if k % 2:
+            out -= term
         else:
-            out = out + term
+            out += term
     return out

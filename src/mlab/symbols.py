@@ -16,14 +16,13 @@ the symbol itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .polyfield import perm_sign
+from .polyfield import poly_det
 
 __all__ = [
     "SymbolSpec",
@@ -143,28 +142,15 @@ def evaluate(sym: SymbolSpec, xis: Sequence[np.ndarray]) -> np.ndarray:
 def det_symbol(d: int) -> SymbolSpec:
     """``det(xi_1, ..., xi_d)``, the matrix having the ``xi_j`` as columns.
 
-    Evaluated by Leibniz expansion rather than a factorization: on integer
-    frequency tuples every product and partial sum is exact in float64, so
-    the symbol is exactly alternating there.
+    Evaluated by the cofactor expansion :func:`poly_det` rather than a
+    factorization: on integer frequency tuples every product and partial
+    sum is exact in float64, so the symbol is exactly alternating there.
+    Column ``j`` is block ``j``: one dtype and broadcast shape, as the
+    in-place sums of ``poly_det`` need.  The value is never a view.
     """
-    perms = list(itertools.permutations(range(d)))
-    signs = [perm_sign(p) for p in perms]
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
-        out = None
-        for sign, p in zip(signs, perms):
-            term = blocks[0][..., p[0]]
-            for col in range(1, d):
-                term = term * blocks[col][..., p[col]]
-            if out is None:
-                # The identity comes first, with sign +1; for d >= 2 its
-                # term is a fresh product of every block's broadcast shape.
-                out = term if d > 1 else term.copy()
-            elif sign > 0:
-                out += term
-            else:
-                out -= term
-        return out
+        return poly_det([[b[..., row] for b in blocks] for row in range(d)])
 
     return SymbolSpec(m=d, d=d, evaluator=ev, name="det")
 

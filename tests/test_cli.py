@@ -60,10 +60,13 @@ class TestVerifyIdentities:
         (["boundedness-scan", "--config", "{negative_seed}", "--out", "{out}"],
          "does not match schema at $.seed"),
         (["boundedness-scan", "--grid", "0x8", "--out", "{out}"], "dimension d must be >= 1"),
+        (["boundedness-scan", "--t-min", "5", "--out", "{out}"],
+         "dilation range needs 0 <= t_min <= t_max, got t_min=5, t_max=3"),
     ],
     ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
          "dims-unchecked", "experiment-of-another-command", "riesz-component-0",
-         "riesz-component-above-d", "seed-negative", "config-seed-negative", "grid-d-0"],
+         "riesz-component-above-d", "seed-negative", "config-seed-negative", "grid-d-0",
+         "t-min-above-t-max"],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # Each of these once crashed with a traceback, checked nothing and
@@ -169,6 +172,33 @@ class TestScanCommands:
         )
         assert rec["kind"] == "jacobian"
         assert rec["extra"]["u_equals_v_numerator"] == 0.0
+
+    @pytest.mark.parametrize("command, experiment, symbol",
+                             [("boundedness-scan", "boundedness", "det_norm:1"),
+                              ("thm3-scan", "thm3", "det")])
+    def test_one_dimensional_grid_runs_on_default_exponents(self, tmp_path, command,
+                                                            experiment, symbol):
+        # --grid 1xN once took p_1 = d = 1 and was refused though no exponent
+        # was set; its defaults are now those of a config with p = [2.0], r = 2.0.
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": experiment, "d": 1, "n": 8, "symbol": symbol, "p": [2.0], "r": 2.0,
+        }))
+        records = []
+        for how in (["--grid", "1x8"], ["--config", str(cfgfile)]):
+            out = tmp_path / how[0][2:]
+            assert run_cli([command, *how, "--out", str(out)]) == 0
+            records.append(json.loads((out / experiment / "records.jsonl").read_text()))
+            validate_record(records[-1])
+        assert records[0]["config_hash"] == records[1]["config_hash"]
+
+    @pytest.mark.parametrize("command, kind",
+                             [("jacobian-estimate", "Jacobian"), ("hessian-estimate", "Hessian")])
+    def test_one_dimensional_estimate_names_the_dimension(self, capsys, tmp_path, command, kind):
+        code = run_cli([command, "--grid", "1x8", "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{kind} estimate needs dimension d >= 2, got 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_symbol(self, capsys, tmp_path):
         code = run_cli([

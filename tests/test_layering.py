@@ -1,7 +1,7 @@
 """Modules of the package meet only through each other's public names,
 only ``grid`` multiplies a spectrum's coefficients, ``symbols`` depends on
-no ``mlab`` module but ``polyfield``, and the harness sweeps the dilation
-range in one place."""
+no ``mlab`` module but ``polyfield`` and expands ``det`` by its
+``poly_det``, and the harness sweeps the dilation range in one place."""
 
 import ast
 from pathlib import Path
@@ -42,6 +42,18 @@ def _mlab_imports(path: Path) -> set[str]:
                 names.add(parts[0])
             else:
                 names |= {a.name for a in node.names}
+    return names
+
+
+def _names_from(path: Path, module: str) -> set[str]:
+    """The names a module takes from ``module`` (matched on its last dotted
+    part), and ``module`` itself where the module is imported whole."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            names |= {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {module for a in node.names if a.name.split(".")[-1] == module}
     return names
 
 
@@ -102,6 +114,28 @@ def test_checker_sees_an_mlab_import(tmp_path):
         "from mlab import decomp\n"
     )
     assert _mlab_imports(bad) == {"errors", "spaces", "grid", "polyfield", "decomp"}
+
+
+def test_symbols_expands_det_by_poly_det_only():
+    # One determinant expansion serves the det symbol, the pointwise
+    # determinants and the exact identities.
+    symbols = ROOT / "src" / "mlab" / "symbols.py"
+    assert _names_from(symbols, "polyfield") == {"poly_det"}
+    assert _names_from(symbols, "itertools") == set()
+
+
+def test_checker_sees_names_taken_from_a_module(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import itertools\n"
+        "from itertools import permutations\n"
+        "from .polyfield import perm_sign, poly_det\n"
+        "from . import polyfield\n"
+        "import mlab.polyfield as pf\n"
+        "from .grid import itertools_like\n"
+    )
+    assert _names_from(bad, "itertools") == {"itertools", "permutations"}
+    assert _names_from(bad, "polyfield") == {"perm_sign", "poly_det", "polyfield"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],

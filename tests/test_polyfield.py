@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +39,17 @@ def _rand_poly(
         c = num if kind == "int" else Fraction(num, abs(den_raw) % 5 + 1)
         terms[expo] = terms.get(expo, 0) + c
     return PolyField(d, terms)
+
+
+def _leibniz_sum(mat: list[list], zero):
+    """``sum_perm sign(perm) prod_i mat[i][perm[i]]``, from ``zero`` up."""
+    total = zero
+    for perm in permutations(range(len(mat))):
+        term = mat[0][perm[0]]
+        for i in range(1, len(mat)):
+            term = term * mat[i][perm[i]]
+        total = total + term if perm_sign_by_inversions(perm) > 0 else total - term
+    return total
 
 
 KINDS = ("int", "fraction")
@@ -195,13 +207,28 @@ class TestPolyDet:
             mat = [
                 [random_poly(2, 2, rng, terms=3) for _ in range(n)] for _ in range(n)
             ]
-            want = poly_zero(2)
-            for perm in permutations(range(n)):
-                term = poly_const(2, perm_sign_by_inversions(perm))
-                for i in range(n):
-                    term = term * mat[i][perm[i]]
-                want = want + term
-            assert poly_det(mat).terms == want.terms
+            assert poly_det(mat).terms == _leibniz_sum(mat, poly_zero(2)).terms
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_arrays_match_leibniz_sum(self, n):
+        # Column j keeps one broadcast shape, (h, 1) or (1, w), as the
+        # in-place sum needs; integer entries make every route exact.
+        rng = np.random.default_rng(190 + n)
+        shapes = [(5, 1) if j % 2 else (1, 7) for j in range(n)]
+        mat = [[rng.integers(-9, 10, size=shapes[j]) for j in range(n)] for _ in range(n)]
+        kept = [[a.copy() for a in row] for row in mat]
+        got, want = poly_det(mat), _leibniz_sum(mat, 0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        # The sum accumulates into a fresh product, never into an entry.
+        for row, old in zip(mat, kept):
+            assert all(np.array_equal(a, b) for a, b in zip(row, old))
+
+    def test_one_by_one_result_does_not_alias_its_entry(self):
+        block = np.arange(12.0).reshape(4, 3)
+        got = poly_det([[block[..., 0]]])
+        assert np.array_equal(got, block[..., 0])
+        assert not np.shares_memory(got, block)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
