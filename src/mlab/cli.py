@@ -276,10 +276,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MlabError as exc:
+    except (_UsageError, MlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -125,7 +125,6 @@ class AnnulusGrid:
     weight per node on the sphere.
     """
 
-    d: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -138,14 +137,14 @@ def build_annulus_grid(d: int) -> AnnulusGrid:
     """Starting direction set of the expansion: the signs for d = 1,
     ``_START_NODES`` angles for d = 2."""
     if d == 1:
-        return AnnulusGrid(d=1, points=np.array([[1.0], [-1.0]]), weights=np.ones(2))
+        return AnnulusGrid(points=np.array([[1.0], [-1.0]]), weights=np.ones(2))
     if d == 2:
         return _circle_grid(_START_NODES)
     raise NotImplementedError("annulus grids implemented for d <= 2")
 
 
 def _circle_grid(n: int) -> AnnulusGrid:
-    return AnnulusGrid(d=2, points=_circle_points(n), weights=np.full(n, 2.0 * math.pi / n))
+    return AnnulusGrid(points=_circle_points(n), weights=np.full(n, 2.0 * math.pi / n))
 
 
 def _circle_points(n: int, shift: float = 0.0) -> np.ndarray:

@@ -4,7 +4,7 @@ Numeric routes: the pointwise route samples spectral derivatives, each one
 ``grid.apply_multiplier`` of a component's spectrum, on a ``d``-fold padded
 grid and takes determinants sample by sample; the
 multiplier route applies the alternating symbol ``det`` (or its square) and
-rescales by a frozen convention constant.  Both are exact for trigonometric
+multiplies by the constant ``i^d`` (``i^{2d} / d!``).  Both are exact for trigonometric
 polynomials that fit the padding, so they must agree to rounding.
 
 Symbolic routes: the divergence-form identities behind the distributional
@@ -154,10 +154,9 @@ def hessian_det_pointwise(u: Field | Spectrum, n_out: int | None = None) -> Fiel
 def jacobian_det_fourier(us: list[Field]) -> Field:
     """Jacobian determinant through the alternating multiplier.
 
-    ``det grad u = (i 2 pi / period)^d T_det(u_1, ..., u_d)`` where ``T_det``
-    carries the symbol ``det(xi_1, ..., xi_d)``.  The constant is frozen by
-    calibration on single-mode inputs and covered by the route-agreement
-    tests.
+    ``det grad u = i^d T_det(u_1, ..., u_d)`` where ``T_det`` carries the
+    symbol ``det(xi_1, ..., xi_d)``.  The constant is frozen by calibration
+    on single-mode inputs and covered by the route-agreement tests.
     """
     grid = common_grid(us)
     d = grid.d
@@ -167,14 +166,13 @@ def jacobian_det_fourier(us: list[Field]) -> Field:
         raise ValueError(f"need {d} components, got {len(us)}")
     op = OperatorSpec(det_symbol(d), d)
     T = apply_direct(op, us)
-    c = (1j * grid.kscale) ** d
-    return Field(T.grid, c * T.samples)
+    return Field(T.grid, 1j**d * T.samples)
 
 
 def hessian_det_fourier(u: Field) -> Field:
     """Hessian determinant through the squared alternating multiplier.
 
-    ``det grad^2 u = (i 2 pi / period)^{2d} / d! T_{det^2}(u, ..., u)``:
+    ``det grad^2 u = i^{2d} / d! T_{det^2}(u, ..., u)``:
     symmetrizing the permutation expansion of the Hessian determinant over
     the orderings of the ``d`` identical inputs turns the mixed product of
     frequency components into ``det(xi_1, ..., xi_d)^2 / d!``.
@@ -184,8 +182,7 @@ def hessian_det_fourier(u: Field) -> Field:
         raise ValueError("needs dimension >= 2")
     op = OperatorSpec(power_symbol(det_symbol(d), 2), d)
     T = apply_direct(op, [u] * d)
-    c = (1j * u.grid.kscale) ** (2 * d) / math.factorial(d)
-    return Field(T.grid, c * T.samples)
+    return Field(T.grid, 1j ** (2 * d) / math.factorial(d) * T.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Conventions, fixed once for the whole library:
 
-* grid points ``x_p = period * p / n`` with ``p`` in ``{0, ..., n-1}^d``,
-* forward transform ``coeffs(xi) = n^-d sum_p f(x_p) exp(-i (2 pi / period) xi . x_p)``,
-* inverse transform ``f(x_p) = sum_xi coeffs(xi) exp(+i (2 pi / period) xi . x_p)``,
+* one torus ``[0, 2 pi)^d``, whose length is ``TWO_PI``,
+* grid points ``x_p = 2 pi p / n`` with ``p`` in ``{0, ..., n-1}^d``,
+* forward transform ``coeffs(xi) = n^-d sum_p f(x_p) exp(-i xi . x_p)``,
+* inverse transform ``f(x_p) = sum_xi coeffs(xi) exp(+i xi . x_p)``,
 * integer frequencies ``xi`` with components in ``[-n/2, n/2)``.
 
-A grid with dyadic exponent ``t > 0`` holds one cell ``[0, period / 2^t)^d``
+A grid with dyadic exponent ``t > 0`` holds one cell ``[0, 2 pi / 2^t)^d``
 of a field that repeats ``2^t`` times per period and axis, such as
 ``f(2^t x)``: nodes ``x_p / 2^t``, frequencies ``2^t xi``.  Transforms, norms
 and pairings read the cell alone; the ``2^t n`` grid is never built.
@@ -83,14 +84,13 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on ``[0, period)^d``, ``n`` points per axis, ``n``
-    a power of two; with dyadic exponent ``t``, one cell ``[0, period /
+    """Uniform periodic grid on ``[0, 2 pi)^d``, ``n`` points per axis, ``n``
+    a power of two; with dyadic exponent ``t``, one cell ``[0, 2 pi /
     2^t)^d`` of it, whose integer frequency at FFT index ``k`` is ``2^t k``.
     Frequencies are int64, so ``n 2^t`` must stay below ``2^63``."""
 
     d: int
     n: int
-    period: float = TWO_PI
     t: int = 0
 
     def __post_init__(self) -> None:
@@ -98,8 +98,6 @@ class GridSpec:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.n < 4 or not _is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two >= 4, got {self.n}")
-        if not (self.period > 0.0 and math.isfinite(self.period)):
-            raise ValueError(f"period must be positive and finite, got {self.period}")
         if self.t < 0:
             raise ValueError(f"dyadic exponent must be >= 0, got {self.t}")
         if self.n << self.t >= 1 << 63:
@@ -115,15 +113,10 @@ class GridSpec:
 
     @property
     def spacing(self) -> float:
-        return self.period / (self.n << self.t)
-
-    @property
-    def kscale(self) -> float:
-        """Physical wavenumber per integer frequency unit, ``2 pi / period``."""
-        return TWO_PI / self.period
+        return TWO_PI / (self.n << self.t)
 
     def axis_points(self) -> np.ndarray:
-        return self.period * np.arange(self.n) / (self.n << self.t)
+        return TWO_PI * np.arange(self.n) / (self.n << self.t)
 
     def freqs(self) -> np.ndarray:
         """Integer frequencies along one axis in FFT storage order."""
@@ -142,11 +135,11 @@ class GridSpec:
         return np.sqrt(sum(m.astype(np.float64) ** 2 for m in mesh))
 
     def with_n(self, n: int) -> "GridSpec":
-        return GridSpec(self.d, n, self.period, self.t)
+        return GridSpec(self.d, n, t=self.t)
 
     def dilated(self, t: int) -> "GridSpec":
         """The grid of the fields on this one dilated by ``2^t``."""
-        return GridSpec(self.d, self.n, self.period, self.t + t)
+        return GridSpec(self.d, self.n, t=self.t + t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,20 +148,12 @@ class Field:
 
     grid: GridSpec
     samples: np.ndarray
-    is_real: bool = False
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=np.complex128)
         if arr.shape != self.grid.shape:
             raise ValueError(f"samples shape {arr.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "samples", arr)
-        if self.is_real:
-            scale = float(np.max(np.abs(arr))) or 1.0
-            if float(np.max(np.abs(arr.imag))) > 1e-12 * scale:
-                raise ValueError("field flagged real has non-negligible imaginary part")
-
-    def real_samples(self) -> np.ndarray:
-        return self.samples.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,13 +171,13 @@ class Spectrum:
 
 
 def dft_forward(f: Field) -> Spectrum:
-    """Forward transform, ``coeffs(xi) = n^-d sum_p f(x_p) e^{-i k xi . x_p}``."""
+    """Forward transform, ``coeffs(xi) = n^-d sum_p f(x_p) e^{-i xi . x_p}``."""
     return Spectrum(f.grid, np.fft.fftn(f.samples) / f.grid.npoints)
 
 
-def dft_inverse(s: Spectrum, is_real: bool = False) -> Field:
+def dft_inverse(s: Spectrum) -> Field:
     """Inverse transform; exact round trip with :func:`dft_forward`."""
-    return Field(s.grid, np.fft.ifftn(s.coeffs) * s.grid.npoints, is_real=is_real)
+    return Field(s.grid, np.fft.ifftn(s.coeffs) * s.grid.npoints)
 
 
 def as_spectrum(x: Field | Spectrum) -> Spectrum:
@@ -259,25 +244,23 @@ def spectrum_from_modes(grid: GridSpec, modes: dict[tuple[int, ...], complex]) -
     return Spectrum(grid, coeffs)
 
 
-def field_from_modes(
-    grid: GridSpec, modes: dict[tuple[int, ...], complex], is_real: bool = False
-) -> Field:
-    return dft_inverse(spectrum_from_modes(grid, modes), is_real=is_real)
+def field_from_modes(grid: GridSpec, modes: dict[tuple[int, ...], complex]) -> Field:
+    return dft_inverse(spectrum_from_modes(grid, modes))
 
 
 def derivative_multiplier(grid: GridSpec, alpha: tuple[int, ...]) -> np.ndarray:
     """Fourier multiplier of the partial derivative ``d^alpha``.
 
-    The product, in axis order, of ``alpha_a`` factors ``i (2 pi / period)
-    xi_a`` per axis, each with the Nyquist row ``xi_a = -2^t n/2`` zeroed so
-    that derivatives of real fields stay real; all ones for ``alpha = 0``.
+    The product, in axis order, of ``alpha_a`` factors ``i xi_a`` per axis,
+    each with the Nyquist row ``xi_a = -2^t n/2`` zeroed so that derivatives
+    of real fields stay real; all ones for ``alpha = 0``.
     Each factor has length ``n`` along its axis and 1 elsewhere, so the
     product broadcasts against a spectrum.
     """
     if len(alpha) != grid.d or any(a < 0 for a in alpha):
         raise ValueError(f"multi-index {alpha} invalid for d={grid.d}")
     f = grid.freqs()
-    factor = 1j * grid.kscale * f.astype(np.float64)
+    factor = 1j * f.astype(np.float64)
     factor[f == -(grid.n // 2 << grid.t)] = 0.0
     factors = [factor.reshape((1,) * axis + (grid.n,) + (1,) * (grid.d - axis - 1))
                for axis, reps in enumerate(alpha) for _ in range(reps)]
@@ -294,21 +277,20 @@ def apply_multiplier(s: Spectrum, mult: np.ndarray, n_out: int | None = None) ->
 
 def multiplier_l2_norm(s: Spectrum, mult: np.ndarray) -> float:
     """``L^2`` norm of ``apply_multiplier(s, mult)`` by discrete Parseval,
-    ``sqrt(period^d sum_xi |mult(xi) shat(xi)|^2)``.
+    ``sqrt((2 pi)^d sum_xi |mult(xi) shat(xi)|^2)``.
 
     Equal to rounding to the cell quadrature of the inverted field, on a
     dilated grid too, where dilation moves neither samples nor coefficients;
     no inverse transform runs and ``np.vdot`` forms no ``|.|^2`` temporary.
     """
     weighted = s.coeffs * mult
-    return math.sqrt(s.grid.period**s.grid.d * np.vdot(weighted, weighted).real)
+    return math.sqrt(TWO_PI**s.grid.d * np.vdot(weighted, weighted).real)
 
 
 def spectral_derivative(f: Field, alpha: tuple[int, ...]) -> Field:
     """Partial derivative ``d^alpha f`` by Fourier multiplication with
-    :func:`derivative_multiplier`; a real field stays flagged real."""
-    out = apply_multiplier(dft_forward(f), derivative_multiplier(f.grid, alpha))
-    return Field(f.grid, out.samples, is_real=f.is_real)
+    :func:`derivative_multiplier`."""
+    return apply_multiplier(dft_forward(f), derivative_multiplier(f.grid, alpha))
 
 
 def _axis_index_map(n_old: int, n_new: int, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -368,9 +350,8 @@ def padded_inverse(s: Spectrum, n_new: int) -> Field:
 def regrid_field(f: Field, n_new: int) -> Field:
     """Spectral resampling of a field onto an ``n_new`` grid.
 
-    The result is not flagged real even when the input is: with the one-sided
-    Nyquist convention the trigonometric interpolant of a real sample set can
-    be complex between the coarse nodes.
+    With the one-sided Nyquist convention the trigonometric interpolant of a
+    real sample set can be complex between the coarse nodes.
     """
     return padded_inverse(dft_forward(f), n_new)
 
@@ -425,11 +406,11 @@ def dealiased_product(fields: list[Field], pad_factor: int) -> Field:
 
 def pair(f: Field, g: Field) -> complex:
     """Pairing ``int f g`` without conjugation: on a common grid the cell
-    quadrature ``(period/n)^d sum_p f(x_p) g(x_p)``, on two grids of one
+    quadrature ``(2 pi/n)^d sum_p f(x_p) g(x_p)``, on two grids of one
     torus (a dilated and an undilated one) :func:`pair_spectra`."""
     if f.grid != g.grid:
         return pair_spectra(dft_forward(f), dft_forward(g))
-    w = (f.grid.period / f.grid.n) ** f.grid.d
+    w = (TWO_PI / f.grid.n) ** f.grid.d
     return complex(w * np.sum(f.samples * g.samples))
 
 
@@ -437,20 +418,20 @@ def _band_block(a: Spectrum, b: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients of ``a`` at the ``xi`` with ``-xi`` in the band of
     ``b``, and those of ``b`` at ``-xi``, entry for entry, gathered per axis
     with ``np.ix_``; ``a.grid.t >= b.grid.t``, and ``xi = 0`` comes first."""
-    if a.grid.d != b.grid.d or a.grid.period != b.grid.period:
-        raise GridMismatchError("pairing needs two grids of the same torus")
+    if a.grid.d != b.grid.d:
+        raise GridMismatchError("pairing needs two grids of the same dimension")
     a_idx, b_idx = _axis_index_map(a.grid.n, b.grid.n, scale=-(1 << (a.grid.t - b.grid.t)))
     d = a.grid.d
     return a.coeffs[np.ix_(*([a_idx] * d))], b.coeffs[np.ix_(*([b_idx] * d))]
 
 
 def pair_spectra(a: Spectrum, b: Spectrum) -> complex:
-    """``period^d sum_xi ahat(xi) bhat(-xi)`` over the ``xi`` in both bands:
+    """``(2 pi)^d sum_xi ahat(xi) bhat(-xi)`` over the ``xi`` in both bands:
     the exact pairing of two trigonometric polynomials on one torus."""
     if a.grid.t < b.grid.t:
         a, b = b, a
     a_block, b_block = _band_block(a, b)
-    return complex(a.grid.period**a.grid.d * np.sum(a_block * b_block))
+    return complex(TWO_PI**a.grid.d * np.sum(a_block * b_block))
 
 
 def active_in_band(a: Spectrum, b: Spectrum, tol: float) -> int:
@@ -475,4 +456,4 @@ def dilate_dyadic(x: Field | Spectrum, t: int) -> Field | Spectrum:
         raise ValueError(f"dilation exponent must be >= 0, got {t}")
     if isinstance(x, Spectrum):
         return Spectrum(x.grid.dilated(t), x.coeffs)
-    return Field(x.grid.dilated(t), x.samples, is_real=x.is_real)
+    return Field(x.grid.dilated(t), x.samples)

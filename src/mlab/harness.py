@@ -81,6 +81,9 @@ __all__ = [
 
 INVARIANCE_TOLERANCE = 1.0 + 1e-10
 OSCILLATION_FACTOR = 4.0
+# Coefficient decay of every random input field; test functions decay by
+# two orders more.
+DECAY = 2.0
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,7 @@ class ExperimentConfig:
     symbol: str
     p: tuple[float, ...]
     r: float
-    period: float = 2.0 * math.pi
     k: int | None = None
-    gamma: float = 2.0
     cutoff: float | None = None
     seed: int = 0
     family: int = 4
@@ -128,8 +129,6 @@ class ExperimentConfig:
                              f"got t_min={self.t_min}, t_max={self.t_max}")
         if self.strategy not in ("direct", "separable"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.gamma < 0:
-            raise ValueError("decay exponent must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -139,7 +138,7 @@ class ExperimentConfig:
 
     @property
     def grid(self) -> GridSpec:
-        return GridSpec(self.d, self.n, self.period)
+        return GridSpec(self.d, self.n)
 
     def config_hash(self) -> str:
         payload = {k: v for k, v in self.__dict__.items() if k != "out_dir"}
@@ -213,7 +212,7 @@ def random_field(
     if not np.any(coeffs):
         raise ValueError(f"cutoff {cutoff} and decay {gamma} leave no nonzero mode")
     f = dft_inverse(Spectrum(grid, coeffs.reshape(grid.shape)))
-    return Field(grid, f.samples.real.astype(np.complex128), is_real=True)
+    return Field(grid, f.samples.real)
 
 
 def _family_seeds(cfg: ExperimentConfig, streams: int) -> list[list[int]]:
@@ -227,15 +226,14 @@ def _family_seeds(cfg: ExperimentConfig, streams: int) -> list[list[int]]:
 def _draw(
     cfg: ExperimentConfig, inputs: int, test_function: bool = False
 ) -> Iterator[tuple[list[Field], Field | None]]:
-    """Each member's ``inputs`` random fields and, with ``test_function``,
-    its full-band test function ``phi`` at decay ``gamma + 2`` from the next
-    seed of the member's block; ``phi`` is ``None`` otherwise.  A band
-    cutoff on ``phi`` would make the undilated pairing unrepresentatively
-    small and the sweep ratios erratic relative to it."""
+    """Each member's ``inputs`` random fields at decay ``DECAY`` and, with
+    ``test_function``, its full-band test function ``phi`` at decay ``DECAY +
+    2`` from the next seed of the member's block; ``phi`` is ``None``
+    otherwise.  A band cutoff on ``phi`` would make the undilated pairing
+    unrepresentatively small and the sweep ratios erratic relative to it."""
     for block in _family_seeds(cfg, inputs + test_function):
-        fields = [random_field(s, cfg.grid, cfg.gamma, cutoff=cfg.cutoff)
-                  for s in block[:inputs]]
-        phi = random_field(block[inputs], cfg.grid, cfg.gamma + 2.0) if test_function else None
+        fields = [random_field(s, cfg.grid, DECAY, cutoff=cfg.cutoff) for s in block[:inputs]]
+        phi = random_field(block[inputs], cfg.grid, DECAY + 2.0) if test_function else None
         yield fields, phi
 
 

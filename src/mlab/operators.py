@@ -357,7 +357,7 @@ def pair_with_transfer(
     ``C^alpha = prod_l C_l^{alpha_l}``, the multinomial expansion of
     ``(sum_l eta_l C_l)^k`` gives
 
-    ``<T, phi> = (i period / 2 pi)^k sum_{|alpha| = k} (k! / alpha!)
+    ``<T, phi> = i^k sum_{|alpha| = k} (k! / alpha!)
     <T_{C^alpha}(f...), d^alpha phi>``,
 
     one ``apply_direct`` per multi-index, ``C(d + k - 1, k)`` in all.
@@ -369,12 +369,11 @@ def pair_with_transfer(
         raise ValueError("power must be >= 0")
     grid = common_grid(fields)
     m, d = sigma_m.m, sigma_m.d
-    if phi.grid.d != grid.d or phi.grid.period != grid.period:
+    if phi.grid.d != grid.d:
         raise GridMismatchError("test function incompatible with input grid")
     _probe_alternating(sigma_m)
     if sigma_m.zero_rule not in (None, 0.0):
         raise ValueError("alternating symbols must vanish on zero slots")
-    scale = (1j * grid.period / (2.0 * math.pi)) ** k
     # Differentiate phi on its grid padded by m, where its Nyquist row is an
     # interior mode that ``derivative_multiplier`` keeps.  Inputs more
     # dilated than phi meet only its modes on their lattice, so phi is read
@@ -410,4 +409,4 @@ def pair_with_transfer(
         dphi = apply_multiplier(phi_spec, derivative_multiplier(phi_spec.grid, alpha))
         weight = math.factorial(k) // math.prod(math.factorial(a) for a in alpha)
         total += weight * pair(T, dphi)
-    return complex(scale * total)
+    return complex(1j**k * total)

@@ -29,7 +29,6 @@ CONFIG_SCHEMA = {
         "experiment": {"type": "string", "minLength": 1},
         "d": {"type": "integer", "minimum": 1},
         "n": {"type": "integer", "minimum": 4},
-        "period": {"type": "number", "exclusiveMinimum": 0},
         "symbol": {"type": "string", "minLength": 1},
         "p": {
             "type": "array",
@@ -38,7 +37,6 @@ CONFIG_SCHEMA = {
         },
         "r": {"type": "number", "exclusiveMinimum": 0},
         "k": {"type": ["integer", "null"], "minimum": 0},
-        "gamma": {"type": "number", "minimum": 0},
         "cutoff": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "seed": {"type": "integer", "minimum": 0},
         "family": {"type": "integer", "minimum": 1},

@@ -1,10 +1,12 @@
 """Norms and smoothing operators on grid fields.
 
-All norms are quadrature norms of the trigonometric polynomial the samples
-represent; for ``p = 2`` they coincide with the continuum norms by Parseval.
-For ``0 < p < 1`` the same quadrature gives the ``L^p`` quasi-norm.  On a
+All norms are quadrature norms on the torus ``[0, 2 pi)^d`` of the
+trigonometric polynomial the samples represent; for ``p = 2`` they coincide
+with the continuum norms by Parseval.  For ``0 < p < 1`` the same quadrature
+gives the ``L^p`` quasi-norm.  Derivatives and Bessel weights read the
+integer frequencies ``xi``, which on this torus are the physical ones.  On a
 dilated grid (``GridSpec.t > 0``) the sums run over the one cell the samples
-hold, and derivatives and Bessel weights see its physical frequencies, so a
+hold, and derivatives and Bessel weights see its frequencies ``2^t xi``, so a
 dilated field's norms are those of ``grid.dilate_dyadic`` of the field or of
 its spectrum.  :func:`bessel_norms` forms every Bessel norm, the scans'
 batches of dilated spectra as well as :func:`bessel_norm`.  A ``p = 2``
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .grid import (
+    TWO_PI,
     Field,
     GridSpec,
     Spectrum,
@@ -64,24 +67,20 @@ def lp_norm(f: Field, p: float) -> float:
     a = np.abs(f.samples)
     if math.isinf(p):
         return float(a.max())
-    w = (f.grid.period / f.grid.n) ** f.grid.d
+    w = (TWO_PI / f.grid.n) ** f.grid.d
     return float((w * np.sum(a**p)) ** (1.0 / p))
 
 
 def _bessel_weight(grid: GridSpec, s: float) -> np.ndarray:
-    """``(1 + |k|^2)^{s/2}`` on the frequency mesh, ``k = (2 pi / period) xi``."""
-    k2 = sum((grid.kscale * m.astype(np.float64)) ** 2 for m in grid.freq_mesh())
-    return (1.0 + k2) ** (s / 2.0)
+    """``(1 + |xi|^2)^{s/2}`` on the frequency mesh."""
+    xi2 = sum(m.astype(np.float64) ** 2 for m in grid.freq_mesh())
+    return (1.0 + xi2) ** (s / 2.0)
 
 
 def bessel_potential(f: Field, s: float) -> Field:
-    """Multiply the spectrum by ``(1 + |k|^2)^{s/2}`` with ``k`` physical.
-
-    ``k = (2 pi / period) xi`` so the operator agrees with the continuum
-    Bessel potential on the represented band.
-    """
-    out = apply_multiplier(dft_forward(f), _bessel_weight(f.grid, s))
-    return Field(f.grid, out.samples, is_real=f.is_real)
+    """Multiply the spectrum by ``(1 + |xi|^2)^{s/2}``: on the torus ``[0, 2
+    pi)^d`` the continuum Bessel potential on the represented band."""
+    return apply_multiplier(dft_forward(f), _bessel_weight(f.grid, s))
 
 
 def bessel_norms(specs: list[Spectrum], p: list[float], s: float) -> list[float]:

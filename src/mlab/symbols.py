@@ -9,9 +9,8 @@ slot ``j`` shaped ``(1, ..., n_j, ..., 1, d)``, so no tuple is copied and
 per-slot quantities such as ``|xi_j|`` cost one operation per mode, not per
 tuple.  The built-in evaluators read component ``c`` as ``b[..., c]``, which
 gives every tuple the same floating-point operations in the same order
-under either layout.  Frequencies are passed in lattice units; any physical
-``2 pi / period`` scaling belongs to the operator calling the symbol, not to
-the symbol itself.
+under either layout.  Frequencies are passed in lattice units, which on the
+one torus ``[0, 2 pi)^d`` are the physical ones: no operator rescales them.
 """
 
 from __future__ import annotations
@@ -274,13 +273,25 @@ def product_symbol(factors: Sequence[SymbolSpec]) -> SymbolSpec:
     )
 
 
+def _argument(spec_id: str, text: str, kind: type, expected: str):
+    """``kind(text)``; a malformed argument names the symbol id."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"symbol {spec_id!r} needs {expected}, got {text!r}") from None
+
+
 def resolve_symbol(spec_id: str, d: int, m: int | None = None) -> SymbolSpec:
     """Build a symbol from a registry id.
 
     Recognised ids: ``one``, ``det``, ``det_pow:k``, ``det_norm:beta``,
     ``dot_norm:beta``, ``riesz_product:j1,...,jm`` (1-based components).
     ``one`` and ``det`` take no argument, and no component may be empty.
+    A malformed argument or a dimension ``d < 1`` raises ``ValueError``
+    naming it.
     """
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     head, sep, arg = spec_id.partition(":")
     if head in ("one", "det") and sep:
         raise ValueError(f"symbol {head!r} takes no argument, got {spec_id!r}")
@@ -289,19 +300,15 @@ def resolve_symbol(spec_id: str, d: int, m: int | None = None) -> SymbolSpec:
     if head == "det":
         return det_symbol(d)
     if head == "det_pow":
-        return power_symbol(det_symbol(d), int(arg))
-    if head == "det_norm":
-        return normalized_power_symbol(det_symbol(d), float(arg))
-    if head == "dot_norm":
-        return normalized_power_symbol(dot_symbol(d), float(arg))
+        return power_symbol(det_symbol(d), _argument(spec_id, arg, int, "an integer power k"))
+    if head in ("det_norm", "dot_norm"):
+        base = det_symbol(d) if head == "det_norm" else dot_symbol(d)
+        return normalized_power_symbol(base, _argument(spec_id, arg, float, "a number beta"))
     if head == "riesz_product":
-        comps = arg.split(",")
-        if not all(comps):
-            raise ValueError(f"riesz_product needs comma-separated components, got {arg!r}")
-        components = [int(c) for c in comps]
+        components = [_argument(spec_id, c, int, "comma-separated components, each an integer")
+                      for c in arg.split(",")]
         for c in components:
             if not 1 <= c <= d:
                 raise ValueError(f"riesz_product component {c} out of range 1..{d}")
         return product_symbol([riesz_factor(d, c - 1) for c in components])
     raise ValueError(f"unknown symbol id {spec_id!r}")
-

@@ -41,8 +41,8 @@ def tiled(f: Field) -> Field:
     """The full-grid oracle of a dilated field: its cell samples repeated
     ``2^t`` times per axis on the undilated ``2^t n`` grid of the period."""
     g = f.grid
-    full = GridSpec(g.d, g.n << g.t, g.period)
-    return Field(full, np.tile(f.samples, (1 << g.t,) * g.d), is_real=f.is_real)
+    full = GridSpec(g.d, g.n << g.t)
+    return Field(full, np.tile(f.samples, (1 << g.t,) * g.d))
 
 
 def random_trig(
@@ -67,7 +67,7 @@ def random_trig(
             sym[xi] = 0.5 * (c + modes[neg].conjugate())
         modes = sym
     spec = spectrum_from_modes(grid, modes)
-    return dft_inverse(spec, is_real=real), modes
+    return dft_inverse(spec), modes
 
 
 def phase_symbol(m: int) -> SymbolSpec:

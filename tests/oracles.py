@@ -24,57 +24,48 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-def dft_direct(samples: np.ndarray, period: float = TWO_PI) -> dict[tuple[int, ...], complex]:
-    """coeffs(xi) = n^-d sum_p f(x_p) exp(-i (2 pi / period) xi . x_p).
+def dft_direct(samples: np.ndarray) -> dict[tuple[int, ...], complex]:
+    """coeffs(xi) = n^-d sum_p f(x_p) exp(-i xi . x_p), x_p = 2 pi p / n.
 
     Returns a dict over the full frequency lattice [-n/2, n/2)^d.
     """
     shape = samples.shape
     n = shape[0]
     d = samples.ndim
-    k = TWO_PI / period
-    x_axis = period * np.arange(n) / n
+    x_axis = TWO_PI * np.arange(n) / n
     out: dict[tuple[int, ...], complex] = {}
     freqs = [range(-(n // 2), n // 2)] * d
     for xi in itertools.product(*freqs):
         acc = 0.0 + 0.0j
         for p in itertools.product(*(range(n),) * d):
             phase = sum(xi[a] * x_axis[p[a]] for a in range(d))
-            acc += samples[p] * np.exp(-1j * k * phase)
+            acc += samples[p] * np.exp(-1j * phase)
         out[xi] = acc / n**d
     return out
 
 
-def eval_modes(
-    modes: dict[tuple[int, ...], complex],
-    points: np.ndarray,
-    period: float = TWO_PI,
-) -> np.ndarray:
-    """Evaluate sum_xi c_xi exp(i (2 pi / period) xi . x) at arbitrary points."""
-    k = TWO_PI / period
+def eval_modes(modes: dict[tuple[int, ...], complex], points: np.ndarray) -> np.ndarray:
+    """Evaluate sum_xi c_xi exp(i xi . x) at arbitrary points."""
     pts = np.asarray(points, dtype=np.float64)
     out = np.zeros(pts.shape[:-1], dtype=np.complex128)
     for xi, c in modes.items():
-        out += c * np.exp(1j * k * (pts @ np.asarray(xi, dtype=np.float64)))
+        out += c * np.exp(1j * (pts @ np.asarray(xi, dtype=np.float64)))
     return out
 
 
-def modes_on_grid(
-    modes: dict[tuple[int, ...], complex], d: int, n: int, period: float = TWO_PI
-) -> np.ndarray:
+def modes_on_grid(modes: dict[tuple[int, ...], complex], d: int, n: int) -> np.ndarray:
     """Sample a mode dict on the uniform grid, direct evaluation."""
-    axis = period * np.arange(n) / n
+    axis = TWO_PI * np.arange(n) / n
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack(mesh, axis=-1)
-    return eval_modes(modes, pts, period)
+    return eval_modes(modes, pts)
 
 
 def diff_modes(
-    modes: dict[tuple[int, ...], complex], axis: int, period: float = TWO_PI
+    modes: dict[tuple[int, ...], complex], axis: int
 ) -> dict[tuple[int, ...], complex]:
-    """Term-by-term derivative: multiply each mode by i (2 pi / period) xi_axis."""
-    k = TWO_PI / period
-    return {xi: c * 1j * k * xi[axis] for xi, c in modes.items()}
+    """Term-by-term derivative: multiply each mode by i xi_axis."""
+    return {xi: c * 1j * xi[axis] for xi, c in modes.items()}
 
 
 def convolve_modes(
@@ -89,18 +80,18 @@ def convolve_modes(
     return out
 
 
-def quadrature_pair(f: np.ndarray, g: np.ndarray, period: float = TWO_PI) -> complex:
-    """<f, g> = (period/n)^d sum_p f(x_p) g(x_p), no conjugation."""
+def quadrature_pair(f: np.ndarray, g: np.ndarray) -> complex:
+    """<f, g> = (2 pi/n)^d sum_p f(x_p) g(x_p), no conjugation."""
     n = f.shape[0]
-    w = (period / n) ** f.ndim
+    w = (TWO_PI / n) ** f.ndim
     return complex(w * np.sum(f * g))
 
 
-def quadrature_lp(f: np.ndarray, p: float, period: float = TWO_PI) -> float:
+def quadrature_lp(f: np.ndarray, p: float) -> float:
     n = f.shape[0]
     if math.isinf(p):
         return float(np.max(np.abs(f)))
-    w = (period / n) ** f.ndim
+    w = (TWO_PI / n) ** f.ndim
     return float((w * np.sum(np.abs(f) ** p)) ** (1.0 / p))
 
 
@@ -227,7 +218,6 @@ def fd_gradient_sup(
     modes: dict[tuple[int, ...], complex],
     d: int,
     n_fine: int = 256,
-    period: float = TWO_PI,
     n_coarse: int | None = None,
 ) -> float:
     """Max Euclidean gradient norm via 4th-order central differences.
@@ -237,11 +227,11 @@ def fd_gradient_sup(
     restricted to the sublattice of ``n_coarse`` points per axis, matching a
     sup norm taken over a coarser grid.
     """
-    axis = period * np.arange(n_fine) / n_fine
+    axis = TWO_PI * np.arange(n_fine) / n_fine
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack(mesh, axis=-1)
-    vals = eval_modes(modes, pts, period)
-    h = period / n_fine
+    vals = eval_modes(modes, pts)
+    h = TWO_PI / n_fine
     g2 = np.zeros_like(vals, dtype=np.float64)
     for a in range(d):
         plus1 = np.roll(vals, -1, axis=a)
@@ -340,7 +330,7 @@ def boundedness_scan_per_step(cfg) -> dict:
         op = OperatorSpec(sym, cfg.m, strategy=Separable(exp))
         extra = {"rank": exp.rank, "n_angular": exp.grid.n_points, "residual": exp.residual}
     families = [
-        [harness.random_field(s, cfg.grid, cfg.gamma, cutoff=cfg.cutoff) for s in block]
+        [harness.random_field(s, cfg.grid, harness.DECAY, cutoff=cfg.cutoff) for s in block]
         for block in harness._family_seeds(cfg, cfg.m)
     ]
     sweep_rows = []

@@ -62,17 +62,33 @@ class TestVerifyIdentities:
         (["boundedness-scan", "--grid", "0x8", "--out", "{out}"], "dimension d must be >= 1"),
         (["boundedness-scan", "--t-min", "5", "--out", "{out}"],
          "dilation range needs 0 <= t_min <= t_max, got t_min=5, t_max=3"),
+        (["boundedness-scan", "--symbol", "det_pow:x", "--out", "{out}"],
+         "symbol 'det_pow:x' needs an integer power k, got 'x'"),
+        (["boundedness-scan", "--symbol", "det_pow:1.5", "--out", "{out}"],
+         "symbol 'det_pow:1.5' needs an integer power k, got '1.5'"),
+        (["boundedness-scan", "--symbol", "riesz_product:a", "--out", "{out}"],
+         "symbol 'riesz_product:a' needs comma-separated components, each an integer, got 'a'"),
+        (["boundedness-scan", "--symbol", "det_norm:abc", "--out", "{out}"],
+         "symbol 'det_norm:abc' needs a number beta, got 'abc'"),
+        (["decompose-symbol", "--symbol", "det_norm:1", "--d", "0"],
+         "dimension d must be >= 1, got 0"),
+        (["boundedness-scan", "--config", "{gamma}", "--out", "{out}"],
+         "Additional properties are not allowed ('gamma' was unexpected)"),
     ],
     ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
          "dims-unchecked", "experiment-of-another-command", "riesz-component-0",
          "riesz-component-above-d", "seed-negative", "config-seed-negative", "grid-d-0",
-         "t-min-above-t-max"],
+         "t-min-above-t-max", "det-pow-not-integer", "det-pow-fraction",
+         "riesz-component-not-integer", "det-norm-not-number", "decompose-d-0",
+         "config-gamma"],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # Each of these once crashed with a traceback, checked nothing and
     # exited 0, or named the wrong thing: experiment-of-another-command
     # wrote a boundedness record under out/jacobian, and the riesz ids
-    # named the 0-based components -1 and 2.
+    # named the 0-based components -1 and 2.  A malformed symbol argument
+    # printed a bare int() or float() conversion error, and decompose-symbol
+    # --d 0 an arity error.
     garbage, empty = tmp_path / "records.jsonl", tmp_path / "empty.jsonl"
     garbage.write_text("\n{not json\n")
     empty.write_text("")
@@ -86,9 +102,14 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
         "experiment": "boundedness", "d": 2, "n": 8, "symbol": "det_norm:1",
         "p": [2.0, 2.0], "r": 1.0, "seed": -1,
     }))
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({
+        "experiment": "boundedness", "d": 2, "n": 8, "symbol": "det_norm:1",
+        "p": [2.0, 2.0], "r": 1.0, "gamma": 3.0,
+    }))
     files = {"{garbage}": str(garbage), "{empty}": str(empty),
              "{jacobian}": str(jacobian), "{negative_seed}": str(negative_seed),
-             "{out}": str(out)}
+             "{gamma}": str(gamma), "{out}": str(out)}
     argv = [files.get(a, a) for a in argv]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()

@@ -44,14 +44,11 @@ from conftest import random_trig, rel_l2, unit
 from oracles import det_cofactor, det_cofactor_grid, diff_modes, modes_on_grid
 
 
-def _jacobian_oracle(mode_list, d, n_out, period):
+def _jacobian_oracle(mode_list, d, n_out):
     """Entry-wise mode differentiation, then cofactor determinants."""
     rows = []
     for modes in mode_list:
-        rows.append(
-            [modes_on_grid(diff_modes(modes, j, period), d, n_out, period)
-             for j in range(d)]
-        )
+        rows.append([modes_on_grid(diff_modes(modes, j), d, n_out) for j in range(d)])
     mat = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
     return det_cofactor_grid(mat)
 
@@ -63,7 +60,7 @@ class TestPointwiseRoutes:
         u2, m2 = random_trig(g, degree=2, seed=121)
         got = jacobian_det_pointwise([u1, u2])
         n_out = padded_points(8, 2)
-        want = _jacobian_oracle([m1, m2], 2, n_out, g.period)
+        want = _jacobian_oracle([m1, m2], 2, n_out)
         assert rel_l2(got.samples, want) <= 1e-12
 
     def test_jacobian_matches_cofactor_oracle_3d(self):
@@ -74,7 +71,7 @@ class TestPointwiseRoutes:
             us.append(u)
             ms.append(m)
         got = jacobian_det_pointwise(us)
-        want = _jacobian_oracle(ms, 3, padded_points(4, 3), g.period)
+        want = _jacobian_oracle(ms, 3, padded_points(4, 3))
         assert rel_l2(got.samples, want) <= 1e-12
 
     def test_hessian_matches_cofactor_oracle_2d(self):
@@ -84,9 +81,9 @@ class TestPointwiseRoutes:
         n_out = padded_points(8, 2)
         rows = []
         for i in range(2):
-            di = diff_modes(m, i, g.period)
+            di = diff_modes(m, i)
             rows.append(
-                [modes_on_grid(diff_modes(di, j, g.period), 2, n_out, g.period)
+                [modes_on_grid(diff_modes(di, j), 2, n_out)
                  for j in range(2)]
             )
         mat = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
@@ -100,9 +97,9 @@ class TestPointwiseRoutes:
         n_out = padded_points(4, 3)
         rows = []
         for i in range(3):
-            di = diff_modes(m, i, g.period)
+            di = diff_modes(m, i)
             rows.append(
-                [modes_on_grid(diff_modes(di, j, g.period), 3, n_out, g.period)
+                [modes_on_grid(diff_modes(di, j), 3, n_out)
                  for j in range(3)]
             )
         mat = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
@@ -119,7 +116,7 @@ class TestPointwiseRoutes:
             us.append(field_from_modes(g, modes))
             ms.append(modes)
         got = jacobian_det_pointwise(us)
-        want = _jacobian_oracle(ms, 4, padded_points(4, 4), g.period)
+        want = _jacobian_oracle(ms, 4, padded_points(4, 4))
         assert rel_l2(got.samples, want) <= 1e-12
 
     def test_component_count_enforced(self):

@@ -56,23 +56,20 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(d=1, n=2)
 
-    def test_rejects_bad_dimension_and_period(self):
+    def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             GridSpec(d=0, n=8)
-        with pytest.raises(ValueError):
-            GridSpec(d=1, n=8, period=0.0)
 
     def test_axis_points_and_spacing(self):
-        g = GridSpec(d=1, n=8, period=4.0)
-        assert g.spacing == 0.5
-        assert np.allclose(g.axis_points(), 0.5 * np.arange(8))
-        assert g.kscale == pytest.approx(2.0 * math.pi / 4.0)
+        g = GridSpec(d=1, n=8)
+        assert g.spacing == 2.0 * math.pi / 8
+        assert np.allclose(g.axis_points(), g.spacing * np.arange(8))
 
     def test_dilated_grid(self):
-        g = GridSpec(d=2, n=8, period=3.0).dilated(2)
-        assert g == GridSpec(d=2, n=8, period=3.0, t=2) and g.with_n(16).t == 2
+        g = GridSpec(d=2, n=8).dilated(2)
+        assert g == GridSpec(d=2, n=8, t=2) == GridSpec(2, 8, 2) and g.with_n(16).t == 2
         assert list(g.freqs()) == [0, 4, 8, 12, -16, -12, -8, -4]
-        assert g.spacing == 3.0 / 32 and g.axis_points()[1] == g.spacing
+        assert g.spacing == 2.0 * math.pi / 32 and g.axis_points()[1] == g.spacing
         with pytest.raises(ValueError):
             GridSpec(d=1, n=8, t=-1)
 
@@ -98,7 +95,7 @@ class TestGridSpec:
 class TestTransforms:
     def test_forward_matches_direct_summation_1d(self, grid1d):
         f, _ = random_trig(grid1d, degree=3, seed=1)
-        want = dft_direct(f.samples, grid1d.period)
+        want = dft_direct(f.samples)
         got = dft_forward(f)
         worst = max(abs(coeff_at(got, xi) - c) for xi, c in want.items())
         assert worst <= 1e-12
@@ -106,7 +103,7 @@ class TestTransforms:
     def test_forward_matches_direct_summation_2d(self):
         g = GridSpec(d=2, n=4)
         f, _ = random_trig(g, degree=1, seed=2)
-        want = dft_direct(f.samples, g.period)
+        want = dft_direct(f.samples)
         got = dft_forward(f)
         worst = max(abs(coeff_at(got, xi) - c) for xi, c in want.items())
         assert worst <= 1e-12
@@ -149,9 +146,9 @@ class TestTransforms:
         assert rel_err(f.samples, np.ones(grid1d.shape)) <= 1e-14
 
     def test_half_pair_makes_cosine(self, grid1d):
-        f = field_from_modes(grid1d, {(1,): 0.5, (-1,): 0.5}, is_real=True)
+        f = field_from_modes(grid1d, {(1,): 0.5, (-1,): 0.5})
         x = grid1d.axis_points()
-        assert rel_err(f.real_samples(), np.cos(x)) <= 1e-14
+        assert rel_err(f.samples.real, np.cos(x)) <= 1e-14
 
     def test_mode_outside_band_rejected(self, grid1d):
         with pytest.raises(FrequencyOverflowError):
@@ -178,12 +175,12 @@ class TestDerivative:
     def test_sin_to_cos(self):
         g = GridSpec(d=1, n=16)
         x = g.axis_points()
-        f = Field(g, np.sin(x), is_real=True)
+        f = Field(g, np.sin(x))
         df = spectral_derivative(f, (1,))
-        assert rel_err(df.real_samples(), np.cos(x)) <= 1e-12
+        assert rel_err(df.samples.real, np.cos(x)) <= 1e-12
 
     def test_constant_to_zero(self, grid1d):
-        f = Field(grid1d, np.ones(grid1d.shape), is_real=True)
+        f = Field(grid1d, np.ones(grid1d.shape))
         df = spectral_derivative(f, (1,))
         assert float(np.max(np.abs(df.samples))) <= 1e-14
 
@@ -191,7 +188,7 @@ class TestDerivative:
         g = GridSpec(d=2, n=16)
         f, modes = random_trig(g, degree=4, seed=5)
         for axis in range(2):
-            want = modes_on_grid(diff_modes(modes, axis, g.period), g.d, g.n, g.period)
+            want = modes_on_grid(diff_modes(modes, axis), g.d, g.n)
             got = spectral_derivative(f, unit(2, axis))
             assert rel_err(got.samples, want) <= 1e-12
 
@@ -238,11 +235,11 @@ class TestApplyMultiplier:
             want = {tuple(c << t for c in xi): v for xi, v in modes.items()}
             for axis, reps in enumerate(alpha):
                 for _ in range(reps):
-                    want = diff_modes(want, axis, g.period)
+                    want = diff_modes(want, axis)
             want = {tuple(c >> t for c in xi): v for xi, v in want.items()}
             got = apply_multiplier(spec, derivative_multiplier(spec.grid, alpha), n_out)
             assert got.grid == spec.grid.with_n(n_out)
-            assert rel_err(got.samples, modes_on_grid(want, d, n_out, g.period)) <= 1e-12
+            assert rel_err(got.samples, modes_on_grid(want, d, n_out)) <= 1e-12
 
     def test_multiplier_is_the_product_of_first_derivatives(self, grid2d):
         m0, m1 = (derivative_multiplier(grid2d, unit(2, a)) for a in range(2))
@@ -288,7 +285,7 @@ class TestDealiasedProduct:
 
     def test_identity_factor(self, grid1d):
         f, _ = random_trig(grid1d, degree=2, seed=20)
-        one = Field(grid1d, np.ones(grid1d.shape), is_real=True)
+        one = Field(grid1d, np.ones(grid1d.shape))
         prod = dealiased_product([f, one], pad_factor=2)
         assert rel_err(prod.samples, f.samples) <= 1e-13
 
@@ -305,7 +302,7 @@ class TestDealiasedProduct:
 
 class TestPair:
     def test_constants_give_volume(self, grid1d):
-        one = Field(grid1d, np.ones(grid1d.shape), is_real=True)
+        one = Field(grid1d, np.ones(grid1d.shape))
         assert pair(one, one) == pytest.approx(2.0 * math.pi, rel=1e-14)
 
     def test_sin_cos_orthogonal(self):
@@ -316,7 +313,7 @@ class TestPair:
     def test_matches_direct_quadrature(self, grid2d):
         f, _ = random_trig(grid2d, degree=3, seed=12)
         g, _ = random_trig(grid2d, degree=3, seed=13)
-        want = quadrature_pair(f.samples, g.samples, grid2d.period)
+        want = quadrature_pair(f.samples, g.samples)
         assert abs(pair(f, g) - want) <= 1e-12 * abs(want)
 
     def test_mismatched_grids_rejected(self, grid1d, grid2d):
@@ -349,18 +346,18 @@ class TestDilation:
     def test_cosine_doubles_frequency(self):
         g = GridSpec(d=1, n=16)
         x = g.axis_points()
-        f = Field(g, np.cos(x), is_real=True)
+        f = Field(g, np.cos(x))
         ft = dilate_dyadic(f, 1)
         xt = ft.grid.axis_points()
-        assert rel_err(ft.real_samples(), np.cos(2.0 * xt)) <= 1e-13
+        assert rel_err(ft.samples.real, np.cos(2.0 * xt)) <= 1e-13
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     def test_lp_norms_preserved(self, p):
         g = GridSpec(d=2, n=8)
         f, _ = random_trig(g, degree=3, seed=15)
         ft = dilate_dyadic(f, 2)
-        before = quadrature_lp(f.samples, p, g.period)
-        after = quadrature_lp(tiled(ft).samples, p, g.period)
+        before = quadrature_lp(f.samples, p)
+        after = quadrature_lp(tiled(ft).samples, p)
         assert abs(after - before) <= 1e-12 * before
         assert abs(lp_norm(ft, p) - after) <= 1e-14 * after
 
@@ -383,9 +380,9 @@ class TestDilation:
         # subsample of them, so no quadrature norm moves.
         g = GridSpec(d=2, n=32)
         f, _ = random_trig(g, degree=3, seed=19)
-        before = quadrature_lp(f.samples, p, g.period)
+        before = quadrature_lp(f.samples, p)
         for t in range(1, 4):
-            after = quadrature_lp(tiled(dilate_dyadic(f, t)).samples, p, g.period)
+            after = quadrature_lp(tiled(dilate_dyadic(f, t)).samples, p)
             assert abs(after - before) <= 1e-12 * before
 
     @pytest.mark.parametrize("t", [1, 2])
@@ -454,7 +451,7 @@ class TestDilation:
         g = GridSpec(d=1, n=8)
         f, modes = random_trig(g, degree=2, seed=17)
         fine = regrid_field(f, 32)
-        want = modes_on_grid(modes, 1, 32, g.period)
+        want = modes_on_grid(modes, 1, 32)
         assert rel_err(fine.samples, want) <= 1e-12
         back = regrid_field(fine, 8)
         assert rel_err(back.samples, f.samples) <= 1e-12
@@ -477,5 +474,5 @@ class TestDilation:
         f, mf = random_trig(g, degree=2, seed=18)
         h, mh = random_trig(g, degree=2, seed=19)
         prod = product_on_grid([f, h], 32)
-        want = modes_on_grid(mf, 1, 32, g.period) * modes_on_grid(mh, 1, 32, g.period)
+        want = modes_on_grid(mf, 1, 32) * modes_on_grid(mh, 1, 32)
         assert rel_err(prod.samples, want) <= 1e-12

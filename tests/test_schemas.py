@@ -60,7 +60,7 @@ class TestValidateConfig:
     def test_accepts_full(self):
         validate_config(
             self._payload(
-                period=6.28, k=1, gamma=2.0, cutoff=2.0, seed=3,
+                k=1, cutoff=2.0, seed=3,
                 family=4, t_min=0, t_max=3, strategy="separable", out_dir="out",
             )
         )
@@ -73,12 +73,18 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize(
         "extra",
-        [dict(tolerance=1.0), dict(rank=16), dict(sweep_tolerance=4.0)],
-        ids=["tolerance", "rank", "sweep_tolerance"],
+        [dict(tolerance=1.0), dict(rank=16), dict(sweep_tolerance=4.0),
+         dict(period=6.28), dict(gamma=2.0)],
+        ids=["tolerance", "rank", "sweep_tolerance", "period", "gamma"],
     )
     def test_rejects_unknown_key(self, extra):
+        # One torus [0, 2 pi)^d and one coefficient decay (harness.DECAY):
+        # neither is a config value.
+        payload = self._payload(**extra)
         with pytest.raises(jsonschema.ValidationError):
-            validate_config(self._payload(**extra))
+            validate_config(payload)
+        with pytest.raises(TypeError):
+            ExperimentConfig(**payload)
 
     @pytest.mark.parametrize("experiment, s", [("boundedness", 0.5), ("hessian", 0.25)])
     def test_rejects_smoothness(self, experiment, s):

@@ -24,17 +24,17 @@ from mlab.errors import GridMismatchError
 from mlab.spaces import bessel_norms
 
 from conftest import random_trig, rel_err, tiled, unit
-from oracles import diff_modes, fd_gradient_sup, modes_on_grid, quadrature_lp
+from oracles import TWO_PI, diff_modes, fd_gradient_sup, modes_on_grid, quadrature_lp
 
 
 class TestLpNorm:
     def test_constant_on_circle(self, grid1d):
-        one = Field(grid1d, np.ones(grid1d.shape), is_real=True)
+        one = Field(grid1d, np.ones(grid1d.shape))
         assert lp_norm(one, 2.0) == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
 
     def test_matches_summation_oracle_p4(self, grid2d):
         f, _ = random_trig(grid2d, degree=3, seed=21)
-        want = quadrature_lp(f.samples, 4.0, grid2d.period)
+        want = quadrature_lp(f.samples, 4.0)
         assert lp_norm(f, 4.0) == pytest.approx(want, rel=1e-13)
 
     def test_sup_norm(self, grid1d):
@@ -51,7 +51,7 @@ class TestLpNorm:
         # Parseval does not reach p < 1; the oracle is the direct sample sum
         # (h^d sum_x |f(x)|^p)^(1/p) with h the grid spacing.
         f, _ = random_trig(grid2d, degree=3, seed=24)
-        h = grid2d.period / grid2d.n
+        h = TWO_PI / grid2d.n
         want = (h**2 * sum(abs(v) ** 0.5 for v in f.samples.ravel())) ** 2
         assert lp_norm(f, 0.5) == pytest.approx(want, rel=1e-13)
 
@@ -98,15 +98,15 @@ class TestBesselNorm:
             assert bessel_norm(f, p, 0.0) == pytest.approx(lp_norm(f, p), rel=1e-13)
 
     def test_plancherel_p2(self):
-        # (sum over xi of (1+|k xi|^2)^s |c_xi|^2 * period^d) ** 0.5
+        # (sum over xi of (1+|xi|^2)^s |c_xi|^2 * (2 pi)^d) ** 0.5
         g = GridSpec(d=2, n=16)
         f, modes = random_trig(g, degree=4, seed=26)
         for s in (0.0, 0.5, 1.0, 4.0 / 3.0):
             total = 0.0
             for xi, c in modes.items():
-                k2 = sum((g.kscale * x) ** 2 for x in xi)
+                k2 = sum(x**2 for x in xi)
                 total += (1.0 + k2) ** s * abs(c) ** 2
-            want = math.sqrt(total * g.period**g.d)
+            want = math.sqrt(total * TWO_PI**g.d)
             assert bessel_norm(f, 2.0, s) == pytest.approx(want, rel=1e-10)
 
     def test_sobolev_identity_s1(self):
@@ -217,7 +217,7 @@ class TestSobolevNorm:
     def test_sine_w12(self):
         g = GridSpec(d=1, n=16)
         x = g.axis_points()
-        f = Field(g, np.sin(x), is_real=True)
+        f = Field(g, np.sin(x))
         # ||sin||_2 + ||cos||_2 = 2 sqrt(pi) on [0, 2pi)
         assert sobolev_wkp_norm(f, 1, 2.0) == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
 
@@ -230,9 +230,9 @@ class TestSobolevNorm:
             m = dict(modes)
             for axis, reps in enumerate(alpha):
                 for _ in range(reps):
-                    m = diff_modes(m, axis, g.period)
-            vals = modes_on_grid(m, g.d, g.n, g.period)
-            want += quadrature_lp(vals, 2.0, g.period)
+                    m = diff_modes(m, axis)
+            vals = modes_on_grid(m, g.d, g.n)
+            want += quadrature_lp(vals, 2.0)
         assert sobolev_wkp_norm(f, 2, 2.0) == pytest.approx(want, rel=1e-11)
 
     def test_rejects_negative_order(self, grid1d):
@@ -243,14 +243,14 @@ class TestSobolevNorm:
 
 class TestGradSupNorms:
     def test_constant_is_zero(self, grid2d):
-        one = Field(grid2d, np.ones(grid2d.shape), is_real=True)
+        one = Field(grid2d, np.ones(grid2d.shape))
         assert grad_sup_norms(one, 1) <= 1e-14
         assert grad_sup_norms(one, 2) <= 1e-14
 
     def test_sine_order_one(self):
         g = GridSpec(d=1, n=32)
         x = g.axis_points()
-        f = Field(g, np.sin(x), is_real=True)
+        f = Field(g, np.sin(x))
         assert grad_sup_norms(f, 1) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_finite_difference_scan(self):
@@ -258,7 +258,7 @@ class TestGradSupNorms:
         # on a dense direct evaluation, max over the library's own lattice.
         g = GridSpec(d=2, n=16)
         f, modes = random_trig(g, degree=3, seed=31)
-        want = fd_gradient_sup(modes, d=2, n_fine=128, period=g.period, n_coarse=16)
+        want = fd_gradient_sup(modes, d=2, n_fine=128, n_coarse=16)
         got = grad_sup_norms(f, 1)
         assert got == pytest.approx(want, rel=1e-4)
 
