@@ -14,6 +14,7 @@ from .errors import (
     FrequencyOverflowError,
     GridMismatchError,
     MlabError,
+    SchemaValidationError,
     UncoveredSpectrumError,
 )
 from .grid import (

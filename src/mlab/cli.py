@@ -11,11 +11,9 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from .decomp import separable_expand
 from .determinants import run_identity_suite
-from .errors import MlabError
+from .errors import MlabError, SchemaValidationError
 from .harness import (
     ExperimentConfig,
     ReportRecord,
@@ -104,7 +102,7 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
             raise _UsageError(f"malformed config JSON: {exc}") from exc
         try:
             validate_config(loaded)
-        except jsonschema.ValidationError as exc:
+        except SchemaValidationError as exc:
             raise _UsageError(
                 f"config does not match schema at {exc.json_path}: {exc.message}"
             ) from exc
@@ -226,8 +224,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise _UsageError(f"malformed record JSON on line {number}: {exc}") from exc
         try:
             validate_record(payload)
-        except jsonschema.ValidationError as exc:
-            raise _UsageError(f"record does not match schema: {exc.message}") from exc
+        except SchemaValidationError as exc:
+            raise _UsageError(
+                f"record does not match schema at {exc.json_path}: {exc.message}"
+            ) from exc
         all_pass = all_pass and payload["passed"]
         print(
             f"{payload['experiment']:<20} {payload['kind']:<12} "

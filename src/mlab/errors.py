@@ -11,6 +11,7 @@ __all__ = [
     "FrequencyOverflowError",
     "BudgetExceededError",
     "UncoveredSpectrumError",
+    "SchemaValidationError",
 ]
 
 
@@ -33,6 +34,16 @@ class BudgetExceededError(MlabError):
 class UncoveredSpectrumError(MlabError):
     """An input has a mean mode, where every separable multiplier is 0,
     under a symbol that is not null on zero slots."""
+
+
+class SchemaValidationError(MlabError, ValueError):
+    """A payload does not match its schema: ``message`` says what is wrong,
+    ``json_path`` (``$.p[1]``) says where."""
+
+    def __init__(self, message: str, json_path: str) -> None:
+        super().__init__(f"{json_path}: {message}")
+        self.message = message
+        self.json_path = json_path
 
 
 DEFAULT_BUDGET = 20_000_000

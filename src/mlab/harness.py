@@ -113,6 +113,13 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        # The schema takes an integral float such as 2.0 as an integer (Draft
+        # 2020-12); the scans index and shift with these, so they need ints.
+        for name in ("d", "n", "k", "seed", "family", "t_min", "t_max"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, int)) and not (
+                    name == "k" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 1:
             raise ValueError(f"dimension d must be >= 1, got {self.d}")
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))

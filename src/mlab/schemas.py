@@ -1,16 +1,30 @@
-"""JSON schemas for experiment configs and report records.
+"""JSON schemas for experiment configs and report records, and their validator.
 
 The schema files shipped under ``schema/`` are generated from these dicts;
 a test pins file and dict together so they cannot drift.
+
+The validator applies Draft 2020-12 semantics to the keyword subset the two
+schemas use: ``type``, ``enum`` (of strings), ``minimum``,
+``exclusiveMinimum``, ``items``, ``minItems``, ``minLength``, ``pattern``,
+``properties``, ``required`` and ``additionalProperties`` (``false`` or a
+schema); ``$schema``, ``$id`` and ``title`` are annotations.  Building it
+over a schema with any other keyword, or a boolean subschema, raises, so no
+keyword is ignored.  A ``bool`` is neither an integer nor a number, and an
+integral float such as ``2.0`` is an integer.  Of several errors it reports
+the one ``jsonschema.best_match`` picks, with the same message and JSON
+path.  ``tests/test_schemas.py`` checks verdict, message and path against
+``jsonschema.Draft202012Validator``, which is a test dependency only.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from numbers import Number
+from operator import le, lt
 from pathlib import Path
 
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
+from .errors import SchemaValidationError
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -111,16 +125,209 @@ RECORD_SCHEMA = {
 }
 
 
-def _validator(schema: dict):
-    """``jsonschema.validate`` against ``schema``, raising the same error, with
-    the validator built once and the constant schema not re-checked against
-    its metaschema on every call (a test checks it once)."""
-    validator = Draft202012Validator(schema)
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+}
+_ANNOTATIONS = frozenset({"$schema", "$id", "title"})
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
-    def validate(payload: dict) -> None:
-        error = best_match(validator.iter_errors(payload))
-        if error is not None:
-            raise error
+
+def _type(value, schema):
+    names = [value] if isinstance(value, str) else value
+    unknown = [name for name in names if name not in _TYPES]
+    if unknown:
+        raise ValueError(f"unknown schema type {unknown[0]!r}")
+    tests = [_TYPES[name] for name in names]
+    wanted = ", ".join(repr(name) for name in names)
+
+    def check(instance, path, errors):
+        if not any(test(instance) for test in tests):
+            errors.append((path, f"{instance!r} is not of type {wanted}"))
+
+    return check
+
+
+def _enum(value, schema):
+    if not all(isinstance(member, str) for member in value):
+        raise ValueError(f"enum members must be strings, got {value!r}")
+
+    def check(instance, path, errors):
+        if not (isinstance(instance, str) and instance in value):
+            errors.append((path, f"{instance!r} is not one of {value!r}"))
+
+    return check
+
+
+def _bound(strict):
+    def build(value, schema):
+        relation = "less than or equal to" if strict else "less than"
+        below = le if strict else lt
+        is_number = _TYPES["number"]
+
+        def check(instance, path, errors):
+            if is_number(instance) and below(instance, value):
+                errors.append(
+                    (path, f"{instance!r} is {relation} the minimum of {value!r}"))
+
+        return check
+
+    return build
+
+
+def _min_size(kind):
+    def build(value, schema):
+        is_kind = _TYPES[kind]
+        short = "should be non-empty" if value == 1 else "is too short"
+
+        def check(instance, path, errors):
+            if is_kind(instance) and len(instance) < value:
+                errors.append((path, f"{instance!r} {short}"))
+
+        return check
+
+    return build
+
+
+def _pattern(value, schema):
+    search = re.compile(value).search
+
+    def check(instance, path, errors):
+        if isinstance(instance, str) and not search(instance):
+            errors.append((path, f"{instance!r} does not match {value!r}"))
+
+    return check
+
+
+def _items(value, schema):
+    item = _compile(value)
+
+    def check(instance, path, errors):
+        if isinstance(instance, list):
+            for index, element in enumerate(instance):
+                item(element, (*path, index), errors)
+
+    return check
+
+
+def _properties(value, schema):
+    children = [(name, _compile(sub)) for name, sub in value.items()]
+
+    def check(instance, path, errors):
+        if isinstance(instance, dict):
+            for name, child in children:
+                if name in instance:
+                    child(instance[name], (*path, name), errors)
+
+    return check
+
+
+def _required(value, schema):
+    def check(instance, path, errors):
+        if isinstance(instance, dict):
+            for name in value:
+                if name not in instance:
+                    errors.append((path, f"{name!r} is a required property"))
+
+    return check
+
+
+def _additional_properties(value, schema):
+    known = schema.get("properties", {})
+    if value is False:
+        def check(instance, path, errors):
+            if isinstance(instance, dict):
+                extras = sorted((key for key in instance if key not in known), key=str)
+                if extras:
+                    listed = ", ".join(repr(key) for key in extras)
+                    verb = "was" if len(extras) == 1 else "were"
+                    errors.append((path, "Additional properties are not allowed "
+                                         f"({listed} {verb} unexpected)"))
+
+        return check
+    extra = _compile(value)
+
+    def check(instance, path, errors):
+        if isinstance(instance, dict):
+            for key in instance:
+                if key not in known:
+                    extra(instance[key], (*path, key), errors)
+
+    return check
+
+
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "minimum": _bound(strict=False),
+    "exclusiveMinimum": _bound(strict=True),
+    "items": _items,
+    "minItems": _min_size("array"),
+    "minLength": _min_size("string"),
+    "pattern": _pattern,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+}
+
+
+def _compile(schema: dict):
+    """``check(instance, path, errors)`` for one schema node: it appends
+    ``(path, message)`` per failed keyword, in schema order."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"a schema must be an object, got {schema!r}")
+    unsupported = sorted(set(schema) - _KEYWORDS.keys() - _ANNOTATIONS)
+    if unsupported:
+        raise ValueError(f"unsupported schema keyword {unsupported[0]!r}")
+    keywords = [_KEYWORDS[key](value, schema)
+                for key, value in schema.items() if key in _KEYWORDS]
+
+    def check(instance, path, errors):
+        for keyword in keywords:
+            keyword(instance, path, errors)
+
+    return check
+
+
+def _json_path(path: tuple) -> str:
+    out = "$"
+    for key in path:
+        if isinstance(key, int):
+            out += f"[{key}]"
+        elif _PLAIN_KEY.match(key):
+            out += "." + key
+        else:
+            out += "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
+
+
+def _relevance(error: tuple) -> tuple:
+    # jsonschema's ``relevance``: the shallowest path, then the greatest path.
+    # Its last key, whether the instance matches the failing node's ``type``,
+    # never splits two errors here: without ``allOf``, ``anyOf`` or ``$ref``
+    # one node checks each path.  ``max`` keeps the first of equals (schema
+    # order), as ``best_match`` does.
+    path, _ = error
+    return -len(path), path
+
+
+def _validator(schema: dict):
+    """A validator of ``schema``, compiled once: it raises
+    ``SchemaValidationError`` with the most relevant error, if any."""
+    check = _compile(schema)
+
+    def validate(payload) -> None:
+        errors = []
+        check(payload, (), errors)
+        if errors:
+            path, message = max(errors, key=_relevance)
+            raise SchemaValidationError(message, _json_path(path))
 
     return validate
 

@@ -42,6 +42,11 @@ class TestVerifyIdentities:
         assert "bad --dims" in capsys.readouterr().err
 
 
+# Integral floats pass the schema, which counts 2.0 as an integer.
+_INTEGRAL_FLOATS = {"family": 2.0, "n": 16.0, "seed": 1.0, "t_min": 0.0,
+                    "t_max": 1.0, "d": 2.0, "k": 1.0}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -74,13 +79,16 @@ class TestVerifyIdentities:
          "dimension d must be >= 1, got 0"),
         (["boundedness-scan", "--config", "{gamma}", "--out", "{out}"],
          "Additional properties are not allowed ('gamma' was unexpected)"),
+        *[(["boundedness-scan", "--config", f"{{{name}}}", "--out", "{out}"],
+           f"invalid config: {name} must be an integer, got {value!r}")
+          for name, value in _INTEGRAL_FLOATS.items()],
     ],
     ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
          "dims-unchecked", "experiment-of-another-command", "riesz-component-0",
          "riesz-component-above-d", "seed-negative", "config-seed-negative", "grid-d-0",
          "t-min-above-t-max", "det-pow-not-integer", "det-pow-fraction",
          "riesz-component-not-integer", "det-norm-not-number", "decompose-d-0",
-         "config-gamma"],
+         "config-gamma", *[f"config-{name}-float" for name in _INTEGRAL_FLOATS]],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # Each of these once crashed with a traceback, checked nothing and
@@ -88,7 +96,8 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # wrote a boundedness record under out/jacobian, and the riesz ids
     # named the 0-based components -1 and 2.  A malformed symbol argument
     # printed a bare int() or float() conversion error, and decompose-symbol
-    # --d 0 an arity error.
+    # --d 0 an arity error.  A config with an integral float in an integer
+    # field died with a TypeError traceback.
     garbage, empty = tmp_path / "records.jsonl", tmp_path / "empty.jsonl"
     garbage.write_text("\n{not json\n")
     empty.write_text("")
@@ -110,6 +119,13 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     files = {"{garbage}": str(garbage), "{empty}": str(empty),
              "{jacobian}": str(jacobian), "{negative_seed}": str(negative_seed),
              "{gamma}": str(gamma), "{out}": str(out)}
+    for name, value in _INTEGRAL_FLOATS.items():
+        path = tmp_path / f"float_{name}.json"
+        path.write_text(json.dumps({
+            "experiment": "boundedness", "d": 2, "n": 8, "symbol": "det_norm:1",
+            "p": [2.0, 2.0], "r": 1.0, name: value,
+        }))
+        files[f"{{{name}}}"] = str(path)
     argv = [files.get(a, a) for a in argv]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
@@ -430,6 +446,15 @@ class TestReport:
         path.write_text(json.dumps(payload) + "\n")
         assert run_cli(["report", "--records", str(path)]) == 1
         assert "does not match schema" in capsys.readouterr().err
+
+    def test_schema_violation_names_its_path(self, capsys, tmp_path):
+        path = self._records(tmp_path)
+        payload = json.loads(path.read_text().strip())
+        payload["ratios"][0] = -1.0
+        path.write_text(json.dumps(payload) + "\n")
+        assert run_cli(["report", "--records", str(path)]) == 1
+        assert ("record does not match schema at $.ratios[0]: "
+                "-1.0 is less than the minimum of 0") in capsys.readouterr().err
 
     def test_vacuous_steps_flagged(self, capsys, tmp_path):
         # hessian-estimate's default cutoff 2 on n = 8: at t = 3 no

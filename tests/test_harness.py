@@ -226,6 +226,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{**payload, **changes})
 
+    @pytest.mark.parametrize("name", ["d", "n", "k", "seed", "family", "t_min", "t_max"])
+    @pytest.mark.parametrize("value", [2.0, True, "2", None])
+    def test_rejects_integer_field_that_is_not_an_int(self, name, value):
+        # A JSON config may carry 2.0 where an integer belongs (Draft 2020-12
+        # counts it as one); the scans need ints, and k alone may be None.
+        payload = dict(experiment="x", d=2, n=8, symbol="det", p=(2.0, 2.0), r=1.0)
+        payload[name] = value
+        if name == "k" and value is None:
+            assert ExperimentConfig(**payload).k is None
+            return
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            ExperimentConfig(**payload)
+
     def test_hash_ignores_out_dir(self):
         a = ExperimentConfig(
             experiment="x", d=2, n=8, symbol="det", p=(2.0, 2.0), r=1.0,
