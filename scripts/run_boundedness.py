@@ -9,8 +9,8 @@ Usage:
   python3 scripts/run_boundedness.py --symbol riesz_product:1,2 --seed 3
 
 Produces:
-  out/boundedness/records.jsonl  - one JSON record per run (append-only)
-  out/boundedness/summary.csv    - one row per family member
+  out/boundedness/records.jsonl  - one JSON record per run (append-only),
+                                   each member's ratio at every sweep step
 """
 
 import sys

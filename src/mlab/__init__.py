@@ -102,7 +102,6 @@ from .harness import (
     random_field,
     thm3_estimate_ratio,
     write_records,
-    write_summary_csv,
 )
 from .schemas import (
     CONFIG_SCHEMA,

@@ -22,7 +22,6 @@ from .harness import (
     jacobian_estimate,
     thm3_estimate_ratio,
     write_records,
-    write_summary_csv,
 )
 from .operators import enumeration_budget
 from .schemas import validate_config, validate_record
@@ -50,7 +49,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ident = sub.add_parser("verify-identities", help="run the symbolic identity suite")
-    ident.add_argument("--dims", default=None, help="comma list, e.g. 2,3")
     ident.add_argument("--instances", type=int, default=20)
     ident.add_argument("--seed", type=int, default=0)
     ident.add_argument("--out", default=None, help="also write the JSON array here")
@@ -91,6 +89,17 @@ _DEFAULTS = {
 
 
 def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
+    try:
+        return ExperimentConfig(**_config_payload(args, command))
+    except SchemaValidationError as exc:
+        raise _UsageError(
+            f"config does not match schema at {exc.json_path}: {exc.message}"
+        ) from exc
+
+
+def _config_payload(args: argparse.Namespace, command: str) -> dict:
+    """The command's defaults, then the config file, which must match the
+    schema and the command's experiment, then the flags."""
     payload = dict(_DEFAULTS[command])
     if args.config is not None:
         path = Path(args.config)
@@ -100,12 +109,7 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise _UsageError(f"malformed config JSON: {exc}") from exc
-        try:
-            validate_config(loaded)
-        except SchemaValidationError as exc:
-            raise _UsageError(
-                f"config does not match schema at {exc.json_path}: {exc.message}"
-            ) from exc
+        validate_config(loaded)
         if loaded["experiment"] != payload["experiment"]:
             raise _UsageError(
                 f"config experiment {loaded['experiment']!r} does not match "
@@ -125,21 +129,16 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
 
     if "p" not in payload:
         # m = d slots at p_j = d, so 1/r = 1; for d = 1, p_1 = r = 2 (p_1 > 1).
+        # A d < 1 gets p = (2.0,) too, so the schema names $.d, not an empty p.
         d = payload["d"]
-        payload["p"], payload["r"] = ((float(d),) * d, 1.0) if d != 1 else ((2.0,), 2.0)
-    if isinstance(payload.get("p"), list):
-        payload["p"] = tuple(payload["p"])
-    try:
-        return ExperimentConfig(**payload)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"invalid config: {exc}") from exc
+        payload["p"], payload["r"] = ((float(d),) * d, 1.0) if d >= 2 else ((2.0,), 2.0)
+    return payload
 
 
 def _emit_record(cfg: ExperimentConfig, record: ReportRecord) -> None:
     root = Path(cfg.out_dir) if cfg.out_dir else Path("out")
     out_dir = root / cfg.experiment
     write_records(out_dir / "records.jsonl", [record])
-    write_summary_csv(out_dir / "summary.csv", record)
     print(
         f"{record.experiment} kind={record.kind} "
         f"max={record.max_ratio:.6g} min={record.min_ratio:.6g} "
@@ -148,18 +147,7 @@ def _emit_record(cfg: ExperimentConfig, record: ReportRecord) -> None:
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
-    dims = None
-    if args.dims is not None:
-        try:
-            dims = {int(x) for x in args.dims.split(",") if x.strip()}
-        except ValueError as exc:
-            raise _UsageError(f"bad --dims {args.dims!r}") from exc
-    try:
-        reports = run_identity_suite(instances=args.instances, seed=args.seed, dims=dims)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    if not reports:
-        raise _UsageError(f"--dims {args.dims!r} selects no identity check")
+    reports = run_identity_suite(instances=args.instances, seed=args.seed)
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload, indent=2)
     print(text)
@@ -179,21 +167,14 @@ _SCANS = {
 
 def _cmd_scan(args: argparse.Namespace, command: str) -> int:
     cfg = _load_config(args, command)
-    try:
-        enumeration_budget()
-        record = _SCANS[command](cfg)
-    except (ValueError, NotImplementedError) as exc:
-        raise _UsageError(str(exc)) from exc
+    enumeration_budget()
+    record = _SCANS[command](cfg)
     _emit_record(cfg, record)
     return 0 if record.passed else 2
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        sym = resolve_symbol(args.symbol, args.d)
-        exp = separable_expand(sym)
-    except (ValueError, NotImplementedError) as exc:
-        raise _UsageError(str(exc)) from exc
+    exp = separable_expand(resolve_symbol(args.symbol, args.d))
     payload = {
         "symbol": exp.symbol_name,
         "m": exp.m,
@@ -264,6 +245,10 @@ def _step_notes(payload: dict) -> str:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  Bad input is the one path
+    to code 1: a usage error here, or a ``ValueError``,
+    ``NotImplementedError`` or ``MlabError`` from the library, prints
+    ``error: <message>``; the commands catch none of these."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -276,7 +261,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except (_UsageError, MlabError) as exc:
+    except (_UsageError, MlabError, ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

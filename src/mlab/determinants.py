@@ -423,33 +423,24 @@ def random_poly(
     return PolyField(d, out)
 
 
-def run_identity_suite(
-    instances: int = 20, seed: int = 0, dims: set[int] | None = None
-) -> list[DetReport]:
+def run_identity_suite(instances: int = 20, seed: int = 0) -> list[DetReport]:
     """Randomized batches of every symbolic identity; one report per batch.
 
     Each report aggregates ``instances`` random inputs (plus a formal
     variable run where the identity is polynomial in free vectors); it
-    passes only if every residual is the zero polynomial.  ``dims`` keeps
-    only the batches of those dimensions.  The inputs of the skipped
-    batches are still drawn, so each kept report is the full suite's.
+    passes only if every residual is the zero polynomial.
     """
     if instances < 1:
         raise ValueError(f"need at least one instance per batch, got {instances}")
     rng = random.Random(seed)
     reports: list[DetReport] = []
 
-    def keep(d: int) -> bool:
-        return dims is None or d in dims
-
     for d, degree in ((2, 3), (3, 2), (4, 2)):
         inputs = [[random_poly(d, degree, rng) for _ in range(d)] for _ in range(instances)]
-        if keep(d):
-            reports.append(_merge([symbolic_piola_check(d, us) for us in inputs]))
+        reports.append(_merge([symbolic_piola_check(d, us) for us in inputs]))
 
     inputs = [random_poly(2, 4, rng) for _ in range(instances)]
-    if keep(2):
-        reports.append(_merge([symbolic_hessian2d_check(u) for u in inputs]))
+    reports.append(_merge([symbolic_hessian2d_check(u) for u in inputs]))
 
     for d in (2, 3, 4):
         taus = list(permutations(range(d)))
@@ -457,20 +448,15 @@ def run_identity_suite(
         for _ in range(instances):
             tau = taus[rng.randrange(len(taus))]
             drawn.append((tau, [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]))
-        if keep(d):
-            drawn += [(tau, None) for tau in (taus if d <= 3 else taus[:6])]
-            reports.append(
-                _merge([symbolic_detPtau_check(d, tau, nus) for tau, nus in drawn])
-            )
+        drawn += [(tau, None) for tau in (taus if d <= 3 else taus[:6])]
+        reports.append(_merge([symbolic_detPtau_check(d, tau, nus) for tau, nus in drawn]))
 
     for d in (2, 3):
-        if keep(d):
-            reports.append(symbolic_detPtau_average_check(d))
+        reports.append(symbolic_detPtau_average_check(d))
 
     for d, degree in ((2, 3), (3, 2)):
         inputs = [random_poly(d, degree, rng) for _ in range(instances)]
-        if keep(d):
-            reports.append(_merge([symbolic_baer_jerison_check(d, u) for u in inputs]))
+        reports.append(_merge([symbolic_baer_jerison_check(d, u) for u in inputs]))
 
     return reports
 

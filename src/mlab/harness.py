@@ -26,7 +26,6 @@ constants.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -58,6 +57,7 @@ from .operators import (
     apply_operator,
     pair_with_transfer,
 )
+from .schemas import validate_config
 from .spaces import (
     bessel_norms,
     grad_sup_norms,
@@ -76,7 +76,6 @@ __all__ = [
     "jacobian_estimate",
     "hessian_estimate",
     "write_records",
-    "write_summary_csv",
 ]
 
 INVARIANCE_TOLERANCE = 1.0 + 1e-10
@@ -90,6 +89,8 @@ DECAY = 2.0
 class ExperimentConfig:
     """One experiment: grid, symbol, exponents, family, sweep range.
 
+    Each field's type and range is ``CONFIG_SCHEMA``'s: the config checks
+    its JSON form against it and refuses with its ``SchemaValidationError``.
     ``p`` lists the input Lebesgue exponents; the output exponent ``r`` must
     satisfy ``1/r = sum 1/p_j`` to 1e-12, which with ``p_j > 1`` puts it in
     ``(1/m, inf)``: the quasi-Banach range ``r < 1`` included.  The seed
@@ -113,31 +114,21 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        # CONFIG_SCHEMA states every per-field type and range; what follows
+        # is what it cannot say.
+        validate_config(self._payload())
         # The schema takes an integral float such as 2.0 as an integer (Draft
         # 2020-12); the scans index and shift with these, so they need ints.
         for name in ("d", "n", "k", "seed", "family", "t_min", "t_max"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, int)) and not (
-                    name == "k" and value is None):
+            if isinstance(value, float):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.d < 1:
-            raise ValueError(f"dimension d must be >= 1, got {self.d}")
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        if not self.p or any(x <= 1.0 for x in self.p):
-            raise ValueError("input exponents must satisfy p_j > 1")
         if abs(1.0 / self.r - sum(1.0 / x for x in self.p)) > 1e-12:
             raise ValueError("exponents violate 1/r = sum 1/p_j")
-        if self.k is not None and self.k < 0:
-            raise ValueError("derivative order must be >= 0")
-        if self.family < 1:
-            raise ValueError("family size must be >= 1")
-        if self.t_min > self.t_max or self.t_min < 0:
-            raise ValueError("dilation range needs 0 <= t_min <= t_max, "
+        if self.t_min > self.t_max:
+            raise ValueError("dilation range needs t_min <= t_max, "
                              f"got t_min={self.t_min}, t_max={self.t_max}")
-        if self.strategy not in ("direct", "separable"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def m(self) -> int:
@@ -147,8 +138,16 @@ class ExperimentConfig:
     def grid(self) -> GridSpec:
         return GridSpec(self.d, self.n)
 
+    def _payload(self) -> dict:
+        """The config's JSON form: ``p`` as a list, as a config file has it."""
+        payload = dict(self.__dict__)
+        if isinstance(self.p, tuple):
+            payload["p"] = list(self.p)
+        return payload
+
     def config_hash(self) -> str:
-        payload = {k: v for k, v in self.__dict__.items() if k != "out_dir"}
+        payload = self._payload()
+        del payload["out_dir"]
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -553,20 +552,3 @@ def write_records(path: str | Path, records: list[ReportRecord]) -> None:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
 
-
-def write_summary_csv(path: str | Path, record: ReportRecord) -> None:
-    """One row per family member with the ratio at every sweep step."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    ts = [row["t"] for row in record.sweep]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["experiment", "kind", "instance"] + [f"ratio_t{t}" for t in ts]
-        )
-        members = len(record.sweep[0]["ratios"])
-        for i in range(members):
-            writer.writerow(
-                [record.experiment, record.kind, i]
-                + [record.sweep[j]["ratios"][i] for j in range(len(ts))]
-            )

@@ -1,6 +1,5 @@
 """Command line behavior: exit codes, output layout, config loading."""
 
-import csv
 import json
 import math
 import os
@@ -16,32 +15,6 @@ from mlab.cli import run_cli
 ROOT = Path(__file__).resolve().parents[1]
 
 
-class TestVerifyIdentities:
-    def test_filtered_dims_pass(self, capsys, tmp_path):
-        out = tmp_path / "suite.json"
-        code = run_cli([
-            "verify-identities", "--dims", "2", "--instances", "2",
-            "--seed", "4", "--out", str(out),
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload and all(r["passed"] for r in payload)
-        assert {r["d"] for r in payload} == {2}
-        assert json.loads(out.read_text()) == payload
-
-    def test_dims_output_equals_the_full_suite_entries(self, capsys):
-        argv = ["verify-identities", "--instances", "2", "--seed", "6"]
-        assert run_cli(argv) == 0
-        full = json.loads(capsys.readouterr().out)
-        assert run_cli([*argv, "--dims", "2"]) == 0
-        assert json.loads(capsys.readouterr().out) == [r for r in full if r["d"] == 2]
-
-    def test_bad_dims_flag(self, capsys):
-        code = run_cli(["verify-identities", "--dims", "two"])
-        assert code == 1
-        assert "bad --dims" in capsys.readouterr().err
-
-
 # Integral floats pass the schema, which counts 2.0 as an integer.
 _INTEGRAL_FLOATS = {"family": 2.0, "n": 16.0, "seed": 1.0, "t_min": 0.0,
                     "t_max": 1.0, "d": 2.0, "k": 1.0}
@@ -54,19 +27,28 @@ _INTEGRAL_FLOATS = {"family": 2.0, "n": 16.0, "seed": 1.0, "t_min": 0.0,
         (["report", "--records", "{empty}"], "no records in"),
         (["verify-identities", "--instances", "0"], "at least one instance"),
         (["verify-identities", "--instances", "-2"], "at least one instance"),
-        (["verify-identities", "--dims", "7", "--instances", "1"], "selects no identity check"),
         (["boundedness-scan", "--config", "{jacobian}", "--out", "{out}"],
          "config experiment 'jacobian' does not match boundedness-scan"),
         (["boundedness-scan", "--grid", "2x8", "--symbol", "riesz_product:0,1", "--out", "{out}"],
          "riesz_product component 0 out of range 1..2"),
         (["boundedness-scan", "--grid", "2x8", "--symbol", "riesz_product:3,1", "--out", "{out}"],
          "riesz_product component 3 out of range 1..2"),
-        (["boundedness-scan", "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
+        (["boundedness-scan", "--seed", "-1", "--out", "{out}"],
+         "config does not match schema at $.seed: -1 is less than the minimum of 0"),
         (["boundedness-scan", "--config", "{negative_seed}", "--out", "{out}"],
-         "does not match schema at $.seed"),
-        (["boundedness-scan", "--grid", "0x8", "--out", "{out}"], "dimension d must be >= 1"),
+         "config does not match schema at $.seed: -1 is less than the minimum of 0"),
+        (["boundedness-scan", "--grid", "0x8", "--out", "{out}"],
+         "config does not match schema at $.d: 0 is less than the minimum of 1"),
+        (["boundedness-scan", "--family", "0", "--out", "{out}"],
+         "config does not match schema at $.family: 0 is less than the minimum of 1"),
+        (["boundedness-scan", "--k", "-1", "--out", "{out}"],
+         "config does not match schema at $.k: -1 is less than the minimum of 0"),
+        (["boundedness-scan", "--t-min", "-1", "--out", "{out}"],
+         "config does not match schema at $.t_min: -1 is less than the minimum of 0"),
+        (["boundedness-scan", "--symbol", "", "--out", "{out}"],
+         "config does not match schema at $.symbol: '' should be non-empty"),
         (["boundedness-scan", "--t-min", "5", "--out", "{out}"],
-         "dilation range needs 0 <= t_min <= t_max, got t_min=5, t_max=3"),
+         "dilation range needs t_min <= t_max, got t_min=5, t_max=3"),
         (["boundedness-scan", "--symbol", "det_pow:x", "--out", "{out}"],
          "symbol 'det_pow:x' needs an integer power k, got 'x'"),
         (["boundedness-scan", "--symbol", "det_pow:1.5", "--out", "{out}"],
@@ -80,13 +62,13 @@ _INTEGRAL_FLOATS = {"family": 2.0, "n": 16.0, "seed": 1.0, "t_min": 0.0,
         (["boundedness-scan", "--config", "{gamma}", "--out", "{out}"],
          "Additional properties are not allowed ('gamma' was unexpected)"),
         *[(["boundedness-scan", "--config", f"{{{name}}}", "--out", "{out}"],
-           f"invalid config: {name} must be an integer, got {value!r}")
+           f"{name} must be an integer, got {value!r}")
           for name, value in _INTEGRAL_FLOATS.items()],
     ],
     ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
-         "dims-unchecked", "experiment-of-another-command", "riesz-component-0",
+         "experiment-of-another-command", "riesz-component-0",
          "riesz-component-above-d", "seed-negative", "config-seed-negative", "grid-d-0",
-         "t-min-above-t-max", "det-pow-not-integer", "det-pow-fraction",
+         "family-0", "k-negative", "t-min-negative", "symbol-empty", "t-min-above-t-max", "det-pow-not-integer", "det-pow-fraction",
          "riesz-component-not-integer", "det-norm-not-number", "decompose-d-0",
          "config-gamma", *[f"config-{name}-float" for name in _INTEGRAL_FLOATS]],
 )
@@ -146,9 +128,6 @@ class TestScanCommands:
         records = (out_dir / "records.jsonl").read_text().strip().splitlines()
         assert len(records) == 1
         validate_record(json.loads(records[0]))
-        with open(out_dir / "summary.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1 + 2
         assert "passed=True" in capsys.readouterr().out
 
     def test_oscillating_symbol_fails_threshold(self, tmp_path):

@@ -1,8 +1,8 @@
 """Experiment driver: random families, dilation sweeps, report records."""
 
-import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from mlab import (
     thm3_estimate_ratio,
     validate_record,
     write_records,
-    write_summary_csv,
 )
 from mlab import decomp, determinants, grid, harness, operators, spaces
 from mlab.grid import padded_points, pair_spectra, regrid_field, support
@@ -217,11 +216,10 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "changes, message",
-        [({"seed": -1}, "seed must be >= 0"),
-         ({"d": 0, "p": (), "r": 1.0}, "dimension d must be >= 1")],
+        [({"seed": -1}, r"^\$\.seed: -1 is less than the minimum of 0$"),
+         ({"d": 0}, r"^\$\.d: 0 is less than the minimum of 1$")],
     )
     def test_rejects_negative_seed_and_zero_dimension(self, changes, message):
-        # d is checked first: with d = 0 the CLI's default exponents are empty.
         payload = dict(experiment="x", d=2, n=8, symbol="det", p=(2.0, 2.0), r=1.0)
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{**payload, **changes})
@@ -236,7 +234,14 @@ class TestExperimentConfig:
         if name == "k" and value is None:
             assert ExperimentConfig(**payload).k is None
             return
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        if isinstance(value, float) and name == "n":
+            message = "$.n: 2.0 is less than the minimum of 4"
+        elif isinstance(value, float):
+            message = f"{name} must be an integer, got {value!r}"
+        else:
+            types = "'integer', 'null'" if name == "k" else "'integer'"
+            message = f"$.{name}: {value!r} is not of type {types}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**payload)
 
     def test_hash_ignores_out_dir(self):
@@ -594,15 +599,3 @@ class TestRecordIO:
         for line in lines:
             validate_record(json.loads(line))
 
-    def test_summary_csv_one_row_per_member(self, tmp_path):
-        rec = boundedness_scan(_cfg(n=8, cutoff=2.0, t_max=2, family=3))
-        path = tmp_path / "summary.csv"
-        write_summary_csv(path, rec)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["experiment", "kind", "instance",
-                           "ratio_t0", "ratio_t1", "ratio_t2"]
-        assert len(rows) == 1 + 3
-        for i, row in enumerate(rows[1:]):
-            assert row[2] == str(i)
-            assert float(row[3]) == rec.sweep[0]["ratios"][i]

@@ -1,7 +1,8 @@
 """Modules of the package meet only through each other's public names,
 only ``grid`` multiplies a spectrum's coefficients, ``symbols`` depends on
 no ``mlab`` module but ``polyfield`` and expands ``det`` by its
-``poly_det``, and the harness sweeps the dilation range in one place."""
+``poly_det``, the harness sweeps the dilation range in one place, and no
+CLI command catches the bad input that ``run_cli`` turns into exit 1."""
 
 import ast
 from pathlib import Path
@@ -191,3 +192,56 @@ def test_checker_sees_a_sweep_loop(tmp_path):
         "steps = list(range(cfg.t_min, cfg.t_max + 1))\n"
     )
     assert _sweep_loops(bad) == [1, 3, 4]
+
+
+_EXIT_ONE = {"ValueError", "NotImplementedError"}
+
+
+def _cmd_handlers(path: Path) -> list[str]:
+    """The ``_cmd_*`` functions with an ``except`` clause that names
+    ``ValueError`` or ``NotImplementedError``: bad input that ``run_cli``
+    already turns into exit code 1."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")):
+            continue
+        for handler in ast.walk(node):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None and any(
+                    getattr(x, "id", getattr(x, "attr", None)) in _EXIT_ONE
+                    for x in ast.walk(handler.type)):
+                found.append(node.name)
+                break
+    return sorted(found)
+
+
+def test_commands_leave_bad_input_to_run_cli():
+    # One exit path: run_cli maps ValueError, NotImplementedError and
+    # MlabError to exit code 1 and prints the message.
+    assert _cmd_handlers(ROOT / "src" / "mlab" / "cli.py") == []
+
+
+def test_checker_sees_a_command_handler(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def _cmd_a(args):\n"
+        "    try:\n"
+        "        run(args)\n"
+        "    except ValueError as exc:\n"
+        "        raise UsageError(str(exc)) from exc\n"
+        "def _cmd_b(args):\n"
+        "    try:\n"
+        "        run(args)\n"
+        "    except (KeyError, builtins.NotImplementedError):\n"
+        "        pass\n"
+        "def _cmd_c(args):\n"
+        "    try:\n"
+        "        run(args)\n"
+        "    except json.JSONDecodeError:\n"
+        "        pass\n"
+        "def _load(args):\n"
+        "    try:\n"
+        "        run(args)\n"
+        "    except ValueError:\n"
+        "        pass\n"
+    )
+    assert _cmd_handlers(bad) == ["_cmd_a", "_cmd_b"]

@@ -403,3 +403,70 @@ class TestOracle:
     def test_any_value(self, payload):
         _agrees(validate_config, payload)
         _agrees(validate_record, payload)
+
+
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _constructible(payload: dict) -> dict:
+    """``payload`` cut to ``ExperimentConfig``'s fields, each removed
+    required field restored: what the constructor takes as keywords."""
+    kept = {key: value for key, value in payload.items() if key in _FIELDS}
+    return {key: _FULL_CONFIG[key] for key in CONFIG_SCHEMA["required"]} | kept
+
+
+def _constructor_agrees(payload: dict) -> None:
+    """``ExperimentConfig(**payload)`` refuses with the schema's message and
+    path whenever ``validate_config`` does, and otherwise with no schema
+    error: the rules it adds (integral floats, ``1/r = sum 1/p_j``,
+    ``t_min <= t_max``) are plain ``ValueError``s."""
+    try:
+        validate_config(payload)
+    except SchemaValidationError as want:
+        with pytest.raises(SchemaValidationError) as got:
+            ExperimentConfig(**payload)
+        assert (got.value.message, got.value.json_path) == (want.message, want.json_path)
+        return
+    try:
+        ExperimentConfig(**payload)
+    except SchemaValidationError:
+        pytest.fail("the constructor refused a payload the schema accepts")
+    except ValueError:
+        pass
+
+
+class TestConstructorAgreesWithSchema:
+    """``ExperimentConfig`` checks itself against ``CONFIG_SCHEMA``: a library
+    caller, a flag and a config file meet one rule set."""
+
+    def test_every_place_against_every_edge(self):
+        for path in _places(_FULL_CONFIG):
+            for edge in _EDGES:
+                payload = json.loads(json.dumps(_FULL_CONFIG))
+                node = payload
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = edge
+                _constructor_agrees(_constructible(payload))
+
+    @settings(max_examples=200)
+    @given(_mutated(_FULL_CONFIG).map(_constructible))
+    def test_mutated(self, payload):
+        _constructor_agrees(payload)
+
+    @pytest.mark.parametrize(
+        "change, path, message",
+        [({"cutoff": "2"}, "$.cutoff", "'2' is not of type 'number', 'null'"),
+         ({"p": ("2", "2")}, "$.p[1]", "'2' is not of type 'number'"),
+         ({"r": "1.0"}, "$.r", "'1.0' is not of type 'number'"),
+         ({"cutoff": -1.0}, "$.cutoff", "-1.0 is less than or equal to the minimum of 0"),
+         ({"symbol": ""}, "$.symbol", "'' should be non-empty")],
+        ids=["cutoff-string", "p-strings", "r-string", "cutoff-negative", "symbol-empty"],
+    )
+    def test_library_caller_meets_the_schema(self, change, path, message):
+        # Each was once stored as given, converted, or refused with a bare
+        # TypeError, since only config files met the schema.
+        payload = dict(experiment="x", d=2, n=8, symbol="det", p=(2.0, 2.0), r=1.0)
+        with pytest.raises(SchemaValidationError) as got:
+            ExperimentConfig(**{**payload, **change})
+        assert (got.value.json_path, got.value.message) == (path, message)
