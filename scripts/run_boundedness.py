@@ -7,6 +7,10 @@ across a dyadic dilation sweep and writes the records under out/.
 Usage:
   python3 scripts/run_boundedness.py --symbol det_norm:1 --grid 2x16
   python3 scripts/run_boundedness.py --symbol riesz_product:1,2 --seed 3
+  python3 scripts/run_boundedness.py --config cfg.json
+
+Arguments are those of `mlab boundedness-scan`, whose symbol defaults to
+det_norm:1.
 
 Produces:
   out/boundedness/records.jsonl  - one JSON record per run (append-only),
@@ -19,10 +23,7 @@ from mlab.cli import run_cli
 
 
 def main() -> int:
-    argv = sys.argv[1:]
-    if not any(a.startswith("--symbol") for a in argv):
-        argv = ["--symbol", "det_norm:1", *argv]
-    return run_cli(["boundedness-scan", *argv])
+    return run_cli(["boundedness-scan", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

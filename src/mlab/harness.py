@@ -124,6 +124,10 @@ class ExperimentConfig:
             if isinstance(value, float):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
+        # The schema accepts NaN, which every comparison below would pass.
+        for name, values in (("r", [self.r]), ("p", self.p), ("cutoff", [self.cutoff])):
+            if any(x is not None and math.isnan(x) for x in values):
+                raise ValueError(f"{name} must be a number, got NaN")
         if abs(1.0 / self.r - sum(1.0 / x for x in self.p)) > 1e-12:
             raise ValueError("exponents violate 1/r = sum 1/p_j")
         if self.t_min > self.t_max:

@@ -124,13 +124,14 @@ def apply_direct_family(op: OperatorSpec, batch: list[list[Field]]) -> list[Fiel
     output bitwise equal to its own call.
 
     Every member is validated and checked against the budget as its own
-    call would be, before any enumeration.  When the symbol's ``zero_rule``
-    is 0, the mean mode is then dropped from every support: the budget
-    still counts the full product, and tuples with a zero slot add exactly
-    nothing.  Members on the same grid whose supports are equal, slot by
-    slot, form a group, and each group's tuples are enumerated once: the
-    symbol values and output positions of a block serve every member of the
-    group, and only the weights and their accumulation are per member.
+    call would be, before any enumeration.  When the symbol is
+    ``null_on_zero_slots``, the mean mode is then dropped from every
+    support: the budget still counts the full product, and tuples with a
+    zero slot add exactly nothing.  Members on the same grid whose supports
+    are equal, slot by slot, form a group, and each group's tuples are
+    enumerated once: the symbol values and output positions of a block
+    serve every member of the group, and only the weights and their
+    accumulation are per member.
 
     The tuples are enumerated as an outer sum: rows are the combinations of
     the first ``m - 1`` slots, columns the modes of the last slot, taken in
@@ -167,7 +168,7 @@ def apply_direct_family(op: OperatorSpec, batch: list[list[Field]]) -> list[Fiel
             raise BudgetExceededError(
                 f"direct enumeration of {total} tuples exceeds budget {budget}"
             )
-        if op.symbol.zero_rule == 0:
+        if op.symbol.null_on_zero_slots:
             # Tuples with a zero slot add exactly nothing: drop each mean mode.
             live = [np.any(fr != 0, axis=-1) for fr, _ in supports]
             supports = [(fr[keep], c[keep]) for (fr, c), keep in zip(supports, live)]
@@ -268,10 +269,10 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     the symbol's relative error on and between the angular nodes, up to the
     rounding of the transforms.
 
-    Every multiplier is 0 at the origin, so unless the symbol's
-    ``zero_rule`` is 0 an input whose mean mode is active raises
-    ``UncoveredSpectrumError``: a total symbol (``zero_rule`` None) may be
-    nonzero on zero slots, which no term carries.
+    Every multiplier is 0 at the origin, so unless the symbol is
+    ``null_on_zero_slots`` an input whose mean mode is active raises
+    ``UncoveredSpectrumError``: the symbol may then be nonzero on zero
+    slots, which no term carries.
     """
     if not isinstance(op.strategy, Separable):
         raise ValueError("operator strategy is not separable")
@@ -287,7 +288,7 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
     for j, f in enumerate(fields):
         freqs, coeffs = active_modes(dft_forward(f))
         live = np.any(freqs != 0, axis=-1)
-        if not live.all() and op.symbol.zero_rule != 0:
+        if not live.all() and not op.symbol.null_on_zero_slots:
             raise UncoveredSpectrumError(
                 "input has a mean mode but the symbol is not null on zero slots"
             )
@@ -372,8 +373,6 @@ def pair_with_transfer(
     if phi.grid.d != grid.d:
         raise GridMismatchError("test function incompatible with input grid")
     _probe_alternating(sigma_m)
-    if sigma_m.zero_rule not in (None, 0.0):
-        raise ValueError("alternating symbols must vanish on zero slots")
     # Differentiate phi on its grid padded by m, where its Nyquist row is an
     # interior mode that ``derivative_multiplier`` keeps.  Inputs more
     # dilated than phi meet only its modes on their lattice, so phi is read
@@ -403,7 +402,7 @@ def pair_with_transfer(
             d=d,
             evaluator=reduced,
             name=f"{sigma_m.name}-reduced{alpha}",
-            zero_rule=None,
+            null_on_zero_slots=False,
         )
         T = apply_direct(OperatorSpec(c_sym, m), fields)
         dphi = apply_multiplier(phi_spec, derivative_multiplier(phi_spec.grid, alpha))

@@ -43,9 +43,10 @@ Evaluator = Callable[..., np.ndarray]
 class SymbolSpec:
     """A multilinear multiplier symbol with structural flags.
 
-    ``zero_rule`` is the value assigned whenever any argument is the zero
-    vector; ``None`` means the evaluator is total and handles zero slots by
-    itself (used for reduced symbols that must not be masked).
+    Evaluators are total: every tuple has a value, zero slots included, and
+    the evaluator computes it.  ``null_on_zero_slots`` states that this
+    value is 0 whenever any argument is the zero vector; only the operators
+    read it, to skip or to refuse mean modes.
     """
 
     m: int
@@ -53,7 +54,7 @@ class SymbolSpec:
     evaluator: Evaluator
     name: str = "symbol"
     poly_homogeneous: bool = False
-    zero_rule: complex | None = 0.0
+    null_on_zero_slots: bool = True
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -76,43 +77,22 @@ def _as_batches(xis: Sequence[np.ndarray], m: int, d: int) -> list[np.ndarray]:
     return out
 
 
-def _zero_rows(b: np.ndarray) -> np.ndarray:
-    """Vectors of a ``(..., d)`` block that are zero, one component at a time."""
-    zero = b[..., 0] == 0.0
-    for c in range(1, b.shape[-1]):
-        zero &= b[..., c] == 0.0
-    return zero
-
-
 def _norm(b: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every vector of a ``(..., d)`` block, one component at a time."""
+    """Euclidean norm of every vector of a ``(..., d)`` block, one component
+    at a time, and ``inf`` for the zero vector: a quotient by it is 0."""
     r2 = b[..., 0] * b[..., 0]
     for c in range(1, b.shape[-1]):
         r2 += b[..., c] * b[..., c]
-    return np.sqrt(r2)
-
-
-def _checked(sym: SymbolSpec, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Evaluator output as ``complex128``; an evaluator that indexes a block
-    on the wrong axis returns another shape and raises here."""
-    out = np.asarray(values, dtype=np.complex128)
-    if out.shape != shape:
-        raise ValueError(
-            f"symbol {sym.name!r} returned shape {out.shape} for frequency blocks "
-            f"of broadcast shape {shape}"
-        )
-    return out
+    return np.where(r2 == 0.0, np.inf, np.sqrt(r2))
 
 
 def evaluate(sym: SymbolSpec, xis: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate a symbol on broadcasting frequency blocks, applying zero_rule.
+    """Evaluate a symbol on broadcasting frequency blocks.
 
     The result is ``complex128`` of the blocks' broadcast shape (without the
     trailing ``d``); an evaluator returning any other shape raises
-    ``ValueError``.  Each block's zero vectors are found on that block's own
-    elements.  Without a zero vector the blocks go to the evaluator as
-    given, without a copy; otherwise the evaluator sees only the tuples with
-    no zero slot, gathered into flat ``(L, d)`` blocks.
+    ``ValueError``.  The blocks go to the evaluator as given, without a
+    copy, zero vectors included: evaluators are total.
     """
     blocks = _as_batches(xis, sym.m, sym.d)
     try:
@@ -121,20 +101,13 @@ def evaluate(sym: SymbolSpec, xis: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError(
             f"frequency blocks of shapes {[b.shape for b in blocks]} do not broadcast"
         ) from None
-    if sym.zero_rule is None:
-        return _checked(sym, sym.evaluator(*blocks), shape)
-    zeros = [_zero_rows(b) for b in blocks]
-    if not any(z.any() for z in zeros):
-        return _checked(sym, sym.evaluator(*blocks), shape)
-    zero_slot = zeros[0]
-    for z in zeros[1:]:
-        zero_slot = zero_slot | z
-    live = ~np.broadcast_to(zero_slot, shape)
-    out = np.full(shape, complex(sym.zero_rule), dtype=np.complex128)
-    count = int(np.count_nonzero(live))
-    if count:
-        flat = [np.broadcast_to(b, shape + (sym.d,))[live] for b in blocks]
-        out[live] = _checked(sym, sym.evaluator(*flat), (count,))
+    out = np.asarray(sym.evaluator(*blocks), dtype=np.complex128)
+    if out.shape != shape:
+        # An evaluator that indexes a block on the wrong axis lands here.
+        raise ValueError(
+            f"symbol {sym.name!r} returned shape {out.shape} for frequency blocks "
+            f"of broadcast shape {shape}"
+        )
     return out
 
 
@@ -172,9 +145,8 @@ def one_symbol(m: int, d: int) -> SymbolSpec:
     def ev(*blocks: np.ndarray) -> np.ndarray:
         return np.ones(np.broadcast_shapes(*(b.shape[:-1] for b in blocks)))
 
-    return SymbolSpec(
-        m=m, d=d, evaluator=ev, name="one", poly_homogeneous=True, zero_rule=1.0
-    )
+    return SymbolSpec(m=m, d=d, evaluator=ev, name="one", poly_homogeneous=True,
+                      null_on_zero_slots=False)
 
 
 def power_symbol(base: SymbolSpec, k: int) -> SymbolSpec:
@@ -187,13 +159,12 @@ def power_symbol(base: SymbolSpec, k: int) -> SymbolSpec:
     def ev(*blocks: np.ndarray) -> np.ndarray:
         return base.evaluator(*blocks) ** k
 
-    zr = None if base.zero_rule is None else complex(base.zero_rule) ** k
     return SymbolSpec(
         m=base.m,
         d=base.d,
         evaluator=ev,
         name=f"{base.name}^{k}",
-        zero_rule=zr,
+        null_on_zero_slots=base.null_on_zero_slots,
     )
 
 
@@ -204,7 +175,7 @@ def normalized_power_symbol(base: SymbolSpec, beta: float) -> SymbolSpec:
     ``|base|^beta`` so the power is defined for symbols of either sign.  The
     quotient is formed before the power: for ``det`` (Hadamard) and ``dot``
     (Cauchy-Schwarz) it is at most 1 in modulus, so a large ``beta`` cannot
-    overflow.
+    overflow.  A zero slot's norm is ``inf``, so the value there is 0.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
@@ -225,12 +196,11 @@ def normalized_power_symbol(base: SymbolSpec, beta: float) -> SymbolSpec:
         evaluator=ev,
         name=f"norm[{base.name},{beta}]",
         poly_homogeneous=True,
-        zero_rule=0.0,
     )
 
 
 def riesz_factor(d: int, component: int) -> SymbolSpec:
-    """Single-variable Riesz symbol ``xi_c / |xi|``."""
+    """Single-variable Riesz symbol ``xi_c / |xi|``, 0 at the origin."""
     if not (0 <= component < d):
         raise ValueError(f"component {component} out of range for d={d}")
 
@@ -257,19 +227,13 @@ def product_symbol(factors: Sequence[SymbolSpec]) -> SymbolSpec:
             out = out * fac.evaluator(b)
         return out
 
-    if any(f.zero_rule is None for f in factors):
-        zr: complex | None = None
-    else:
-        zr = 1.0
-        for f in factors:
-            zr *= complex(f.zero_rule)
     return SymbolSpec(
         m=len(factors),
         d=d,
         evaluator=ev,
         name="*".join(f.name for f in factors),
         poly_homogeneous=all(f.poly_homogeneous for f in factors),
-        zero_rule=zr,
+        null_on_zero_slots=all(f.null_on_zero_slots for f in factors),
     )
 
 
@@ -287,8 +251,10 @@ def resolve_symbol(spec_id: str, d: int, m: int | None = None) -> SymbolSpec:
     Recognised ids: ``one``, ``det``, ``det_pow:k``, ``det_norm:beta``,
     ``dot_norm:beta``, ``riesz_product:j1,...,jm`` (1-based components).
     ``one`` and ``det`` take no argument, and no component may be empty.
-    A malformed argument or a dimension ``d < 1`` raises ``ValueError``
-    naming it.
+    ``m``, when given, is the number of inputs, one per exponent ``p_j``:
+    it is the arity of ``one``, and any other symbol must take that many.
+    A malformed argument, a dimension ``d < 1`` or another arity raises
+    ``ValueError`` naming it.
     """
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
@@ -296,19 +262,23 @@ def resolve_symbol(spec_id: str, d: int, m: int | None = None) -> SymbolSpec:
     if head in ("one", "det") and sep:
         raise ValueError(f"symbol {head!r} takes no argument, got {spec_id!r}")
     if head == "one":
-        return one_symbol(m or 2, d)
-    if head == "det":
-        return det_symbol(d)
-    if head == "det_pow":
-        return power_symbol(det_symbol(d), _argument(spec_id, arg, int, "an integer power k"))
-    if head in ("det_norm", "dot_norm"):
+        sym = one_symbol(m or 2, d)
+    elif head == "det":
+        sym = det_symbol(d)
+    elif head == "det_pow":
+        sym = power_symbol(det_symbol(d), _argument(spec_id, arg, int, "an integer power k"))
+    elif head in ("det_norm", "dot_norm"):
         base = det_symbol(d) if head == "det_norm" else dot_symbol(d)
-        return normalized_power_symbol(base, _argument(spec_id, arg, float, "a number beta"))
-    if head == "riesz_product":
+        sym = normalized_power_symbol(base, _argument(spec_id, arg, float, "a number beta"))
+    elif head == "riesz_product":
         components = [_argument(spec_id, c, int, "comma-separated components, each an integer")
                       for c in arg.split(",")]
         for c in components:
             if not 1 <= c <= d:
                 raise ValueError(f"riesz_product component {c} out of range 1..{d}")
-        return product_symbol([riesz_factor(d, c - 1) for c in components])
-    raise ValueError(f"unknown symbol id {spec_id!r}")
+        sym = product_symbol([riesz_factor(d, c - 1) for c in components])
+    else:
+        raise ValueError(f"unknown symbol id {spec_id!r}")
+    if m is not None and sym.m != m:
+        raise ValueError(f"symbol {spec_id!r} takes {sym.m} inputs, but p lists {m} exponents")
+    return sym

@@ -20,6 +20,11 @@ _INTEGRAL_FLOATS = {"family": 2.0, "n": 16.0, "seed": 1.0, "t_min": 0.0,
                     "t_max": 1.0, "d": 2.0, "k": 1.0}
 
 
+# Config fields set to NaN, which the schema accepts; keyed by file name.
+_NAN_FIELDS = {"r_nan": ("r", math.nan), "p_nan": ("p", [2.0, math.nan]),
+               "cutoff_nan": ("cutoff", math.nan)}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -64,13 +69,22 @@ _INTEGRAL_FLOATS = {"family": 2.0, "n": 16.0, "seed": 1.0, "t_min": 0.0,
         *[(["boundedness-scan", "--config", f"{{{name}}}", "--out", "{out}"],
            f"{name} must be an integer, got {value!r}")
           for name, value in _INTEGRAL_FLOATS.items()],
+        *[(["boundedness-scan", "--config", f"{{{name}}}", "--out", "{out}"],
+           f"{field} must be a number, got NaN")
+          for name, (field, _) in _NAN_FIELDS.items()],
+        (["boundedness-scan", "--grid", "3x4", "--symbol", "dot_norm:1", "--out", "{out}"],
+         "symbol 'dot_norm:1' takes 2 inputs, but p lists 3 exponents"),
+        (["thm3-scan", "--config", "{thm3_three_p}", "--out", "{out}"],
+         "symbol 'det' takes 2 inputs, but p lists 3 exponents"),
     ],
     ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
          "experiment-of-another-command", "riesz-component-0",
          "riesz-component-above-d", "seed-negative", "config-seed-negative", "grid-d-0",
          "family-0", "k-negative", "t-min-negative", "symbol-empty", "t-min-above-t-max", "det-pow-not-integer", "det-pow-fraction",
          "riesz-component-not-integer", "det-norm-not-number", "decompose-d-0",
-         "config-gamma", *[f"config-{name}-float" for name in _INTEGRAL_FLOATS]],
+         "config-gamma", *[f"config-{name}-float" for name in _INTEGRAL_FLOATS],
+         "config-r-nan", "config-p-nan", "config-cutoff-nan", "arity-boundedness",
+         "config-arity-thm3"],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # Each of these once crashed with a traceback, checked nothing and
@@ -79,7 +93,9 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # named the 0-based components -1 and 2.  A malformed symbol argument
     # printed a bare int() or float() conversion error, and decompose-symbol
     # --d 0 an arity error.  A config with an integral float in an integer
-    # field died with a TypeError traceback.
+    # field died with a TypeError traceback.  A NaN r wrote a record of NaN
+    # ratios and a NaN cutoff ran with no cutoff; a symbol of another arity
+    # than p named neither.
     garbage, empty = tmp_path / "records.jsonl", tmp_path / "empty.jsonl"
     garbage.write_text("\n{not json\n")
     empty.write_text("")
@@ -108,6 +124,19 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
             "p": [2.0, 2.0], "r": 1.0, name: value,
         }))
         files[f"{{{name}}}"] = str(path)
+    for name, (field, value) in _NAN_FIELDS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "experiment": "boundedness", "d": 2, "n": 8, "symbol": "det_norm:1",
+            "p": [2.0, 2.0], "r": 1.0, "family": 1, "t_max": 0, field: value,
+        }))
+        files[f"{{{name}}}"] = str(path)
+    thm3 = tmp_path / "thm3_three_p.json"
+    thm3.write_text(json.dumps({
+        "experiment": "thm3", "d": 2, "n": 8, "symbol": "det", "k": 1,
+        "p": [3.0, 3.0, 3.0], "r": 1.0, "family": 1, "t_max": 0,
+    }))
+    files["{thm3_three_p}"] = str(thm3)
     argv = [files.get(a, a) for a in argv]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()

@@ -57,12 +57,12 @@ def _smooth(x: tuple[int, ...], y: tuple[int, ...]) -> complex:
 
 
 def _smooth_symbol(d: int) -> SymbolSpec:
-    """Smooth complex bilinear symbol, total on zero slots; ``_smooth`` per tuple."""
+    """Smooth complex bilinear symbol, nonzero on zero slots; ``_smooth`` per tuple."""
 
     def ev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.cos(0.7 * a[..., 0] + 0.3 * b[..., -1]) + 1j * np.sin(0.2 * a[..., -1] - 0.5 * b[..., 0])
 
-    return SymbolSpec(m=2, d=d, evaluator=ev, name="smooth", zero_rule=None)
+    return SymbolSpec(m=2, d=d, evaluator=ev, name="smooth", null_on_zero_slots=False)
 
 
 def _input_modes(grid: GridSpec, kind: str, seed: int) -> dict[tuple[int, ...], complex]:
@@ -268,7 +268,7 @@ class TestApplyDirect:
 
     @pytest.mark.parametrize("t", [0, 2])
     def test_budget_counts_tuples_with_mean_mode(self, grid2d, monkeypatch, t):
-        # The mean mode is active, and det's zero_rule 0 skips its tuples,
+        # The mean mode is active, and det, null on zero slots, skips its tuples,
         # but the budget is judged on the full product, also for dilated
         # inputs, which accumulate on the compact lattice.
         u, modes = random_trig(grid2d, degree=1, seed=67)
@@ -370,15 +370,15 @@ class TestApplySeparable:
             apply_separable(op, [f, f])
 
     def test_total_symbol_nonzero_on_zero_slots_rejected(self):
-        # zero_rule None: the evaluator is total and gives a nonzero value
-        # on zero slots, which no separable term carries.
+        # Not null on zero slots: the evaluator gives a nonzero value there,
+        # which no separable term carries.
         def ev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             ra = np.maximum(np.hypot(a[..., 0], a[..., 1]), 1.0)
             rb = np.maximum(np.hypot(b[..., 0], b[..., 1]), 1.0)
             return (1.0 + a[..., 0] / ra) * (1.0 + b[..., 1] / rb)
 
         sym = SymbolSpec(m=2, d=2, evaluator=ev, name="shifted-riesz",
-                         poly_homogeneous=True, zero_rule=None)
+                         poly_homogeneous=True, null_on_zero_slots=False)
         op = self._op(sym)
         g = GridSpec(d=2, n=8)
         f, _ = random_trig(g, degree=2, seed=76)
@@ -480,17 +480,17 @@ def _full_grid_separable(op: OperatorSpec, fields: list[Field]) -> np.ndarray:
 
 
 def _total_symbol(m: int, d: int) -> SymbolSpec:
-    """Smooth complex symbol, total on zero slots (``zero_rule`` None)."""
+    """Smooth complex symbol, nonzero on zero slots."""
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
         phase = sum((0.7 - 0.2 * j) * b[..., 0] + 0.3 * b[..., -1] for j, b in enumerate(blocks))
         return np.cos(phase) + 1j * np.sin(0.5 * phase - 0.1)
 
-    return SymbolSpec(m=m, d=d, evaluator=ev, name="total", zero_rule=None)
+    return SymbolSpec(m=m, d=d, evaluator=ev, name="total", null_on_zero_slots=False)
 
 
 def _shifted_riesz(m: int, d: int) -> SymbolSpec:
-    """Degree-0 symbol ``prod_j (1 + xi_j[0] / |xi_j|)``, total on zero slots."""
+    """Degree-0 symbol ``prod_j (1 + xi_j[0] / |xi_j|)``, nonzero on zero slots."""
 
     def ev(*blocks: np.ndarray) -> np.ndarray:
         out = 1.0
@@ -499,7 +499,7 @@ def _shifted_riesz(m: int, d: int) -> SymbolSpec:
         return out
 
     return SymbolSpec(m=m, d=d, evaluator=ev, name="shifted-riesz",
-                      poly_homogeneous=True, zero_rule=None)
+                      poly_homogeneous=True, null_on_zero_slots=False)
 
 
 # Base grid per dimension: the dilated grid is 2^t times finer.
@@ -553,9 +553,9 @@ class TestCompactLattice:
         assert _max_rel(_tile_cell(got), np.fft.ifftn(full) * grid.npoints) <= 1e-14
 
     @pytest.mark.parametrize("d, m, t", _LATTICE_CASES)
-    @pytest.mark.parametrize("zero_rule", [0, None])
-    def test_direct_matches_full_grid(self, d, m, t, zero_rule):
-        if zero_rule == 0:
+    @pytest.mark.parametrize("null", [True, False])
+    def test_direct_matches_full_grid(self, d, m, t, null):
+        if null:
             sym = resolve_symbol("riesz_product:" + ",".join(["1"] * m), d)
         else:
             sym = _total_symbol(m, d)
@@ -567,14 +567,14 @@ class TestCompactLattice:
         assert _max_rel(_tile_cell(got), _full_grid_direct(op, fields)) <= 1e-14
 
     @pytest.mark.parametrize("d, m, t", [c for c in _LATTICE_CASES if c[0] < 3])
-    @pytest.mark.parametrize("zero_rule", [0, None])
-    def test_separable_matches_full_grid(self, d, m, t, zero_rule):
-        if zero_rule == 0:
+    @pytest.mark.parametrize("null", [True, False])
+    def test_separable_matches_full_grid(self, d, m, t, null):
+        if null:
             sym = resolve_symbol("riesz_product:" + ",".join([str(d)] * m), d)
         else:
             sym = _shifted_riesz(m, d)
         op = OperatorSpec(sym, m, strategy=Separable(separable_expand(sym)))
-        fields = _lattice_inputs(d, m, t, seed=260 + 10 * d + m, mean=zero_rule == 0)
+        fields = _lattice_inputs(d, m, t, seed=260 + 10 * d + m, mean=null)
         got = apply_separable(op, fields)
         assert got.grid == fields[0].grid.with_n(padded_points(fields[0].grid.n, m))
         assert got.grid.t == t
@@ -666,9 +666,9 @@ class TestApplyDirectFamily:
     @pytest.mark.parametrize("t", [0, 2])
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("zero_rule", [0, None])
-    def test_members_equal_their_own_calls(self, monkeypatch, d, m, t, zero_rule):
-        if zero_rule == 0:
+    @pytest.mark.parametrize("null", [True, False])
+    def test_members_equal_their_own_calls(self, monkeypatch, d, m, t, null):
+        if null:
             sym = resolve_symbol("riesz_product:" + ",".join(["1"] * m), d)
         else:
             sym = _total_symbol(m, d)
@@ -686,7 +686,7 @@ class TestApplyDirectFamily:
         # The two full-band members share one enumeration; the cutoff
         # member and its rolled copy are a group each.
         freqs = [[active_modes(dft_forward(f))[0] for f in fs] for fs in family]
-        if zero_rule == 0:
+        if null:
             freqs = [[fr[np.any(fr != 0, axis=-1)] for fr in frs] for frs in freqs]
         tuples = [math.prod(fr.shape[0] for fr in frs) for frs in freqs]
         assert tuples[2] < tuples[0] == tuples[1]

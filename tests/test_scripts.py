@@ -47,3 +47,33 @@ def test_decompose_symbol_script_prints_the_expansion():
     payload = json.loads(proc.stdout)
     assert payload["symbol"] == "norm[det,1.0]"
     assert payload["rank"] == 2
+
+
+def test_boundedness_script_writes_the_cli_record(tmp_path):
+    # The script once put --symbol det_norm:1 before the arguments, and a
+    # flag beats the config file, so a config's own symbol was dropped.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiment": "boundedness", "d": 2, "n": 8, "symbol": "riesz_product:1,2",
+        "p": [2.0, 2.0], "r": 1.0, "family": 1, "t_max": 1,
+    }))
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    records = []
+    for name, argv in [
+        ("script", [str(ROOT / "scripts" / "run_boundedness.py")]),
+        ("cli", ["-m", "mlab.cli", "boundedness-scan"]),
+    ]:
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, *argv, "--config", str(config), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads((out / "boundedness" / "records.jsonl").read_text())
+        record.pop("runtime_seconds")
+        records.append(record)
+    assert records[0] == records[1]

@@ -100,6 +100,52 @@ _LAYOUT_CASES = [
 ]
 
 
+def _layouts(d: int, m: int, zeros: bool, layout: str):
+    """Broadcasting blocks of ``m`` integer frequency sets in ``d``
+    dimensions, their flat repeat/tile copies and the broadcast shape.
+    With ``zeros``, every set holds the zero vector."""
+    rng = np.random.default_rng(36)
+    sizes = [5, 7, 6][:m]
+    sets = []
+    for size in sizes:
+        x = rng.integers(-4, 5, size=(size, d)).astype(np.float64)
+        x[np.all(x == 0.0, axis=-1)] = 1.0
+        if zeros:
+            x[1] = 0.0
+        sets.append(x)
+    if layout == "rows-columns":
+        # apply_direct: rows of the first m - 1 slots against columns.
+        row_sets = [x[rng.integers(0, x.shape[0], size=9)] for x in sets[:-1]]
+        if zeros and row_sets:
+            row_sets[0][0] = 0.0
+        blocks = [x[:, None, :] for x in row_sets] + [sets[-1][None, :, :]]
+        shape = (9, sizes[-1]) if row_sets else (1, sizes[-1])
+        flat = [np.repeat(x, sizes[-1], axis=0) for x in row_sets]
+        flat.append(np.tile(sets[-1], (shape[0], 1)))
+    else:
+        # decomp: one axis per slot.
+        blocks = [
+            x.reshape((1,) * j + (x.shape[0],) + (1,) * (m - 1 - j) + (d,))
+            for j, x in enumerate(sets)
+        ]
+        shape = tuple(sizes)
+        flat = [
+            np.repeat(np.tile(x, (math.prod(sizes[:j]), 1)), math.prod(sizes[j + 1 :]), axis=0)
+            for j, x in enumerate(sets)
+        ]
+    return blocks, flat, shape
+
+
+# Every registry id in every dimension 1..3 where it is defined.
+_TOTAL_CASES = [
+    (sym_id, d)
+    for sym_id in ("one", "det", "det_pow:2", "det_norm:0.5", "det_norm:1", "det_norm:2",
+                   "dot_norm:1", "riesz_product:1,2")
+    for d in (1, 2, 3)
+    if not (sym_id == "riesz_product:1,2" and d == 1)
+]
+
+
 class TestEvaluate:
     def _tuples(self, mixed: bool) -> np.ndarray:
         """(B, 2, 2) integer tuples, each slot nonzero unless ``mixed``."""
@@ -128,46 +174,51 @@ class TestEvaluate:
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
     @pytest.mark.parametrize("layout", ["rows-columns", "outer"])
-    @pytest.mark.parametrize("zero_rule", [0.0, 1.0, None], ids=["rule0", "rule1", "total"])
     @pytest.mark.parametrize("zeros", [False, True], ids=["live", "zero-slots"])
     @pytest.mark.parametrize("sym_id, d, m", _LAYOUT_CASES)
-    def test_broadcast_blocks_equal_flat_blocks(self, sym_id, d, m, zeros, zero_rule, layout):
+    def test_broadcast_blocks_equal_flat_blocks(self, sym_id, d, m, zeros, layout):
         """Broadcast views give bitwise the values of repeat/tile copies."""
-        sym = dataclasses.replace(resolve_symbol(sym_id, d, m), zero_rule=zero_rule)
-        rng = np.random.default_rng(36)
-        sizes = [5, 7, 6][:m]
-        sets = []
-        for size in sizes:
-            x = rng.integers(-4, 5, size=(size, d)).astype(np.float64)
-            x[np.all(x == 0.0, axis=-1)] = 1.0
-            if zeros:
-                x[1] = 0.0
-            sets.append(x)
-        if layout == "rows-columns":
-            # apply_direct: rows of the first m - 1 slots against columns.
-            row_sets = [x[rng.integers(0, x.shape[0], size=9)] for x in sets[:-1]]
-            if zeros:
-                row_sets[0][0] = 0.0
-            blocks = [x[:, None, :] for x in row_sets] + [sets[-1][None, :, :]]
-            shape = (9, sizes[-1])
-            flat = [np.repeat(x, sizes[-1], axis=0) for x in row_sets]
-            flat.append(np.tile(sets[-1], (9, 1)))
-        else:
-            # decomp: one axis per slot.
-            blocks = [
-                x.reshape((1,) * j + (x.shape[0],) + (1,) * (m - 1 - j) + (d,))
-                for j, x in enumerate(sets)
-            ]
-            shape = tuple(sizes)
-            flat = [
-                np.repeat(np.tile(x, (math.prod(sizes[:j]), 1)), math.prod(sizes[j + 1 :]), axis=0)
-                for j, x in enumerate(sets)
-            ]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            got = evaluate(sym, blocks)
-            want = evaluate(sym, flat)
+        sym = resolve_symbol(sym_id, d, m)
+        blocks, flat, shape = _layouts(d, m, zeros, layout)
+        got = evaluate(sym, blocks)
+        want = evaluate(sym, flat)
         assert got.shape == shape
-        assert np.array_equal(got.reshape(-1), want, equal_nan=True)
+        assert np.array_equal(got.reshape(-1), want)
+
+    def test_one_evaluator_call_on_the_blocks_as_given(self):
+        # Zero slots go to the evaluator with the rest: no gather into
+        # flat copies of the live tuples, no second call.
+        sym = resolve_symbol("det_norm:1", 2)
+        calls = []
+
+        def spy(*blocks):
+            calls.append([b.shape for b in blocks])
+            return sym.evaluator(*blocks)
+
+        for layout in ("rows-columns", "outer"):
+            blocks, _, shape = _layouts(2, 2, True, layout)
+            calls.clear()
+            got = evaluate(dataclasses.replace(sym, evaluator=spy), blocks)
+            assert calls == [[b.shape for b in blocks]]
+            assert got.shape == shape
+
+    @pytest.mark.parametrize("layout", ["rows-columns", "outer"])
+    @pytest.mark.parametrize("sym_id, d", _TOTAL_CASES)
+    def test_evaluators_are_total(self, sym_id, d, layout):
+        """Every registry evaluator takes zero slots as they come: finite,
+        no floating-point warning, and 0 there exactly when the symbol says
+        it is null on zero slots."""
+        sym = resolve_symbol(sym_id, d)
+        blocks, _, shape = _layouts(d, sym.m, True, layout)
+        with np.errstate(all="raise"):
+            values = np.broadcast_to(sym.evaluator(*blocks), shape)
+        zero_slot = np.zeros(shape, dtype=bool)
+        for b in blocks:
+            zero_slot = zero_slot | np.all(b == 0.0, axis=-1)
+        assert zero_slot.any() and not zero_slot.all()
+        assert np.all(np.isfinite(values))
+        assert sym.null_on_zero_slots == bool(np.all(values[zero_slot] == 0.0))
+        assert sym.null_on_zero_slots == (sym_id != "one")
 
     def test_non_broadcasting_blocks_raise(self):
         with pytest.raises(ValueError, match="broadcast"):
@@ -187,7 +238,7 @@ class TestNormalizedSymbol:
         # |det((1,0),(1,1))| / (|(1,0)| |(1,1)|) = 1 / sqrt(2)
         assert _ev(sym, (1, 0), (1, 1)) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
 
-    def test_zero_rule(self):
+    def test_zero_slot_is_zero(self):
         sym = normalized_power_symbol(det_symbol(2), 1.0)
         assert _ev(sym, (0, 0), (1, 1)) == 0.0
 
