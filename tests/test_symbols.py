@@ -185,22 +185,41 @@ class TestEvaluate:
         assert got.shape == shape
         assert np.array_equal(got.reshape(-1), want)
 
-    def test_one_evaluator_call_on_the_blocks_as_given(self):
+    @pytest.mark.parametrize("layout", ["rows-columns", "outer"])
+    @pytest.mark.parametrize("sym_id, d", _TOTAL_CASES)
+    def test_one_evaluator_call_on_the_blocks_as_given(self, sym_id, d, layout):
         # Zero slots go to the evaluator with the rest: no gather into
         # flat copies of the live tuples, no second call.
-        sym = resolve_symbol("det_norm:1", 2)
+        sym = resolve_symbol(sym_id, d)
         calls = []
 
         def spy(*blocks):
             calls.append([b.shape for b in blocks])
             return sym.evaluator(*blocks)
 
-        for layout in ("rows-columns", "outer"):
-            blocks, _, shape = _layouts(2, 2, True, layout)
-            calls.clear()
-            got = evaluate(dataclasses.replace(sym, evaluator=spy), blocks)
-            assert calls == [[b.shape for b in blocks]]
-            assert got.shape == shape
+        blocks, _, shape = _layouts(d, sym.m, True, layout)
+        got = evaluate(dataclasses.replace(sym, evaluator=spy), blocks)
+        assert calls == [[b.shape for b in blocks]]
+        assert got.shape == shape
+
+    @pytest.mark.parametrize("layout", ["rows-columns", "outer"])
+    @pytest.mark.parametrize("sym_id, d, m", _LAYOUT_CASES)
+    def test_live_tuples_equal_a_gather_of_the_live_rows(self, sym_id, d, m, layout):
+        """On blocks with zero slots, each live tuple has bitwise the value
+        of the evaluator on a flat gather of the live rows alone, and each
+        zero-slot tuple has the value 0 of a null symbol or the 1 of
+        ``one``: the values of an evaluation that never shows the
+        evaluator a zero vector."""
+        sym = resolve_symbol(sym_id, d, m)
+        blocks, flat, shape = _layouts(d, m, True, layout)
+        got = evaluate(sym, blocks).reshape(-1)
+        live = np.ones(math.prod(shape), dtype=bool)
+        for x in flat:
+            live &= np.any(x != 0.0, axis=-1)
+        assert live.any() and not live.all()
+        want = evaluate(sym, [x[live] for x in flat])
+        assert np.array_equal(got[live], want)
+        assert np.all(got[~live] == (0.0 if sym.null_on_zero_slots else 1.0))
 
     @pytest.mark.parametrize("layout", ["rows-columns", "outer"])
     @pytest.mark.parametrize("sym_id, d", _TOTAL_CASES)
