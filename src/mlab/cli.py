@@ -150,10 +150,10 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
     reports = run_identity_suite(instances=args.instances, seed=args.seed)
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload, indent=2)
-    print(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n")
+    print(text)
     return 0 if all(r.passed for r in reports) else 2
 
 
@@ -221,8 +221,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _step_notes(payload: dict) -> str:
     """Report suffix naming the sweep steps at which no determinant mode
     met the test function's band, so the ratio there checks nothing, and
-    the steps whose output the degree-zero dilation identity formed from an
-    earlier step's instead of the operator (those not in ``applied_t``)."""
+    the steps whose row the degree-zero dilation identity repeated from
+    ``t_min`` instead of running the operator (those not in ``applied_t``)."""
     out = ""
     extra = payload.get("extra", {})
     sweeps = {
@@ -246,9 +246,10 @@ def _step_notes(payload: dict) -> str:
 
 def run_cli(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  Bad input is the one path
-    to code 1: a usage error here, or a ``ValueError``,
-    ``NotImplementedError`` or ``MlabError`` from the library, prints
-    ``error: <message>``; the commands catch none of these."""
+    to code 1: a usage error here, a ``ValueError``, ``NotImplementedError``
+    or ``MlabError`` from the library, or an ``OSError`` from a path that
+    cannot be read or written, prints ``error: <message>``; the commands
+    catch none of these."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -261,7 +262,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except (_UsageError, MlabError, ValueError, NotImplementedError) as exc:
+    except (_UsageError, MlabError, ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,14 +8,13 @@ per step from the scan's ``step(t)``, and gives the verdict.  Each public
 scan keeps only its refusals, its per-member preparation and its ``step``.
 Dilation keeps the base samples on a grid with dyadic exponent ``t``
 (``GridSpec.t``).  A degree-zero poly-homogeneous operator commutes with
-that dilation, so the boundedness scan applies it at ``t_min`` only,
-dilates its output for every later step, and asks each member's ratio to be
-constant along the sweep; any other symbol's operator runs at every step,
-and its family, like those of the estimate experiments, need only stay
-within a configured factor of the undilated ratio.  Each dilated quantity
-has one route below this module: ``grid.dilate_dyadic`` of a field or
-spectrum, ``grid.pair_spectra`` and ``grid.active_in_band`` across grids,
-and one ``spaces.bessel_norms`` batch per sweep step.  Where the direct
+that dilation, so its boundedness step does not depend on ``t``: ``_scan``
+runs it once, at ``t_min``, and every row repeats that row.  Any other
+scan runs its step at every ``t``.  Every family must stay within a fixed
+factor of its ratio at ``t_min``.  Each dilated quantity has one route
+below this module: ``grid.dilate_dyadic`` of a field or spectrum,
+``grid.pair_spectra`` and ``grid.active_in_band`` across grids, and one
+``spaces.bessel_norms`` batch per sweep step.  Where the direct
 boundedness scan applies its operator, it applies it to the step's whole
 family with one ``operators.apply_direct_family`` call, which enumerates
 the tuples of equal supports once.  The separable scan, whose symbols are
@@ -78,7 +77,6 @@ __all__ = [
     "write_records",
 ]
 
-INVARIANCE_TOLERANCE = 1.0 + 1e-10
 OSCILLATION_FACTOR = 4.0
 # Coefficient decay of every random input field; test functions decay by
 # two orders more.
@@ -252,36 +250,16 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def _all_finite(sweep_rows: list[dict]) -> bool:
-    return all(math.isfinite(x) for row in sweep_rows for x in row["ratios"])
-
-
-def _sweep_spread(sweep_rows: list[dict]) -> float:
-    """Largest per-member max/min ratio spread along the sweep; infinite
-    when any ratio is not finite."""
-    if not _all_finite(sweep_rows):
-        return math.inf
-    members = len(sweep_rows[0]["ratios"])
-    worst = 1.0
-    for i in range(members):
-        column = [row["ratios"][i] for row in sweep_rows]
-        low = min(column)
-        if low > 0:
-            worst = max(worst, max(column) / low)
-        elif max(column) > 0:
-            worst = math.inf
-    return worst
-
-
 def _oscillation_ok(sweep_rows: list[dict], tol: float) -> bool:
     """Family-level sweep bound: no ratio anywhere exceeds ``tol`` times the
     family ratio at the base dilation.  Individual members are not normalized
     by their own base, which can be small through phase cancellation.  Any
     ratio that is not finite fails the bound."""
-    if not _all_finite(sweep_rows):
+    ratios = [x for row in sweep_rows for x in row["ratios"]]
+    if not all(math.isfinite(x) for x in ratios):
         return False
     base = max(sweep_rows[0]["ratios"])
-    top = max(x for row in sweep_rows for x in row["ratios"])
+    top = max(ratios)
     if base <= 0.0:
         return top <= 0.0
     return top <= tol * base
@@ -319,31 +297,28 @@ def _scan(
     extra: dict, invariant: bool = False, holds: bool = True,
 ) -> ReportRecord:
     """The dilation sweep ``t_min .. t_max``: row ``{"t": t, **step(t)}``,
-    then the verdict.  ``invariant`` asks for each member's ratio to be
-    constant along the sweep (per-member spread within
-    ``INVARIANCE_TOLERANCE``); otherwise the family may oscillate within
-    ``OSCILLATION_FACTOR`` of its base ratio.  ``holds`` is an exact check of
-    the scan's own that the verdict also needs."""
-    sweep_rows = [{"t": t, **step(t)} for t in range(cfg.t_min, cfg.t_max + 1)]
-    if invariant:
-        passed = _sweep_spread(sweep_rows) <= INVARIANCE_TOLERANCE
-        thresholds = {"per_member_max_over_min": INVARIANCE_TOLERANCE}
-    else:
-        passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR)
-        thresholds = {"sweep_max_over_base": OSCILLATION_FACTOR}
-    return _finish(cfg, kind, sweep_rows, thresholds, passed and holds, started, extra)
+    then the verdict: the family may oscillate within ``OSCILLATION_FACTOR``
+    of its base ratio, and ``holds`` is an exact check of the scan's own that
+    the verdict also needs.  An ``invariant`` step gives the same row at
+    every ``t``, so it runs once, at ``t_min``, and every row repeats it."""
+    first = step(cfg.t_min) if invariant else None
+    sweep_rows = [{"t": t, **(first if invariant else step(t))}
+                  for t in range(cfg.t_min, cfg.t_max + 1)]
+    passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR) and holds
+    thresholds = {"sweep_max_over_base": OSCILLATION_FACTOR}
+    return _finish(cfg, kind, sweep_rows, thresholds, passed, started, extra)
 
 
 def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     """Ratio ``||T(f_1..f_m)||_r / prod ||f_j||_{p_j}`` over family and sweep.
 
     A degree-zero symbol (``poly_homogeneous``) commutes with dilation,
-    ``T(f(2^s .)) = T(f)(2^s .)``, so its operator runs once per member, at
-    ``t_min``, and each later step's output is ``dilate_dyadic`` of that
-    output; the ratio is still formed at every step, and each member's ratio
-    must be constant along the sweep.  Any other symbol runs its operator at
-    every step.  ``extra.applied_t`` lists the steps at which the operator
-    ran.
+    ``T(f(2^s .)) = T(f)(2^s .)``, and a dilated field keeps its samples, so
+    every ratio is that of ``t_min``: the step runs once, at ``t_min``, and
+    every later row repeats its ratios.  Any other symbol runs its operator
+    at every step.  ``extra.applied_t`` lists the steps at which the
+    operator ran.  A range whose padded output grid at ``t_max`` has
+    frequencies beyond int64 is refused before any operator call.
     """
     started = time.perf_counter()
     if cfg.k is not None:
@@ -359,23 +334,19 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
             "residual": exp.residual,
         }
     op = OperatorSpec(sym, cfg.m, strategy=strategy)
+    # GridSpec refuses frequencies beyond int64: refuse the range before the
+    # first operator call, not at the step that reaches it.
+    cfg.grid.with_n(padded_points(cfg.n, cfg.m)).dilated(cfg.t_max)
     families = [fs for fs, _ in _draw(cfg, cfg.m)]
-    applied_t, base_outs = [], None
-    extra["applied_t"] = applied_t
+    applied_t = extra["applied_t"] = []
 
     def step(t: int) -> dict:
-        nonlocal base_outs
         batch = [[dilate_dyadic(f, t) for f in fs] for fs in families]
-        if base_outs is not None:
-            # Degree 0: T(f(2^s .)) = T(f)(2^s .), s = t - t_min.
-            outs = [dilate_dyadic(out, t - cfg.t_min) for out in base_outs]
+        if strategy is not None:
+            outs = [apply_operator(op, fts) for fts in batch]
         else:
-            if strategy is not None:
-                outs = [apply_operator(op, fts) for fts in batch]
-            else:
-                outs = apply_direct_family(op, batch)
-            applied_t.append(t)
-            base_outs = outs if sym.poly_homogeneous else None
+            outs = apply_direct_family(op, batch)
+        applied_t.append(t)
         return {"ratios": [
             _ratio(lp_norm(out, cfg.r),
                    math.prod(lp_norm(ft, pj) for ft, pj in zip(fts, cfg.p)))

@@ -174,8 +174,10 @@ def normalized_power_symbol(base: SymbolSpec, beta: float) -> SymbolSpec:
     Degree-zero poly-homogeneous by construction.  Non-integer ``beta`` uses
     ``|base|^beta`` so the power is defined for symbols of either sign.  The
     quotient is formed before the power: for ``det`` (Hadamard) and ``dot``
-    (Cauchy-Schwarz) it is at most 1 in modulus, so a large ``beta`` cannot
-    overflow.  A zero slot's norm is ``inf``, so the value there is 0.
+    (Cauchy-Schwarz) it is at most 1 in modulus.  Rounding can put it an ulp
+    above 1, which a large ``beta`` would blow up, so the power takes it
+    clamped to modulus 1; ``beta = 1`` takes no power and no clamp.  A zero
+    slot's norm is ``inf``, so the value there is 0.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
@@ -186,9 +188,12 @@ def normalized_power_symbol(base: SymbolSpec, beta: float) -> SymbolSpec:
         for b in blocks[1:]:
             den = den * _norm(b)
         q = base.evaluator(*blocks) / den
+        if beta == 1:
+            return q
+        modulus = np.abs(q)
         if not signed:
-            return np.abs(q) ** beta
-        return q if beta == 1 else q ** int(beta)
+            return np.minimum(modulus, 1.0) ** beta
+        return (q / np.maximum(modulus, 1.0)) ** int(beta)
 
     return SymbolSpec(
         m=base.m,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mlab import validate_record
+from mlab import harness, validate_record
 from mlab.cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,6 +76,11 @@ _NAN_FIELDS = {"r_nan": ("r", math.nan), "p_nan": ("p", [2.0, math.nan]),
          "symbol 'dot_norm:1' takes 2 inputs, but p lists 3 exponents"),
         (["thm3-scan", "--config", "{thm3_three_p}", "--out", "{out}"],
          "symbol 'det' takes 2 inputs, but p lists 3 exponents"),
+        (["verify-identities", "--instances", "1", "--out", "{dir}"], "Is a directory"),
+        (["report", "--records", "{dir}"], "Is a directory"),
+        (["boundedness-scan", "--config", "{dir}", "--out", "{out}"], "Is a directory"),
+        (["boundedness-scan", "--grid", "2x8", "--family", "1", "--t-max", "0",
+          "--out", "{garbage}"], "Not a directory"),
     ],
     ids=["report-not-json", "report-empty", "instances-0", "instances-negative",
          "experiment-of-another-command", "riesz-component-0",
@@ -84,7 +89,8 @@ _NAN_FIELDS = {"r_nan": ("r", math.nan), "p_nan": ("p", [2.0, math.nan]),
          "riesz-component-not-integer", "det-norm-not-number", "decompose-d-0",
          "config-gamma", *[f"config-{name}-float" for name in _INTEGRAL_FLOATS],
          "config-r-nan", "config-p-nan", "config-cutoff-nan", "arity-boundedness",
-         "config-arity-thm3"],
+         "config-arity-thm3", "identities-out-directory", "report-records-directory",
+         "config-directory", "scan-out-file"],
 )
 def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # Each of these once crashed with a traceback, checked nothing and
@@ -95,7 +101,8 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     # --d 0 an arity error.  A config with an integral float in an integer
     # field died with a TypeError traceback.  A NaN r wrote a record of NaN
     # ratios and a NaN cutoff ran with no cutoff; a symbol of another arity
-    # than p named neither.
+    # than p named neither.  A directory where a file belongs, or a file
+    # where a directory belongs, raised out of run_cli.
     garbage, empty = tmp_path / "records.jsonl", tmp_path / "empty.jsonl"
     garbage.write_text("\n{not json\n")
     empty.write_text("")
@@ -116,7 +123,7 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     }))
     files = {"{garbage}": str(garbage), "{empty}": str(empty),
              "{jacobian}": str(jacobian), "{negative_seed}": str(negative_seed),
-             "{gamma}": str(gamma), "{out}": str(out)}
+             "{gamma}": str(gamma), "{out}": str(out), "{dir}": str(tmp_path)}
     for name, value in _INTEGRAL_FLOATS.items():
         path = tmp_path / f"float_{name}.json"
         path.write_text(json.dumps({
@@ -181,10 +188,12 @@ class TestScanCommands:
 
     @pytest.mark.parametrize(
         "symbol, code",
-        [("det_norm:400", 0), ("det_norm:inf", 1), ("dot_norm:nan", 1)],
+        [("det_norm:400", 0), ("det_norm:1e19", 0), ("det_norm:inf", 1),
+         ("dot_norm:nan", 1)],
     )
     def test_large_or_non_finite_beta(self, capsys, tmp_path, symbol, code):
-        # These once wrote ratios [NaN] with passed=True and exit code 0.
+        # These once wrote ratios [NaN] with passed=True and exit code 0;
+        # det_norm:1e19 wrote NaN and exited 2, its quotient an ulp above 1.
         assert run_cli([
             "boundedness-scan", "--symbol", symbol, "--grid", "2x16",
             "--family", "1", "--out", str(tmp_path),
@@ -357,15 +366,21 @@ class TestScanCommands:
         assert "leave no nonzero mode" in capsys.readouterr().err
         assert not (tmp_path / experiment).exists()
 
-    def test_dilation_beyond_int64_exits_one(self, capsys, tmp_path):
-        # The padded 16-point output holds frequencies up to 2^t 8, so t = 59
-        # is refused; the scan once read wrapped frequencies there.
+    def test_dilation_beyond_int64_exits_one(self, capsys, monkeypatch, tmp_path):
+        # The padded 16-point output holds frequencies up to 2^t 8, so the
+        # range is refused at t_max = 63 before any operator call; the scan
+        # once read wrapped frequencies there, and later applied its
+        # operator at t = 58 before failing at t = 59.
+        calls, apply = [], harness.apply_direct_family
+        monkeypatch.setattr(harness, "apply_direct_family",
+                            lambda *args: calls.append(args) or apply(*args))
         code = run_cli([
             "boundedness-scan", "--grid", "2x8", "--family", "1",
             "--t-min", "58", "--t-max", "63", "--out", str(tmp_path),
         ])
         assert code == 1
-        assert "n=16, t=59 overflow int64" in capsys.readouterr().err
+        assert "n=16, t=63 overflow int64" in capsys.readouterr().err
+        assert not calls
         assert not list(tmp_path.iterdir())
 
     def test_smoothness_field_exits_one(self, capsys, tmp_path):

@@ -194,13 +194,13 @@ def test_checker_sees_a_sweep_loop(tmp_path):
     assert _sweep_loops(bad) == [1, 3, 4]
 
 
-_EXIT_ONE = {"ValueError", "NotImplementedError"}
+_EXIT_ONE = {"ValueError", "NotImplementedError", "OSError"}
 
 
 def _cmd_handlers(path: Path) -> list[str]:
     """The ``_cmd_*`` functions with an ``except`` clause that names
-    ``ValueError`` or ``NotImplementedError``: bad input that ``run_cli``
-    already turns into exit code 1."""
+    ``ValueError``, ``NotImplementedError`` or ``OSError``: bad input that
+    ``run_cli`` already turns into exit code 1."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")):
@@ -215,8 +215,8 @@ def _cmd_handlers(path: Path) -> list[str]:
 
 
 def test_commands_leave_bad_input_to_run_cli():
-    # One exit path: run_cli maps ValueError, NotImplementedError and
-    # MlabError to exit code 1 and prints the message.
+    # One exit path: run_cli maps ValueError, NotImplementedError, OSError
+    # and MlabError to exit code 1 and prints the message.
     assert _cmd_handlers(ROOT / "src" / "mlab" / "cli.py") == []
 
 

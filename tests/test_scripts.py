@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from mlab.cli import run_cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -77,3 +79,29 @@ def test_boundedness_script_writes_the_cli_record(tmp_path):
         record.pop("runtime_seconds")
         records.append(record)
     assert records[0] == records[1]
+
+
+def test_estimates_script_writes_the_cli_records(tmp_path):
+    # The script runs both estimate commands over t = 0..5 and forwards
+    # its arguments to each.
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_estimates.py"),
+         "--out", str(tmp_path / "script")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for command, experiment in [("jacobian-estimate", "jacobian"),
+                                ("hessian-estimate", "hessian")]:
+        assert run_cli([command, "--t-min", "0", "--t-max", "5",
+                        "--out", str(tmp_path / "cli")]) == 0
+        records = []
+        for name in ("script", "cli"):
+            record = json.loads((tmp_path / name / experiment / "records.jsonl").read_text())
+            record.pop("runtime_seconds")
+            records.append(record)
+        assert records[0] == records[1]

@@ -286,6 +286,16 @@ class TestNormalizedSymbol:
         assert np.all(np.isfinite(values)) and np.all(np.abs(values) <= 1.0)
         assert _ev(sym, *unit_pair) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("spec_id", ["det_norm:1e17", "dot_norm:1e17"])
+    def test_huge_integer_beta_stays_in_the_unit_disc(self, spec_id):
+        # On 2x16 lattice pairs the float quotient reaches 1 + 2.2e-16,
+        # whose 1e17th power was 4.4e9 before the quotient was clamped.
+        axis = np.fft.fftfreq(16, 1 / 16)
+        lattice = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = evaluate(resolve_symbol(spec_id, 2, m=2),
+                          [lattice[:, None, :], lattice[None, :, :]])
+        assert np.abs(values).max() <= 1.0
+
 
 class TestProductSymbol:
     def test_all_ones(self):
