@@ -2,9 +2,11 @@
 """Low-rank angular separable expansion of a multiplier symbol.
 
 Thin wrapper around ``mlab decompose-symbol``: samples the symbol on unit
-directions, prints the expansion's rank (its numerical rank, derived from
-the spectrum), node count (derived from the interpolation error), residual
-and spectrum as JSON.
+directions, expands its angular Fourier coefficients, and prints the
+expansion's rank (its numerical rank, derived from the spectrum), node
+count (derived from the interpolation error), residual, coefficient moduli
+and spectrum (the singular values of the angular coefficient tensor) as
+JSON.
 
 Usage:
   python3 scripts/decompose_symbol.py --symbol det_norm:1 --d 2

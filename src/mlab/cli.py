@@ -16,7 +16,6 @@ from .determinants import run_identity_suite
 from .errors import MlabError, SchemaValidationError
 from .harness import (
     ExperimentConfig,
-    ReportRecord,
     boundedness_scan,
     hessian_estimate,
     jacobian_estimate,
@@ -135,18 +134,20 @@ def _config_payload(args: argparse.Namespace, command: str) -> dict:
     return payload
 
 
-def _emit_record(cfg: ExperimentConfig, record: ReportRecord) -> None:
-    root = Path(cfg.out_dir) if cfg.out_dir else Path("out")
-    out_dir = root / cfg.experiment
-    write_records(out_dir / "records.jsonl", [record])
-    print(
-        f"{record.experiment} kind={record.kind} "
-        f"max={record.max_ratio:.6g} min={record.min_ratio:.6g} "
-        f"passed={record.passed} -> {out_dir}"
-    )
+def _refuse_unwritable(path: Path) -> None:
+    """Raise the ``OSError`` that writing the file ``path`` would raise after
+    the work, if its nearest existing component has the wrong kind: ``path``
+    itself a directory, or an ancestor a file.  Creates nothing."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing == path and path.is_dir():
+        raise IsADirectoryError(f"Is a directory: '{path}'")
+    if existing != path and not existing.is_dir():
+        raise NotADirectoryError(f"Not a directory: '{existing}'")
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
+    if args.out:
+        _refuse_unwritable(Path(args.out))
     reports = run_identity_suite(instances=args.instances, seed=args.seed)
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload, indent=2)
@@ -167,16 +168,24 @@ _SCANS = {
 
 def _cmd_scan(args: argparse.Namespace, command: str) -> int:
     cfg = _load_config(args, command)
+    path = (Path(cfg.out_dir) if cfg.out_dir else Path("out")) / cfg.experiment / "records.jsonl"
+    _refuse_unwritable(path)
     enumeration_budget()
     record = _SCANS[command](cfg)
-    _emit_record(cfg, record)
+    write_records(path, [record])
+    print(
+        f"{record.experiment} kind={record.kind} "
+        f"max={record.max_ratio:.6g} min={record.min_ratio:.6g} "
+        f"passed={record.passed} -> {path.parent}"
+    )
     return 0 if record.passed else 2
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    exp = separable_expand(resolve_symbol(args.symbol, args.d))
+    sym = resolve_symbol(args.symbol, args.d)
+    exp = separable_expand(sym)
     payload = {
-        "symbol": exp.symbol_name,
+        "symbol": sym.name,
         "m": exp.m,
         "d": exp.d,
         "rank": exp.rank,

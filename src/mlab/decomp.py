@@ -9,13 +9,13 @@ A degree-zero poly-homogeneous symbol restricted to the product annulus
 factors as ``phi(r_1) ... phi(r_m) S(theta_1, ..., theta_m)``: the radial
 part is the rank-one cutoff, so every separable structure lives in the
 angular function ``S``.  The expansion therefore samples ``sigma`` on unit
-directions only (signs for d = 1, equispaced angles for d = 2) and
-factors that table by one recursive SVD for every arity: the slot-0
-unfolding is split by an SVD, and each kept right singular vector,
-reshaped to the remaining slots, is split the same way, as in TT-SVD
-(Oseledets, SIAM J. Sci. Comput. 33, 2011).  A factor is evaluated at any
-nonzero frequency through its direction, by trigonometric interpolation in
-angle.
+directions only (signs for d = 1, equispaced angles for d = 2) and factors
+the angular Fourier coefficients of that table by one recursive SVD for
+every arity: the slot-0 unfolding is split by an SVD, and each kept right
+singular vector, reshaped to the remaining slots, is split the same way,
+as in TT-SVD (Oseledets, SIAM J. Sci. Comput. 33, 2011).  Each factor is a
+Laurent polynomial in its slot's direction ``z = xi / |xi|``, evaluated at
+any nonzero frequency by Horner's rule.
 """
 
 from __future__ import annotations
@@ -120,13 +120,11 @@ def localize(f: Field, part: DyadicPartition, j: int) -> Field:
 class AnnulusGrid:
     """Uniform direction set on the unit sphere of the annulus.
 
-    Signs ``+1, -1`` for d = 1 (weight 1 each), ``n`` equispaced angles for
-    d = 2 (weight ``2 pi / n`` each).  ``weights`` is the ``L^2`` quadrature
-    weight per node on the sphere.
+    Signs ``+1, -1`` for d = 1, ``n`` equispaced angles for d = 2: as
+    ``z = xi / |xi|``, the ``n``-th roots of unity (``n = 2`` for the signs).
     """
 
     points: np.ndarray
-    weights: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -137,14 +135,10 @@ def build_annulus_grid(d: int) -> AnnulusGrid:
     """Starting direction set of the expansion: the signs for d = 1,
     ``_START_NODES`` angles for d = 2."""
     if d == 1:
-        return AnnulusGrid(points=np.array([[1.0], [-1.0]]), weights=np.ones(2))
+        return AnnulusGrid(points=np.array([[1.0], [-1.0]]))
     if d == 2:
-        return _circle_grid(_START_NODES)
+        return AnnulusGrid(points=_circle_points(_START_NODES))
     raise NotImplementedError("annulus grids implemented for d <= 2")
-
-
-def _circle_grid(n: int) -> AnnulusGrid:
-    return AnnulusGrid(points=_circle_points(n), weights=np.full(n, 2.0 * math.pi / n))
 
 
 def _circle_points(n: int, shift: float = 0.0) -> np.ndarray:
@@ -157,14 +151,16 @@ def _circle_points(n: int, shift: float = 0.0) -> np.ndarray:
 class SeparableExpansion:
     """Rank-``R`` separable model ``sum_l c_l prod_j F_jl(xi_j / |xi_j|)``.
 
-    ``factors[j]`` has shape ``(R, n_points)`` holding the slot-``j`` tables;
-    ``R`` is the numerical rank of the sampled symbol.  ``spectrum`` holds
-    the singular values, nonincreasing, of the slot-0 unfolding of the
-    weighted node tensor, ``n_points`` rows by ``n_points^(m-1)`` columns:
-    the full singular-value sequence of the node matrix for m = 2.  For
-    m > 2 each kept singular value may carry several terms, so ``R`` can
-    exceed the count of kept values.  ``residual`` is the larger of the
-    returned terms' measured relative error on the direction grid and the
+    ``factors[j]`` has shape ``(R, n + 1)``, ``n = grid.n_points``: row ``l``
+    holds the Laurent coefficients of ``F_jl`` for ``z^(-n/2) ... z^(n/2)``,
+    the Nyquist one split evenly between ``+-n/2``.  ``R`` is the numerical
+    rank of the angular coefficient tensor, and ``spectrum`` holds the
+    singular values, nonincreasing, of its slot-0 unfolding (``n`` rows by
+    ``n^(m-1)`` columns): for a symbol of ``theta_2 - theta_1``, the moduli
+    of its coefficients.  For m > 2 each kept singular value may carry
+    several terms, so ``R`` can exceed the count of kept values.
+    ``residual`` is the larger of the returned terms' measured relative
+    error on the coefficients (by Parseval, on the direction grid) and the
     interpolation error at the midpoints between nodes.
     """
 
@@ -175,7 +171,6 @@ class SeparableExpansion:
     factors: tuple[np.ndarray, ...]
     residual: float
     spectrum: np.ndarray
-    symbol_name: str = "symbol"
 
     @property
     def rank(self) -> int:
@@ -184,34 +179,27 @@ class SeparableExpansion:
     def factor_values(self, slot: int, points: np.ndarray) -> np.ndarray:
         """Evaluate every rank-factor of one slot at arbitrary nonzero points.
 
-        A factor depends on the direction only: sign lookup for d = 1,
-        trigonometric interpolation in the angle ``theta`` of ``xi`` for
-        d = 2, whose basis ``exp(i k theta)`` is ``z^k`` for ``z = xi / |xi|``,
+        A factor is a Laurent polynomial in the direction ``z = xi / |xi|``
+        (``(xi_1 + i xi_2) / |xi|`` for d = 2, the sign of ``xi_1`` for
+        d = 1), evaluated by Horner's rule from both ends: in ``z`` for the
+        positive powers and in ``conj(z) = 1 / z`` for the negative ones,
         with no ``atan2`` or ``exp``.  Returns an array of shape ``(rank, B)``.
         """
         pts = np.asarray(points, dtype=np.float64)
         radius = np.linalg.norm(pts, axis=-1)
         if np.any(radius <= 0.0):
             raise ValueError("factor evaluation needs nonzero frequencies")
-        table = self.factors[slot]
-        if self.d == 1:
-            return table[:, (pts[:, 0] < 0.0).astype(int)]
-        n_ang = self.grid.n_points
-        z = (pts[:, 0] + 1j * pts[:, 1]) / radius
-        # z^k for 0 <= k < n/2, the filled rows doubling per pass (z_filled is
-        # z^filled); negative k by conjugation.
-        half = (n_ang + 1) // 2
-        powers = np.ones((half, z.shape[0]), dtype=np.complex128)
-        filled, z_filled = 1, z
-        while filled < half:
-            take = min(filled, half - filled)
-            np.multiply(powers[:take], z_filled, out=powers[filled : filled + take])
-            filled, z_filled = filled + take, z_filled * z_filled
-        # The angular Nyquist mode enters as the real cos(n theta / 2), its
-        # coefficient split evenly between +-n/2.
-        nyquist = [(powers[-1] * z).real[None]] if n_ang % 2 == 0 else []
-        basis = np.concatenate([powers, *nyquist, np.conj(powers[:0:-1])])
-        return (np.fft.fft(table, axis=-1) / n_ang) @ basis
+        z = pts @ np.array([1.0, 1j])[: self.d] / radius
+        w = np.conj(z)
+        laurent = self.factors[slot]
+        half = laurent.shape[1] // 2
+        pos, neg = laurent[:, -1:] * z, laurent[:, :1] * w
+        for k in range(1, half):
+            pos += laurent[:, -1 - k, None]
+            pos *= z
+            neg += laurent[:, k, None]
+            neg *= w
+        return laurent[:, half, None] + pos + neg
 
 
 def _symbol_on_product(sym: SymbolSpec, slots: list[np.ndarray]) -> np.ndarray:
@@ -268,12 +256,12 @@ def separable_expand(sym: SymbolSpec) -> SeparableExpansion:
     direction product above ``enumeration_budget()`` raises
     ``BudgetExceededError``.
 
-    The quadrature weighted node tensor is expanded by ``_svd_expand``, one
-    recursive SVD for every arity, with ``floor`` as the relative cut of
-    every unfolding's singular values (numpy's ``matrix_rank`` rule); for
-    ``m = 2`` it is the SVD of the node matrix.  The recorded ``residual``
-    is the larger of the midpoint error and the relative error of the
-    returned terms, rebuilt on the nodes, against the sampled symbol.
+    The angular Fourier coefficients ``fftn(samples) / n^m`` are expanded
+    by ``_svd_expand``, one recursive SVD for every arity, with ``floor`` as
+    the relative cut of every unfolding's singular values (numpy's
+    ``matrix_rank`` rule).  The recorded ``residual`` is the larger of the
+    midpoint error and the relative error of the returned terms against
+    the coefficients, which by Parseval is their error on the nodes.
     """
     if not sym.poly_homogeneous:
         raise ValueError("separable expansion requires a poly-homogeneous symbol")
@@ -295,12 +283,16 @@ def separable_expand(sym: SymbolSpec) -> SeparableExpansion:
                 f"{sym.name!r} is not resolved by {grid.n_points} angles: midpoint "
                 f"error {alias:.3e} > {floor:.3e}"
             )
-        grid = _circle_grid(2 * grid.n_points)
-    sqw = np.sqrt(grid.weights)
-    coeffs, tables, spectrum = _svd_expand(samples * _outer([sqw] * sym.m), floor)
-    factors = tuple(t / sqw for t in tables)
-    norm = float(np.linalg.norm(samples))
-    error = float(np.linalg.norm(samples - _model(coeffs, factors))) / norm if norm else 0.0
+        grid = AnnulusGrid(points=_circle_points(2 * grid.n_points))
+    hat = np.fft.fftn(samples) / grid.n_points**sym.m
+    coeffs, tables, spectrum = _svd_expand(hat, floor)
+    norm = float(np.linalg.norm(hat))
+    error = float(np.linalg.norm(hat - _model(coeffs, tables))) / norm if norm else 0.0
+    # FFT order to z^(-n/2) ... z^(n/2), the Nyquist mode halved onto both ends.
+    half = grid.n_points // 2
+    factors = tuple(np.concatenate([t[:, half:], t[:, : half + 1]], axis=1) for t in tables)
+    for f in factors:
+        f[:, [0, -1]] /= 2.0
     return SeparableExpansion(
         m=sym.m,
         d=sym.d,
@@ -309,7 +301,6 @@ def separable_expand(sym: SymbolSpec) -> SeparableExpansion:
         factors=factors,
         residual=max(error, alias),
         spectrum=spectrum,
-        symbol_name=sym.name,
     )
 
 
@@ -342,7 +333,7 @@ def _svd_expand(
     return np.concatenate(coeffs), [np.concatenate(f) for f in zip(*factors)], s
 
 
-def _model(coeffs: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+def _model(coeffs: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """``sum_l c_l prod_j F_jl`` on the product of the node sets."""
     cols = np.ones((coeffs.shape[0], 1))
     for f in factors[1:]:
@@ -350,9 +341,3 @@ def _model(coeffs: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     model = (factors[0].T * coeffs) @ cols
     return model.reshape(tuple(f.shape[1] for f in factors))
 
-
-def _outer(vecs: list[np.ndarray]) -> np.ndarray:
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.multiply.outer(out, v)
-    return out

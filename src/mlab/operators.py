@@ -258,9 +258,10 @@ def apply_separable(op: OperatorSpec, fields: list[Field]) -> Field:
 
     Degree zero in each slot makes the dyadic scale sum of a factor collapse
     to ``sum_s psi(2^-s xi) F_jl(2^-s xi) = F_jl(xi / |xi|)``, so slot ``j`` of
-    term ``l`` is the single-variable multiplier ``F_jl`` at the direction of
-    every active nonzero mode and 0 at the origin; the factors are evaluated
-    only at the modes ``apply_direct`` enumerates.  Each slot's coefficients
+    term ``l`` is the single-variable multiplier ``F_jl``, a Laurent
+    polynomial in the direction ``xi / |xi|``, at every active nonzero mode
+    and 0 at the origin; the factors are evaluated only at the modes
+    ``apply_direct`` enumerates.  Each slot's coefficients
     times factor values are scattered by FFT index onto the padded cell,
     which holds every sum of ``m`` input frequencies without a wrap; per
     term, one ``dft_inverse`` per slot and their pointwise product are

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mlab import harness, validate_record
+from mlab import cli, harness, validate_record
 from mlab.cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,6 +150,38 @@ def test_bad_input_exits_one(capsys, tmp_path, argv, message):
     assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["boundedness-scan", "--grid", "2x8", "--out", "{file}"], "Not a directory"),
+        (["jacobian-estimate", "--out", "{records_dir}"], "Is a directory"),
+        (["verify-identities", "--instances", "1", "--out", "{dir}"], "Is a directory"),
+        (["verify-identities", "--out", "{file}/report.json"], "Not a directory"),
+    ],
+    ids=["scan-out-file", "scan-records-directory",
+         "identities-out-directory", "identities-out-below-file"],
+)
+def test_bad_output_path_refused_before_the_work(monkeypatch, capsys, tmp_path, argv,
+                                                 message):
+    # A bad output path once surfaced only when the record was written, after
+    # the whole scan or identity suite had run.
+    def entered(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    for command in cli._SCANS:
+        monkeypatch.setitem(cli._SCANS, command, entered)
+    monkeypatch.setattr(cli, "run_identity_suite", entered)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "runs" / "jacobian" / "records.jsonl").mkdir(parents=True)
+    argv = [a.format(file=tmp_path / "file", records_dir=tmp_path / "runs", dir=tmp_path)
+            for a in argv]
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestScanCommands:

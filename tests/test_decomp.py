@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlab import (
+    AnnulusGrid,
     BudgetExceededError,
     DyadicPartition,
     GridSpec,
@@ -25,7 +26,7 @@ from mlab import (
     separable_expand,
     spectrum_from_modes,
 )
-from mlab.decomp import SeparableExpansion, _circle_grid
+from mlab.decomp import SeparableExpansion
 from mlab.grid import dft_inverse
 
 from conftest import phase_symbol, random_trig, rel_err
@@ -104,12 +105,6 @@ class TestLocalize:
 
 
 class TestAnnulusGrid:
-    def test_weights_sum_to_sphere_measure(self):
-        assert float(np.sum(build_annulus_grid(2).weights)) == pytest.approx(
-            2.0 * math.pi, rel=1e-15
-        )
-        assert float(np.sum(build_annulus_grid(1).weights)) == 2.0
-
     def test_nodes_are_unit_directions(self):
         doubled = separable_expand(resolve_symbol("det_norm:20", 2)).grid
         for grid in (build_annulus_grid(1), build_annulus_grid(2), doubled):
@@ -120,12 +115,10 @@ class TestAnnulusGrid:
 class TestSeparableExpansion:
     def test_constant_symbol_rank_one(self):
         exp = separable_expand(one_symbol(2, 2))
-        # The weighted node matrix is sqrt(w) sqrt(w)^T, so the single
-        # coefficient is the measure of the circle, sum(w) = 2 pi.
+        # The angular coefficient tensor is zero but for its mean, 1, at
+        # k = 0, so the single coefficient is 1.
         assert exp.rank == 1
-        want = float(np.sum(exp.grid.weights))
-        assert want == pytest.approx(2.0 * math.pi, rel=1e-12)
-        assert abs(exp.coeffs[0]) == pytest.approx(want, rel=1e-12)
+        assert abs(exp.coeffs[0]) == pytest.approx(1.0, rel=1e-12)
         assert exp.residual <= 1e-12
 
     @pytest.mark.parametrize(
@@ -228,28 +221,40 @@ class TestSeparableExpansion:
     @pytest.mark.parametrize("beta, tol", [(1.0, 1e-12), (2.0, 1e-12), (3.0, 1e-12)])
     def test_det_norm_spectrum_is_circulant_dft(self, beta, tol):
         # det_norm:beta in d = 2 depends on theta_2 - theta_1 only, so its
-        # weighted angular matrix is circulant: its singular values are the
-        # moduli of the DFT of one row, with no SVD involved.
+        # node matrix is circulant and its angular coefficient matrix holds
+        # the DFT of one row, over n, on the antidiagonal k_1 + k_2 = 0: the
+        # singular values are those moduli, with no SVD involved.
         sym = normalized_power_symbol(det_symbol(2), beta)
         exp = separable_expand(sym)
         n = exp.grid.n_points
         theta = 2.0 * math.pi * np.arange(n) / n
         e1 = np.tile([1.0, 0.0], (n, 1))
         c = evaluate(sym, [e1, np.stack([np.cos(theta), np.sin(theta)], axis=-1)])
-        want = np.sort(np.abs(np.fft.fft(c)))[::-1] * 2.0 * math.pi / n
+        want = np.sort(np.abs(np.fft.fft(c)))[::-1] / n
         assert float(np.max(np.abs(exp.spectrum - want))) <= tol * exp.spectrum[0]
 
     def test_det_norm_one_pinned(self):
         # sin(theta_2 - theta_1) has exactly two angular modes, each of
-        # weighted singular value pi.
+        # coefficient modulus 1/2.
         sym = normalized_power_symbol(det_symbol(2), 1.0)
         started = time.perf_counter()
         exp = separable_expand(sym)
         elapsed = time.perf_counter() - started
-        assert exp.spectrum[0] == pytest.approx(math.pi, rel=1e-12)
-        assert exp.spectrum[1] == pytest.approx(math.pi, rel=1e-12)
+        assert exp.spectrum[0] == pytest.approx(0.5, rel=1e-12)
+        assert exp.spectrum[1] == pytest.approx(0.5, rel=1e-12)
         assert exp.residual <= 1e-12
         assert elapsed <= 0.1
+
+    @pytest.mark.parametrize(
+        "spec", ["det_norm:1", "det_norm:2", "det_norm:3", "dot_norm:1", "dot_norm:2"]
+    )
+    def test_spectrum_sums_to_the_angular_ceiling(self, spec):
+        # A symbol h(theta_2 - theta_1) puts h's angular coefficients on the
+        # antidiagonal of the coefficient matrix, so the spectrum is their
+        # moduli and its sum is the (2, 2) -> 1 ceiling sum_k |h^(k)|, which
+        # is 1 for these powers of sin and cos.
+        exp = separable_expand(resolve_symbol(spec, 2))
+        assert float(np.sum(exp.spectrum)) == pytest.approx(1.0, abs=1e-12)
 
     def test_trilinear_riesz_product_builds(self):
         sym = resolve_symbol("riesz_product:1,2,1", 2)
@@ -285,36 +290,49 @@ class TestSeparableExpansion:
             separable_expand(power_symbol(det_symbol(2), 1))
 
 
-def _angle_formula(exp: SeparableExpansion, slot: int, pts: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation of the factor tables in ``theta = atan2``,
-    the basis ``exp(i k theta)`` with the Nyquist row ``cos(n theta / 2)``."""
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    n = exp.grid.n_points
-    k = np.fft.fftfreq(n, 1.0 / n)
-    basis = np.exp(1j * np.outer(k, theta))
-    basis[n // 2] = np.cos(n // 2 * theta)
-    return (np.fft.fft(exp.factors[slot], axis=-1) / n) @ basis
+def _laurent_expansion(grid: AnnulusGrid, rows: list[np.ndarray]) -> SeparableExpansion:
+    """An expansion whose slot-``j`` factors are the Laurent rows ``rows[j]``."""
+    rank = rows[0].shape[0]
+    return SeparableExpansion(m=len(rows), d=grid.points.shape[1], grid=grid,
+                              coeffs=np.ones(rank), factors=tuple(rows), residual=0.0,
+                              spectrum=np.ones(rank))
+
+
+def _random_rows(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestFactorValues:
     @pytest.mark.parametrize("nodes, tol", [(32, 1e-14), (1024, 1e-12)])
     def test_powers_of_the_direction_match_the_angle_formula(self, nodes, tol):
-        # Random complex tables weight every angular mode, Nyquist included;
-        # the points cover every lattice direction of a 32-point grid, the
-        # four axis directions and theta = pi among them.
+        # Random complex Laurent rows weight every power z^k, |k| <= n/2; the
+        # points cover every lattice direction of a 32-point grid, the four
+        # axis directions and theta = pi among them.
         rng = np.random.default_rng(nodes)
-        tables = [rng.standard_normal((3, nodes)) + 1j * rng.standard_normal((3, nodes))
-                  for _ in range(2)]
-        exp = SeparableExpansion(m=2, d=2, grid=_circle_grid(nodes), coeffs=np.ones(3),
-                                 factors=tuple(tables), residual=0.0, spectrum=np.ones(3))
+        rows = [_random_rows(rng, (3, nodes + 1)) for _ in range(2)]
+        theta = 2.0 * math.pi * np.arange(nodes) / nodes
+        grid = AnnulusGrid(points=np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+        exp = _laurent_expansion(grid, rows)
         f = np.arange(-16, 16)
         pts = np.stack(np.meshgrid(f, f, indexing="ij"), axis=-1).reshape(-1, 2)
         pts = np.concatenate([pts[np.any(pts != 0, axis=1)], [[-3, 0], [0, -7]]])
-        for slot in range(2):
+        k = np.arange(-(nodes // 2), nodes // 2 + 1)
+        basis = np.exp(1j * np.outer(k, np.arctan2(pts[:, 1], pts[:, 0])))
+        for slot, a in enumerate(rows):
             got = exp.factor_values(slot, pts)
-            want = _angle_formula(exp, slot, pts.astype(np.float64))
+            want = a @ basis
             assert got.shape == (3, pts.shape[0])
             assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def test_signs_are_the_square_roots_of_unity(self):
+        # d = 1 takes the same path: z = xi_1 / |xi_1| = +-1, the n = 2
+        # roots of unity, so F(+-1) = a_0 +- (a_1 + a_-1).
+        rows = _random_rows(np.random.default_rng(2), (3, 3))
+        exp = _laurent_expansion(build_annulus_grid(1), [rows])
+        pts = np.array([[3.0], [-1.0], [1.0], [-7.0]])
+        got = exp.factor_values(0, pts)
+        want = rows[:, 1, None] + (rows[:, 0, None] + rows[:, 2, None]) * np.sign(pts[:, 0])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_zero_point_rejected(self):
         exp = separable_expand(resolve_symbol("det_norm:1", 2))
