@@ -100,6 +100,7 @@ from .harness import (
     hessian_estimate,
     jacobian_estimate,
     random_field,
+    random_spectrum,
     thm3_estimate_ratio,
     write_records,
 )

@@ -171,13 +171,20 @@ class Spectrum:
 
 
 def dft_forward(f: Field) -> Spectrum:
-    """Forward transform, ``coeffs(xi) = n^-d sum_p f(x_p) e^{-i xi . x_p}``."""
-    return Spectrum(f.grid, np.fft.fftn(f.samples) / f.grid.npoints)
+    """Forward transform, ``coeffs(xi) = n^-d sum_p f(x_p) e^{-i xi . x_p}``.
+
+    It, :func:`dft_inverse` and :func:`padded_inverse` scale the FFT's own
+    output in place, so no second full-size array is made."""
+    coeffs = np.fft.fftn(f.samples)
+    coeffs /= f.grid.npoints
+    return Spectrum(f.grid, coeffs)
 
 
 def dft_inverse(s: Spectrum) -> Field:
     """Inverse transform; exact round trip with :func:`dft_forward`."""
-    return Field(s.grid, np.fft.ifftn(s.coeffs) * s.grid.npoints)
+    samples = np.fft.ifftn(s.coeffs)
+    samples *= s.grid.npoints
+    return Field(s.grid, samples)
 
 
 def as_spectrum(x: Field | Spectrum) -> Spectrum:
@@ -344,7 +351,8 @@ def padded_inverse(s: Spectrum, n_new: int) -> Field:
         padded[lead + (slice(half),)] = out[lead + (slice(half),)]
         padded[lead + (slice(n_new - half, None),)] = out[lead + (slice(half, None),)]
         out = np.fft.ifft(padded, axis=axis)
-    return Field(grid_new, out * grid_new.npoints)
+    out *= grid_new.npoints
+    return Field(grid_new, out)
 
 
 def regrid_field(f: Field, n_new: int) -> Field:

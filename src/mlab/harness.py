@@ -1,11 +1,15 @@
 """Experiment driver: random spectral families, ratio scans, dilation sweeps.
 
 Every experiment has the same shape, and one private driver runs it:
-``_draw`` yields each member of a seeded family (its random input fields
-and, where the scan pairs against one, a full-band test function), and
-``_scan`` runs the dyadic dilation sweep ``t_min .. t_max``, builds one row
-per step from the scan's ``step(t)``, and gives the verdict.  Each public
-scan keeps only its refusals, its per-member preparation and its ``step``.
+``_draw`` yields each member of a seeded family (the spectra of its random
+input fields and, where the scan pairs against one, of a full-band test
+function), ``_sweep`` is the one loop over the dyadic dilation range
+``t_min .. t_max``, and ``_scan`` builds one row per step from the scan's
+``step(t)`` and gives the verdict.  Each public scan keeps only its
+refusals, its per-member preparation and its ``step``.  The boundedness and
+transfer scans read each drawn spectrum as the field ``random_field``
+returns; the estimate sweeps read the drawn spectra themselves and stream
+the family, one member at a time through every step.
 Dilation keeps the base samples on a grid with dyadic exponent ``t``
 (``GridSpec.t``).  A degree-zero poly-homogeneous operator commutes with
 that dilation, so its boundedness step does not depend on ``t``: ``_scan``
@@ -14,7 +18,8 @@ scan runs its step at every ``t``.  Every family must stay within a fixed
 factor of its ratio at ``t_min``.  Each dilated quantity has one route
 below this module: ``grid.dilate_dyadic`` of a field or spectrum,
 ``grid.pair_spectra`` and ``grid.active_in_band`` across grids, and one
-``spaces.bessel_norms`` batch per sweep step.  Where the direct
+``spaces.bessel_norms`` batch per sweep step of the transfer scan and per
+member and step of the estimate sweeps.  Where the direct
 boundedness scan applies its operator, it applies it to the step's whole
 family with one ``operators.apply_direct_family`` call, which enumerates
 the tuples of equal supports once.  The separable scan, whose symbols are
@@ -69,6 +74,7 @@ from .symbols import resolve_symbol
 __all__ = [
     "ExperimentConfig",
     "ReportRecord",
+    "random_spectrum",
     "random_field",
     "boundedness_scan",
     "thm3_estimate_ratio",
@@ -177,20 +183,22 @@ class ReportRecord:
                 "sweep": [dict(row) for row in self.sweep]}
 
 
-def random_field(
+def random_spectrum(
     seed: int,
     grid: GridSpec,
     gamma: float,
     cutoff: float | None = None,
-) -> Field:
-    """Seeded real mean-zero field, coefficient modulus ``(1 + |xi|)^-gamma``.
+) -> Spectrum:
+    """Seeded spectrum of a real mean-zero field, coefficient modulus
+    ``(1 + |xi|)^-gamma``.
 
     Phases are independent and uniform on a canonical half lattice and
     mirrored conjugate-symmetrically; self-paired modes get a random sign.
-    The modulus therefore matches the profile exactly at every active mode.
-    ``cutoff`` zeroes all modes with lattice radius beyond it.  A cutoff and
-    decay that leave no nonzero coefficient raise ``ValueError``: every
-    ratio of such a family would read 0 and check nothing.
+    The modulus therefore matches the profile exactly at every active mode,
+    and the mean is exactly 0.  ``cutoff`` zeroes all modes with lattice
+    radius beyond it.  A cutoff and decay that leave no nonzero coefficient
+    raise ``ValueError``: every ratio of such a family would read 0 and
+    check nothing.
     """
     if gamma < 0:
         raise ValueError("decay exponent must be >= 0")
@@ -219,8 +227,23 @@ def random_field(
     coeffs[0] = 0.0
     if not np.any(coeffs):
         raise ValueError(f"cutoff {cutoff} and decay {gamma} leave no nonzero mode")
-    f = dft_inverse(Spectrum(grid, coeffs.reshape(grid.shape)))
-    return Field(grid, f.samples.real)
+    return Spectrum(grid, coeffs.reshape(grid.shape))
+
+
+def _real_field(spec: Spectrum) -> Field:
+    """The real part of the inverse transform of ``spec``."""
+    return Field(spec.grid, dft_inverse(spec).samples.real)
+
+
+def random_field(
+    seed: int,
+    grid: GridSpec,
+    gamma: float,
+    cutoff: float | None = None,
+) -> Field:
+    """Seeded real mean-zero field: the real samples of
+    ``random_spectrum(seed, grid, gamma, cutoff)``, whose refusals it keeps."""
+    return _real_field(random_spectrum(seed, grid, gamma, cutoff))
 
 
 def _family_seeds(cfg: ExperimentConfig, streams: int) -> list[list[int]]:
@@ -233,16 +256,17 @@ def _family_seeds(cfg: ExperimentConfig, streams: int) -> list[list[int]]:
 
 def _draw(
     cfg: ExperimentConfig, inputs: int, test_function: bool = False
-) -> Iterator[tuple[list[Field], Field | None]]:
-    """Each member's ``inputs`` random fields at decay ``DECAY`` and, with
-    ``test_function``, its full-band test function ``phi`` at decay ``DECAY +
-    2`` from the next seed of the member's block; ``phi`` is ``None``
-    otherwise.  A band cutoff on ``phi`` would make the undilated pairing
+) -> Iterator[tuple[list[Spectrum], Spectrum | None]]:
+    """Each member's ``inputs`` random spectra at decay ``DECAY`` and, with
+    ``test_function``, the spectrum of its full-band test function ``phi``
+    at decay ``DECAY + 2`` from the next seed of the member's block; ``phi``
+    is ``None`` otherwise.  A member is drawn only when the caller asks for
+    it.  A band cutoff on ``phi`` would make the undilated pairing
     unrepresentatively small and the sweep ratios erratic relative to it."""
     for block in _family_seeds(cfg, inputs + test_function):
-        fields = [random_field(s, cfg.grid, DECAY, cutoff=cfg.cutoff) for s in block[:inputs]]
-        phi = random_field(block[inputs], cfg.grid, DECAY + 2.0) if test_function else None
-        yield fields, phi
+        specs = [random_spectrum(s, cfg.grid, DECAY, cutoff=cfg.cutoff) for s in block[:inputs]]
+        phi = random_spectrum(block[inputs], cfg.grid, DECAY + 2.0) if test_function else None
+        yield specs, phi
 
 
 def _ratio(num: float, den: float) -> float:
@@ -292,6 +316,12 @@ def _finish(
     )
 
 
+def _sweep(cfg: ExperimentConfig, step: Callable[[int], object]) -> list:
+    """``step(t)`` at every ``t`` of the dilation range ``t_min .. t_max``,
+    in order: the one loop over that range."""
+    return [step(t) for t in range(cfg.t_min, cfg.t_max + 1)]
+
+
 def _scan(
     cfg: ExperimentConfig, kind: str, started: float, step: Callable[[int], dict],
     extra: dict, invariant: bool = False, holds: bool = True,
@@ -302,8 +332,11 @@ def _scan(
     the verdict also needs.  An ``invariant`` step gives the same row at
     every ``t``, so it runs once, at ``t_min``, and every row repeats it."""
     first = step(cfg.t_min) if invariant else None
-    sweep_rows = [{"t": t, **(first if invariant else step(t))}
-                  for t in range(cfg.t_min, cfg.t_max + 1)]
+
+    def row(t: int) -> dict:
+        return {"t": t, **(first if invariant else step(t))}
+
+    sweep_rows = _sweep(cfg, row)
     passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR) and holds
     thresholds = {"sweep_max_over_base": OSCILLATION_FACTOR}
     return _finish(cfg, kind, sweep_rows, thresholds, passed, started, extra)
@@ -337,7 +370,7 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
     # GridSpec refuses frequencies beyond int64: refuse the range before the
     # first operator call, not at the step that reaches it.
     cfg.grid.with_n(padded_points(cfg.n, cfg.m)).dilated(cfg.t_max)
-    families = [fs for fs, _ in _draw(cfg, cfg.m)]
+    families = [[_real_field(sp) for sp in specs] for specs, _ in _draw(cfg, cfg.m)]
     applied_t = extra["applied_t"] = []
 
     def step(t: int) -> dict:
@@ -375,7 +408,8 @@ def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:
     m = cfg.m
     s = k * (m - 1) / m
     r_star = holder_conjugate(cfg.r)
-    members = list(_draw(cfg, m, test_function=True))
+    members = [([_real_field(sp) for sp in specs], _real_field(phi))
+               for specs, phi in _draw(cfg, m, test_function=True)]
     spectra = [[dft_forward(f) for f in fs] for fs, _ in members]
     phi_norms = [sobolev_wkp_norm(phi, k, r_star) for _, phi in members]
 
@@ -417,14 +451,19 @@ def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
     the pairing by ``2^{order d t}``, and the pairing is ``pair_spectra`` of
     the dilated spectrum of ``D``.  The Jacobian's ``u`` is a map with ``d``
     components, the Hessian's a scalar reused in every norm factor.
-    Spectra, determinants and their difference are computed once per
-    instance, not once per step, and each field is transformed once: the
-    determinant and sup-norm routes take the spectra.  All input norms of a
-    step are one ``bessel_norms`` batch, whose ``p = 2`` norms (the
-    Jacobian's in its critical ``d = 2`` space) are Parseval sums with no
-    transform.  Each row's ``active_modes`` counts, per member, the
-    determinant modes that meet the test function's band at that step (mean
-    excluded), above ``noise_floor`` of the spectrum held here.
+
+    The family streams: ``_draw`` draws one member at a time, ``member``
+    reduces it to its entry of every sweep row and difference row, and its
+    arrays are dropped before the next member is drawn, so memory does not
+    grow with the family; ``step(t)`` assembles the rows from those entries.  A member's
+    inputs and ``phi`` are used as drawn spectra, ``u - v`` is their
+    difference, and the only transforms are the two determinants'.  Each
+    step's input norms are one ``bessel_norms`` batch per member, whose
+    ``p = 2`` norms (the Jacobian's in its critical ``d = 2`` space) are
+    Parseval sums with no transform.  Each row's ``active_modes`` counts,
+    per member, the determinant modes that meet the test function's band at
+    that step (mean excluded), above ``noise_floor`` of the spectrum held
+    here.  Member 0's pass also takes the ``u = v`` numerator.
     """
     started = time.perf_counter()
     kind = ("jacobian", "hessian")[order - 1]
@@ -450,60 +489,49 @@ def _determinant_estimate(cfg: ExperimentConfig, order: int) -> ReportRecord:
             return dft_forward(jacobian_det_pointwise(specs, det_n))
         return dft_forward(hessian_det_pointwise(specs[0], det_n))
 
-    instances = []
-    for fields, phi in _draw(cfg, 2 * components, test_function=True):
-        us, vs = fields[:components], fields[components:]
-        u_specs = [dft_forward(u) for u in us]
-        Du = det_spectrum(u_specs)
-        v_specs = [dft_forward(v) for v in vs]
-        Dv = det_spectrum(v_specs)
-        spectra = [
-            u_specs,
-            v_specs,
-            [dft_forward(Field(cfg.grid, u.samples - v.samples)) for u, v in zip(us, vs)],
-        ]
-        phihat = dft_forward(phi)
+    def member(specs: list[Spectrum], phihat: Spectrum) -> list[tuple]:
+        """``(ratio, active, difference ratio, difference active)`` of one
+        member at every step."""
+        nonlocal zero_num
+        us, vs = specs[:components], specs[components:]
+        deltas = [Spectrum(cfg.grid, u.coeffs - v.coeffs) for u, v in zip(us, vs)]
+        Du, Dv = det_spectrum(us), det_spectrum(vs)
         Ddiff = Spectrum(Du.grid, Du.coeffs - Dv.coeffs)
-        instances.append(
-            {
-                # The u, v and difference spectrum of every norm slot.
-                "slots": [specs[j % components] for specs in spectra for j in range(d)],
-                "Du": Du,
-                "Ddiff": Ddiff,
-                "tol_u": noise_floor(Du),
-                "tol_diff": noise_floor(Ddiff),
-                "phi": phihat,
-                "sup": grad_sup_norms(phihat, order),
-            }
-        )
+        tol_u, tol_diff = noise_floor(Du), noise_floor(Ddiff)
+        sup = grad_sup_norms(phihat, order)
+        # The u, v and difference spectrum of every norm slot.
+        slots = [group[j % components] for group in (us, vs, deltas) for j in range(d)]
+
+        def at(t: int) -> tuple:
+            amp = float(2 ** (order * d * t))
+            norms = bessel_norms([dilate_dyadic(sp, t) for sp in slots], list(cfg.p) * 3, s)
+            u_norms, v_norms, delta_norms = norms[:d], norms[d : 2 * d], norms[2 * d :]
+            Du_t, Ddiff_t = dilate_dyadic(Du, t), dilate_dyadic(Ddiff, t)
+            num = amp * abs(pair_spectra(Du_t, phihat))
+            dnum = amp * abs(pair_spectra(Ddiff_t, phihat))
+            dsum = sum(delta_norms[j] / (u_norms[j] + v_norms[j]) for j in range(d))
+            dden = (math.prod(u_norms) + math.prod(v_norms)) * dsum * sup
+            return (_ratio(num, math.prod(u_norms) * sup), active_in_band(Du_t, phihat, tol_u),
+                    _ratio(dnum, dden), active_in_band(Ddiff_t, phihat, tol_diff))
+
+        column = _sweep(cfg, at)
+        if zero_num is None:
+            # u = v makes the difference numerator identically zero: the
+            # spectra cancel exactly before any pairing.
+            zero = Spectrum(Du.grid, Du.coeffs - Du.coeffs)
+            zero_num = abs(pair_spectra(dilate_dyadic(zero, cfg.t_min), phihat))
+        return column
+
+    zero_num = None
+    columns = [member(specs, phihat)
+               for specs, phihat in _draw(cfg, 2 * components, test_function=True)]
     diff_rows = []
 
     def step(t: int) -> dict:
-        amp = float(2 ** (order * d * t))
-        slots = [dilate_dyadic(sp, t) for inst in instances for sp in inst["slots"]]
-        norms = bessel_norms(slots, list(cfg.p) * (3 * len(instances)), s)
-        rows = [norms[j : j + d] for j in range(0, len(norms), d)]
-        ratios, diffs, active, diff_active = [], [], [], []
-        for i, inst in enumerate(instances):
-            phihat, sup = inst["phi"], inst["sup"]
-            u_norms, v_norms, deltas = rows[3 * i : 3 * i + 3]
-            Du, Ddiff = dilate_dyadic(inst["Du"], t), dilate_dyadic(inst["Ddiff"], t)
-            num = amp * abs(pair_spectra(Du, phihat))
-            ratios.append(_ratio(num, math.prod(u_norms) * sup))
-            active.append(active_in_band(Du, phihat, inst["tol_u"]))
-            dnum = amp * abs(pair_spectra(Ddiff, phihat))
-            dsum = sum(deltas[j] / (u_norms[j] + v_norms[j]) for j in range(d))
-            dden = (math.prod(u_norms) + math.prod(v_norms)) * dsum * sup
-            diffs.append(_ratio(dnum, dden))
-            diff_active.append(active_in_band(Ddiff, phihat, inst["tol_diff"]))
+        ratios, active, diffs, diff_active = map(list, zip(*(c[t - cfg.t_min] for c in columns)))
         diff_rows.append({"t": t, "ratios": diffs, "active_modes": diff_active})
         return {"ratios": ratios, "active_modes": active}
 
-    # u = v makes the difference numerator identically zero: the spectra
-    # cancel exactly before any pairing.
-    Du0, phihat0 = instances[0]["Du"], instances[0]["phi"]
-    zero = Spectrum(Du0.grid, Du0.coeffs - Du0.coeffs)
-    zero_num = abs(pair_spectra(dilate_dyadic(zero, cfg.t_min), phihat0))
     extra = {"s": s, "difference_sweep": diff_rows,
              "u_equals_v_numerator": zero_num, "det_n": det_n}
     return _scan(cfg, kind, started, step, extra, holds=zero_num == 0.0)

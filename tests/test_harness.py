@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mlab import (
     boundedness_scan,
     dealiased_product,
     dft_forward,
+    dft_inverse,
     dilate_dyadic,
     hessian_det_pointwise,
     hessian_estimate,
@@ -24,6 +26,7 @@ from mlab import (
     lp_norm,
     pair,
     random_field,
+    random_spectrum,
     thm3_estimate_ratio,
     validate_record,
     write_records,
@@ -96,6 +99,14 @@ class TestRandomField:
             want = random_field_mesh(seed, d, n, t, gamma, cutoff)
             assert np.array_equal(f.samples.real, want)
 
+    @pytest.mark.parametrize("cutoff", [None, 1.5])
+    def test_field_is_the_real_inverse_of_the_spectrum(self, grid2d, cutoff):
+        spec = random_spectrum(13, grid2d, 2.0, cutoff=cutoff)
+        f = random_field(13, grid2d, 2.0, cutoff=cutoff)
+        assert spec.coeffs[0, 0] == 0.0
+        assert f.samples.real.tobytes() == dft_inverse(spec).samples.real.tobytes()
+        assert not np.any(f.samples.imag)
+
 
 class TestDilatedRoutes:
     """The sweeps' route for a dilated quantity, ``dilate_dyadic`` of a
@@ -138,7 +149,7 @@ class TestDilatedRoutes:
 class TestTransformWork:
     """A dilated step transforms the base cell: the points passed to
     ``dft_forward`` and ``dft_inverse`` do not depend on ``t``; and an
-    estimate sweep transforms each field once."""
+    estimate sweep transforms only its determinants."""
 
     @pytest.fixture
     def counter(self, monkeypatch):
@@ -160,10 +171,10 @@ class TestTransformWork:
     @pytest.mark.parametrize(
         "scan, changes, forward",
         [
-            # Per member: u, v and u - v per component, the two
-            # determinants, and phi.
-            (jacobian_estimate, dict(n=128, p=(2.0, 2.0), t_max=5), 4 * 9),
-            (hessian_estimate, dict(d=3, n=16, p=(3.0, 3.0, 3.0), t_max=5), 4 * 6),
+            # Per member: the two determinants.  The inputs, u - v and phi
+            # are drawn as spectra.
+            (jacobian_estimate, dict(n=128, p=(2.0, 2.0), t_max=5), 4 * 2),
+            (hessian_estimate, dict(d=3, n=16, p=(3.0, 3.0, 3.0), t_max=5), 4 * 2),
         ],
     )
     def test_estimate_sweep_transforms_each_field_once(self, counter, scan, changes, forward):
@@ -502,7 +513,7 @@ class TestDeterminantEstimates:
         rec = hessian_estimate(cfg)
         validate_record(rec.to_dict())
         for i, block in enumerate(_family_seeds(cfg, 3)):
-            u = random_field(block[0], cfg.grid, harness.DECAY, cutoff=cfg.cutoff)
+            u = random_spectrum(block[0], cfg.grid, harness.DECAY, cutoff=cfg.cutoff)
             spec = dft_forward(hessian_det_pointwise(u))
             peak = float(np.max(np.abs(spec.coeffs)))
             freqs, _ = support(spec, tol=1e-15 * peak)
@@ -521,6 +532,46 @@ class TestDeterminantEstimates:
             for row in rec.extra["difference_sweep"][:3]
             for i in range(2)
         )
+
+    def test_steps_that_only_the_mean_meets_read_zero(self):
+        # At 3x16 the determinant's modes are 2^t eta with |eta_a| <= 16;
+        # from t = 4 on only eta = 0 lies in phi's band [-8, 7], and phi's
+        # drawn mean is exactly 0.
+        cfg = ExperimentConfig(
+            experiment="hess", d=3, n=16, symbol="det", p=(3.0, 3.0, 3.0), r=1.0,
+            family=4, t_min=0, t_max=5,
+        )
+        rec = hessian_estimate(cfg)
+        rows = rec.sweep[4:] + tuple(rec.extra["difference_sweep"][4:])
+        assert [row["t"] for row in rows] == [4, 5, 4, 5]
+        for row in rows:
+            assert row["ratios"] == [0.0] * 4
+            assert row["active_modes"] == [0] * 4
+        assert all(x > 0.0 for x in rec.sweep[3]["ratios"])
+
+    @pytest.mark.parametrize(
+        "scan, changes",
+        [
+            (jacobian_estimate, dict(d=2, n=64, p=(2.0, 2.0))),
+            (hessian_estimate, dict(d=3, n=8, p=(3.0, 3.0, 3.0))),
+        ],
+    )
+    def test_memory_does_not_grow_with_the_family(self, scan, changes):
+        # The sweep holds one member at a time: its traced peak at family 8
+        # stays near that at family 2.
+        def peak(family: int) -> int:
+            cfg = ExperimentConfig(experiment="det", symbol="det", r=1.0, family=family,
+                                   t_min=0, t_max=3, **changes)
+            tracemalloc.start()
+            try:
+                scan(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # caches filled by a first run are not the sweep's
+        small, large = peak(2), peak(8)
+        assert large <= 1.25 * small, (small, large)
 
     @pytest.mark.parametrize(
         "scan, d, n, det_n",
