@@ -265,6 +265,30 @@ def eval_poly_terms(
     return total
 
 
+def mul_poly_terms(
+    a: dict[tuple[int, ...], Fraction], b: dict[tuple[int, ...], Fraction]
+) -> dict[tuple[int, ...], Fraction]:
+    """Product of two exponent-tuple term maps, zero coefficients dropped."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def diff_poly_terms(
+    terms: dict[tuple[int, ...], Fraction], axis: int
+) -> dict[tuple[int, ...], Fraction]:
+    """Partial derivative of an exponent-tuple term map in variable ``axis``."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for expo, coef in terms.items():
+        if expo[axis]:
+            lower = expo[:axis] + (expo[axis] - 1,) + expo[axis + 1 :]
+            out[lower] = out.get(lower, 0) + coef * expo[axis]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Seeded random fields built on the full frequency mesh
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from mlab import (
     poly_const,
     poly_det,
     poly_var,
+    poly_zero,
     random_poly,
     run_identity_suite,
     second_cofactor,
@@ -406,7 +407,49 @@ class TestSymbolicIdentities:
             jacobian_matrix([poly_var(2, 0)])
 
 
+# ``run_identity_suite(20, seed).to_dict()`` for each seed 0-2: every batch
+# passes with residual 0, at the degree of its drawn (or formal) inputs.
+SUITE_REPORTS = [
+    ("piola", 2, 3, True, "0"),
+    ("piola", 3, 2, True, "0"),
+    ("piola", 4, 2, True, "0"),
+    ("hessian-2d", 2, 4, True, "0"),
+    ("det-P-tau", 2, 4, True, "0"),
+    ("det-P-tau", 3, 6, True, "0"),
+    ("det-P-tau", 4, 8, True, "0"),
+    ("det-P-tau-average", 2, 4, True, "0"),
+    ("det-P-tau-average", 3, 6, True, "0"),
+    ("baer-jerison", 2, 3, True, "0"),
+    ("baer-jerison", 3, 2, True, "0"),
+]
+SUITE_KEYS = ("identity", "d", "degree", "passed", "residual")
+
+
 class TestIdentitySuite:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_are_pinned(self, seed):
+        got = [r.to_dict() for r in run_identity_suite(20, seed)]
+        assert got == [dict(zip(SUITE_KEYS, row)) for row in SUITE_REPORTS]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_formal_symmetries_catch_an_unshifted_second_cofactor(self, monkeypatch, d):
+        # Dropping the ``k - 1`` (and ``l - 1``) index shift flips the sign of
+        # every cofactor with ``k > i`` xor ``l > j``; the row swap breaks.
+        def unshifted(H, i, j, k, l):
+            if i == k or j == l:
+                return poly_zero(H[0][0].d)
+            minor = determinants._minor(H, {i, k}, {j, l})
+            return minor.scale(-((-1) ** (i + j + k + l)))
+
+        assert determinants._second_cofactor_symmetries(d).passed
+        monkeypatch.setattr(determinants, "second_cofactor", unshifted)
+        assert not determinants._second_cofactor_symmetries(d).passed
+        reports = run_identity_suite(2, 0)
+        bj = [r for r in reports if r.identity == "baer-jerison"]
+        assert [r.d for r in bj] == [2, 3]
+        assert not any(r.passed for r in bj) and all(r.residual != "0" for r in bj)
+        assert all(r.passed for r in reports if r.identity != "baer-jerison")
+
     def test_full_suite_passes(self):
         reports = run_identity_suite(instances=2, seed=3)
         assert all(r.passed for r in reports)

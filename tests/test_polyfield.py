@@ -1,12 +1,14 @@
 """Exact rational polynomial ring: arithmetic, calculus, determinants."""
 
+import pickle
 import random
+from copy import copy, deepcopy
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlab import (
@@ -19,7 +21,15 @@ from mlab import (
     random_poly,
 )
 
-from oracles import det_cofactor, eval_poly_terms, perm_sign_by_inversions
+from mlab.polyfield import MAX_EXPONENT
+
+from oracles import (
+    det_cofactor,
+    diff_poly_terms,
+    eval_poly_terms,
+    mul_poly_terms,
+    perm_sign_by_inversions,
+)
 
 
 def _rand_poly(
@@ -113,6 +123,132 @@ class TestRing:
 
         with pytest.raises(ValueError):
             poly_var(2, 0) + poly_var(3, 0)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _combine(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _nonzero(out)
+
+
+def _repr_of(terms: dict) -> str:
+    """``PolyField.__repr__`` written from its definition: exponent-tuple order."""
+    if not terms:
+        return "PolyField(0)"
+    parts = []
+    for e, c in sorted(terms.items()):
+        mono = "*".join(f"x{i}^{k}" for i, k in enumerate(e) if k)
+        parts.append(f"{c}{'*' + mono if mono else ''}")
+    return "PolyField(" + " + ".join(parts) + ")"
+
+
+@st.composite
+def _term_maps(draw):
+    """``d`` in 1..16 (the formal det-P-tau run's width), two term maps of
+    one coefficient kind, a scale factor, an axis and a rational point."""
+    d = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(KINDS))
+    coeff = (st.integers(-9, 9) if kind == "int"
+             else st.fractions(-9, 9, max_denominator=7))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * d), coeff, max_size=6)
+    point = tuple(draw(st.lists(st.fractions(-3, 3, max_denominator=5),
+                                min_size=d, max_size=d)))
+    return (d, kind, draw(terms), draw(terms), draw(coeff),
+            draw(st.integers(0, d - 1)), point)
+
+
+class TestPackedKernel:
+    """The packed-key ring against the tuple-keyed oracles in ``oracles``."""
+
+    @settings(max_examples=100)
+    @given(_term_maps())
+    def test_matches_tuple_keyed_oracle(self, case):
+        d, kind, a, b, c, axis, point = case
+        p, q = PolyField(d, a), PolyField(d, b)
+        A, B = _nonzero(a), _nonzero(b)
+        assert p.terms == A and q.terms == B
+        results = {
+            "mul": (p * q, mul_poly_terms(A, B)),
+            "add": (p + q, _combine(A, B, 1)),
+            "sub": (p - q, _combine(A, B, -1)),
+            "neg": (-p, {e: -v for e, v in A.items()}),
+            "scale": (p.scale(c), _nonzero({e: c * v for e, v in A.items()})),
+            "diff": (p.diff(axis), diff_poly_terms(A, axis)),
+        }
+        for name, (got, want) in results.items():
+            assert got.d == d, name
+            assert got.terms == want, name
+            assert repr(got) == _repr_of(want), name
+            if kind == "int":
+                assert all(type(v) is int for v in got.terms.values()), name
+        assert p.degree() == max((sum(e) for e in A), default=0)
+        assert p.eval(point) == eval_poly_terms(A, point)
+        assert (p * q).eval(point) == p.eval(point) * q.eval(point)
+        assert p == PolyField(d, dict(reversed(A.items())))
+        assert (p == q) == (A == B)
+        assert p.is_zero == (not A)
+
+    def test_terms_is_a_fresh_dict(self):
+        p = poly_var(3, 1)
+        p.terms[(0, 0, 0)] = 5
+        assert p.terms == {(0, 1, 0): 1}
+
+    def test_immutable_copyable_and_unhashable(self):
+        p = poly_var(2, 0) * poly_var(2, 1) - poly_const(2, Fraction(1, 3))
+        with pytest.raises(AttributeError):
+            p.d = 3
+        for q in (copy(p), deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and repr(q) == repr(p)
+        with pytest.raises(TypeError):
+            hash(p)
+
+    def test_mismatched_dimensions_rejected_by_every_binary_op(self):
+        p, q = poly_var(2, 0), poly_var(3, 0)
+        for op in (lambda: p + q, lambda: p - q, lambda: p * q):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                op()
+
+
+class TestNoSilentCarry:
+    """An exponent no packed field can hold is refused, never carried over."""
+
+    def test_largest_exponent_is_kept(self):
+        p = PolyField(3, {(0, MAX_EXPONENT, 0): 2})
+        assert p.terms == {(0, MAX_EXPONENT, 0): 2}
+        assert p.degree() == MAX_EXPONENT
+
+    @pytest.mark.parametrize("expo", [(MAX_EXPONENT + 1,), (0, MAX_EXPONENT + 1, 0)])
+    def test_constructor_refuses_an_exponent_above_the_field(self, expo):
+        with pytest.raises(ValueError, match=f"exponent {MAX_EXPONENT + 1} "):
+            PolyField(len(expo), {expo: 1})
+
+    @pytest.mark.parametrize("expo", [(-1, 0), (0, 1, 2)])
+    def test_constructor_refuses_negative_or_misshapen_exponents(self, expo):
+        with pytest.raises(ValueError):
+            PolyField(2, {expo: 1})
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_product_refuses_an_exponent_above_the_field(self, axis):
+        # The product's ``axis`` field would hold MAX_EXPONENT + 1, its guard
+        # bit; kept, one more product could carry it into x_{axis-1}.
+        half = (MAX_EXPONENT + 1) // 2
+        a = tuple(half if i == axis else 1 for i in range(3))
+        p = PolyField(3, {a: 1, (0, 0, 0): 1})
+        with pytest.raises(ValueError, match=f"exponent {MAX_EXPONENT + 1} of x{axis}"):
+            p * p
+
+    def test_product_up_to_the_field_maximum_is_exact(self):
+        x = poly_var(2, 1)
+        low = PolyField(2, {(3, MAX_EXPONENT // 2): 1})
+        high = PolyField(2, {(1, MAX_EXPONENT - MAX_EXPONENT // 2): -2})
+        assert (low * high).terms == {(4, MAX_EXPONENT): -2}
+        assert (low * high).diff(1).terms == {(4, MAX_EXPONENT - 1): -2 * MAX_EXPONENT}
+        assert (x * low).terms == {(3, MAX_EXPONENT // 2 + 1): 1}
 
 
 class TestCalculus:
