@@ -1,8 +1,9 @@
 """Jacobian and Hessian determinants three ways, plus exact identity checks.
 
-Numeric routes: the pointwise route samples spectral derivatives, each one
-``grid.apply_multiplier`` of a component's spectrum, on a ``d``-fold padded
-grid and takes determinants sample by sample; the
+Numeric routes: the pointwise route samples the spectral derivatives of
+the matrix entries on a ``d``-fold padded grid, all of them as one stack
+from one ``grid.apply_multipliers`` call, and takes determinants sample by
+sample on views of that stack; the
 multiplier route applies the alternating symbol ``det`` (or its square) and
 multiplies by the constant ``i^d`` (``i^{2d} / d!``).  Both are exact for trigonometric
 polynomials that fit the padding, so they must agree to rounding.
@@ -25,7 +26,7 @@ import numpy as np
 from .grid import (
     Field,
     Spectrum,
-    apply_multiplier,
+    apply_multipliers,
     as_spectrum,
     common_grid,
     derivative_multiplier,
@@ -98,11 +99,11 @@ def jacobian_det_pointwise(us: list[Field | Spectrum], n_out: int | None = None)
     """``det`` of the matrix ``[d u_i / d x_j]`` sampled on an ``n_out`` grid.
 
     Each component is a field or its spectrum; a field costs one forward
-    transform (``grid.as_spectrum``).  Each entry is one
-    :func:`apply_multiplier` of its spectrum with a first-order
-    :func:`derivative_multiplier`, inverted on the ``n_out`` grid.  The
-    determinant is the cofactor expansion :func:`poly_det` over the entry
-    sample arrays.
+    transform (``grid.as_spectrum``).  The ``d^2`` entries, each a spectrum
+    times a first-order :func:`derivative_multiplier`, are inverted on the
+    ``n_out`` grid as one stack by one :func:`apply_multipliers` call, and
+    the determinant is the cofactor expansion :func:`poly_det` over views
+    of that stack.
 
     ``n_out`` defaults to the grid padded by ``d``, on which every mode of
     the determinant is alias free.  A caller that reads only the modes
@@ -120,10 +121,9 @@ def jacobian_det_pointwise(us: list[Field | Spectrum], n_out: int | None = None)
     n_out = _det_points(grid.n, d, n_out)
     mults = [derivative_multiplier(grid, tuple(int(a == j) for a in range(d)))
              for j in range(d)]
-    entries = []
-    for u in us:
-        spec = as_spectrum(u)
-        entries.append([apply_multiplier(spec, m, n_out).samples for m in mults])
+    specs = [as_spectrum(u) for u in us]
+    stack = apply_multipliers([(spec, m) for spec in specs for m in mults], n_out)
+    entries = [[stack[i * d + j] for j in range(d)] for i in range(d)]
     return Field(grid.with_n(n_out), poly_det(entries))
 
 
@@ -131,9 +131,9 @@ def hessian_det_pointwise(u: Field | Spectrum, n_out: int | None = None) -> Fiel
     """``det`` of the spectral Hessian of ``u``, a field or its spectrum,
     sampled on an ``n_out`` grid.
 
-    Only the ``d (d + 1) / 2`` entries with ``i <= j`` are transformed, each
-    one :func:`apply_multiplier` with the multiplier of ``d^alpha``,
-    ``alpha = e_i + e_j``; ``H_ji`` is ``H_ij``.
+    Only the ``d (d + 1) / 2`` entries with ``i <= j`` are transformed,
+    one stack of multipliers of ``d^alpha``, ``alpha = e_i + e_j``, from one
+    :func:`apply_multipliers` call; ``H_ji`` is the view ``H_ij``.
     ``n_out`` defaults to the grid padded by ``d``; as for
     :func:`jacobian_det_pointwise`, the modes ``|eta_a| <= b`` are exact on
     any ``n_out >= b + d n/2``, since every term ``prod_i H_{i sigma(i)}``
@@ -142,12 +142,13 @@ def hessian_det_pointwise(u: Field | Spectrum, n_out: int | None = None) -> Fiel
     d = u.grid.d
     n_out = _det_points(u.grid.n, d, n_out)
     spec = as_spectrum(u)
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    alphas = [tuple(int(a == i) + int(a == j) for a in range(d)) for i, j in pairs]
+    stack = apply_multipliers([(spec, derivative_multiplier(u.grid, alpha))
+                               for alpha in alphas], n_out)
     H = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            alpha = tuple(int(a == i) + int(a == j) for a in range(d))
-            H[i][j] = H[j][i] = apply_multiplier(
-                spec, derivative_multiplier(u.grid, alpha), n_out).samples
+    for k, (i, j) in enumerate(pairs):
+        H[i][j] = H[j][i] = stack[k]
     return Field(u.grid.with_n(n_out), poly_det(H))
 
 

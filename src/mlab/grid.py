@@ -16,14 +16,16 @@ and pairings read the cell alone; the ``2^t n`` grid is never built.
 alike; :func:`pair_spectra` pairs spectra on two grids of one torus, and
 :func:`active_in_band` counts the modes such a pairing reads.
 
-:func:`apply_multiplier` is the one route from a spectrum to a Fourier
-multiplier of one function: a derivative ``d^alpha`` (with
+:func:`apply_multipliers` is the one route from spectra to Fourier
+multipliers of one function each: a derivative ``d^alpha`` (with
 :func:`derivative_multiplier` of a multi-index ``alpha``), a Bessel
-potential, a Littlewood-Paley piece, inverted on the spectrum's grid or a
-zero-padded one.  :func:`multiplier_l2_norm` is the one route to the ``L^2``
-norm of such a field: by discrete Parseval it reads the weighted
-coefficients and runs no inverse transform.  No other module multiplies a
-spectrum's coefficients.
+potential, a Littlewood-Paley piece, inverted on the spectra's grid or a
+zero-padded one.  It stacks its terms and transforms them together, in
+place, in one output buffer; :func:`apply_multiplier` is its one-term case
+and :func:`padded_inverse` that of the constant multiplier one.
+:func:`multiplier_l2_norm` is the one route to the ``L^2`` norm of such a
+field: by discrete Parseval it reads the weighted coefficients and runs no
+inverse transform.  No other module multiplies a spectrum's coefficients.
 
 Under this pairing a multiplier identically equal to one reproduces the
 pointwise product of its inputs, which is the anchor every other constant in
@@ -33,6 +35,7 @@ the library is calibrated against.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -57,6 +60,7 @@ __all__ = [
     "field_from_modes",
     "derivative_multiplier",
     "apply_multiplier",
+    "apply_multipliers",
     "multiplier_l2_norm",
     "spectral_derivative",
     "regrid_spectrum",
@@ -173,17 +177,23 @@ class Spectrum:
 def dft_forward(f: Field) -> Spectrum:
     """Forward transform, ``coeffs(xi) = n^-d sum_p f(x_p) e^{-i xi . x_p}``.
 
-    It, :func:`dft_inverse` and :func:`padded_inverse` scale the FFT's own
-    output in place, so no second full-size array is made."""
-    coeffs = np.fft.fftn(f.samples)
-    coeffs /= f.grid.npoints
+    ``norm="forward"`` scales by ``n^-d`` inside the FFT and ``out`` takes its
+    passes, so the result is the one array made.  Bitwise equal to
+    ``np.fft.fftn(x) / n^d``: ``n`` is a power of two, so every scaling is
+    exact and commutes with rounding."""
+    coeffs = np.fft.fftn(f.samples, norm="forward",
+                         out=np.empty(f.grid.shape, dtype=np.complex128))
     return Spectrum(f.grid, coeffs)
 
 
 def dft_inverse(s: Spectrum) -> Field:
-    """Inverse transform; exact round trip with :func:`dft_forward`."""
-    samples = np.fft.ifftn(s.coeffs)
-    samples *= s.grid.npoints
+    """Inverse transform; exact round trip with :func:`dft_forward`.
+
+    ``norm="forward"`` leaves the inverse unscaled: bitwise equal to
+    ``np.fft.ifftn(x) * n^d``, for the reason :func:`dft_forward` gives, in
+    one array."""
+    samples = np.fft.ifftn(s.coeffs, norm="forward",
+                           out=np.empty(s.grid.shape, dtype=np.complex128))
     return Field(s.grid, samples)
 
 
@@ -276,10 +286,60 @@ def derivative_multiplier(grid: GridSpec, alpha: tuple[int, ...]) -> np.ndarray:
 
 def apply_multiplier(s: Spectrum, mult: np.ndarray, n_out: int | None = None) -> Field:
     """The field of ``s`` times a Fourier multiplier ``mult`` that broadcasts
-    against it, inverted on an ``n_out`` grid (default ``s.grid.n``) by
-    :func:`padded_inverse`: the one route from a spectrum to a derivative,
-    a Bessel potential or any other multiplier of one function."""
-    return padded_inverse(Spectrum(s.grid, s.coeffs * mult), n_out or s.grid.n)
+    against it, inverted on an ``n_out`` grid (default ``s.grid.n``): the
+    one-term case of :func:`apply_multipliers`."""
+    samples = apply_multipliers([(s, mult)], n_out)[0]
+    return Field(s.grid.with_n(samples.shape[0]), samples)
+
+
+def _band_slices(n: int, n_out: int) -> list[tuple[slice, slice]]:
+    """Per axis, the ``(source, destination)`` index slices of the
+    frequencies that both an ``n`` and an ``n_out`` grid hold: ``[0, h)``
+    keeps its index and ``[-h, 0)`` sits at the top of each axis, ``h =
+    min(n, n_out) / 2``; one pair when the grids agree."""
+    if n == n_out:
+        return [(slice(None), slice(None))]
+    h = min(n, n_out) // 2
+    return [(slice(h), slice(h)), (slice(n - h, None), slice(n_out - h, None))]
+
+
+def apply_multipliers(terms: list[tuple[Spectrum, np.ndarray]],
+                      n_out: int | None = None) -> np.ndarray:
+    """The fields of the spectra of ``terms`` times their multipliers,
+    inverted on an ``n_out`` grid (default the spectra's own ``n``), as one
+    stack of sample arrays of shape ``(len(terms), n_out, ..., n_out)``.
+
+    The stack is the one array made.  Each product is written straight into
+    its band of the zeroed stack, zero padded (or truncated) to ``n_out``,
+    and the inverse runs in place on it as 1-D passes, last axis first, with
+    the stack's terms transformed together.  Before the pass along an axis,
+    only the lines whose indices on the axes not yet transformed lie in the
+    old band can be nonzero, so on a padded grid each pass runs on those
+    lines alone: ``2^d - 1`` FFT calls for the whole stack.  Every line gets
+    the 1-D transform ``np.fft.ifftn`` gives it, unscaled by
+    ``norm="forward"``, so each term is bitwise ``np.fft.ifftn`` of its
+    zero-padded product times ``n_out^d`` (see :func:`dft_inverse`).  The
+    spectra must share one grid.
+    """
+    if not terms:
+        raise ValueError("apply_multipliers needs at least one (spectrum, multiplier) term")
+    grid = terms[0][0].grid
+    if any(s.grid != grid for s, _ in terms):
+        raise GridMismatchError("apply_multipliers terms live on different grids")
+    grid_out = grid if n_out is None else grid.with_n(n_out)
+    bands = _band_slices(grid.n, grid_out.n)
+    out = np.zeros((len(terms),) + grid_out.shape, dtype=np.complex128)
+    for k, (s, mult) in enumerate(terms):
+        mult = np.broadcast_to(mult, grid.shape)
+        for block in itertools.product(bands, repeat=grid.d):
+            src = tuple(b[0] for b in block)
+            np.multiply(s.coeffs[src], mult[src], out=out[(k,) + tuple(b[1] for b in block)])
+    lines = [b[1] for b in bands] if grid_out.n > grid.n else [slice(None)]
+    for axis in reversed(range(grid.d)):
+        for lead in itertools.product(lines, repeat=axis):
+            view = out[(slice(None),) + lead]
+            np.fft.ifft(view, axis=axis + 1, norm="forward", out=view)
+    return out
 
 
 def multiplier_l2_norm(s: Spectrum, mult: np.ndarray) -> float:
@@ -327,32 +387,10 @@ def regrid_spectrum(s: Spectrum, n_new: int, t: int = 0) -> Spectrum:
 
 
 def padded_inverse(s: Spectrum, n_new: int) -> Field:
-    """``dft_inverse(regrid_spectrum(s, n_new))``, bitwise, without the padded copy.
-
-    ``ifftn`` runs 1-D inverse transforms axis by axis, last axis first.
-    Before the pass along an axis, only the lines whose indices on the axes
-    not yet transformed lie in the old band can be nonzero; this runs the
-    same passes in the same order on those lines alone, zero padding one
-    axis at a time just before its pass.  The last pass, along axis 0,
-    covers the whole ``n_new`` grid.  Truncation and ``n_new == n`` take the
-    two-step form.
-    """
-    n, d = s.grid.n, s.grid.d
-    if n_new <= n:
-        return dft_inverse(regrid_spectrum(s, n_new))
-    grid_new = s.grid.with_n(n_new)
-    half = n // 2
-    out = s.coeffs
-    for axis in reversed(range(d)):
-        padded = np.zeros(out.shape[:axis] + (n_new,) + out.shape[axis + 1 :],
-                          dtype=np.complex128)
-        lead = (slice(None),) * axis
-        # Frequencies [0, n/2) keep their index; [-n/2, 0) move to the top.
-        padded[lead + (slice(half),)] = out[lead + (slice(half),)]
-        padded[lead + (slice(n_new - half, None),)] = out[lead + (slice(half, None),)]
-        out = np.fft.ifft(padded, axis=axis)
-    out *= grid_new.npoints
-    return Field(grid_new, out)
+    """``dft_inverse(regrid_spectrum(s, n_new))``, bitwise, without the
+    padded copy: :func:`apply_multipliers` of ``s`` alone with the constant
+    multiplier one, whose passes skip the lines the padding keeps zero."""
+    return apply_multiplier(s, np.ones((1,) * s.grid.d), n_new)
 
 
 def regrid_field(f: Field, n_new: int) -> Field:

@@ -3,9 +3,11 @@
 Everything here is written from the definitions, without the library's FFT
 plumbing: direct summation transforms, term-by-term mode arithmetic,
 cofactor determinant expansion, finite differences on dense scans.  Slow on
-purpose; keep grids small.  The one exception is the per-step boundedness
-scan at the end, which replays the scan's loop on the library's own
-operators and checks only how often they run.
+purpose; keep grids small.  The transform layer's reference is numpy's own
+FFT, scaled afterwards, of a coefficient array padded frequency by
+frequency.  The one exception is the per-step boundedness scan at the end,
+which replays the scan's loop on the library's own operators and checks
+only how often they run.
 """
 
 from __future__ import annotations
@@ -78,6 +80,30 @@ def convolve_modes(
             key = tuple(i + j for i, j in zip(xa, xb))
             out[key] = out.get(key, 0.0 + 0.0j) + ca * cb
     return out
+
+
+def regrid_coeffs(coeffs: np.ndarray, n_out: int) -> np.ndarray:
+    """FFT-order coefficients zero padded (or truncated) to ``n_out`` per
+    axis, frequency by frequency: every ``xi`` with components in
+    ``[-h, h)``, ``h = min(n, n_out) / 2``, keeps its value."""
+    n, d = coeffs.shape[0], coeffs.ndim
+    h = min(n, n_out) // 2
+    out = np.zeros((n_out,) * d, dtype=np.complex128)
+    for xi in itertools.product(range(-h, h), repeat=d):
+        out[tuple(c % n_out for c in xi)] = coeffs[tuple(c % n for c in xi)]
+    return out
+
+
+def fft_forward_reference(samples: np.ndarray) -> np.ndarray:
+    """The forward transform as numpy's unnormalized FFT over the point count."""
+    return np.fft.fftn(samples) / samples.size
+
+
+def fft_inverse_reference(coeffs: np.ndarray, n_out: int) -> np.ndarray:
+    """The inverse transform on an ``n_out`` grid as numpy's ``ifftn`` of the
+    zero-padded (or truncated) coefficients times the point count."""
+    padded = regrid_coeffs(coeffs, n_out)
+    return np.fft.ifftn(padded) * padded.size
 
 
 def quadrature_pair(f: np.ndarray, g: np.ndarray) -> complex:

@@ -36,8 +36,8 @@ from mlab import (
 )
 from mlab import determinants
 from mlab.grid import (
-    Spectrum, _band_block, dft_forward, dilate_dyadic, padded_points, regrid_field,
-    spectral_derivative,
+    Spectrum, _band_block, apply_multiplier, derivative_multiplier, dft_forward,
+    dilate_dyadic, padded_points, regrid_field, spectral_derivative,
 )
 from mlab.harness import _sweep_det_n, random_field
 
@@ -192,6 +192,48 @@ class TestFullBandRoutes:
             jacobian_det_pointwise(us, 8)
         with pytest.raises(ValueError, match="coarser"):
             hessian_det_pointwise(us[0], 8)
+
+
+def _count_ifft(monkeypatch) -> list[int]:
+    """Counts the calls of ``numpy.fft.ifft``, the 1-D inverse passes."""
+    calls = [0]
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    return calls
+
+
+class TestStackedEntries:
+    """The entries of a pointwise determinant are one stack, transformed
+    together: one inverse pass per band sub-block, ``2^d - 1`` in all, and
+    bitwise what one ``apply_multiplier`` per entry gives."""
+
+    def test_jacobian_transforms_its_entries_together(self, monkeypatch):
+        g = GridSpec(d=2, n=16)
+        specs = [dft_forward(random_field(200 + i, g, 2.0)) for i in range(2)]
+        calls = _count_ifft(monkeypatch)
+        got = jacobian_det_pointwise(specs)
+        assert calls[0] == 3
+        n_out = padded_points(g.n, 2)
+        mults = [derivative_multiplier(g, unit(2, j)) for j in range(2)]
+        want = poly_det([[apply_multiplier(s, m, n_out).samples for m in mults] for s in specs])
+        assert np.array_equal(got.samples, want)
+
+    def test_hessian_transforms_its_entries_together(self, monkeypatch):
+        g = GridSpec(d=3, n=8)
+        spec = dft_forward(random_field(210, g, 2.0))
+        calls = _count_ifft(monkeypatch)
+        got = hessian_det_pointwise(spec)
+        assert calls[0] == 7
+        n_out = padded_points(g.n, 3)
+        H = [[apply_multiplier(spec, derivative_multiplier(g, tuple(
+                 int(a == i) + int(a == j) for a in range(3))), n_out).samples
+              for j in range(3)] for i in range(3)]
+        assert np.array_equal(got.samples, poly_det(H))
 
 
 class TestFourierRoutes:

@@ -27,6 +27,7 @@ from mlab.grid import (
     active_in_band,
     active_modes,
     apply_multiplier,
+    apply_multipliers,
     derivative_multiplier,
     noise_floor,
     padded_inverse,
@@ -36,6 +37,7 @@ from mlab.grid import (
     regrid_field,
     regrid_spectrum,
 )
+from mlab.errors import GridMismatchError
 from mlab.spaces import multi_indices
 
 from conftest import random_trig, rel_err, tiled, unit
@@ -43,6 +45,8 @@ from oracles import (
     convolve_modes,
     dft_direct,
     diff_modes,
+    fft_forward_reference,
+    fft_inverse_reference,
     modes_on_grid,
     quadrature_lp,
     quadrature_pair,
@@ -247,6 +251,97 @@ class TestApplyMultiplier:
         assert np.array_equal(derivative_multiplier(grid2d, (0, 0)), np.ones((1, 1)))
         with pytest.raises(ValueError):
             derivative_multiplier(grid2d, (1, -1))
+
+
+def _full_band(g: GridSpec, seed: int) -> Spectrum:
+    """Complex coefficients on every mode, Nyquist rows included."""
+    rng = np.random.default_rng(seed)
+    return Spectrum(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+
+
+def _multipliers(g: GridSpec) -> list[np.ndarray]:
+    """Broadcast derivative multipliers, a full-shape Bessel weight and the
+    constant one."""
+    return [derivative_multiplier(g, unit(g.d, g.d - 1)),
+            derivative_multiplier(g, (1,) * g.d),
+            (1.0 + g.freq_radius() ** 2) ** -0.75,
+            np.ones((1,) * g.d)]
+
+
+N_OUTS = [4, 8, 16, 32]  # n/2, n, 2n, 4n of the n = 8 grids below
+
+
+class TestTransformsAreTheReference:
+    """Bitwise against numpy's FFT with the scaling applied afterwards, on
+    coefficients padded frequency by frequency (``oracles``)."""
+
+    @pytest.mark.parametrize("t", [0, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_forward_and_inverse(self, d, t):
+        g = GridSpec(d=d, n=8, t=t)
+        s = _full_band(g, 50 + d)
+        f = dft_inverse(s)
+        assert f.grid == g and np.array_equal(f.samples, fft_inverse_reference(s.coeffs, 8))
+        back = dft_forward(f)
+        assert back.grid == g and np.array_equal(back.coeffs, fft_forward_reference(f.samples))
+
+    @pytest.mark.parametrize("n_out", N_OUTS)
+    @pytest.mark.parametrize("t", [0, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_padded_inverse(self, d, t, n_out):
+        s = _full_band(GridSpec(d=d, n=8, t=t), 60 + d)
+        got = padded_inverse(s, n_out)
+        assert got.grid == s.grid.with_n(n_out)
+        assert np.array_equal(got.samples, fft_inverse_reference(s.coeffs, n_out))
+
+    @pytest.mark.parametrize("n_out", N_OUTS)
+    @pytest.mark.parametrize("t", [0, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_apply_multiplier(self, d, t, n_out):
+        s = _full_band(GridSpec(d=d, n=8, t=t), 70 + d)
+        for mult in _multipliers(s.grid):
+            got = apply_multiplier(s, mult, n_out)
+            assert got.grid == s.grid.with_n(n_out)
+            assert np.array_equal(got.samples, fft_inverse_reference(s.coeffs * mult, n_out))
+
+    @pytest.mark.parametrize("n_out", N_OUTS)
+    @pytest.mark.parametrize("t", [0, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_apply_multipliers_stacks_two_spectra(self, d, t, n_out):
+        g = GridSpec(d=d, n=8, t=t)
+        a, b = _full_band(g, 80 + d), _full_band(g, 90 + d)
+        terms = [(s, m) for m in _multipliers(g) for s in (a, b)]
+        got = apply_multipliers(terms, n_out)
+        assert got.shape == (len(terms),) + g.with_n(n_out).shape
+        for row, (s, m) in zip(got, terms):
+            assert np.array_equal(row, fft_inverse_reference(s.coeffs * m, n_out))
+
+    def test_default_grid_is_the_spectra_grid(self, grid2d):
+        s = _full_band(grid2d, 100)
+        got = apply_multipliers([(s, np.ones((1, 1)))])
+        assert np.array_equal(got[0], fft_inverse_reference(s.coeffs, grid2d.n))
+        assert apply_multiplier(s, np.ones((1, 1))).grid == grid2d
+
+    def test_refuses_an_empty_stack(self):
+        with pytest.raises(ValueError, match="apply_multipliers"):
+            apply_multipliers([])
+
+    @pytest.mark.parametrize("other", [GridSpec(d=2, n=16), GridSpec(d=2, n=8, t=1)],
+                             ids=["n", "t"])
+    def test_refuses_spectra_on_two_grids(self, other):
+        a = _full_band(GridSpec(d=2, n=8), 110)
+        b = _full_band(other, 111)
+        with pytest.raises(GridMismatchError):
+            apply_multipliers([(a, np.ones((1, 1))), (b, np.ones((1, 1)))])
+
+    @pytest.mark.parametrize("n_out", [0, 6, -8])
+    def test_refuses_a_bad_output_grid(self, n_out):
+        # Only None means the spectrum's own grid; 0 is refused like any bad n.
+        s = _full_band(GridSpec(d=2, n=16), 120)
+        for call in (lambda: apply_multiplier(s, np.ones((1, 1)), n_out),
+                     lambda: apply_multipliers([(s, np.ones((1, 1)))], n_out)):
+            with pytest.raises(ValueError, match=f"n must be a power of two >= 4, got {n_out}"):
+                call()
 
 
 class TestDealiasedProduct:
