@@ -266,8 +266,8 @@ def poly_det(matrix: list[list[_Entry]]) -> _Entry:
     Expands along the first row, recursively: ``9`` entry products for
     ``n = 3`` and ``40`` for ``n = 4``, against ``n! n`` for the Leibniz
     sum.  The entries only need ``*``, ``+=`` and ``-=``: exact
-    :class:`PolyField` polynomials, numbers, or sample arrays, which gives
-    a pointwise determinant over a grid without stacking the entries.
+    :class:`PolyField` polynomials, numbers, or sample arrays, for example
+    views of the one stack the pointwise determinant routes build.
     Each sum accumulates in place into its first term, a fresh product, so
     array entries keep one dtype and one broadcast shape per column.  No
     entry is ever written, and ``n = 1`` returns a copy of its entry.
