@@ -11,6 +11,9 @@ polynomials that fit the padding, so they must agree to rounding.
 Symbolic routes: the divergence-form identities behind the distributional
 determinants are verified as exact polynomial cancellations over the
 rationals.  A residual is either the zero polynomial or the check fails.
+Identities in polynomial inputs run on seeded random polynomials; those in
+free vectors (the ``det P_tau`` factorization for every permutation, and
+its average) run once on formal variables, which settles every vector.
 """
 
 from __future__ import annotations
@@ -283,46 +286,41 @@ def symbolic_hessian2d_check(u: PolyField) -> DetReport:
     return _report("hessian-2d", 2, u.degree(), [lhs - rhs])
 
 
-def _nu_polys(
-    d: int, nus: list[list[Fraction | int]] | None
-) -> tuple[int, list[list[PolyField]]]:
-    """Vectors as polynomials: constants if given, formal variables if not."""
-    if nus is None:
-        nvars = d * d
-        vecs = [[poly_var(nvars, i * d + r) for r in range(d)] for i in range(d)]
-    else:
-        if len(nus) != d or any(len(v) != d for v in nus):
-            raise ValueError("need d vectors of length d")
-        nvars = 1
-        vecs = [[poly_const(nvars, x) for x in v] for v in nus]
-    return nvars, vecs
+def _formal_vectors(d: int) -> list[list[PolyField]]:
+    """``d`` formal vectors: entry ``r`` of ``nu_i`` is the ``(i d + r)``-th
+    of ``d^2`` variables, so an identity on them holds for every choice of
+    vectors at once."""
+    return [[poly_var(d * d, i * d + r) for r in range(d)] for i in range(d)]
 
 
-def symbolic_detPtau_check(
-    d: int,
-    tau: tuple[int, ...],
-    nus: list[list[Fraction | int]] | None = None,
-) -> DetReport:
-    """Factorization of the permuted rank-one column matrix.
+def _permuted_columns(
+    vecs: list[list[PolyField]], tau: tuple[int, ...]
+) -> list[list[PolyField]]:
+    """``P_tau``, whose column ``i`` is ``nu_{tau(i), i} nu_{tau(i)}``."""
+    d = len(vecs)
+    return [[vecs[tau[i]][i] * vecs[tau[i]][r] for i in range(d)] for r in range(d)]
+
+
+def symbolic_detPtau_check(d: int) -> DetReport:
+    """Factorization of the permuted rank-one column matrix, every ``tau``.
 
     ``P_tau`` has columns ``nu_{tau(i), i} nu_{tau(i)}``; the check is
     ``det P_tau = sign(tau) (prod_i nu_{tau(i), i}) det(nu_1, ..., nu_d)``
-    exactly over the rationals.  ``nus = None`` runs the identity on formal
-    variables, settling it for every choice of vectors at once.
+    exactly over the rationals, for every permutation ``tau`` of
+    ``0..d-1``, on formal vectors: one call settles the identity for every
+    choice of vectors.
     """
     if not 2 <= d <= 5:
         raise ValueError("supported dimensions are 2..5")
-    if sorted(tau) != list(range(d)):
-        raise ValueError("tau must be a permutation of 0..d-1")
-    nvars, vecs = _nu_polys(d, nus)
-    P = [[vecs[tau[i]][i] * vecs[tau[i]][r] for i in range(d)] for r in range(d)]
-    V = [[vecs[i][r] for i in range(d)] for r in range(d)]
-    rhs = poly_const(nvars, perm_sign(tau))
-    for i in range(d):
-        rhs = rhs * vecs[tau[i]][i]
-    rhs = rhs * poly_det(V)
-    degree = 0 if nus is not None else 2 * d
-    return _report("det-P-tau", d, degree, [poly_det(P) - rhs])
+    vecs = _formal_vectors(d)
+    det_nu = poly_det(vecs)  # rows nu_i: the transpose of the columns nu_i
+    residuals = []
+    for tau in permutations(range(d)):
+        rhs = poly_const(d * d, perm_sign(tau))
+        for i in range(d):
+            rhs = rhs * vecs[tau[i]][i]
+        residuals.append(poly_det(_permuted_columns(vecs, tau)) - rhs * det_nu)
+    return _report("det-P-tau", d, 2 * d, residuals)
 
 
 def symbolic_detPtau_average_check(d: int) -> DetReport:
@@ -333,14 +331,12 @@ def symbolic_detPtau_average_check(d: int) -> DetReport:
     """
     if not 2 <= d <= 4:
         raise ValueError("supported dimensions are 2..4")
-    nvars, vecs = _nu_polys(d, None)
-    V = [[vecs[i][r] for i in range(d)] for r in range(d)]
-    total = poly_zero(nvars)
+    vecs = _formal_vectors(d)
+    total = poly_zero(d * d)
     for tau in permutations(range(d)):
-        P = [[vecs[tau[i]][i] * vecs[tau[i]][r] for i in range(d)] for r in range(d)]
-        total = total + poly_det(P)
-    detV = poly_det(V)
-    return _report("det-P-tau-average", d, 2 * d, [total - detV * detV])
+        total = total + poly_det(_permuted_columns(vecs, tau))
+    det_nu = poly_det(vecs)
+    return _report("det-P-tau-average", d, 2 * d, [total - det_nu * det_nu])
 
 
 def symbolic_baer_jerison_check(d: int, u: PolyField) -> DetReport:
@@ -454,13 +450,15 @@ def random_poly(
 
 
 def run_identity_suite(instances: int = 20, seed: int = 0) -> list[DetReport]:
-    """Randomized batches of every symbolic identity; one report per batch.
+    """Every symbolic identity, one report per batch.
 
-    Each report aggregates ``instances`` random inputs (plus a formal
-    variable run where the identity is polynomial in free vectors); it
-    passes only if every residual is the zero polynomial.  Each
-    ``baer-jerison`` batch also holds the second-cofactor symmetries,
-    checked once on a formal symmetric matrix of that ``d``.
+    The ``piola``, ``hessian-2d`` and ``baer-jerison`` batches each
+    aggregate ``instances`` random polynomial inputs drawn from ``seed``.
+    The identities polynomial in free vectors run once on formal vectors:
+    ``det-P-tau`` over every permutation for d = 2, 3, 4 and its average
+    for d = 2, 3.  A report passes only if every residual is the zero
+    polynomial.  Each ``baer-jerison`` batch also holds the second-cofactor
+    symmetries, checked once on a formal symmetric matrix of that ``d``.
     """
     if instances < 1:
         raise ValueError(f"need at least one instance per batch, got {instances}")
@@ -475,13 +473,7 @@ def run_identity_suite(instances: int = 20, seed: int = 0) -> list[DetReport]:
     reports.append(_merge([symbolic_hessian2d_check(u) for u in inputs]))
 
     for d in (2, 3, 4):
-        taus = list(permutations(range(d)))
-        drawn = []
-        for _ in range(instances):
-            tau = taus[rng.randrange(len(taus))]
-            drawn.append((tau, [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]))
-        drawn += [(tau, None) for tau in (taus if d <= 3 else taus[:6])]
-        reports.append(_merge([symbolic_detPtau_check(d, tau, nus) for tau, nus in drawn]))
+        reports.append(symbolic_detPtau_check(d))
 
     for d in (2, 3):
         reports.append(symbolic_detPtau_average_check(d))

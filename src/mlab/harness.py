@@ -12,14 +12,14 @@ returns; the estimate sweeps read the drawn spectra themselves and stream
 the family, one member at a time through every step.
 Dilation keeps the base samples on a grid with dyadic exponent ``t``
 (``GridSpec.t``).  A degree-zero poly-homogeneous operator commutes with
-that dilation, so its boundedness step does not depend on ``t``: ``_scan``
-runs it once, at ``t_min``, and every row repeats that row.  Any other
-scan runs its step at every ``t``.  Every family must stay within a fixed
-factor of its ratio at ``t_min``.  Each dilated quantity has one route
-below this module: ``grid.dilate_dyadic`` of a field or spectrum,
-``grid.pair_spectra`` and ``grid.active_in_band`` across grids, and one
-``spaces.bessel_norms`` batch per sweep step of the transfer scan and per
-member and step of the estimate sweeps.  Where the direct
+that dilation, so its boundedness step does not depend on ``t``: the scan
+runs it once, at ``t_min``, and hands ``_scan`` a step that returns that
+row at every ``t``.  Any other scan runs its step at every ``t``.  Every
+family must stay within a fixed factor of its ratio at ``t_min``.  Each
+dilated quantity has one route below this module: ``grid.dilate_dyadic`` of
+a field or spectrum, ``grid.pair_spectra`` and ``grid.active_in_band``
+across grids, and one ``spaces.bessel_norms`` batch per sweep step of the
+transfer scan and per member and step of the estimate sweeps.  Where the direct
 boundedness scan applies its operator, it applies it to the step's whole
 family with one ``operators.apply_direct_family`` call, which enumerates
 the tuples of equal supports once.  The separable scan, whose symbols are
@@ -289,33 +289,6 @@ def _oscillation_ok(sweep_rows: list[dict], tol: float) -> bool:
     return top <= tol * base
 
 
-def _finish(
-    cfg: ExperimentConfig,
-    kind: str,
-    sweep_rows: list[dict],
-    thresholds: dict,
-    passed: bool,
-    started: float,
-    extra: dict | None = None,
-) -> ReportRecord:
-    base = sweep_rows[0]["ratios"]
-    allr = [x for row in sweep_rows for x in row["ratios"]]
-    return ReportRecord(
-        config_hash=cfg.config_hash(),
-        experiment=cfg.experiment,
-        kind=kind,
-        ratios=tuple(base),
-        max_ratio=max(allr),
-        median_ratio=float(np.median(np.asarray(allr))),
-        min_ratio=min(allr),
-        sweep=tuple(sweep_rows),
-        thresholds=thresholds,
-        passed=passed,
-        runtime_seconds=time.perf_counter() - started,
-        extra=extra or {},
-    )
-
-
 def _sweep(cfg: ExperimentConfig, step: Callable[[int], object]) -> list:
     """``step(t)`` at every ``t`` of the dilation range ``t_min .. t_max``,
     in order: the one loop over that range."""
@@ -324,22 +297,28 @@ def _sweep(cfg: ExperimentConfig, step: Callable[[int], object]) -> list:
 
 def _scan(
     cfg: ExperimentConfig, kind: str, started: float, step: Callable[[int], dict],
-    extra: dict, invariant: bool = False, holds: bool = True,
+    extra: dict, holds: bool = True,
 ) -> ReportRecord:
     """The dilation sweep ``t_min .. t_max``: row ``{"t": t, **step(t)}``,
     then the verdict: the family may oscillate within ``OSCILLATION_FACTOR``
     of its base ratio, and ``holds`` is an exact check of the scan's own that
-    the verdict also needs.  An ``invariant`` step gives the same row at
-    every ``t``, so it runs once, at ``t_min``, and every row repeats it."""
-    first = step(cfg.t_min) if invariant else None
-
-    def row(t: int) -> dict:
-        return {"t": t, **(first if invariant else step(t))}
-
-    sweep_rows = _sweep(cfg, row)
-    passed = _oscillation_ok(sweep_rows, OSCILLATION_FACTOR) and holds
-    thresholds = {"sweep_max_over_base": OSCILLATION_FACTOR}
-    return _finish(cfg, kind, sweep_rows, thresholds, passed, started, extra)
+    the verdict also needs."""
+    sweep_rows = _sweep(cfg, lambda t: {"t": t, **step(t)})
+    allr = [x for row in sweep_rows for x in row["ratios"]]
+    return ReportRecord(
+        config_hash=cfg.config_hash(),
+        experiment=cfg.experiment,
+        kind=kind,
+        ratios=tuple(sweep_rows[0]["ratios"]),
+        max_ratio=max(allr),
+        median_ratio=float(np.median(np.asarray(allr))),
+        min_ratio=min(allr),
+        sweep=tuple(sweep_rows),
+        thresholds={"sweep_max_over_base": OSCILLATION_FACTOR},
+        passed=_oscillation_ok(sweep_rows, OSCILLATION_FACTOR) and holds,
+        runtime_seconds=time.perf_counter() - started,
+        extra=extra,
+    )
 
 
 def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
@@ -386,7 +365,10 @@ def boundedness_scan(cfg: ExperimentConfig) -> ReportRecord:
             for fts, out in zip(batch, outs)
         ]}
 
-    return _scan(cfg, "boundedness", started, step, extra, invariant=sym.poly_homogeneous)
+    if sym.poly_homogeneous:
+        first = step(cfg.t_min)
+        return _scan(cfg, "boundedness", started, lambda t: first, extra)
+    return _scan(cfg, "boundedness", started, step, extra)
 
 
 def thm3_estimate_ratio(cfg: ExperimentConfig) -> ReportRecord:

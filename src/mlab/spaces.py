@@ -18,6 +18,7 @@ by multi-index ``alpha``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -71,10 +72,18 @@ def lp_norm(f: Field, p: float) -> float:
     return float((w * np.sum(a**p)) ** (1.0 / p))
 
 
+@functools.lru_cache(maxsize=8)
 def _bessel_weight(grid: GridSpec, s: float) -> np.ndarray:
-    """``(1 + |xi|^2)^{s/2}`` on the frequency mesh."""
+    """``(1 + |xi|^2)^{s/2}`` on the frequency mesh, read-only.
+
+    Built once per ``(grid, s)`` while it stays among the last eight asked
+    for: a scan's sweep asks for one weight per dilation step, for every
+    member of its family.
+    """
     xi2 = sum(m.astype(np.float64) ** 2 for m in grid.freq_mesh())
-    return (1.0 + xi2) ** (s / 2.0)
+    weight = (1.0 + xi2) ** (s / 2.0)
+    weight.flags.writeable = False
+    return weight
 
 
 def bessel_potential(f: Field, s: float) -> Field:
@@ -86,12 +95,13 @@ def bessel_potential(f: Field, s: float) -> Field:
 def bessel_norms(specs: list[Spectrum], p: list[float], s: float) -> list[float]:
     """``L^{p_j}_s`` norm of the field with spectrum ``specs[j]``, every ``j``.
 
-    All spectra live on one grid, whose weight is built once.  A ``p = 2``
-    norm is ``multiplier_l2_norm`` of the weighted coefficients, with no
-    transform.  For every other exponent the potential is formed once per
-    distinct coefficient array (a spectrum and its dilations share one) and
-    each ``lp_norm`` once per distinct (array, exponent), so a spectrum
-    repeated in several slots costs at most one transform.
+    All spectra live on one grid, and the batch reads that grid's cached
+    weight.  A ``p = 2`` norm is ``multiplier_l2_norm`` of the weighted
+    coefficients, with no transform.  For every other exponent the potential
+    is formed once per distinct coefficient array (a spectrum and its
+    dilations share one) and each ``lp_norm`` once per distinct (array,
+    exponent), so a spectrum repeated in several slots costs at most one
+    transform.
     """
     grids = {spec.grid for spec in specs}
     if len(grids) != 1:

@@ -396,9 +396,17 @@ def boundedness_scan_per_step(cfg) -> dict:
             den = math.prod(lp_norm(ft, pj) for ft, pj in zip(fts, cfg.p))
             ratios.append(num / den if den > 0 else 0.0)
         sweep_rows.append({"t": t, "ratios": ratios})
-    passed = harness._oscillation_ok(sweep_rows, harness.OSCILLATION_FACTOR)
-    thresholds = {"sweep_max_over_base": harness.OSCILLATION_FACTOR}
-    out = harness._finish(cfg, "boundedness", sweep_rows, thresholds, passed, 0.0, extra)
-    payload = out.to_dict()
-    payload.pop("runtime_seconds")
-    return payload
+    allr = [x for row in sweep_rows for x in row["ratios"]]
+    return {
+        "config_hash": cfg.config_hash(),
+        "experiment": cfg.experiment,
+        "kind": "boundedness",
+        "ratios": sweep_rows[0]["ratios"],
+        "max_ratio": max(allr),
+        "median_ratio": float(np.median(allr)),
+        "min_ratio": min(allr),
+        "sweep": sweep_rows,
+        "thresholds": {"sweep_max_over_base": harness.OSCILLATION_FACTOR},
+        "passed": harness._oscillation_ok(sweep_rows, harness.OSCILLATION_FACTOR),
+        "extra": extra,
+    }

@@ -10,6 +10,7 @@ import pytest
 
 from mlab import (
     BudgetExceededError,
+    DetReport,
     Field,
     GridSpec,
     cofactor_matrix,
@@ -356,8 +357,6 @@ class TestSymbolicIdentities:
         for d in (2, 3):
             for tau in permutations(range(d)):
                 nus = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-                rep = symbolic_detPtau_check(d, tau, nus)
-                assert rep.passed
                 # Independent evaluation of both sides with Fractions.
                 P = [
                     [Fraction(nus[tau[i]][i] * nus[tau[i]][r]) for i in range(d)]
@@ -372,13 +371,32 @@ class TestSymbolicIdentities:
                 rhs *= det_cofactor(V)
                 assert det_cofactor(P) == rhs
 
-    def test_detPtau_formal_all_taus_d3(self):
-        for tau in permutations(range(3)):
-            assert symbolic_detPtau_check(3, tau, None).passed
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_detPtau_formal_all_taus(self, monkeypatch, d):
+        seen = []
+        real = determinants.perm_sign
+        monkeypatch.setattr(determinants, "perm_sign", lambda t: seen.append(t) or real(t))
+        rep = symbolic_detPtau_check(d)
+        assert rep == DetReport("det-P-tau", d, 2 * d, True, "0")
+        assert sorted(seen) == list(permutations(range(d)))
 
-    def test_detPtau_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            symbolic_detPtau_check(2, (0, 0))
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_detPtau_dimension_guard(self, d):
+        with pytest.raises(ValueError, match="supported dimensions are 2..5"):
+            symbolic_detPtau_check(d)
+
+    @pytest.mark.parametrize("tau", list(permutations(range(4))))
+    def test_detPtau_fails_on_one_sign_flipped_permutation(self, monkeypatch, tau):
+        # Every permutation is checked: a wrong sign on any single one of the
+        # 24 at d = 4 must surface, in the check and in the suite's report.
+        real = determinants.perm_sign
+        monkeypatch.setattr(determinants, "perm_sign",
+                            lambda t: -real(t) if t == tau else real(t))
+        rep = symbolic_detPtau_check(4)
+        assert not rep.passed and rep.residual != "0"
+        reports = run_identity_suite(2, 0)
+        (suite,) = [r for r in reports if r.identity == "det-P-tau" and r.d == 4]
+        assert not suite.passed and suite.residual != "0"
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_detPtau_average(self, d):
@@ -449,8 +467,9 @@ class TestSymbolicIdentities:
             jacobian_matrix([poly_var(2, 0)])
 
 
-# ``run_identity_suite(20, seed).to_dict()`` for each seed 0-2: every batch
-# passes with residual 0, at the degree of its drawn (or formal) inputs.
+# ``run_identity_suite(instances, seed).to_dict()`` for instances 1, 2 and
+# 20, each seed 0-2: every batch passes with residual 0, at the degree of its
+# drawn (or formal) inputs.
 SUITE_REPORTS = [
     ("piola", 2, 3, True, "0"),
     ("piola", 3, 2, True, "0"),
@@ -469,8 +488,9 @@ SUITE_KEYS = ("identity", "d", "degree", "passed", "residual")
 
 class TestIdentitySuite:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_reports_are_pinned(self, seed):
-        got = [r.to_dict() for r in run_identity_suite(20, seed)]
+    @pytest.mark.parametrize("instances", [1, 2, 20])
+    def test_reports_are_pinned(self, instances, seed):
+        got = [r.to_dict() for r in run_identity_suite(instances, seed)]
         assert got == [dict(zip(SUITE_KEYS, row)) for row in SUITE_REPORTS]
 
     @pytest.mark.parametrize("d", [2, 3])
